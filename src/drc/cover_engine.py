@@ -5,165 +5,69 @@ A source string S is stored as an ordered sequence of reference intervals
 adjacent blocks concatenate to a substring of R.  Reads and single-character
 edits work directly on this form:
 
-* position arithmetic (which block holds S[i]) lives in a SumTree over the
-  block lengths;
-* block payloads live in an implicit-key treap so the block at a given
-  ordinal is reachable in O(log n); the packed SumTree leaves cannot carry
-  pointers, so the treap stands in for leaf-to-block cross-links;
+* one SumTree holds the sequence: its entries are the block lengths, so
+  position arithmetic (which block holds S[i]) is a ``search`` and a
+  ``sum``, and each entry's item is the block itself, reached by ordinal;
 * an edit splits the affected block around the edited position and then
   restores maximality inside the at-most-5-block window by querying the
-  reference index for adjacent-pair concatenations until a fixpoint.
+  reference index for adjacent-pair concatenations until a fixpoint
+  (:func:`restore_maximal`, shared with the multi-string forest).
 
 A boundary whose concatenation is absent from R can never become present
 by merging its neighbors (merging only extends the string being sought),
 so the fixpoint loop touches each window boundary O(1) times; per edit it
-issues at most 7 concatenation queries and 9 SumTree operations.  Both
+issues at most 8 concatenation queries and 10 SumTree operations.  Both
 counts are instrumented.
 """
 
 from __future__ import annotations
 
-import random
-from typing import Iterable, List, Optional, Sequence, Tuple
+from itertools import islice
+from typing import Callable, Iterable, List, Optional, Tuple
 
 from .errors import CharNotInReference, IndexOutOfRange, InvalidBlock
 from .partial_sums import SumTree
 from .ref_index import RefIndex
 
-__all__ = ["CompressedString", "compress"]
+__all__ = ["CompressedString", "compress", "restore_maximal"]
 
 Block = Tuple[int, int]  # 1-based inclusive interval of R
 
 
-# ----------------------------------------------------------------------
-# implicit-key treap over block payloads
+def restore_maximal(
+    win: List[Block],
+    concat: Callable[[Block, Block], Optional[int]],
+    merged: Optional[Callable[[int, Block], None]] = None,
+) -> List[Block]:
+    """Merge adjacent pairs of a block window, in place, while their
+    concatenation occurs in R, and return the window.
 
-class _Cell:
-    __slots__ = ("blk", "prio", "size", "left", "right")
-
-    def __init__(self, blk: Block, prio: int):
-        self.blk = blk
-        self.prio = prio
-        self.size = 1
-        self.left: Optional[_Cell] = None
-        self.right: Optional[_Cell] = None
-
-
-def _size(c: Optional[_Cell]) -> int:
-    return c.size if c is not None else 0
-
-
-def _pull(c: _Cell) -> None:
-    c.size = 1 + _size(c.left) + _size(c.right)
-
-
-def _merge(a: Optional[_Cell], b: Optional[_Cell]) -> Optional[_Cell]:
-    if a is None:
-        return b
-    if b is None:
-        return a
-    if a.prio > b.prio:
-        a.right = _merge(a.right, b)
-        _pull(a)
-        return a
-    b.left = _merge(a, b.left)
-    _pull(b)
-    return b
-
-
-def _split(c: Optional[_Cell], k: int) -> Tuple[Optional[_Cell], Optional[_Cell]]:
-    """First k cells, rest."""
-    if c is None:
-        return None, None
-    if _size(c.left) >= k:
-        a, b = _split(c.left, k)
-        c.left = b
-        _pull(c)
-        return a, c
-    a, b = _split(c.right, k - _size(c.left) - 1)
-    c.right = a
-    _pull(c)
-    return c, b
-
-
-def _cell_at(c: _Cell, k: int) -> _Cell:
-    """k-th cell, 1-based."""
+    Every boundary starts dirty and the lowest dirty one is queried first.
+    ``concat`` answers one concatenation query; ``merged(k, blk)`` is told
+    each merge of window slots k and k + 1 (0-based) into ``blk``.
+    """
+    dirty = [True] * (len(win) - 1)
     while True:
-        ls = _size(c.left)
-        if k <= ls:
-            c = c.left
-        elif k == ls + 1:
-            return c
-        else:
-            c, k = c.right, k - ls - 1
+        try:
+            k = dirty.index(True)
+        except ValueError:
+            return win
+        dirty[k] = False
+        pos = concat(win[k], win[k + 1])
+        if pos is None:
+            continue
+        s1, e1 = win[k]
+        s2, e2 = win[k + 1]
+        win[k] = (pos, pos + (e1 - s1) + (e2 - s2) + 1)
+        del win[k + 1]
+        del dirty[k]
+        if merged is not None:
+            merged(k, win[k])
+        if k > 0:
+            dirty[k - 1] = True
+        if k < len(dirty):
+            dirty[k] = True
 
-
-class _Seq:
-    """Ordinal-indexed block sequence."""
-
-    __slots__ = ("root", "_rng")
-
-    def __init__(self, blocks: Sequence[Block] = ()):
-        self._rng = random.Random(0x5EED)
-        self.root = self._build(list(blocks), 0, len(blocks))
-
-    def _build(self, blocks: List[Block], lo: int, hi: int) -> Optional[_Cell]:
-        if lo >= hi:
-            return None
-        mid = (lo + hi) // 2
-        c = _Cell(blocks[mid], self._rng.getrandbits(32))
-        c.left = self._build(blocks, lo, mid)
-        c.right = self._build(blocks, mid + 1, hi)
-        _pull(c)
-        return c
-
-    def __len__(self) -> int:
-        return _size(self.root)
-
-    def get(self, k: int) -> Block:
-        return _cell_at(self.root, k).blk
-
-    def set(self, k: int, blk: Block) -> None:
-        _cell_at(self.root, k).blk = blk
-
-    def insert(self, k: int, blk: Block) -> None:
-        """New block becomes ordinal k."""
-        a, b = _split(self.root, k - 1)
-        c = _Cell(blk, self._rng.getrandbits(32))
-        self.root = _merge(_merge(a, c), b)
-
-    def delete(self, k: int) -> None:
-        a, b = _split(self.root, k - 1)
-        _, c = _split(b, 1)
-        self.root = _merge(a, c)
-
-    def walk_from(self, k: int):
-        """Yield blocks at ordinals k, k+1, ... in order."""
-        stack: List[_Cell] = []
-        c = self.root
-        while c is not None:
-            ls = _size(c.left)
-            if k <= ls:
-                stack.append(c)
-                c = c.left
-            elif k == ls + 1:
-                stack.append(c)
-                break
-            else:
-                c, k = c.right, k - ls - 1
-        while stack:
-            node = stack.pop()
-            yield node.blk
-            c = node.right
-            while c is not None:
-                stack.append(c)
-                c = c.left
-
-    def to_list(self) -> List[Block]:
-        return list(self.walk_from(1)) if self.root is not None else []
-
-
-# ----------------------------------------------------------------------
 
 class CompressedString:
     """One source string held as a maximal cover of reference blocks.
@@ -174,7 +78,7 @@ class CompressedString:
     """
 
     __slots__ = (
-        "index", "_lengths", "_cells", "length",
+        "index", "_tree", "length",
         "last_concat_calls", "last_st_ops",
     )
 
@@ -185,8 +89,7 @@ class CompressedString:
             if not 1 <= s <= e <= index.r:
                 raise InvalidBlock(f"block {blk} outside reference of length {index.r}")
         self.index = index
-        self._lengths = SumTree(e - s + 1 for s, e in blocks)
-        self._cells = _Seq(blocks)
+        self._tree = SumTree([e - s + 1 for s, e in blocks], blocks)
         self.length = sum(e - s + 1 for s, e in blocks)
         self.last_concat_calls = 0
         self.last_st_ops = 0
@@ -195,17 +98,17 @@ class CompressedString:
 
     @property
     def block_count(self) -> int:
-        return len(self._cells)
+        return len(self._tree)
 
     def blocks(self) -> List[Block]:
-        return self._cells.to_list()
+        return list(self._tree.items_from(1))
 
     def __len__(self) -> int:
         return self.length
 
     def _st(self, op: str, *args: int):
         self.last_st_ops += 1
-        return getattr(self._lengths, op)(*args)
+        return getattr(self._tree, op)(*args)
 
     def _concat(self, a: Block, b: Block) -> Optional[int]:
         self.last_concat_calls += 1
@@ -226,7 +129,7 @@ class CompressedString:
         if not 1 <= i <= self.length:
             raise IndexOutOfRange(f"position {i} outside [1, {self.length}]")
         l, off = self._locate(i)
-        s, _ = self._cells.get(l)
+        s, _ = self._tree.item(l)
         return self.index.data[s + off - 2]
 
     def extract(self, i: int, ell: int) -> bytes:
@@ -241,7 +144,7 @@ class CompressedString:
         data = self.index.data
         out = []
         need = ell
-        for s, e in self._cells.walk_from(l):
+        for s, e in self._tree.items_from(l):
             take = min(e - s + 1 - (off - 1), need)
             out.append(data[s + off - 2 : s + off - 2 + take])
             need -= take
@@ -262,7 +165,7 @@ class CompressedString:
         if occ is None:
             raise CharNotInReference(i, byte)
         l, off = self._locate(i)
-        s, e = self._cells.get(l)
+        s, e = self._tree.item(l)
         blk_len = e - s + 1
         parts: List[Block] = []
         if off > 1:
@@ -278,10 +181,7 @@ class CompressedString:
             self._st("divide", l, blk_len - 1)
         elif off < blk_len:  # replaced the first char
             self._st("divide", l, 1)
-        self._cells.set(l, parts[0])
-        for k in range(1, len(parts)):
-            self._cells.insert(l + k, parts[k])
-        self._restore_window(l, len(parts))
+        self._place(l, parts)
 
     def insert(self, i: int, byte: int) -> None:
         """Insert byte before position i (i = N+1 appends)."""
@@ -295,25 +195,20 @@ class CompressedString:
         if i == self.length + 1:  # append; also the only path when S is empty
             l = self.block_count + 1
             self._st("insert", l, 1)
-            self._cells.insert(l, nchar)
             self.length += 1
-            self._restore_window(l, 1)
+            self._place(l, [nchar])
             return
         l, off = self._locate(i)
         if off == 1:
             self._st("insert", l, 1)
-            self._cells.insert(l, nchar)
             self.length += 1
-            self._restore_window(l, 2)
+            self._place(l, [nchar], 2)
             return
-        s, e = self._cells.get(l)
+        s, e = self._tree.item(l)
         self._st("divide", l, off - 1)
         self._st("insert", l + 1, 1)
-        self._cells.set(l, (s, s + off - 2))
-        self._cells.insert(l + 1, nchar)
-        self._cells.insert(l + 2, (s + off - 1, e))
         self.length += 1
-        self._restore_window(l, 3)
+        self._place(l, [(s, s + off - 2), nchar, (s + off - 1, e)])
 
     def delete(self, i: int) -> None:
         """Remove S[i]."""
@@ -321,7 +216,7 @@ class CompressedString:
         if not 1 <= i <= self.length:
             raise IndexOutOfRange(f"position {i} outside [1, {self.length}]")
         l, off = self._locate(i)
-        s, e = self._cells.get(l)
+        s, e = self._tree.item(l)
         blk_len = e - s + 1
         parts: List[Block] = []
         if off > 1:
@@ -340,61 +235,43 @@ class CompressedString:
             self._st("delete", l)
         else:
             self._st("delete", l)
-        if parts:
-            self._cells.set(l, parts[0])
-            if len(parts) == 2:
-                self._cells.insert(l + 1, parts[1])
-        else:
-            self._cells.delete(l)
         self.length -= 1
-        self._restore_window(l, len(parts))
+        self._place(l, parts)
 
     # ------------------------------------------------------------------
 
-    def _restore_window(self, first: int, nparts: int) -> None:
-        """Re-merge adjacent blocks around parts at ordinals
-        [first, first + nparts) until every window boundary is maximal."""
-        n = self.block_count
+    def _place(self, first: int, parts: List[Block], nparts: Optional[int] = None) -> None:
+        """Write ``parts`` as the blocks at ordinals first, first + 1, ...,
+        whose length entries are already in place, then re-merge the window
+        around the ``nparts`` (default: all) edited ordinals until every
+        window boundary is maximal."""
+        for k, blk in enumerate(parts):
+            self._tree.set_item(first + k, blk)
         lo = max(1, first - 1)
-        hi = min(n, first + nparts)  # inclusive ordinal of the window's end
+        # inclusive ordinal of the window's end
+        hi = min(self.block_count, first + (len(parts) if nparts is None else nparts))
         if hi <= lo:
             return
-        window = [self._cells.get(k) for k in range(lo, hi + 1)]
-        dirty = [True] * (len(window) - 1)
-        while True:
-            try:
-                k = dirty.index(True)
-            except ValueError:
-                return
-            dirty[k] = False
-            pos = self._concat(window[k], window[k + 1])
-            if pos is None:
-                continue
-            s1, e1 = window[k]
-            s2, e2 = window[k + 1]
-            merged = (pos, pos + (e1 - s1) + (e2 - s2) + 1)
+
+        def merged(k: int, blk: Block) -> None:
             self._st("merge", lo + k)
-            self._cells.set(lo + k, merged)
-            self._cells.delete(lo + k + 1)
-            window[k] = merged
-            del window[k + 1]
-            del dirty[k]
-            if k > 0:
-                dirty[k - 1] = True
-            if k < len(dirty):
-                dirty[k] = True
+            self._tree.set_item(lo + k, blk)
+
+        window = list(islice(self._tree.items_from(lo), hi - lo + 1))
+        restore_maximal(window, self._concat, merged)
 
     # ------------------------------------------------------------------
 
     def check(self) -> None:
         """Structural coherence between payloads and length entries."""
         blocks = self.blocks()
-        lengths = self._lengths.values()
+        assert None not in blocks
+        lengths = self._tree.values()
         assert len(blocks) == len(lengths)
         assert all(e - s + 1 == v for (s, e), v in zip(blocks, lengths))
         assert all(1 <= s <= e <= self.index.r for s, e in blocks)
-        assert self._lengths.total == self.length
-        self._lengths.validate()
+        assert self._tree.total == self.length
+        self._tree.validate()
 
 
 def compress(index: RefIndex, src: bytes) -> CompressedString:

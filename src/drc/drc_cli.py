@@ -16,7 +16,7 @@ with non-printable bytes escaped the same way.
 
 Exit codes: 0 ok, 1 I/O error, 2 source byte missing from the reference,
 3 reference checksum mismatch, 4 malformed or invalid cover file,
-5 script parse error, 6 script op failure.
+5 script parse error, 6 script op failure, 7 empty reference file.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from .errors import (
     CharNotInReference,
     ChecksumMismatch,
     DrcError,
+    EmptyReference,
     InvalidBlock,
     MalformedCoverFile,
 )
@@ -149,6 +150,16 @@ def _escape(byte: int) -> str:
 _ARITY = {"A": 2, "X": 3, "R": 3, "I": 3, "D": 2}
 
 
+def _decode_script(raw: bytes) -> str:
+    try:
+        return raw.decode("ascii", errors="strict")
+    except UnicodeDecodeError as exc:
+        # number the bad byte's line the way parse_script numbers lines
+        head = raw[: exc.start].decode("ascii") + "x"
+        raise ScriptError(len(head.splitlines()),
+                          f"non-ASCII byte 0x{raw[exc.start]:02x}") from None
+
+
 def parse_script(text: str) -> List[tuple]:
     """Ops as tuples: ("A", i), ("X", i, len), ("R", i, byte), ..."""
     ops: List[tuple] = []
@@ -237,7 +248,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_edit(args: argparse.Namespace) -> int:
     ref = _read(args.ref)
-    ops = parse_script(_read(args.script).decode("ascii", errors="strict"))
+    ops = parse_script(_decode_script(_read(args.script)))
     r, checksum, blocks = decode_cover(_read(args.infile))
     _check_reference(ref, r, checksum)
     idx = build_index(ref)
@@ -316,6 +327,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     except OpError as exc:
         print(f"drc: {exc}", file=sys.stderr)
         return 6
+    except EmptyReference as exc:
+        print(f"drc: {exc}", file=sys.stderr)
+        return 7
 
 
 if __name__ == "__main__":

@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 from typing import Dict, Iterator, List, Optional, Tuple
 
+from .cover_engine import restore_maximal
 from .errors import (
     CharNotInReference,
     IndexOutOfRange,
@@ -172,30 +173,6 @@ def _build(blocks: List[Block]) -> Optional[_Tree]:
     return _branch(_build(blocks[:mid]), _build(blocks[mid:]))
 
 
-def _fixpoint(index: RefIndex, win: List[Block]) -> List[Block]:
-    """Merge adjacent pairs of a small block window while their
-    concatenation occurs in R.  Every boundary starts dirty."""
-    dirty = [True] * (len(win) - 1) if win else []
-    while True:
-        try:
-            k = dirty.index(True)
-        except ValueError:
-            return win
-        dirty[k] = False
-        pos = index.substring_concat(win[k], win[k + 1])
-        if pos is None:
-            continue
-        s1, e1 = win[k]
-        s2, e2 = win[k + 1]
-        win[k] = (pos, pos + (e1 - s1) + (e2 - s2) + 1)
-        del win[k + 1]
-        del dirty[k]
-        if k > 0:
-            dirty[k - 1] = True
-        if k < len(dirty):
-            dirty[k] = True
-
-
 class CoverForest:
     """Compressed strings over one reference, keyed by integer handles."""
 
@@ -270,7 +247,7 @@ class CoverForest:
         w, b = _split_leaves(rest, hi - lo + 1)
         win = list(_leaves(w))
         edit(win)
-        win = _fixpoint(self.index, win)
+        restore_maximal(win, self.index.substring_concat)
         self._trees[h] = _join(_join(a, _build(win)), b)
 
     def access(self, h: int, j: int) -> int:
@@ -375,7 +352,7 @@ class CoverForest:
         # their strings only grow
         la, seam = _split_leaves(ta, ta.nleaves - 1)
         head, rb = _split_leaves(tb, 1)
-        win = _fixpoint(self.index, [seam.blk, head.blk])
+        win = restore_maximal([seam.blk, head.blk], self.index.substring_concat)
         return self._adopt(_join(_join(la, _build(win)), rb))
 
     def split(self, h: int, j: int) -> Tuple[int, int]:
@@ -395,14 +372,14 @@ class CoverForest:
         if t is None or t.nleaves < 2:
             return t
         rest, pair = _split_leaves(t, t.nleaves - 2)
-        win = _fixpoint(self.index, list(_leaves(pair)))
+        win = restore_maximal(list(_leaves(pair)), self.index.substring_concat)
         return _join(rest, _build(win))
 
     def _restore_head(self, t: Optional[_Tree]) -> Optional[_Tree]:
         if t is None or t.nleaves < 2:
             return t
         pair, rest = _split_leaves(t, 2)
-        win = _fixpoint(self.index, list(_leaves(pair)))
+        win = restore_maximal(list(_leaves(pair)), self.index.substring_concat)
         return _join(_build(win), rest)
 
     # ------------------------------------------------------------------

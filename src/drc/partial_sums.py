@@ -21,9 +21,15 @@ leaves hopping between nodes, borrow/fuse repairs) rebuild the affected
 nodes' PackedSums outright; a rebuild is O(B) and touches at most two nodes
 per level.
 
+Each bottom node also keeps one item per entry, in a plain list beside its
+PackedSums: an opaque payload that rides along with its entry through every
+split, borrow and fuse.  Items are read and written by the uncounted
+accessors ``item``, ``set_item`` and ``items_from``; ``divide`` copies the
+item into both halves, ``merge`` keeps the left one, ``insert`` adds None.
+
 >>> t = SumTree([5, 1, 4, 7] * 50)
 >>> t.sum(4), t.sum(23)
-(17, 89)
+(17, 95)
 >>> t.search(t.total)
 200
 >>> t.divide(8, 3); t.values()[7:9]
@@ -33,7 +39,7 @@ per level.
 from __future__ import annotations
 
 from math import ceil, log
-from typing import Iterable, List, Optional, Tuple
+from typing import Any, Iterable, Iterator, List, Optional, Tuple
 
 from .errors import (
     BadConfig,
@@ -50,13 +56,16 @@ __all__ = ["SumTree"]
 
 class _Node:
     """One tree node.  Bottom nodes (children is None) hold leaf values in
-    ps; internal nodes hold child subtree sums in ps, slot for slot."""
+    ps and their items in items, slot for slot; internal nodes hold child
+    subtree sums in ps, slot for slot, and no items."""
 
-    __slots__ = ("ps", "children", "nleaves")
+    __slots__ = ("ps", "children", "nleaves", "items")
 
-    def __init__(self, ps: PackedSums, children: Optional[List["_Node"]] = None):
+    def __init__(self, ps: PackedSums, children: Optional[List["_Node"]] = None,
+                 items: Optional[list] = None):
         self.ps = ps
         self.children = children
+        self.items = items
         self.nleaves = len(ps) if children is None else sum(c.nleaves for c in children)
 
     @property
@@ -79,11 +88,14 @@ class SumTree:
     Same seven-operation contract and same rejections as PackedSums; the
     capacity error disappears and ``divide``/``insert`` may grow the
     sequence forever.  All costs are O(B log s / log B) per operation.
+    ``items``, if given, holds one payload per value; it defaults to None
+    for every entry.
     """
 
     __slots__ = ("cfg", "_bmin", "_root")
 
-    def __init__(self, values: Iterable[int] = (), *, config: PsConfig | None = None):
+    def __init__(self, values: Iterable[int] = (), items: Optional[Iterable[Any]] = None,
+                 *, config: PsConfig | None = None):
         cfg = config if config is not None else DEFAULT_CONFIG
         if cfg.B < 4:
             # splitting a full node must leave both halves at or above B//2
@@ -94,16 +106,20 @@ class SumTree:
         for v in vals:
             if v < 0:
                 raise NegativeEntry(f"entry {v} is negative")
-        self._root = self._bulk_build(vals)
+        its = [None] * len(vals) if items is None else list(items)
+        if len(its) != len(vals):
+            raise ValueError(f"{len(its)} items for {len(vals)} values")
+        self._root = self._bulk_build(vals, its)
 
     # ------------------------------------------------------------------
     # construction
 
-    def _bulk_build(self, vals: List[int]) -> _Node:
+    def _bulk_build(self, vals: List[int], items: list) -> _Node:
         if not vals:
-            return _Node(PackedSums((), config=self.cfg))
+            return _Node(PackedSums((), config=self.cfg), items=[])
         cfg = self.cfg
-        nodes = [_Node(PackedSums(chunk, config=cfg)) for chunk in self._chunk(vals)]
+        nodes = [_Node(PackedSums(chunk, config=cfg), items=its)
+                 for chunk, its in zip(self._chunk(vals), self._chunk(items))]
         while len(nodes) > 1:
             nodes = [
                 _Node(PackedSums([c.ps.total for c in group], config=cfg), group)
@@ -180,30 +196,65 @@ class SumTree:
         return out
 
     # ------------------------------------------------------------------
+    # items (uncounted: they navigate by leaf counts and touch no sums)
+
+    def _slot(self, i: int, last: int) -> Tuple[_Node, int, _Path]:
+        if not 1 <= i <= last:
+            raise IndexOutOfRange(f"item index {i} outside [1, {last}]")
+        return self._locate(i)
+
+    def item(self, i: int) -> Any:
+        """The item of entry i."""
+        node, slot, _ = self._slot(i, self._root.nleaves)
+        return node.items[slot - 1]
+
+    def set_item(self, i: int, x: Any) -> None:
+        """Make x the item of entry i."""
+        node, slot, _ = self._slot(i, self._root.nleaves)
+        node.items[slot - 1] = x
+
+    def items_from(self, i: int) -> Iterator[Any]:
+        """Items of entries i, i+1, ... in order; i may be len + 1.  The
+        tree must not change while the walk is running."""
+        return self._walk(*self._slot(i, self._root.nleaves + 1))
+
+    @staticmethod
+    def _walk(node: _Node, slot: int, path: _Path) -> Iterator[Any]:
+        yield from node.items[slot - 1 :]
+        while path:
+            parent, k = path.pop()
+            if k == len(parent.children):
+                continue
+            path.append((parent, k + 1))
+            node = parent.children[k]
+            while not node.is_bottom:
+                path.append((node, 1))
+                node = node.children[0]
+            yield from node.items
+
+    # ------------------------------------------------------------------
     # descent helpers
 
     @staticmethod
     def _child_for(node: _Node, i: int) -> Tuple[int, int]:
-        """(1-based child slot, index local to that child) for leaf i."""
+        """(1-based child slot, index local to that child) for leaf i; an i
+        past the subtree's end (the append position) goes to the last
+        child."""
         for k, child in enumerate(node.children, 1):
             if i <= child.nleaves:
                 return k, i
             i -= child.nleaves
-        raise AssertionError("leaf index beyond subtree")
+        return len(node.children), node.children[-1].nleaves + i
 
     def _locate(self, i: int) -> Tuple[_Node, int, _Path]:
-        """Bottom node holding leaf i, its local slot, and the path down."""
+        """Bottom node holding leaf i, its local slot, and the path down;
+        i = nleaves + 1 gives the slot just past the last leaf."""
         node, path = self._root, []
         while not node.is_bottom:
             k, i = self._child_for(node, i)
             path.append((node, k))
             node = node.children[k - 1]
         return node, i, path
-
-    def _leaf_value(self, i: int) -> int:
-        node, slot, _ = self._locate(i)
-        ps = node.ps
-        return ps.sum(slot) - (ps.sum(slot - 1) if slot > 1 else 0)
 
     # ------------------------------------------------------------------
     # structural surgery
@@ -223,7 +274,8 @@ class SumTree:
         if child.is_bottom:
             child.ps = PackedSums(vals[:mid], config=self.cfg)
             child.nleaves = mid
-            right = _Node(PackedSums(vals[mid:], config=self.cfg))
+            right = _Node(PackedSums(vals[mid:], config=self.cfg), items=child.items[mid:])
+            del child.items[mid:]
         else:
             moved = child.children[mid:]
             child.children = child.children[:mid]
@@ -247,23 +299,13 @@ class SumTree:
         self._grow_root_if_full()
         node, path = self._root, []
         while not node.is_bottom:
-            k, local = self._child_for_growth(node, i)
+            k, local = self._child_for(node, i)
             if node.children[k - 1].size >= self.cfg.B:
                 self._split_child(node, k)
-                k, local = self._child_for_growth(node, i)
+                k, local = self._child_for(node, i)
             path.append((node, k))
             node, i = node.children[k - 1], local
         return node, i, path
-
-    @staticmethod
-    def _child_for_growth(node: _Node, i: int) -> Tuple[int, int]:
-        for k, child in enumerate(node.children, 1):
-            if i <= child.nleaves:
-                return k, i
-            i -= child.nleaves
-        # append: stick to the rightmost child
-        last = node.children[-1]
-        return len(node.children), last.nleaves + i
 
     def _repair(self, node: _Node, path: _Path) -> None:
         """Restore minimum-degree invariants after node shrank."""
@@ -297,8 +339,10 @@ class SumTree:
             nv, dv = node.ps.values(), donor.ps.values()
             if take_last:
                 nv.insert(0, dv.pop())
+                node.items.insert(0, donor.items.pop())
             else:
                 nv.append(dv.pop(0))
+                node.items.append(donor.items.pop(0))
             node.ps = PackedSums(nv, config=self.cfg)
             donor.ps = PackedSums(dv, config=self.cfg)
             node.nleaves, donor.nleaves = len(nv), len(dv)
@@ -316,6 +360,7 @@ class SumTree:
         a, b = parent.children[lo], parent.children[lo + 1]
         if a.is_bottom:
             a.ps = PackedSums(a.ps.values() + b.ps.values(), config=self.cfg)
+            a.items.extend(b.items)
             a.nleaves = len(a.ps)
         else:
             a.children.extend(b.children)
@@ -337,24 +382,27 @@ class SumTree:
             parent.ps.update(k, d)
 
     def divide(self, i: int, t: int) -> None:
-        """Split Z[i] = v into consecutive entries t, v - t."""
+        """Split Z[i] = v into consecutive entries t, v - t; both keep
+        Z[i]'s item."""
         n = self._root.nleaves
         if not 1 <= i <= n:
             raise IndexOutOfRange(f"divide index {i} outside [1, {n}]")
         node, slot, path = self._descend_for_growth(i)
         node.ps.divide(slot, t)  # validates the split point
+        node.items.insert(slot, node.items[slot - 1])
         node.nleaves += 1
         for parent, _ in path:
             parent.nleaves += 1
 
     def merge(self, i: int) -> None:
-        """Replace Z[i], Z[i+1] by their sum."""
+        """Replace Z[i], Z[i+1] by their sum, which keeps Z[i]'s item."""
         n = self._root.nleaves
         if not 1 <= i < n:
             raise IndexOutOfRange(f"merge index {i} outside [1, {n - 1}]")
         node, slot, path = self._locate(i)
         if slot < node.size:
             node.ps.merge(slot)
+            del node.items[slot]
             node.nleaves -= 1
             for parent, _ in path:
                 parent.nleaves -= 1
@@ -369,6 +417,7 @@ class SumTree:
         nv2 = node2.ps.values()
         nv2[0] += v1
         node2.ps = PackedSums(nv2, config=self.cfg)
+        node2.items[0] = node.items.pop()
         # subtree sums changed by -v1 / +v1 below the fork; counts only on
         # the shrinking side
         fork = 0
@@ -384,7 +433,7 @@ class SumTree:
         self._repair(node, path)
 
     def insert(self, i: int, d: int) -> None:
-        """Insert a new entry of value d before position i."""
+        """Insert a new entry of value d, item None, before position i."""
         if not 0 <= d < 1 << self.cfg.delta:
             raise DeltaTooLarge(f"insert value {d} outside [0, 2**{self.cfg.delta})")
         n = self._root.nleaves
@@ -392,6 +441,7 @@ class SumTree:
             raise IndexOutOfRange(f"insert index {i} outside [1, {n + 1}]")
         node, slot, path = self._descend_for_growth(i)
         node.ps.insert(slot, d)
+        node.items.insert(slot - 1, None)
         node.nleaves += 1
         for parent, k in path:
             parent.nleaves += 1
@@ -408,6 +458,7 @@ class SumTree:
         if v >= 1 << self.cfg.delta:
             raise DeleteTooLarge(f"entry value {v} >= 2**{self.cfg.delta}")
         ps.delete(slot)
+        del node.items[slot - 1]
         node.nleaves -= 1
         for parent, k in path:
             parent.nleaves -= 1
@@ -426,7 +477,7 @@ class SumTree:
             node.ps.validate()
             if node.is_bottom:
                 depths.add(depth)
-                assert node.nleaves == len(node.ps)
+                assert node.nleaves == len(node.ps) == len(node.items)
                 if not is_root:
                     assert self._bmin <= node.size <= self.cfg.B, node.size
                 return node.ps.total

@@ -105,9 +105,13 @@ class _Rmq:
 
 
 # ----------------------------------------------------------------------
-# greedy factorization kernels
+# greedy factorization kernel
 
 def _factorize_py(data, sa, text, starts, ends):
+    """Greedy cover of ``text`` by longest matches in R, one suffix-array
+    descent per block, written to ``starts``/``ends`` (0-based, inclusive).
+    Stops after ``len(starts)`` blocks.  Returns (block count, -1), or
+    (blocks so far, position) at the first byte absent from R."""
     n, m = len(data), len(text)
     nb = 0
     pos = 0
@@ -144,13 +148,15 @@ def _factorize_py(data, sa, text, starts, ends):
         ends[nb] = w + d - 1
         nb += 1
         pos += d
+        if nb == len(starts):
+            break
     return nb, -1
 
 
 if njit is not None:
-    _factorize_jit = njit(cache=True)(_factorize_py)
+    _factorize = njit(cache=True)(_factorize_py)
 else:  # pragma: no cover
-    _factorize_jit = None
+    _factorize = _factorize_py
 
 
 # ----------------------------------------------------------------------
@@ -220,30 +226,12 @@ class RefIndex:
         witness start, or (0, None) if text[start] is absent from R."""
         if not 1 <= start <= len(text):
             raise IndexOutOfRange(f"start {start} outside [1, {len(text)}]")
-        data, sa, n = self.data, self._sa, self.r
-        pos = start - 1
-        lo, hi, d, w = 0, n, 0, -1
-        while pos + d < len(text):
-            c = text[pos + d]
-            new_lo = self._char_bound(lo, hi, d, c, strict=False)
-            new_hi = self._char_bound(new_lo, hi, d, c, strict=True)
-            if new_lo == new_hi:
-                break
-            lo, hi, d = new_lo, new_hi, d + 1
-            w = int(sa[lo])
-        return (d, w + 1) if d else (0, None)
-
-    def _char_bound(self, lo: int, hi: int, d: int, c: int, *, strict: bool) -> int:
-        data, sa, n = self.data, self._sa, self.r
-        while lo < hi:
-            mid = (lo + hi) // 2
-            p = sa[mid] + d
-            ch = data[p] if p < n else -1
-            if ch < c or (strict and ch == c):
-                lo = mid + 1
-            else:
-                hi = mid
-        return lo
+        t = np.frombuffer(bytes(text), dtype=np.uint8)[start - 1 :]
+        starts = np.empty(1, dtype=np.int64)
+        ends = np.empty(1, dtype=np.int64)
+        if _factorize(self._np_data, self._sa, t, starts, ends)[0] == 0:
+            return 0, None
+        return int(ends[0] - starts[0]) + 1, int(starts[0]) + 1
 
     def factorize(self, text: bytes) -> List[Tuple[int, int]]:
         """Greedy left-to-right cover of ``text`` by maximal reference
@@ -253,8 +241,7 @@ class RefIndex:
         t = np.frombuffer(bytes(text), dtype=np.uint8)
         starts = np.empty(len(text), dtype=np.int64)
         ends = np.empty(len(text), dtype=np.int64)
-        kern = _factorize_jit if _factorize_jit is not None else _factorize_py
-        nb, bad = kern(self._np_data, self._sa, t, starts, ends)
+        nb, bad = _factorize(self._np_data, self._sa, t, starts, ends)
         if bad >= 0:
             raise CharNotInReference(bad + 1, text[bad])
         return [(int(starts[k]) + 1, int(ends[k]) + 1) for k in range(nb)]
@@ -275,15 +262,6 @@ class RefIndex:
         self._check_block(y)
         tree = self._tree if self._tree is not None else self._build_tree()
         return tree.concat(x, y)
-
-    def find_locus(self, pos: int, length: int) -> Tuple[int, int]:
-        """SA interval (0-based, inclusive) of the substring
-        R[pos..pos+length-1], 1-based pos; the substring must be in range."""
-        if not (1 <= pos and pos + length - 1 <= self.r and length >= 1):
-            raise InvalidBlock(f"substring ({pos}, len {length}) out of range")
-        tree = self._tree if self._tree is not None else self._build_tree()
-        node = tree.locus(pos - 1, length)
-        return int(tree.l[node]), int(tree.r[node])
 
     def _build_tree(self) -> "_Tree":
         self._ensure_lce()

@@ -121,6 +121,18 @@ class TestCompress:
                    "--out", ws / "cov") == 2
         assert "position 4" in capsys.readouterr().err
 
+    def test_empty_reference_exits_7(self, ws, capsys):
+        (ws / "empty").write_bytes(b"")
+        (ws / "src").write_bytes(b"a")
+        assert run(ws, "compress", "--ref", ws / "empty", "--src", ws / "src",
+                   "--out", ws / "cov") == 7
+        # edit builds the index too, even for a cover of nothing
+        (ws / "cov").write_bytes(encode_cover(0, fnv1a64(b""), []))
+        (ws / "scr").write_bytes(b"")
+        assert run(ws, "edit", "--ref", ws / "empty", "--in", ws / "cov",
+                   "--script", ws / "scr", "--out", ws / "cov2") == 7
+        assert "reference" in capsys.readouterr().err
+
     def test_missing_file_exits_1(self, ws):
         assert run(ws, "compress", "--ref", ws / "ref", "--src", ws / "nope",
                    "--out", ws / "cov") == 1
@@ -208,6 +220,13 @@ class TestEdit:
     def test_parse_error_exits_5(self, ws):
         self.compress(ws, b"banana")
         assert self.edit(ws, "A 1\nBOGUS 2\n") == 5
+
+    def test_non_ascii_script_exits_5_with_line(self, ws, capsys):
+        self.compress(ws, b"banana")
+        (ws / "scr").write_bytes(b"A 1\n\nR 1 \xc3\xa9\n")
+        assert run(ws, "edit", "--ref", ws / "ref", "--in", ws / "cov",
+                   "--script", ws / "scr", "--out", ws / "cov2") == 5
+        assert "line 3" in capsys.readouterr().err
 
     def test_failed_op_exits_6_with_line(self, ws, capsys):
         self.compress(ws, b"banana")

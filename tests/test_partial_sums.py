@@ -1,5 +1,6 @@
 """Tests for the B-tree lift of the partial-sums structure."""
 
+import itertools
 import random
 
 import pytest
@@ -205,6 +206,64 @@ class TestOracleSoak:
             assert apply_op(t, op) == apply_op(oracle, op)
         assert t.values() == oracle.values()
         t.validate()
+
+
+def test_items_follow_every_edit():
+    # B=4 makes splits, borrows, fuses and cross-node merges frequent; a
+    # plain list replays each op's effect on the items
+    rng = random.Random(5)
+    cfg = PsConfig(B=4)
+    fresh = itertools.count()
+    vals = [rng.randrange(0, 50) for _ in range(200)]
+    items = [next(fresh) for _ in vals]
+    t = SumTree(vals, items, config=cfg)
+    oracle = NaivePartialSums(vals, delta=cfg.delta)
+    for step in range(3000):
+        op = resolve_op(
+            rng.choice(OP_KINDS), rng.randrange(1 << 30), rng.randrange(1 << 30),
+            oracle.values(), delta=cfg.delta,
+        )
+        if op is None:
+            continue
+        assert apply_op(t, op) == apply_op(oracle, op)
+        kind = op[0]
+        if kind == "divide":
+            items.insert(op[1], items[op[1] - 1])
+            items[op[1]] = next(fresh)
+            t.set_item(op[1] + 1, items[op[1]])
+        elif kind == "merge":
+            del items[op[1]]
+        elif kind == "insert":
+            items.insert(op[1] - 1, None)
+            if step % 2:
+                items[op[1] - 1] = next(fresh)
+                t.set_item(op[1], items[op[1] - 1])
+        elif kind == "delete":
+            del items[op[1] - 1]
+        assert list(t.items_from(1)) == items
+        if items:
+            i = rng.randrange(1, len(items) + 1)
+            assert t.item(i) == items[i - 1]
+            assert list(t.items_from(i)) == items[i - 1 :]
+        assert list(t.items_from(len(items) + 1)) == []
+        if step % 97 == 0:
+            t.validate()
+    t.validate()
+
+
+def test_item_accessor_bounds():
+    t = SumTree([5, 1, 4], ["a", "b", "c"])
+    assert [t.item(i) for i in (1, 2, 3)] == ["a", "b", "c"]
+    for bad in (0, 4):
+        with pytest.raises(IndexOutOfRange):
+            t.item(bad)
+        with pytest.raises(IndexOutOfRange):
+            t.set_item(bad, "x")
+    with pytest.raises(IndexOutOfRange):
+        t.items_from(5)
+    assert list(SumTree([5, 1]).items_from(1)) == [None, None]
+    with pytest.raises(ValueError):
+        SumTree([5, 1], ["a"])
 
 
 @settings(max_examples=60)
