@@ -245,8 +245,7 @@ class CompressedString:
         whose length entries are already in place, then re-merge the window
         around the ``nparts`` (default: all) edited ordinals until every
         window boundary is maximal."""
-        for k, blk in enumerate(parts):
-            self._tree.set_item(first + k, blk)
+        self._tree.set_items(first, parts)
         lo = max(1, first - 1)
         # inclusive ordinal of the window's end
         hi = min(self.block_count, first + (len(parts) if nparts is None else nparts))

@@ -24,8 +24,12 @@ per level.
 Each bottom node also keeps one item per entry, in a plain list beside its
 PackedSums: an opaque payload that rides along with its entry through every
 split, borrow and fuse.  Items are read and written by the uncounted
-accessors ``item``, ``set_item`` and ``items_from``; ``divide`` copies the
-item into both halves, ``merge`` keeps the left one, ``insert`` adds None.
+accessors ``item``, ``set_item``, ``set_items`` (a run of consecutive
+entries in one walk) and ``items_from``; ``divide`` copies the item into
+both halves, ``merge`` keeps the left one, ``insert`` adds None.
+
+A bulk build fills every node to about 3B/4, never to B, so the first
+entries added after it land without splitting anything.
 
 >>> t = SumTree([5, 1, 4, 7] * 50)
 >>> t.sum(4), t.sum(23)
@@ -38,6 +42,7 @@ item into both halves, ``merge`` keeps the left one, ``insert`` adds None.
 
 from __future__ import annotations
 
+from itertools import chain
 from math import ceil, log
 from typing import Any, Iterable, Iterator, List, Optional, Tuple
 
@@ -67,10 +72,6 @@ class _Node:
         self.children = children
         self.items = items
         self.nleaves = len(ps) if children is None else sum(c.nleaves for c in children)
-
-    @property
-    def is_bottom(self) -> bool:
-        return self.children is None
 
     @property
     def size(self) -> int:
@@ -128,15 +129,24 @@ class SumTree:
         return nodes[0]
 
     def _chunk(self, seq: list) -> List[list]:
-        """Split into pieces of size <= B, all but possibly the last >= Bmin."""
-        b, out = self.cfg.B, []
-        for k in range(0, len(seq), b):
-            out.append(seq[k : k + b])
-        if len(out) > 1 and len(out[-1]) < self._bmin:
-            # steal from the penultimate chunk; both end >= Bmin <= B
-            need = self._bmin - len(out[-1])
-            out[-1] = out[-2][-need:] + out[-1]
-            out[-2] = out[-2][:-need]
+        """Split into near-equal pieces of about 3B/4, each of size in
+        [Bmin, B - 1]; fewer than B elements stay one piece.
+
+        Such a k exists for every n >= B: the ranges [k*Bmin, k*(B-1)]
+        of consecutive k overlap because 2*Bmin <= B.
+        """
+        n, b = len(seq), self.cfg.B
+        if n < b:
+            return [seq]
+        # nearest whole number to n / (3B/4), kept inside the feasible range
+        k = (8 * n + 3 * b) // (6 * b)
+        k = min(max(k, -(-n // (b - 1))), n // self._bmin)
+        q, r = divmod(n, k)
+        out, at = [], 0
+        for j in range(k):
+            size = q + 1 if j < r else q
+            out.append(seq[at : at + size])
+            at += size
         return out
 
     # ------------------------------------------------------------------
@@ -155,7 +165,7 @@ class SumTree:
         if not 1 <= i <= n:
             raise IndexOutOfRange(f"sum index {i} outside [1, {n}]")
         node, acc = self._root, 0
-        while not node.is_bottom:
+        while node.children is not None:
             k, i = self._child_for(node, i)
             if k > 1:
                 acc += node.ps.sum(k - 1)
@@ -169,11 +179,12 @@ class SumTree:
         if not 1 <= t <= self.total:
             raise SearchOutOfRange(f"target {t} outside [1, {self.total}]")
         node, base = self._root, 0
-        while not node.is_bottom:
+        while node.children is not None:
             k = node.ps.search(t)
             if k > 1:
                 t -= node.ps.sum(k - 1)
-            base += sum(c.nleaves for c in node.children[: k - 1])
+                for c in node.children[: k - 1]:
+                    base += c.nleaves
             node = node.children[k - 1]
         return base + node.ps.search(t)
 
@@ -182,7 +193,7 @@ class SumTree:
         stack = [self._root]
         while stack:
             node = stack.pop()
-            if node.is_bottom:
+            if node.children is None:
                 out.extend(node.ps.values())
             else:
                 stack.extend(reversed(node.children))
@@ -213,24 +224,42 @@ class SumTree:
         node, slot, _ = self._slot(i, self._root.nleaves)
         node.items[slot - 1] = x
 
+    def set_items(self, i: int, xs: List[Any]) -> None:
+        """Make xs[k] the item of entry i + k for every k, in one walk."""
+        n = self._root.nleaves
+        if not 1 <= i <= n + 1 - len(xs):
+            raise IndexOutOfRange(f"items {i}..{i + len(xs) - 1} outside [1, {n}]")
+        if not xs:
+            return
+        done = 0
+        for node, start in self._bottoms(*self._locate(i)):
+            take = min(len(node.items) - start, len(xs) - done)
+            node.items[start : start + take] = xs[done : done + take]
+            done += take
+            if done == len(xs):
+                return
+
     def items_from(self, i: int) -> Iterator[Any]:
         """Items of entries i, i+1, ... in order; i may be len + 1.  The
         tree must not change while the walk is running."""
-        return self._walk(*self._slot(i, self._root.nleaves + 1))
+        bottoms = self._bottoms(*self._slot(i, self._root.nleaves + 1))
+        return chain.from_iterable(node.items[start:] for node, start in bottoms)
 
     @staticmethod
-    def _walk(node: _Node, slot: int, path: _Path) -> Iterator[Any]:
-        yield from node.items[slot - 1 :]
+    def _bottoms(node: _Node, slot: int, path: _Path) -> Iterator[Tuple[_Node, int]]:
+        """Bottom nodes from node rightward, each with the 0-based item
+        index to start from: slot - 1 in the first, 0 in the rest."""
+        yield node, slot - 1
         while path:
             parent, k = path.pop()
             if k == len(parent.children):
                 continue
             path.append((parent, k + 1))
             node = parent.children[k]
-            while not node.is_bottom:
+            while node.children is not None:
                 path.append((node, 1))
                 node = node.children[0]
-            yield from node.items
+            yield node, 0
 
     # ------------------------------------------------------------------
     # descent helpers
@@ -240,17 +269,19 @@ class SumTree:
         """(1-based child slot, index local to that child) for leaf i; an i
         past the subtree's end (the append position) goes to the last
         child."""
-        for k, child in enumerate(node.children, 1):
-            if i <= child.nleaves:
+        children = node.children
+        for k, child in enumerate(children, 1):
+            c = child.nleaves
+            if i <= c:
                 return k, i
-            i -= child.nleaves
-        return len(node.children), node.children[-1].nleaves + i
+            i -= c
+        return len(children), children[-1].nleaves + i
 
     def _locate(self, i: int) -> Tuple[_Node, int, _Path]:
         """Bottom node holding leaf i, its local slot, and the path down;
         i = nleaves + 1 gives the slot just past the last leaf."""
         node, path = self._root, []
-        while not node.is_bottom:
+        while node.children is not None:
             k, i = self._child_for(node, i)
             path.append((node, k))
             node = node.children[k - 1]
@@ -271,7 +302,7 @@ class SumTree:
         vals = child.ps.values()
         mid = len(vals) // 2
         left_sum = sum(vals[:mid])
-        if child.is_bottom:
+        if child.children is None:
             child.ps = PackedSums(vals[:mid], config=self.cfg)
             child.nleaves = mid
             right = _Node(PackedSums(vals[mid:], config=self.cfg), items=child.items[mid:])
@@ -297,10 +328,10 @@ class SumTree:
         bottom node is guaranteed to have room.  i may be nleaves + 1
         (append position)."""
         self._grow_root_if_full()
-        node, path = self._root, []
-        while not node.is_bottom:
+        node, path, b = self._root, [], self.cfg.B
+        while node.children is not None:
             k, local = self._child_for(node, i)
-            if node.children[k - 1].size >= self.cfg.B:
+            if len(node.children[k - 1].ps) >= b:
                 self._split_child(node, k)
                 k, local = self._child_for(node, i)
             path.append((node, k))
@@ -330,12 +361,12 @@ class SumTree:
             self._fuse(parent, lo)
             node = parent
         root = self._root
-        while not root.is_bottom and len(root.children) == 1:
+        while root.children is not None and len(root.children) == 1:
             root = root.children[0]
         self._root = root
 
     def _borrow(self, node: _Node, donor: _Node, take_last: bool) -> None:
-        if node.is_bottom:
+        if node.children is None:
             nv, dv = node.ps.values(), donor.ps.values()
             if take_last:
                 nv.insert(0, dv.pop())
@@ -358,7 +389,7 @@ class SumTree:
     def _fuse(self, parent: _Node, lo: int) -> None:
         """Fuse parent's 0-based children lo and lo+1 into one node."""
         a, b = parent.children[lo], parent.children[lo + 1]
-        if a.is_bottom:
+        if a.children is None:
             a.ps = PackedSums(a.ps.values() + b.ps.values(), config=self.cfg)
             a.items.extend(b.items)
             a.nleaves = len(a.ps)
@@ -475,7 +506,7 @@ class SumTree:
 
         def walk(node: _Node, depth: int, is_root: bool) -> int:
             node.ps.validate()
-            if node.is_bottom:
+            if node.children is None:
                 depths.add(depth)
                 assert node.nleaves == len(node.ps) == len(node.items)
                 if not is_root:

@@ -31,6 +31,8 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import islice
+from operator import lt
 
 from .errors import (
     BadConfig,
@@ -87,6 +89,9 @@ class PsConfig:
             + room for the largest offset plus drift)
     run_gap override for the run-splitting threshold; defaults to
             B * 2**delta and may only be lowered
+
+    The field defaults (w=64, B=8) describe one 64-bit word pair; the
+    package default is :data:`DEFAULT_CONFIG`.
     """
 
     w: int = 64
@@ -129,7 +134,10 @@ class PsConfig:
         return (1 << self.F) - 1
 
 
-DEFAULT_CONFIG = PsConfig()
+# Sixteen 16-bit fields in a simulated 128-bit word pair: the budget check
+# holds (2 * B^2 * 2^delta = 2048 < bias = 2^14), and the wider fanout keeps
+# a SumTree over ~50k entries four levels deep instead of six.
+DEFAULT_CONFIG = PsConfig(w=128, B=16)
 
 
 class PackedSums:
@@ -141,17 +149,21 @@ class PackedSums:
     ``run_prefix_counts`` (how many run heads at or before each entry).
     """
 
-    __slots__ = ("cfg", "_n", "_reps", "_u", "_bits", "_c",
+    __slots__ = ("cfg", "_F", "_mask", "_bias", "_guard", "_gap",
+                 "_n", "_reps", "_u", "_bits", "_c",
                  "ops_since_rebuild", "rebuilds", "search_fallbacks")
 
     def __init__(self, values=(), *, config: PsConfig | None = None):
-        self.cfg = config if config is not None else DEFAULT_CONFIG
+        cfg = self.cfg = config if config is not None else DEFAULT_CONFIG
+        # the geometry as plain ints, read on every hot path
+        self._F, self._mask, self._bias = cfg.F, cfg.field_mask, cfg.bias
+        self._guard, self._gap = cfg.guard, cfg.gap
         vals = [int(v) for v in values]
         for v in vals:
             if v < 0:
                 raise NegativeEntry(f"entry value {v} is negative")
-        if len(vals) > self.cfg.B:
-            raise StructureFull(f"{len(vals)} entries exceed capacity {self.cfg.B}")
+        if len(vals) > cfg.B:
+            raise StructureFull(f"{len(vals)} entries exceed capacity {cfg.B}")
         self.rebuilds = 0
         self.search_fallbacks = 0
         self._load(vals)
@@ -160,8 +172,7 @@ class PackedSums:
 
     def _load(self, vals):
         """Canonical packing of the given values: greedy runs, fresh anchors."""
-        cfg = self.cfg
-        F, bias, gap = cfg.F, cfg.bias, cfg.gap
+        F, bias, gap = self._F, self._bias, self._gap
         self._n = len(vals)
         self._reps = []
         u = bits = c = 0
@@ -207,14 +218,13 @@ class PackedSums:
     def _sum(self, i: int) -> int:
         if i == 0:
             return 0
-        cfg = self.cfg
-        p = (i - 1) * cfg.F
-        q = (self._c >> p) & cfg.field_mask
-        return self._reps[q - 1] + ((self._u >> p) & cfg.field_mask) - cfg.bias
+        p = (i - 1) * self._F
+        mask = self._mask
+        return self._reps[((self._c >> p) & mask) - 1] + ((self._u >> p) & mask) - self._bias
 
     def search(self, t: int) -> int:
         """Smallest i with sum(i) >= t, for 1 <= t <= total."""
-        if self._n == 0 or not 1 <= t <= self.total:
+        if self._n == 0 or not 1 <= t <= self._sum(self._n):
             raise SearchOutOfRange(f"search target {t} outside [1, total]")
         j = self._search(t)
         if j is None:
@@ -230,28 +240,30 @@ class PackedSums:
     def _search(self, t: int):
         # Candidate runs: the one holding the successor anchor of t plus
         # its two neighbors.  Answers are verified before being trusted.
-        r0 = bisect_left(self._reps, t)
-        nruns = len(self._reps)
-        for r in range(max(1, r0), min(nruns, r0 + 2) + 1):
-            j = self._search_run(r, t)
+        # One packed scan finds the first candidate's head slot; each later
+        # run starts at the next head bit.
+        reps = self._reps
+        r0 = bisect_left(reps, t)
+        r, last = max(1, r0), min(len(reps), r0 + 2)
+        s0 = _first_ge(self._c, self._n, r, self._F)
+        while True:
+            e0 = self._run_end(s0)
+            j = self._search_run(s0, e0, reps[r - 1], t)
             if j is not None and self._sum(j) >= t and self._sum(j - 1) < t:
                 return j
-        return None
+            if r >= last:
+                return None
+            r, s0 = r + 1, e0 + 1
 
-    def _search_run(self, r: int, t: int):
-        """Candidate index within run r, by one packed comparison."""
-        cfg = self.cfg
-        F = cfg.F
-        s0 = _first_ge(self._c, self._n, r, F)
-        if s0 is None:
-            return None
-        nxt = _first_ge(self._c, self._n, r + 1, F)
-        e0 = self._n - 1 if nxt is None else nxt - 1
-        tau = t - self._reps[r - 1] + cfg.bias
+    def _search_run(self, s0: int, e0: int, rep: int, t: int):
+        """Candidate index within the run at slots s0..e0, anchored at
+        rep, by one packed comparison."""
+        tau = t - rep + self._bias
         if tau <= 1:
             return s0 + 1
-        if tau >= cfg.guard:
+        if tau >= self._guard:
             return None
+        F = self._F
         m = e0 - s0 + 1
         word = (self._u >> (F * s0)) & ((1 << (F * m)) - 1)
         k = _first_ge(word, m, tau, F)
@@ -259,16 +271,13 @@ class PackedSums:
 
     def values(self) -> list:
         """Current entry values Z[1..n]."""
-        out = []
-        prev = 0
-        for i in range(1, self._n + 1):
-            y = self._sum(i)
-            out.append(y - prev)
-            prev = y
-        return out
+        ys = self.prefix_sums()
+        return [y - x for x, y in zip([0] + ys, ys)]
 
     def prefix_sums(self) -> list:
-        return [self._sum(i) for i in range(1, self._n + 1)]
+        F, mask, bias, reps, u, c = self._F, self._mask, self._bias, self._reps, self._u, self._c
+        return [reps[((c >> p) & mask) - 1] + ((u >> p) & mask) - bias
+                for p in range(0, F * self._n, F)]
 
     @property
     def representatives(self) -> list:
@@ -276,8 +285,7 @@ class PackedSums:
 
     @property
     def offsets(self) -> list:
-        bias, F, mask = self.cfg.bias, self.cfg.F, self.cfg.field_mask
-        return [((self._u >> (F * p)) & mask) - bias for p in range(self._n)]
+        return [self._u_field(p) - self._bias for p in range(self._n)]
 
     @property
     def run_flags(self) -> list:
@@ -285,42 +293,51 @@ class PackedSums:
 
     @property
     def run_prefix_counts(self) -> list:
-        F, mask = self.cfg.F, self.cfg.field_mask
-        return [(self._c >> (F * p)) & mask for p in range(self._n)]
+        return [self._c_field(p) for p in range(self._n)]
 
     # ---------------------------------------------------- packed word surgery
 
     def _u_field(self, p):
-        return (self._u >> (self.cfg.F * p)) & self.cfg.field_mask
+        return (self._u >> (self._F * p)) & self._mask
 
     def _u_set(self, p, raw):
-        cfg = self.cfg
-        if not 0 < raw < cfg.guard:
+        if not 0 < raw < self._guard:
             raise _Overflow
-        sh = cfg.F * p
-        self._u = (self._u & ~(cfg.field_mask << sh)) | (raw << sh)
+        sh = self._F * p
+        self._u = (self._u & ~(self._mask << sh)) | (raw << sh)
 
     def _range_add(self, lo, hi, d):
-        """Add d to biased offset fields lo..hi (slots, inclusive)."""
+        """Add d to biased offset fields lo..hi (slots, inclusive).  Raises
+        _Overflow, before writing anything, if a field would leave
+        (0, guard)."""
         if d == 0 or lo > hi:
             return
-        cfg = self.cfg
-        F, mask, guard = cfg.F, cfg.field_mask, cfg.guard
-        u = self._u
-        for p in range(lo, hi + 1):
-            if not 0 < ((u >> (F * p)) & mask) + d < guard:
-                raise _Overflow
+        F, guard = self._F, self._guard
+        if not -guard < d < guard:
+            raise _Overflow
         pattern = _ones(F, hi - lo + 1) << (F * lo)
-        # Fields stay strictly inside (0, guard), so no carry crosses them.
-        self._u = u + d * pattern if d > 0 else u - (-d) * pattern
+        heads = pattern << (F - 1)
+        u = self._u
+        # Fields start inside (0, guard) and |d| < guard, so no carry or
+        # borrow crosses a field: a head bit tells each field's fate.
+        if d > 0:
+            u += d * pattern
+            if u & heads:
+                raise _Overflow
+        else:
+            # a field f survives exactly when f >= 1 - d
+            if ((u | heads) - (1 - d) * pattern) & heads != heads:
+                raise _Overflow
+            u -= -d * pattern
+        self._u = u
 
     def _c_field(self, p):
-        return (self._c >> (self.cfg.F * p)) & self.cfg.field_mask
+        return (self._c >> (self._F * p)) & self._mask
 
     def _c_range_add(self, lo, hi, d):
         if lo > hi:
             return
-        F = self.cfg.F
+        F = self._F
         pattern = _ones(F, hi - lo + 1) << (F * lo)
         self._c = self._c + pattern if d > 0 else self._c - pattern
 
@@ -336,10 +353,10 @@ class PackedSums:
 
     def _slot_insert(self, p, raw, start):
         """Insert a slot at p; start=True marks it a run head."""
-        cfg = self.cfg
-        if not 0 < raw < cfg.guard:
+        if not 0 < raw < self._guard:
             raise _Overflow
-        F, sh = cfg.F, cfg.F * p
+        F = self._F
+        sh = F * p
         low_mask = (1 << sh) - 1
         self._u = (self._u & low_mask) | (raw << sh) | ((self._u >> sh) << (sh + F))
         cprev = self._c_field(p - 1) if p else 0
@@ -353,8 +370,8 @@ class PackedSums:
     def _slot_remove(self, p):
         if (self._bits >> p) & 1:
             self._set_bit(p, 0)
-        cfg = self.cfg
-        F, sh = cfg.F, cfg.F * p
+        F = self._F
+        sh = F * p
         low_mask = (1 << sh) - 1
         self._u = (self._u & low_mask) | ((self._u >> (sh + F)) << sh)
         self._c = (self._c & low_mask) | ((self._c >> (sh + F)) << sh)
@@ -362,30 +379,23 @@ class PackedSums:
         self._bits = bit_low | ((self._bits >> (p + 1)) << p)
         self._n -= 1
 
-    def _run_end_slot(self, q):
-        nxt = _first_ge(self._c, self._n, q + 1, self.cfg.F)
-        return self._n - 1 if nxt is None else nxt - 1
+    def _run_end(self, p):
+        """Last slot of the run that holds slot p: just before the next
+        head bit."""
+        later = self._bits >> (p + 1)
+        return self._n - 1 if not later else p + (later & -later).bit_length() - 1
 
     # --------------------------------------------------------------- mutators
 
     def _finish(self):
-        """Post-edit bookkeeping: drift check, periodic repack."""
+        """Post-edit bookkeeping: periodic repack, and a repack when an
+        update left an anchor at or above the next one.  Offsets need no
+        check here: every writer refuses a value outside (0, guard)."""
         self.ops_since_rebuild += 1
-        if self.ops_since_rebuild >= self.cfg.B or not self._sound():
-            self._full_rebuild()
-
-    def _sound(self):
-        """Anchors strictly increasing, every offset field in bounds."""
         reps = self._reps
-        for k in range(len(reps) - 1):
-            if reps[k] >= reps[k + 1]:
-                return False
-        F, mask, guard = self.cfg.F, self.cfg.field_mask, self.cfg.guard
-        u = self._u
-        for p in range(self._n):
-            if not 0 < ((u >> (F * p)) & mask) < guard:
-                return False
-        return True
+        if (self.ops_since_rebuild >= self.cfg.B
+                or not all(map(lt, reps, islice(reps, 1, None)))):
+            self._full_rebuild()
 
     def update(self, i: int, d: int) -> None:
         """Z[i] += d; shifts every later prefix sum by d."""
@@ -393,50 +403,54 @@ class PackedSums:
             raise IndexOutOfRange(f"update index {i} outside [1, {self._n}]")
         if abs(d) >= 1 << self.cfg.delta:
             raise DeltaTooLarge(f"|{d}| >= 2**{self.cfg.delta}")
-        if self._sum(i) - self._sum(i - 1) + d < 0:
+        if d < 0 and self._sum(i) - self._sum(i - 1) + d < 0:
             raise NegativeEntry(f"entry {i} would fall below zero")
-        vals = self.values()
+        p = i - 1
         try:
-            p = i - 1
-            q = self._c_field(p)
-            self._range_add(p, self._run_end_slot(q), d)
-            for k in range(q, len(self._reps)):
-                self._reps[k] += d
+            self._range_add(p, self._run_end(p), d)
         except _Overflow:
-            vals[i - 1] += d
+            # _range_add refuses before it writes: the state is untouched
+            vals = self.values()
+            vals[p] += d
             self._load(vals)
             self.rebuilds += 1
             return
+        q = self._c_field(p)
+        reps = self._reps
+        for k in range(q, len(reps)):
+            reps[k] += d
         self._finish()
 
     def divide(self, i: int, t: int) -> None:
         """Split entry i of value v into consecutive entries (t, v - t)."""
         if not 1 <= i <= self._n:
             raise IndexOutOfRange(f"divide index {i} outside [1, {self._n}]")
-        v = self._sum(i) - self._sum(i - 1)
+        y_i = self._sum(i)
+        v = y_i - self._sum(i - 1)
         if not 0 <= t <= v:
             raise BadSplit(f"split point {t} outside [0, {v}]")
         if self._n >= self.cfg.B:
             raise StructureFull(f"capacity {self.cfg.B} reached")
-        vals = self.values()
+        saved = (self._u, self._c, self._bits, self._n, self._reps[:])
         try:
-            self._divide_fast(i, t, v)
+            self._divide_fast(i, t, v, y_i)
         except _Overflow:
+            # the fast path may have written some fields before it overflowed
+            self._u, self._c, self._bits, self._n, self._reps = saved
+            vals = self.values()
             vals[i - 1:i] = [t, v - t]
             self._load(vals)
             self.rebuilds += 1
             return
         self._finish()
 
-    def _divide_fast(self, i, t, v):
-        cfg = self.cfg
-        bias, gap = cfg.bias, cfg.gap
+    def _divide_fast(self, i, t, v, y_i):
+        bias, gap = self._bias, self._gap
         p = i - 1
         q = self._c_field(p)
         rep_q = self._reps[q - 1]
         u_raw = self._u_field(p)
-        e0 = self._run_end_slot(q)
-        y_i = self._sum(i)
+        e0 = self._run_end(p)
         y_new = y_i - v + t
         cut_left = i == 1 or t > gap       # head bit the new entry i needs
         cut_mid = v - t > gap              # head bit the new entry i+1 needs

@@ -1,0 +1,16 @@
+"""The docstring examples of the partial-sums modules run as tests."""
+
+import doctest
+
+import pytest
+
+import drc.partial_sums
+import drc.partial_sums_small
+
+
+@pytest.mark.parametrize("module", [drc.partial_sums_small, drc.partial_sums],
+                         ids=lambda m: m.__name__)
+def test_docstring_examples(module):
+    result = doctest.testmod(module)
+    assert result.attempted > 0, "no examples found"
+    assert result.failed == 0

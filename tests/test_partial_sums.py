@@ -16,9 +16,17 @@ from drc.errors import (
 )
 from drc.oracles import NaivePartialSums
 from drc.partial_sums import SumTree
-from drc.partial_sums_small import PsConfig
+from drc.partial_sums_small import DEFAULT_CONFIG, PsConfig
 
 from support import DEMO_Z, OP_KINDS, apply_op, resolve_op
+
+
+def _nodes(t):
+    stack = [t._root]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack.extend(node.children or ())
 
 
 class TestBasics:
@@ -50,6 +58,22 @@ class TestBasics:
         t = SumTree(list(range(9)))
         t.validate()
         assert t.values() == list(range(9))
+
+    @pytest.mark.parametrize("cfg", [PsConfig(B=4), PsConfig(B=8), DEFAULT_CONFIG],
+                             ids=lambda c: f"B{c.B}")
+    def test_bulk_build_leaves_room_in_every_node(self, cfg):
+        b = cfg.B
+        for n in list(range(4 * b * b + 1)) + [10**4]:
+            t = SumTree(range(n), config=cfg)
+            t.validate()
+            assert t.values() == list(range(n))
+            if n <= b:
+                continue
+            sizes = [len(node.ps) for node in _nodes(t)]
+            assert max(sizes) < b, (n, sizes)
+            # so the first divide anywhere splits nothing
+            t.divide(n // 2 + 1, 0)
+            assert len(list(_nodes(t))) == len(sizes)
 
     def test_rejects_narrow_fanout(self):
         with pytest.raises(BadConfig):
@@ -240,6 +264,18 @@ def test_items_follow_every_edit():
                 t.set_item(op[1], items[op[1] - 1])
         elif kind == "delete":
             del items[op[1] - 1]
+        if items and step % 3 == 0:
+            # a run of up to 9 items crosses several B=4 bottom nodes; every
+            # other one ends exactly at the last entry
+            k = rng.randrange(1, min(9, len(items)) + 1)
+            i = len(items) - k + 1 if step % 2 else rng.randrange(1, len(items) - k + 2)
+            xs = [next(fresh) for _ in range(k)]
+            t.set_items(i, xs)
+            items[i - 1 : i - 1 + k] = xs
+            for bad in (0, len(items) - k + 2):
+                with pytest.raises(IndexOutOfRange):
+                    t.set_items(bad, xs)
+            t.set_items(len(items) + 1, [])
         assert list(t.items_from(1)) == items
         if items:
             i = rng.randrange(1, len(items) + 1)

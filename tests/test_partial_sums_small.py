@@ -1,5 +1,7 @@
 """Unit and property tests for the word-packed partial-sums structure."""
 
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -22,6 +24,7 @@ from support import (
     DEMO_CONFIG,
     DEMO_START,
     DEMO_Z,
+    MUTATOR_KINDS,
     OP_KINDS,
     apply_op,
     resolve_op,
@@ -256,7 +259,7 @@ class TestErrors:
         with pytest.raises(NegativeEntry):
             PackedSums([1, -2])
         with pytest.raises(StructureFull):
-            PackedSums([1] * 9)
+            PackedSums([1] * (DEFAULT_CONFIG.B + 1))
 
     def test_config_budgets(self):
         with pytest.raises(BadConfig):
@@ -309,6 +312,72 @@ class TestDriftAndRebuild:
             for t in range(1, total + 1, 7):
                 assert ps.search(t) == oracle.search(t)
             ps.validate()
+
+
+class TestOverflowRollback:
+    """Offsets parked next to the guard make the fast paths overflow; the
+    fallback must rebuild from the state the op started from."""
+
+    # fields of 10 bits: bias 256, guard 512; run gap 20
+    CFG = PsConfig(w=64, delta=2, B=5, F=10)
+
+    @staticmethod
+    def park_near_guard(ps, r, room):
+        """Lower run r's anchor and raise its offsets by the same amount,
+        leaving `room` below the guard in the run's highest field; every
+        sum stays the same.  False, and no change, when that would not
+        raise the offsets or would leave anchors out of order."""
+        slots = [p for p, c in enumerate(ps.run_prefix_counts) if c == r]
+        shift = ps.cfg.guard - room - ps.cfg.bias - max(ps.offsets[p] for p in slots)
+        anchor = ps._reps[r - 1] - shift
+        if shift <= 0 or (r > 1 and ps._reps[r - 2] >= anchor):
+            return False
+        ps._reps[r - 1] = anchor
+        ps._u += shift * sum(1 << (ps.cfg.F * p) for p in slots)
+        ps.validate()
+        return True
+
+    @pytest.mark.parametrize("op", [
+        ("update", 1, 3),   # overflows before it writes
+        ("divide", 2, 2),   # entry 2 leaves its head bit, then overflows
+        ("divide", 2, 10),  # run 2 folds into run 1, then overflows
+    ])
+    def test_overflow_falls_back_to_the_old_state(self, op):
+        # runs [300], [30, 1], [40]: a partial write to run 2's head bit
+        # would move entry 4 onto the wrong anchor
+        vals = [300, 30, 1, 40]
+        ps = PackedSums(vals, config=self.CFG)
+        oracle = NaivePartialSums(vals, capacity=5, delta=2)
+        assert self.park_near_guard(ps, 1, 2)
+        apply_op(ps, op)
+        apply_op(oracle, op)
+        assert ps.rebuilds == 1, "the fast path should have overflowed"
+        ps.validate()
+        assert ps.values() == oracle.values()
+        assert [ps.sum(i) for i in range(1, len(ps) + 1)] == oracle.prefix_sums()
+        for t in range(1, oracle.total + 1):
+            assert ps.search(t) == oracle.search(t)
+
+    def test_overflow_soak(self):
+        rng = random.Random(6)
+        vals = [300, 2, 30, 1]
+        ps = PackedSums(vals, config=self.CFG)
+        oracle = NaivePartialSums(vals, capacity=5, delta=2)
+        parked = 0
+        for _ in range(1000):
+            if len(ps):
+                r = rng.randrange(1, len(ps.representatives) + 1)
+                parked += self.park_near_guard(ps, r, rng.randrange(1, 8))
+            op = resolve_op(rng.choice(MUTATOR_KINDS), rng.randrange(1 << 30),
+                            rng.randrange(1 << 30), oracle.values(),
+                            capacity=5, delta=2)
+            if op is None:
+                continue
+            apply_op(ps, op)
+            apply_op(oracle, op)
+            ps.validate()
+            assert ps.values() == oracle.values()
+        assert parked > 100 and ps.rebuilds > 100
 
 
 CONFIGS = [
