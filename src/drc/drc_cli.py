@@ -71,6 +71,8 @@ def _read_varint(buf: bytes, pos: int) -> Tuple[int, int]:
     while True:
         if pos >= len(buf):
             raise MalformedCoverFile("truncated varint")
+        if shift == 70:  # a u64 takes at most 10 bytes
+            raise MalformedCoverFile(f"varint at offset {pos - 10} longer than 10 bytes")
         byte = buf[pos]
         pos += 1
         value |= (byte & 0x7F) << shift

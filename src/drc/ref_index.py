@@ -11,11 +11,20 @@ Answers four kinds of queries for the compression layers above:
 
 The index is a suffix array with inverse and LCP arrays, a sparse-table
 range-minimum structure for constant-time LCE, and (built lazily, since
-only ``substring_concat`` needs it) a suffix tree topology derived from
-the LCP array, decomposed into heavy paths.  For every node u that starts
-a heavy path we store the sorted ranks of the suffixes in u's interval
-advanced by depth(u); concatenation queries reduce to one descent, two
-LCE probes and one binary search over such a rank set.
+only ``substring_concat`` needs it) a suffix tree from one bottom-up sweep
+over the LCP array (Abouelhoda-Kurtz-Ohlebusch), decomposed into heavy
+paths.  For every internal node u that starts a heavy path we store the
+sorted ranks of the suffixes in u's interval advanced by depth(u);
+concatenation queries reduce to one descent, two LCE probes and one binary
+search over such a rank set.
+
+>>> ix = build_index(b"banana")
+>>> ix.factorize(b"bananaban")
+[(1, 6), (1, 3)]
+>>> ix.substring_concat((1, 2), (3, 4))  # "ba" + "na" starts R
+1
+>>> ix.substring_concat((5, 6), (1, 1)) is None  # "na" + "b" is absent
+True
 
 Everything is immutable after construction and safe to share between
 readers.
@@ -23,6 +32,7 @@ readers.
 
 from __future__ import annotations
 
+import math
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -298,11 +308,12 @@ def build_index(data: bytes) -> RefIndex:
 
 class _Tree:
     """Suffix tree topology over the owner's SA/LCP, heavy-path arrays,
-    and per-path-top advanced-rank sets.
+    and per-path-top advanced-rank sets, all int32, from one LCP sweep.
 
-    Node ids: leaf j (the j-th SA slot) is node j; internal nodes follow
-    from id n upward.  ``l``/``r`` give each node's SA interval, ``depth``
-    its string depth.
+    Node ids: leaf j (the j-th SA slot) is node j; internal nodes are
+    numbered from n (the root) as the sweep pushes them, so each node's
+    parent is known when it is popped.  ``l``/``r`` give each node's SA
+    interval, ``depth`` its string depth.  A leaf top's rank set is empty.
     """
 
     __slots__ = (
@@ -316,123 +327,107 @@ class _Tree:
         self.idx = idx
         n = idx.r
         self.n = n
-        sa, lcp, data = idx._sa, idx._lcp, idx.data
+        sa, isa = idx._sa, idx._isa
 
-        # --- internal nodes from lcp intervals (stack sweep) ---
-        int_depth: List[int] = []
-        int_l: List[int] = []
-        int_r: List[int] = []
-        stack: List[List[int]] = [[0, 0]]  # [depth, left]
-        for j in range(1, n + 1):
-            lv = int(lcp[j]) if j < n else -1
+        # --- one bottom-up sweep over the LCP intervals ---
+        # Stack entries are (id, depth) above a sentinel that is the root's
+        # parent.  At step j, leaf j - 1 and each node popped hang off the
+        # stack top if that is at least as deep as lcp[j], else off the
+        # interval pushed next, whose id is already known.
+        deep, lo, hi, up = [0], [0], [0], [-1]
+        leaf_up = [0] * n
+        stack = [(-1, -1), (n, 0)]
+        lcps = idx._lcp[1:].tolist()
+        lcps.append(-1)  # closes every open interval, the root last
+        for j, lv in enumerate(lcps, 1):
+            u, d = stack[-1]
+            leaf_up[j - 1] = u if lv <= d else n + len(deep)
             left = j - 1
-            while stack and stack[-1][0] > lv:
-                d, sl = stack.pop()
-                int_depth.append(d)
-                int_l.append(sl)
-                int_r.append(j - 1)
-                left = sl
-            if not stack or stack[-1][0] < lv:
-                stack.append([lv, left])
-
-        m = len(int_depth)
-        total = n + m
-        depth = np.empty(total, dtype=np.int64)
-        l = np.empty(total, dtype=np.int64)
-        r = np.empty(total, dtype=np.int64)
-        depth[:n] = n - sa.astype(np.int64)
-        l[:n] = np.arange(n)
-        r[:n] = np.arange(n)
-        depth[n:] = int_depth
-        l[n:] = int_l
-        r[n:] = int_r
-        self.depth, self.l, self.r = depth, l, r
-
-        # --- parents by sweeping interval openings left to right ---
-        # order internal nodes by (l asc, r desc, depth asc): outer first
-        order = sorted(range(n, total), key=lambda u: (l[u], -r[u], depth[u]))
-        root = order[0]
-        parent = np.full(total, -1, dtype=np.int64)
-        open_stack = [root]
-        k = 1
-        for j in range(n):
-            while open_stack and r[open_stack[-1]] < j:
-                open_stack.pop()
-            while k < m and l[order[k]] == j:
-                u = order[k]
-                while open_stack and r[open_stack[-1]] < j:
-                    open_stack.pop()
-                parent[u] = open_stack[-1]
-                open_stack.append(u)
-                k += 1
-            parent[j] = open_stack[-1]
-        self.parent = parent
+            while lv < d:
+                stack.pop()
+                k = u - n
+                hi[k] = j - 1
+                left = lo[k]
+                u, d = stack[-1]
+                up[k] = u if lv <= d else n + len(deep)
+            if lv > d:
+                stack.append((n + len(deep), lv))
+                deep.append(lv)
+                lo.append(left)
+                hi.append(0)
+                up.append(0)
+        del lcps, stack
+        total = n + len(deep)
+        leaves = np.arange(n, dtype=np.int32)
+        self.depth = depth = np.concatenate((n - sa, np.array(deep, dtype=np.int32)))
+        self.l = l = np.concatenate((leaves, np.array(lo, dtype=np.int32)))
+        self.r = r = np.concatenate((leaves, np.array(hi, dtype=np.int32)))
+        self.parent = parent = np.array(leaf_up + up, dtype=np.int32)
+        del deep, lo, hi, up, leaf_up, leaves
 
         # --- children in CSR form; SA interval order == edge-char order ---
-        ids = np.arange(total)
-        ids = ids[parent[ids] >= 0]
-        ids = ids[np.lexsort((l[ids], parent[ids]))]
-        counts = np.zeros(total + 1, dtype=np.int64)
-        np.add.at(counts, parent[ids] + 1, 1)
-        self.child_off = np.cumsum(counts)
+        ids = np.lexsort((l, parent))[1:].astype(np.int32)  # the root sorts first
+        par = parent[ids]
+        self.child_off = child_off = np.zeros(total + 1, dtype=np.int32)
+        np.cumsum(np.bincount(par, minlength=total), out=child_off[1:])
         self.child_ids = ids
-        # first edge char: R[SA[l[u]] + depth(parent)]; -1 when the suffix
-        # is exhausted exactly at the parent (shortest-in-interval leaf)
-        starts = sa.astype(np.int64)[l[ids]]
-        cpos = starts + depth[parent[ids]]
-        edge = idx._np_data[np.minimum(cpos, n - 1)].astype(np.int64)
-        self.child_chars = np.where(cpos < n, edge, -1)
+        # first edge char: R[SA[l[u]] + depth(parent)], -1 when the suffix
+        # is exhausted exactly at the parent (shortest-in-interval leaf);
+        # no suffix is shorter than its node, so the sum stays within n
+        cpos = sa[l[ids]] + depth[par]
+        edge = idx._np_data[np.minimum(cpos, n - 1)].astype(np.int32)
+        self.child_chars = np.where(cpos < n, edge, np.int32(-1))
+        del cpos, edge
 
         # --- heavy paths ---
-        top_of = np.full(total, -1, dtype=np.int64)
-        path_pos = np.zeros(total, dtype=np.int64)
-        tops: List[int] = [root]
+        # heavy child: the largest, ties to the first in edge-char order
+        # (lexsort is stable); path tops are the nodes no parent picks
+        heavy = ids[np.lexsort((l[ids] - r[ids], par))[child_off[n:total]]]
+        del par
+        is_top = np.ones(total, dtype=bool)
+        is_top[heavy] = False
+        tops = np.flatnonzero(is_top)
+        down = heavy.tolist()
+        del is_top, heavy
         path_nodes: List[int] = []
-        path_off: List[int] = [0]
-        path_bottom: List[int] = []
-        t = 0
-        while t < len(tops):
-            u = tops[t]
-            p = 0
-            while True:
-                top_of[u] = t
-                path_pos[u] = p
+        for u in tops.tolist():
+            while u >= n:
                 path_nodes.append(u)
-                if u < n:
-                    path_bottom.append(u)
-                    break
-                a, b = self.child_off[u], self.child_off[u + 1]
-                kids = self.child_ids[a:b]
-                sizes = r[kids] - l[kids]
-                heavy = kids[int(np.argmax(sizes))]
-                for c in kids:
-                    if c != heavy:
-                        tops.append(int(c))
-                u, p = int(heavy), p + 1
-            path_off.append(len(path_nodes))
-            t += 1
-        self.top_of = top_of
-        self.path_pos = path_pos
-        self.path_off = np.asarray(path_off, dtype=np.int64)
-        self.path_nodes = np.asarray(path_nodes, dtype=np.int64)
-        self.path_bottom = np.asarray(path_bottom, dtype=np.int64)
+                u = down[u - n]
+            path_nodes.append(u)
+        self.path_nodes = nodes = np.array(path_nodes, dtype=np.int32)
+        del down, path_nodes
+        bottoms = np.flatnonzero(nodes < n)  # each path ends at its one leaf
+        self.path_bottom = nodes[bottoms]
+        self.path_off = off = np.zeros(len(tops) + 1, dtype=np.int32)
+        off[1:] = bottoms + 1
+        lengths = np.diff(off)
+        self.top_of = np.empty(total, dtype=np.int32)
+        self.top_of[nodes] = np.repeat(np.arange(len(tops), dtype=np.int32), lengths)
+        self.path_pos = np.empty(total, dtype=np.int32)
+        self.path_pos[nodes] = np.arange(total, dtype=np.int32) - np.repeat(off[:-1], lengths)
 
-        # --- advanced rank sets, one per heavy-path top ---
-        isa64 = idx._isa.astype(np.int64)
-        sa64 = sa.astype(np.int64)
-        du_parts: List[np.ndarray] = []
-        du_off = np.zeros(len(tops) + 1, dtype=np.int64)
-        for ti, u in enumerate(tops):
-            d = int(depth[u])
-            adv = sa64[l[u] : r[u] + 1] + d
-            adv = adv[adv < n]
-            du = np.sort(isa64[adv])
-            du_parts.append(du)
-            du_off[ti + 1] = du_off[ti] + len(du)
-        self.du_off = du_off
-        self.du_flat = (
-            np.concatenate(du_parts) if du_parts else np.empty(0, dtype=np.int64)
-        )
+        # --- advanced rank sets of the internal tops, which follow the
+        # leaf tops (empty sets); the suffixes of u share their first
+        # depth(u) chars, so advancing them keeps their SA order ---
+        inner = tops[tops >= n]
+        sizes = r[inner] - l[inner] + 1
+        ends = np.cumsum(sizes, dtype=np.int64)
+        if ends[-1] >= 2 ** 31:
+            raise OverflowError("rank sets exceed int32 offsets")
+        first = (ends - sizes).astype(np.int32)
+        slot = np.repeat(l[inner] - first, sizes)
+        slot += np.arange(len(slot), dtype=np.int32)
+        adv = sa[slot]
+        del slot
+        adv += np.repeat(depth[inner], sizes)
+        # a suffix exactly depth(u) long runs off R; it sorts first in u
+        adv = adv[adv < n]
+        self.du_flat = isa[adv]
+        del adv
+        counts = sizes - (sa[l[inner]] + depth[inner] == n)
+        self.du_off = np.zeros(len(tops) + 1, dtype=np.int32)
+        self.du_off[len(tops) - len(inner) + 1 :] = np.cumsum(counts)
 
     # ------------------------------------------------------------------
 
@@ -549,6 +544,9 @@ class _Tree:
         idx, n = self.idx, self.n
         sa, data = idx._sa, idx.data
         total = len(self.depth)
+        for name in self.__slots__[2:]:
+            assert getattr(self, name).dtype == np.int32, name
+        off, nodes = self.path_off, self.path_nodes
         for u in range(total):
             lu, ru, du = int(self.l[u]), int(self.r[u]), int(self.depth[u])
             # every suffix in the interval shares the node's path string
@@ -561,24 +559,26 @@ class _Tree:
             if p >= 0:
                 assert self.l[p] <= lu and ru <= self.r[p]
                 assert self.depth[p] < du or (u < n and self.depth[p] == du)
-        # children partition the parent interval, in char order
+            t = int(self.top_of[u])
+            assert nodes[int(off[t]) + int(self.path_pos[u])] == u
+        # children partition the parent interval left to right, in char
+        # order, and the heavy child (next on the path) is the first largest
         for u in range(n, total):
             a, b = int(self.child_off[u]), int(self.child_off[u + 1])
-            kids = list(self.child_ids[a:b])
+            kids = [int(c) for c in self.child_ids[a:b]]
             assert kids, "childless internal node"
-            spans = sorted((int(self.l[c]), int(self.r[c])) for c in kids)
-            want = int(self.l[u])
-            for cl, cr in spans:
-                assert cl == want
-                want = cr + 1
-            assert want == int(self.r[u]) + 1
+            assert all(self.parent[c] == u for c in kids)
+            ls, rs = [int(self.l[c]) for c in kids], [int(self.r[c]) for c in kids]
+            assert ls == [int(self.l[u])] + [e + 1 for e in rs[:-1]] and rs[-1] == self.r[u]
             chars = list(self.child_chars[a:b])
             assert chars == sorted(chars)
+            sizes = [e - s for s, e in zip(ls, rs)]
+            heavy = nodes[int(off[self.top_of[u]]) + int(self.path_pos[u]) + 1]
+            assert heavy == kids[sizes.index(max(sizes))], "heavy child"
         # rank sets match their definition
         isa = idx._isa
-        ntop = len(self.du_off) - 1
-        for t in range(ntop):
-            u = int(self.path_nodes[self.path_off[t]])
+        for t in range(len(off) - 1):
+            u = int(nodes[off[t]])
             d = int(self.depth[u])
             want = sorted(
                 int(isa[int(sa[k]) + d])
@@ -588,8 +588,6 @@ class _Tree:
             got = list(self.du_flat[self.du_off[t] : self.du_off[t + 1]])
             assert got == want
         # each root-to-leaf walk crosses at most log2(n) + 1 path tops
-        import math
-
         limit = math.log2(n) + 1 if n > 1 else 1
         for leaf in range(n):
             hops, u = 1, leaf

@@ -1,4 +1,4 @@
-"""The docstring examples of the partial-sums modules run as tests."""
+"""The docstring examples of the partial-sums and index modules run as tests."""
 
 import doctest
 
@@ -6,9 +6,10 @@ import pytest
 
 import drc.partial_sums
 import drc.partial_sums_small
+import drc.ref_index
 
 
-@pytest.mark.parametrize("module", [drc.partial_sums_small, drc.partial_sums],
+@pytest.mark.parametrize("module", [drc.partial_sums_small, drc.partial_sums, drc.ref_index],
                          ids=lambda m: m.__name__)
 def test_docstring_examples(module):
     result = doctest.testmod(module)

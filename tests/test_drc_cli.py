@@ -177,6 +177,18 @@ class TestDecompressAndVerify:
         assert run(ws, "decompress", "--ref", ws / "ref", "--in", ws / "cov",
                    "--out", ws / "back") == 4
 
+    @pytest.mark.parametrize("command", ["verify", "decompress"])
+    def test_overlong_varint_exits_4(self, ws, command, capsys):
+        # a 3000-byte varint would decode to an int too long to print
+        header = encode_cover(6, fnv1a64(b"banana"), [(1, 1)])[:29]
+        (ws / "cov").write_bytes(header + b"\xff" * 2999 + b"\x01\x01")
+        argv = [command, "--ref", ws / "ref", "--in", ws / "cov"]
+        if command == "decompress":
+            argv += ["--out", ws / "back"]
+        assert run(ws, *argv) == 4
+        err = capsys.readouterr().err
+        assert "longer than 10 bytes" in err and "Traceback" not in err
+
     def test_verify_rejects_non_maximal_cover(self, ws):
         # (1,3)+(4,6) spells "banana" which plainly occurs in R
         ref = b"banana"

@@ -16,7 +16,7 @@ from drc.oracles import (
     naive_longest_match,
     naive_substring_concat,
 )
-from drc.ref_index import RefIndex, _factorize_py, build_index
+from drc.ref_index import RefIndex, _factorize_py, _Tree, build_index
 
 
 BANANA = build_index(b"banana")
@@ -46,6 +46,17 @@ class TestBuild:
     def test_periodic_references_validate(self):
         for data in [b"a" * 50, b"ab" * 30, b"abc" * 17 + b"ab"]:
             build_index(data).validate(deep=True)
+
+    def test_tree_bytes_per_reference_byte(self):
+        # memory contract of the lazy concatenation tree: int32 arrays,
+        # about 100 bytes per reference byte on random DNA
+        rng = random.Random(20)
+        r = 20_000
+        ix = build_index(bytes(rng.choice(b"acgt") for _ in range(r)))
+        ix.substring_concat((1, 1), (1, 1))
+        arrays = [getattr(ix._tree, name) for name in _Tree.__slots__]
+        total = sum(a.nbytes for a in arrays if isinstance(a, np.ndarray))
+        assert total <= 120 * r
 
     def test_larger_reference_sa_lcp(self):
         rng = random.Random(5)
