@@ -8,10 +8,15 @@ edits work directly on this form:
 * one SumTree holds the sequence: its entries are the block lengths, so
   position arithmetic (which block holds S[i]) is a ``search`` and a
   ``sum``, and each entry's item is the block itself, reached by ordinal;
-* an edit splits the affected block around the edited position and then
-  restores maximality inside the at-most-5-block window by querying the
-  reference index for adjacent-pair concatenations until a fixpoint
-  (:func:`restore_maximal`, shared with the multi-string forest).
+* replace, insert and delete are one edit: drop 0 or 1 characters at a
+  position and put 0 or 1 new ones there.  :func:`cut` splits the block
+  that holds the position into the part before it, the new character and
+  the part after it; ``CompressedString._edit`` carves the block's length
+  entry to match and writes the parts;
+* maximality is then restored inside the at-most-5-block window by
+  querying the reference index for adjacent-pair concatenations until a
+  fixpoint (:func:`restore_maximal`).  Both helpers are shared with the
+  multi-string forest.
 
 A boundary whose concatenation is absent from R can never become present
 by merging its neighbors (merging only extends the string being sought),
@@ -29,9 +34,33 @@ from .errors import CharNotInReference, IndexOutOfRange, InvalidBlock
 from .partial_sums import SumTree
 from .ref_index import RefIndex
 
-__all__ = ["CompressedString", "compress", "restore_maximal"]
+__all__ = ["CompressedString", "compress", "cut", "restore_maximal"]
 
 Block = Tuple[int, int]  # 1-based inclusive interval of R
+
+
+def cut(blk: Block, off: int, drop: int, new: Optional[Block]) -> List[Block]:
+    """The blocks that spell ``blk`` once its ``drop`` (0 or 1) characters
+    at 1-based offset ``off`` are replaced by ``new`` (a one-char block, or
+    None); empty parts are left out.
+
+    With nothing dropped ``new`` goes before offset ``off``, which may be
+    one past the block's end.
+
+    >>> cut((3, 8), 3, 1, (5, 5))
+    [(3, 4), (5, 5), (6, 8)]
+    >>> cut((3, 8), 1, 0, (5, 5))
+    [(5, 5), (3, 8)]
+    >>> cut((3, 8), 6, 1, None)
+    [(3, 7)]
+    """
+    s, e = blk
+    parts = [(s, s + off - 2)] if off > 1 else []
+    if new is not None:
+        parts.append(new)
+    if s + off - 1 + drop <= e:
+        parts.append((s + off - 1 + drop, e))
+    return parts
 
 
 def restore_maximal(
@@ -158,97 +187,63 @@ class CompressedString:
 
     def replace(self, i: int, byte: int) -> None:
         """S[i] = byte."""
-        self.last_concat_calls = self.last_st_ops = 0
-        if not 1 <= i <= self.length:
-            raise IndexOutOfRange(f"position {i} outside [1, {self.length}]")
-        occ = self.index.occurrence(byte)
-        if occ is None:
-            raise CharNotInReference(i, byte)
-        l, off = self._locate(i)
-        s, e = self._tree.item(l)
-        blk_len = e - s + 1
-        parts: List[Block] = []
-        if off > 1:
-            parts.append((s, s + off - 2))
-        parts.append((occ, occ))
-        if off < blk_len:
-            parts.append((s + off, e))
-        # carve the length entry to match the parts
-        if off > 1 and off < blk_len:
-            self._st("divide", l, off - 1)
-            self._st("divide", l + 1, 1)
-        elif off > 1:  # replaced the last char
-            self._st("divide", l, blk_len - 1)
-        elif off < blk_len:  # replaced the first char
-            self._st("divide", l, 1)
-        self._place(l, parts)
+        self._edit(i, 1, byte)
 
     def insert(self, i: int, byte: int) -> None:
         """Insert byte before position i (i = N+1 appends)."""
-        self.last_concat_calls = self.last_st_ops = 0
-        if not 1 <= i <= self.length + 1:
-            raise IndexOutOfRange(f"position {i} outside [1, {self.length + 1}]")
-        occ = self.index.occurrence(byte)
-        if occ is None:
-            raise CharNotInReference(i, byte)
-        nchar: Block = (occ, occ)
-        if i == self.length + 1:  # append; also the only path when S is empty
-            l = self.block_count + 1
-            self._st("insert", l, 1)
-            self.length += 1
-            self._place(l, [nchar])
-            return
-        l, off = self._locate(i)
-        if off == 1:
-            self._st("insert", l, 1)
-            self.length += 1
-            self._place(l, [nchar], 2)
-            return
-        s, e = self._tree.item(l)
-        self._st("divide", l, off - 1)
-        self._st("insert", l + 1, 1)
-        self.length += 1
-        self._place(l, [(s, s + off - 2), nchar, (s + off - 1, e)])
+        self._edit(i, 0, byte)
 
     def delete(self, i: int) -> None:
         """Remove S[i]."""
+        self._edit(i, 1, None)
+
+    def _edit(self, i: int, drop: int, byte: Optional[int]) -> None:
+        """Replace the ``drop`` (0 or 1) characters at S[i] by ``byte``
+        (None: by nothing), carve the block's length entry to match the
+        parts :func:`cut` returns, and re-merge around them."""
         self.last_concat_calls = self.last_st_ops = 0
-        if not 1 <= i <= self.length:
-            raise IndexOutOfRange(f"position {i} outside [1, {self.length}]")
-        l, off = self._locate(i)
-        s, e = self._tree.item(l)
-        blk_len = e - s + 1
-        parts: List[Block] = []
-        if off > 1:
-            parts.append((s, s + off - 2))
-        if off < blk_len:
-            parts.append((s + off, e))
-        if off > 1 and off < blk_len:
-            self._st("divide", l, off - 1)
-            self._st("divide", l + 1, 1)
-            self._st("delete", l + 1)
-        elif off > 1:
-            self._st("divide", l, blk_len - 1)
-            self._st("delete", l + 1)
-        elif off < blk_len:
-            self._st("divide", l, 1)
-            self._st("delete", l)
+        n = self.length + 1 - drop
+        if not 1 <= i <= n:
+            raise IndexOutOfRange(f"position {i} outside [1, {n}]")
+        new = None
+        if byte is not None:
+            occ = self.index.occurrence(byte)
+            if occ is None:
+                raise CharNotInReference(i, byte)
+            new = (occ, occ)
+        if i > self.length:  # append; also the only path when S is empty
+            l, off, rest, parts = self.block_count + 1, 1, 0, [new]
         else:
-            self._st("delete", l)
-        self.length -= 1
+            l, off = self._locate(i)
+            s, e = blk = self._tree.item(l)
+            rest = e - s + 2 - off  # chars from S[i] to the block's end
+            parts = cut(blk, off, drop, new)
+        # carve: split off the part before S[i], then S[i] from the rest,
+        # then drop S[i]'s entry or add one for the new character
+        m = l
+        if off > 1:
+            self._st("divide", l, off - 1)
+            m += 1
+        if drop and rest > 1:
+            self._st("divide", m, 1)
+        if new is None:
+            self._st("delete", m)
+        elif not drop:
+            self._st("insert", m, 1)
+        self.length += (new is not None) - drop
         self._place(l, parts)
 
     # ------------------------------------------------------------------
 
-    def _place(self, first: int, parts: List[Block], nparts: Optional[int] = None) -> None:
+    def _place(self, first: int, parts: List[Block]) -> None:
         """Write ``parts`` as the blocks at ordinals first, first + 1, ...,
         whose length entries are already in place, then re-merge the window
-        around the ``nparts`` (default: all) edited ordinals until every
+        from the block before them to the block after them until every
         window boundary is maximal."""
         self._tree.set_items(first, parts)
         lo = max(1, first - 1)
         # inclusive ordinal of the window's end
-        hi = min(self.block_count, first + (len(parts) if nparts is None else nparts))
+        hi = min(self.block_count, first + len(parts))
         if hi <= lo:
             return
 

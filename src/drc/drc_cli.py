@@ -22,6 +22,7 @@ Exit codes: 0 ok, 1 I/O error, 2 source byte missing from the reference,
 from __future__ import annotations
 
 import argparse
+import string
 import sys
 from typing import List, Optional, Tuple
 
@@ -135,11 +136,10 @@ class OpError(DrcError):
 def _parse_char(token: str) -> int:
     if len(token) == 1:
         return ord(token)
-    if len(token) == 4 and token.startswith("\\x"):
-        try:
-            return int(token[2:], 16)
-        except ValueError:
-            pass
+    # int(..., 16) alone would also take a sign, a space or an underscore
+    if len(token) == 4 and token.startswith("\\x") and all(
+            c in string.hexdigits for c in token[2:]):
+        return int(token[2:], 16)
     raise ValueError(f"bad character token {token!r}")
 
 

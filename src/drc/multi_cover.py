@@ -19,9 +19,9 @@ forest members (their tree is empty).
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
-from .cover_engine import restore_maximal
+from .cover_engine import cut, restore_maximal
 from .errors import (
     CharNotInReference,
     IndexOutOfRange,
@@ -228,7 +228,8 @@ class CoverForest:
     # ------------------------------------------------------------------
 
     def _locate(self, t: _Tree, j: int) -> Tuple[int, int]:
-        """(leaf ordinal, offset inside that leaf) for position j."""
+        """(leaf ordinal, offset inside that leaf) for position j; j one
+        past the end gives one past the last leaf's end."""
         ord_ = 1
         while t.blk is None:
             if j <= t.left.nchars:
@@ -239,16 +240,18 @@ class CoverForest:
                 t = t.right
         return ord_, j
 
-    def _splice(self, h: int, lo: int, hi: int, edit) -> None:
-        """Detach leaves [lo, hi] (1-based ordinals), let ``edit`` rewrite
-        that block list, re-merge its boundaries, and reattach."""
-        t = self._trees[h]
+    def _remerge(self, t: _Tree, lo: int, hi: int,
+                 edit: Optional[Callable[[List[Block]], None]] = None) -> Optional[_Tree]:
+        """Detach leaves [lo, hi] (1-based ordinals) of ``t``, let ``edit``
+        rewrite that block list, re-merge its boundaries, and return the
+        tree with the window put back."""
         a, rest = _split_leaves(t, lo - 1)
         w, b = _split_leaves(rest, hi - lo + 1)
         win = list(_leaves(w))
-        edit(win)
+        if edit is not None:
+            edit(win)
         restore_maximal(win, self.index.substring_concat)
-        self._trees[h] = _join(_join(a, _build(win)), b)
+        return _join(_join(a, _build(win)), b)
 
     def access(self, h: int, j: int) -> int:
         """S_h[j] as an int byte."""
@@ -265,76 +268,39 @@ class CoverForest:
         return self.index.data[t.blk[0] + j - 2]
 
     def replace(self, h: int, j: int, byte: int) -> None:
-        t = self._tree(h)
-        n = t.nchars if t is not None else 0
-        if not 1 <= j <= n:
-            raise IndexOutOfRange(f"position {j} outside [1, {n}]")
-        occ = self.index.occurrence(byte)
-        if occ is None:
-            raise CharNotInReference(j, byte)
-        l, off = self._locate(t, j)
-
-        def edit(win: List[Block]) -> None:
-            k = 0 if l == 1 else 1
-            s, e = win[k]
-            parts: List[Block] = []
-            if off > 1:
-                parts.append((s, s + off - 2))
-            parts.append((occ, occ))
-            if off < e - s + 1:
-                parts.append((s + off, e))
-            win[k : k + 1] = parts
-
-        self._splice(h, max(1, l - 1), min(t.nleaves, l + 1), edit)
+        self._edit(h, j, 1, byte)
 
     def insert(self, h: int, j: int, byte: int) -> None:
         """Insert byte before position j of S_h (j = length+1 appends)."""
-        t = self._tree(h)
-        n = t.nchars if t is not None else 0
-        if not 1 <= j <= n + 1:
-            raise IndexOutOfRange(f"position {j} outside [1, {n + 1}]")
-        occ = self.index.occurrence(byte)
-        if occ is None:
-            raise CharNotInReference(j, byte)
-        if t is None:
-            self._trees[h] = _leaf((occ, occ))
-            return
-        if j == n + 1:
-            l, off = t.nleaves, None  # append after the last leaf
-        else:
-            l, off = self._locate(t, j)
-
-        def edit(win: List[Block]) -> None:
-            if off is None:
-                win.append((occ, occ))
-                return
-            k = 0 if l == 1 else 1
-            s, e = win[k]
-            if off == 1:
-                win.insert(k, (occ, occ))
-            else:
-                win[k : k + 1] = [(s, s + off - 2), (occ, occ), (s + off - 1, e)]
-
-        self._splice(h, max(1, l - 1), min(t.nleaves, l + 1), edit)
+        self._edit(h, j, 0, byte)
 
     def delete(self, h: int, j: int) -> None:
+        self._edit(h, j, 1, None)
+
+    def _edit(self, h: int, j: int, drop: int, byte: Optional[int]) -> None:
+        """Replace the ``drop`` (0 or 1) characters at S_h[j] by ``byte``
+        (None: by nothing) and re-merge the leaf's window."""
         t = self._tree(h)
-        n = t.nchars if t is not None else 0
+        n = (t.nchars if t is not None else 0) + 1 - drop
         if not 1 <= j <= n:
             raise IndexOutOfRange(f"position {j} outside [1, {n}]")
+        new = None
+        if byte is not None:
+            occ = self.index.occurrence(byte)
+            if occ is None:
+                raise CharNotInReference(j, byte)
+            new = (occ, occ)
+        if t is None:
+            self._trees[h] = _leaf(new)
+            return
+        # an append lands one past the end of the last leaf
         l, off = self._locate(t, j)
+        lo = max(1, l - 1)
 
         def edit(win: List[Block]) -> None:
-            k = 0 if l == 1 else 1
-            s, e = win[k]
-            parts: List[Block] = []
-            if off > 1:
-                parts.append((s, s + off - 2))
-            if off < e - s + 1:
-                parts.append((s + off, e))
-            win[k : k + 1] = parts
+            win[l - lo : l - lo + 1] = cut(win[l - lo], off, drop, new)
 
-        self._splice(h, max(1, l - 1), min(t.nleaves, l + 1), edit)
+        self._trees[h] = self._remerge(t, lo, min(t.nleaves, l + 1), edit)
 
     # ------------------------------------------------------------------
 
@@ -363,24 +329,13 @@ class CoverForest:
             raise IndexOutOfRange(f"cut point {j} outside [1, {n}]")
         del self._trees[h]
         left, right = _split_chars(t, j - 1)
-        left = self._restore_tail(left)
-        right = self._restore_head(right)
+        # a cut shortens the blocks on both sides of it, so each may now
+        # merge with its neighbor
+        if left is not None and left.nleaves > 1:
+            left = self._remerge(left, left.nleaves - 1, left.nleaves)
+        if right.nleaves > 1:
+            right = self._remerge(right, 1, 2)
         return self._adopt(left), self._adopt(right)
-
-    def _restore_tail(self, t: Optional[_Tree]) -> Optional[_Tree]:
-        """Re-merge the last block pair after a cut shortened the tail."""
-        if t is None or t.nleaves < 2:
-            return t
-        rest, pair = _split_leaves(t, t.nleaves - 2)
-        win = restore_maximal(list(_leaves(pair)), self.index.substring_concat)
-        return _join(rest, _build(win))
-
-    def _restore_head(self, t: Optional[_Tree]) -> Optional[_Tree]:
-        if t is None or t.nleaves < 2:
-            return t
-        pair, rest = _split_leaves(t, 2)
-        win = restore_maximal(list(_leaves(pair)), self.index.substring_concat)
-        return _join(_build(win), rest)
 
     # ------------------------------------------------------------------
 

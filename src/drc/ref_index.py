@@ -207,8 +207,9 @@ class RefIndex:
         return self._sa
 
     def occurrence(self, byte: int) -> Optional[int]:
-        """Some 1-based position of ``byte`` in R, or None."""
-        p = self._occ[byte]
+        """Some 1-based position of ``byte`` in R, or None (also for a
+        value outside 0..255)."""
+        p = self._occ[byte] if 0 <= byte <= 255 else 0
         return p if p else None
 
     def lce(self, a: int, b: int) -> int:
@@ -446,7 +447,7 @@ class _Tree:
             if pu < 0:
                 break
             u = pu
-        depth, off = self.depth, self.path_off
+        depth, off, nodes = self.depth, self.path_off, self.path_nodes
         for ci in range(len(chain) - 1, -1, -1):
             t = chain[ci]
             # ancestors of the leaf form a prefix of this path, ending at
@@ -454,20 +455,26 @@ class _Tree:
             if ci == 0:
                 last = int(self.path_pos[leaf])
             else:
-                hop = int(self.parent[self.path_nodes[off[chain[ci - 1]]]])
+                hop = int(self.parent[nodes[off[chain[ci - 1]]]])
                 last = int(self.path_pos[hop])
-            base = int(off[t])
-            lo, hi = base, base + last + 1
-            # first path node with depth >= length
-            while lo < hi:
-                mid = (lo + hi) // 2
-                if depth[self.path_nodes[mid]] >= length:
-                    hi = mid
-                else:
-                    lo = mid + 1
-            if lo < base + last + 1:
-                return int(self.path_nodes[lo])
+            end = int(off[t]) + last + 1
+            # depths grow toward the leaf: only a path whose deepest
+            # ancestor reaches ``length`` holds the answer
+            if depth[nodes[end - 1]] >= length:
+                return int(nodes[self._first_deep(int(off[t]), end, length)])
         raise AssertionError("locus beyond leaf depth")
+
+    def _first_deep(self, lo: int, hi: int, d: int) -> int:
+        """First k in [lo, hi) whose path node ``path_nodes[k]`` has string
+        depth >= d, or hi; depths grow down a path."""
+        depth, nodes = self.depth, self.path_nodes
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if depth[nodes[mid]] >= d:
+                hi = mid
+            else:
+                lo = mid + 1
+        return lo
 
     def _child_by_char(self, q: int, c: int) -> int:
         a, b = int(self.child_off[q]), int(self.child_off[q + 1])
@@ -501,16 +508,9 @@ class _Tree:
 
         # y diverges from the heavy path at string depth D
         big_d = lx + f
-        off, depth, nodes = self.path_off, self.depth, self.path_nodes
-        lo = int(off[t]) + int(self.path_pos[v0])
-        hi = int(off[t + 1])
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if depth[nodes[mid]] >= big_d:
-                hi = mid
-            else:
-                lo = mid + 1
-        q = int(nodes[lo])
+        off, depth = self.path_off, self.depth
+        q = int(self.path_nodes[self._first_deep(
+            int(off[t]) + int(self.path_pos[v0]), int(off[t + 1]), big_d)])
         if int(depth[q]) > big_d or q < n:
             # mid-edge mismatch, or the path ran out at a leaf
             return None

@@ -256,6 +256,56 @@ class TestInverses:
         assert cs.blocks() == before
 
 
+ALPHABET = build_index(b"abcdefghijklmnopqrstuvwxyz")
+
+
+@pytest.mark.parametrize("verb, i, ch, ops", [
+    # blocks uvw | abcde | k | pqr; every edit but the last is in a block
+    # after the first, so locating it costs a search and a sum
+    ("replace", 4, "z", 3),  # first offset: divide(l, 1)
+    ("replace", 6, "z", 4),  # interior: divide(l, off - 1), divide(l + 1, 1)
+    ("replace", 8, "z", 3),  # last offset: divide(l, off - 1)
+    ("delete", 4, None, 4),  # divide(l, 1), delete(l)
+    ("delete", 6, None, 5),  # divide, divide, delete
+    ("delete", 8, None, 4),  # divide(l, off - 1), delete(l + 1)
+    ("insert", 4, "z", 3),  # block start: insert(l, 1)
+    ("insert", 6, "z", 4),  # divide(l, off - 1), insert(l + 1, 1)
+    ("insert", 8, "z", 4),  # before the last char: the same two
+    ("replace", 9, "z", 2),  # single-char block: nothing to carve
+    ("delete", 9, None, 3),  # single-char block: delete(l)
+    ("insert", 9, "z", 3),  # before a single-char block: insert(l, 1)
+    ("insert", 13, "z", 1),  # append: insert(n + 1, 1), no locate
+    ("insert", 4, "x", 4),  # insert(l, 1), then uvw + x merge
+    ("replace", 9, "f", 3),  # abcde + f merge
+])
+def test_edit_shapes_pin_sumtree_ops(verb, i, ch, ops):
+    src = b"uvwabcdekpqr"
+    cs = compress(ALPHABET, src)
+    assert cs.blocks() == [(21, 23), (1, 5), (11, 11), (16, 18)]
+    args = (i,) if ch is None else (i, ord(ch))
+    getattr(cs, verb)(*args)
+    assert cs.last_st_ops == ops
+    if verb == "replace":
+        expected = src[: i - 1] + ch.encode() + src[i:]
+    elif verb == "insert":
+        expected = src[: i - 1] + ch.encode() + src[i - 1 :]
+    else:
+        expected = src[: i - 1] + src[i:]
+    assert_coherent(cs, expected)
+
+
+def test_bytes_outside_0_255_are_not_in_the_reference():
+    # 0xff is in R, so a byte of -1 must not wrap around to it
+    idx = build_index(b"ban\xffana")
+    cs = compress(idx, b"banana")
+    for byte in (-1, 256, -256, 1 << 70):
+        with pytest.raises(CharNotInReference):
+            cs.replace(1, byte)
+        with pytest.raises(CharNotInReference):
+            cs.insert(1, byte)
+    assert_coherent(cs, b"banana")
+
+
 def random_reference(rng: random.Random, r: int, sigma: int) -> bytes:
     return bytes(rng.randrange(sigma) + 97 for _ in range(r))
 

@@ -1,16 +1,18 @@
-"""The docstring examples of the partial-sums and index modules run as tests."""
+"""The docstring examples of the partial-sums, index and cover modules run as tests."""
 
 import doctest
 
 import pytest
 
+import drc.cover_engine
 import drc.partial_sums
 import drc.partial_sums_small
 import drc.ref_index
 
 
-@pytest.mark.parametrize("module", [drc.partial_sums_small, drc.partial_sums, drc.ref_index],
-                         ids=lambda m: m.__name__)
+@pytest.mark.parametrize(
+    "module", [drc.partial_sums_small, drc.partial_sums, drc.ref_index, drc.cover_engine],
+    ids=lambda m: m.__name__)
 def test_docstring_examples(module):
     result = doctest.testmod(module)
     assert result.attempted > 0, "no examples found"

@@ -5,8 +5,12 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from drc.drc_cli import (
+    MAGIC,
+    VERSION,
     decode_cover,
     encode_cover,
     fnv1a64,
@@ -76,11 +80,56 @@ class TestScripts:
         assert parse_script("\n\nA 1\n\n") == [("A", 1, 3)]
 
     @pytest.mark.parametrize(
-        "bad", ["Q 1", "A", "A x", "R 1", "R 1 ab", "R 1 \\xgg", "X 1 q"])
+        "bad", ["Q 1", "A", "A x", "R 1", "R 1 ab", "R 1 \\xgg", "X 1 q",
+                "R 1 \\x-1", "R 1 \\x+f"])
     def test_parse_errors(self, bad):
         from drc.drc_cli import ScriptError
         with pytest.raises(ScriptError):
             parse_script(bad)
+
+
+# well-formed R and I lines whose character token is often a \x escape
+# with a sign, a space or an underscore where int(..., 16) would take one
+_ESCAPE = st.tuples(st.sampled_from("0f+-_ "), st.sampled_from("0fF+-g")).map(
+    lambda cs: "\\x" + "".join(cs))
+_LINE = st.tuples(
+    st.sampled_from("RI"), st.integers(-3, 40).map(str),
+    st.characters(min_codepoint=33, max_codepoint=126) | _ESCAPE,
+).map(" ".join)
+
+
+@settings(max_examples=300)
+@given(st.text(alphabet=st.characters(max_codepoint=127))
+       | st.lists(_LINE, max_size=4).map("\n".join))
+def test_parse_script_fuzz(text):
+    # either a clean parse with every byte in range, or a ScriptError
+    from drc.drc_cli import ScriptError
+    try:
+        ops = parse_script(text)
+    except ScriptError:
+        return
+    for op in ops:
+        if op[0] in "RI":
+            assert 0 <= op[2] <= 255
+
+
+_HEADER = MAGIC + bytes([VERSION])
+_U64 = (1 << 64) - 1
+
+
+@settings(max_examples=300)
+@given(st.binary(max_size=64) | st.tuples(
+    st.integers(0, 40), st.integers(0, _U64), st.integers(0, 8) | st.integers(0, _U64),
+    st.binary(max_size=48),
+).map(lambda f: _HEADER + f[0].to_bytes(8, "little") + f[1].to_bytes(8, "little")
+      + f[2].to_bytes(8, "little") + f[3]))
+def test_decode_cover_fuzz(buf):
+    # a cover file either decodes to in-range blocks or is MalformedCoverFile
+    try:
+        r, _, blocks = decode_cover(buf)
+    except MalformedCoverFile:
+        return
+    assert all(1 <= s <= e <= r for s, e in blocks)
 
 
 @pytest.fixture
@@ -232,6 +281,13 @@ class TestEdit:
     def test_parse_error_exits_5(self, ws):
         self.compress(ws, b"banana")
         assert self.edit(ws, "A 1\nBOGUS 2\n") == 5
+
+    def test_signed_hex_escape_exits_5(self, ws, capsys):
+        # with 0xff in R, "\x-1" must not be read as byte -1 and wrap to it
+        (ws / "ref").write_bytes(b"ban\xffana")
+        self.compress(ws, b"banana")
+        assert self.edit(ws, "A 1\nR 1 \\x-1\n") == 5
+        assert "line 2" in capsys.readouterr().err
 
     def test_non_ascii_script_exits_5_with_line(self, ws, capsys):
         self.compress(ws, b"banana")

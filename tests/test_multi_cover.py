@@ -114,6 +114,17 @@ class TestEdits:
         assert exc.value.position == 2
         assert_string(forest, h, b"ban")
 
+    def test_bytes_outside_0_255_are_not_in_the_reference(self):
+        # 0xff is in R, so a byte of -1 must not wrap around to it
+        forest = CoverForest(build_index(b"ban\xffana"))
+        h = forest.add(b"banana")
+        for byte in (-1, 256, -256, 1 << 70):
+            with pytest.raises(CharNotInReference):
+                forest.replace(h, 1, byte)
+            with pytest.raises(CharNotInReference):
+                forest.insert(h, 1, byte)
+        assert_string(forest, h, b"banana")
+
     def test_matches_single_string_engine(self):
         rng = random.Random(7)
         ref = bytes(rng.choice(b"abc") for _ in range(80))
@@ -142,6 +153,7 @@ class TestEdits:
             else:
                 j = rng.randrange(1, n + 1)
                 assert forest.access(h, j) == cs.access(j)
+            assert forest.blocks(h) == cs.blocks()
         full = cs.extract(1, len(cs)) if len(cs) else b""
         assert forest.decompress(h) == full
         forest.validate()
