@@ -143,6 +143,13 @@ def _parse_char(token: str) -> int:
     raise ValueError(f"bad character token {token!r}")
 
 
+def _parse_count(token: str, what: str, lineno: int) -> int:
+    # int() alone would also take a sign, an underscore or non-ASCII digits
+    if not (token.isascii() and token.isdigit()):
+        raise ScriptError(lineno, f"bad {what} {token!r}")
+    return int(token)
+
+
 def _escape(byte: int) -> str:
     if 0x21 <= byte <= 0x7E and byte != 0x5C:
         return chr(byte)
@@ -175,18 +182,11 @@ def parse_script(text: str) -> List[tuple]:
             raise ScriptError(lineno, f"unknown verb {verb!r}")
         if len(fields) != _ARITY[verb]:
             raise ScriptError(lineno, f"{verb} takes {_ARITY[verb] - 1} argument(s)")
-        try:
-            i = int(fields[1])
-        except ValueError:
-            raise ScriptError(lineno, f"bad position {fields[1]!r}") from None
+        i = _parse_count(fields[1], "position", lineno)
         if verb == "A" or verb == "D":
             ops.append((verb, i, lineno))
         elif verb == "X":
-            try:
-                length = int(fields[2])
-            except ValueError:
-                raise ScriptError(lineno, f"bad length {fields[2]!r}") from None
-            ops.append((verb, i, length, lineno))
+            ops.append((verb, i, _parse_count(fields[2], "length", lineno), lineno))
         else:
             try:
                 byte = _parse_char(fields[2])

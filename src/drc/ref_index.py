@@ -16,7 +16,12 @@ over the LCP array (Abouelhoda-Kurtz-Ohlebusch), decomposed into heavy
 paths.  For every internal node u that starts a heavy path we store the
 sorted ranks of the suffixes in u's interval advanced by depth(u);
 concatenation queries reduce to one descent, two LCE probes and one binary
-search over such a rank set.
+search over such a rank set.  A descent is a bottom-up ``locus`` walk: from
+the leaf of an occurrence up one heavy path at a time, stopping at the
+first path whose top is too shallow, so a substring that occurs once (the
+common case for long blocks) is found on its leaf's own path.  Queries
+read the int32 arrays through memoryviews over the same buffers and
+return plain ints.
 
 >>> ix = build_index(b"banana")
 >>> ix.factorize(b"bananaban")
@@ -33,6 +38,7 @@ readers.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -95,7 +101,8 @@ def _kasai(data: bytes, sa: np.ndarray, isa: np.ndarray) -> np.ndarray:
 
 
 class _Rmq:
-    """Sparse-table range minimum over an int array; query on [lo, hi]."""
+    """Sparse-table range minimum over an int array; query on [lo, hi].
+    Rows are read through memoryviews, so ``min`` returns a plain int."""
 
     __slots__ = ("_rows",)
 
@@ -106,7 +113,7 @@ class _Rmq:
             prev = rows[-1]
             rows.append(np.minimum(prev[: len(prev) - span], prev[span:]))
             span *= 2
-        self._rows = rows
+        self._rows = [memoryview(row) for row in rows]
 
     def min(self, lo: int, hi: int) -> int:
         k = (hi - lo + 1).bit_length() - 1
@@ -185,10 +192,12 @@ class RefIndex:
         self.data = bytes(data)
         self.r = len(data)
         self._np_data = np.frombuffer(self.data, dtype=np.uint8)
-        self._sa = _suffix_array(self._np_data)
+        sa = _suffix_array(self._np_data)
         isa = np.empty(self.r, dtype=np.int32)
-        isa[self._sa] = np.arange(self.r, dtype=np.int32)
-        self._isa = isa
+        isa[sa] = np.arange(self.r, dtype=np.int32)
+        # queries read single entries: through a memoryview over the same
+        # buffer each read is a plain int, about 5x cheaper than numpy's
+        self._sa, self._isa = memoryview(sa), memoryview(isa)
         occ = np.zeros(256, dtype=np.int64)
         bytes_seen, first_at = np.unique(self._np_data, return_index=True)
         occ[bytes_seen] = first_at + 1
@@ -204,7 +213,7 @@ class RefIndex:
 
     @property
     def suffix_array(self) -> np.ndarray:
-        return self._sa
+        return np.asarray(self._sa)
 
     def occurrence(self, byte: int) -> Optional[int]:
         """Some 1-based position of ``byte`` in R, or None (also for a
@@ -227,10 +236,10 @@ class RefIndex:
         if a == b:
             return self.r - a
         self._ensure_lce()
-        ra, rb = int(self._isa[a]), int(self._isa[b])
+        ra, rb = self._isa[a], self._isa[b]
         if ra > rb:
             ra, rb = rb, ra
-        return int(self._rmq.min(ra + 1, rb))
+        return self._rmq.min(ra + 1, rb)
 
     def longest_match(self, text: bytes, start: int) -> Tuple[int, Optional[int]]:
         """Longest prefix of text[start..] occurring in R, with 1-based
@@ -240,7 +249,7 @@ class RefIndex:
         t = np.frombuffer(bytes(text), dtype=np.uint8)[start - 1 :]
         starts = np.empty(1, dtype=np.int64)
         ends = np.empty(1, dtype=np.int64)
-        if _factorize(self._np_data, self._sa, t, starts, ends)[0] == 0:
+        if _factorize(self._np_data, self.suffix_array, t, starts, ends)[0] == 0:
             return 0, None
         return int(ends[0] - starts[0]) + 1, int(starts[0]) + 1
 
@@ -252,7 +261,7 @@ class RefIndex:
         t = np.frombuffer(bytes(text), dtype=np.uint8)
         starts = np.empty(len(text), dtype=np.int64)
         ends = np.empty(len(text), dtype=np.int64)
-        nb, bad = _factorize(self._np_data, self._sa, t, starts, ends)
+        nb, bad = _factorize(self._np_data, self.suffix_array, t, starts, ends)
         if bad >= 0:
             raise CharNotInReference(bad + 1, text[bad])
         return [(int(starts[k]) + 1, int(ends[k]) + 1) for k in range(nb)]
@@ -309,7 +318,8 @@ def build_index(data: bytes) -> RefIndex:
 
 class _Tree:
     """Suffix tree topology over the owner's SA/LCP, heavy-path arrays,
-    and per-path-top advanced-rank sets, all int32, from one LCP sweep.
+    and per-path-top advanced-rank sets, from one LCP sweep; each array is
+    int32 and kept as a memoryview over its ndarray.
 
     Node ids: leaf j (the j-th SA slot) is node j; internal nodes are
     numbered from n (the root) as the sweep pushes them, so each node's
@@ -328,7 +338,7 @@ class _Tree:
         self.idx = idx
         n = idx.r
         self.n = n
-        sa, isa = idx._sa, idx._isa
+        sa, isa = idx.suffix_array, np.asarray(idx._isa)
 
         # --- one bottom-up sweep over the LCP intervals ---
         # Stack entries are (id, depth) above a sentinel that is the root's
@@ -429,77 +439,50 @@ class _Tree:
         counts = sizes - (sa[l[inner]] + depth[inner] == n)
         self.du_off = np.zeros(len(tops) + 1, dtype=np.int32)
         self.du_off[len(tops) - len(inner) + 1 :] = np.cumsum(counts)
+        for name in self.__slots__[2:]:  # plain-int reads, as for R's SA
+            setattr(self, name, memoryview(getattr(self, name)))
 
     # ------------------------------------------------------------------
 
     def locus(self, pos: int, length: int) -> int:
         """Highest node whose string depth reaches ``length`` on the path
-        to leaf ISA[pos]; 0-based pos, occurrence assumed in range."""
-        leaf = int(self.idx._isa[pos])
-        # chain of heavy-path tops from the leaf's path up to the root's
-        chain = []
-        u = leaf
-        while True:
-            t = int(self.top_of[u])
-            chain.append(t)
-            top_node = int(self.path_nodes[self.path_off[t]])
-            pu = int(self.parent[top_node])
-            if pu < 0:
-                break
-            u = pu
-        depth, off, nodes = self.depth, self.path_off, self.path_nodes
-        for ci in range(len(chain) - 1, -1, -1):
-            t = chain[ci]
-            # ancestors of the leaf form a prefix of this path, ending at
-            # the node the next path (or the leaf itself) hangs off
-            if ci == 0:
-                last = int(self.path_pos[leaf])
-            else:
-                hop = int(self.parent[nodes[off[chain[ci - 1]]]])
-                last = int(self.path_pos[hop])
-            end = int(off[t]) + last + 1
-            # depths grow toward the leaf: only a path whose deepest
-            # ancestor reaches ``length`` holds the answer
-            if depth[nodes[end - 1]] >= length:
-                return int(nodes[self._first_deep(int(off[t]), end, length)])
-        raise AssertionError("locus beyond leaf depth")
+        to leaf ISA[pos]; 0-based pos, 1 <= length <= n - pos.
 
-    def _first_deep(self, lo: int, hi: int, d: int) -> int:
-        """First k in [lo, hi) whose path node ``path_nodes[k]`` has string
-        depth >= d, or hi; depths grow down a path."""
-        depth, nodes = self.depth, self.path_nodes
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if depth[nodes[mid]] >= d:
-                hi = mid
-            else:
-                lo = mid + 1
-        return lo
+        Walks up from the leaf one heavy path at a time: the first path
+        whose top is shallower than ``length`` holds the answer between its
+        top and the node the walk entered it by; a top that is deep enough
+        is the answer when its parent is not.  The root, of depth 0, tops
+        its own path, so the walk stops there at the latest."""
+        depth, parent, off, nodes = self.depth, self.parent, self.path_off, self.path_nodes
+        u = self.idx._isa[pos]
+        while True:
+            o = off[self.top_of[u]]
+            top = nodes[o]
+            if depth[top] < length:
+                # depths grow down a path
+                hi = o + self.path_pos[u] + 1
+                return nodes[bisect_left(nodes, length, o, hi, key=depth.__getitem__)]
+            u = parent[top]
+            if depth[u] < length:
+                return top
 
     def _child_by_char(self, q: int, c: int) -> int:
-        a, b = int(self.child_off[q]), int(self.child_off[q + 1])
+        a, b = self.child_off[q], self.child_off[q + 1]
         chars = self.child_chars
-        lo, hi = a, b
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if chars[mid] < c:
-                lo = mid + 1
-            else:
-                hi = mid
+        lo = bisect_left(chars, c, a, b)
         if lo < b and chars[lo] == c:
-            return int(self.child_ids[lo])
+            return self.child_ids[lo]
         return -1
 
     def concat(self, x: Tuple[int, int], y: Tuple[int, int]) -> Optional[int]:
         idx, n = self.idx, self.n
-        sa, data = idx._sa, idx.data
+        sa, data, depth = idx._sa, idx.data, self.depth
         x0, lx = x[0] - 1, x[1] - x[0] + 1
         y0, ly = y[0] - 1, y[1] - y[0] + 1
 
         v0 = self.locus(x0, lx)
-        t = int(self.top_of[v0])
-        bot = int(self.path_bottom[t])
-        sb = int(sa[bot])
+        t = self.top_of[v0]
+        sb = sa[self.path_bottom[t]]
 
         ext = sb + lx
         f = min(idx._lce0(ext, y0), ly) if ext < n else 0
@@ -508,18 +491,18 @@ class _Tree:
 
         # y diverges from the heavy path at string depth D
         big_d = lx + f
-        off, depth = self.path_off, self.depth
-        q = int(self.path_nodes[self._first_deep(
-            int(off[t]) + int(self.path_pos[v0]), int(off[t + 1]), big_d)])
-        if int(depth[q]) > big_d or q < n:
+        off, nodes = self.path_off, self.path_nodes
+        lo = off[t] + self.path_pos[v0]
+        q = nodes[bisect_left(nodes, big_d, lo, off[t + 1], key=depth.__getitem__)]
+        if depth[q] > big_d or q < n:
             # mid-edge mismatch, or the path ran out at a leaf
             return None
         u = self._child_by_char(q, data[y0 + f])
         if u < 0:
             return None
-        e = int(depth[u]) - big_d
+        e = depth[u] - big_d
         rem = ly - f
-        su = int(sa[self.l[u]])
+        su = sa[self.l[u]]
         if rem <= e:
             if idx._lce0(su + big_d, y0 + f) >= rem:
                 return su + 1
@@ -529,12 +512,12 @@ class _Tree:
         # whole edge matched; intersect u's advanced ranks with the SA
         # interval of the still-unmatched tail of y
         tail = self.locus(y0 + f + e, rem - e)
-        a, b = int(self.l[tail]), int(self.r[tail])
-        ut = int(self.top_of[u])
-        du = self.du_flat[self.du_off[ut] : self.du_off[ut + 1]]
-        k = int(np.searchsorted(du, a, side="left"))
-        if k < len(du) and du[k] <= b:
-            return int(sa[int(du[k])]) - int(self.depth[u]) + 1
+        a, b = self.l[tail], self.r[tail]
+        ut = self.top_of[u]
+        du, hi = self.du_flat, self.du_off[ut + 1]
+        k = bisect_left(du, a, self.du_off[ut], hi)
+        if k < hi and du[k] <= b:
+            return sa[du[k]] - depth[u] + 1
         return None
 
     # ------------------------------------------------------------------
@@ -545,7 +528,11 @@ class _Tree:
         sa, data = idx._sa, idx.data
         total = len(self.depth)
         for name in self.__slots__[2:]:
-            assert getattr(self, name).dtype == np.int32, name
+            # an int32 view of the ndarray it was made from, not a copy
+            mv = getattr(self, name)
+            assert isinstance(mv, memoryview) and mv.format == "i", name
+            assert isinstance(mv.obj, np.ndarray), name
+            assert np.shares_memory(mv.obj, np.asarray(mv)), name
         off, nodes = self.path_off, self.path_nodes
         for u in range(total):
             lu, ru, du = int(self.l[u]), int(self.r[u]), int(self.depth[u])

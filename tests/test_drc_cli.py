@@ -81,19 +81,21 @@ class TestScripts:
 
     @pytest.mark.parametrize(
         "bad", ["Q 1", "A", "A x", "R 1", "R 1 ab", "R 1 \\xgg", "X 1 q",
-                "R 1 \\x-1", "R 1 \\x+f"])
+                "R 1 \\x-1", "R 1 \\x+f", "A 1_0", "R +2 a", "X 1 +4", "D -4"])
     def test_parse_errors(self, bad):
         from drc.drc_cli import ScriptError
         with pytest.raises(ScriptError):
             parse_script(bad)
 
 
-# well-formed R and I lines whose character token is often a \x escape
-# with a sign, a space or an underscore where int(..., 16) would take one
+# R and I lines whose position often holds a sign or an underscore, and
+# whose \x escape a sign, a space or an underscore, where int() takes one
 _ESCAPE = st.tuples(st.sampled_from("0f+-_ "), st.sampled_from("0fF+-g")).map(
     lambda cs: "\\x" + "".join(cs))
 _LINE = st.tuples(
-    st.sampled_from("RI"), st.integers(-3, 40).map(str),
+    st.sampled_from("RI"),
+    st.tuples(st.sampled_from(["{}", "+{}", "-{}", "{}_0"]), st.integers(0, 40)).map(
+        lambda p: p[0].format(p[1])),
     st.characters(min_codepoint=33, max_codepoint=126) | _ESCAPE,
 ).map(" ".join)
 
@@ -108,9 +110,13 @@ def test_parse_script_fuzz(text):
         ops = parse_script(text)
     except ScriptError:
         return
+    lines = text.splitlines()
     for op in ops:
         if op[0] in "RI":
             assert 0 <= op[2] <= 255
+        # positions and X lengths are plain decimal digits
+        fields = lines[op[-1] - 1].split()
+        assert all(f.isdigit() for f in fields[1 : 3 if op[0] == "X" else 2])
 
 
 _HEADER = MAGIC + bytes([VERSION])

@@ -54,9 +54,18 @@ class TestBuild:
         r = 20_000
         ix = build_index(bytes(rng.choice(b"acgt") for _ in range(r)))
         ix.substring_concat((1, 1), (1, 1))
-        arrays = [getattr(ix._tree, name) for name in _Tree.__slots__]
-        total = sum(a.nbytes for a in arrays if isinstance(a, np.ndarray))
-        assert total <= 120 * r
+        kept = [getattr(ix._tree, name) for name in _Tree.__slots__]
+        arrays = [a for a in kept if not isinstance(a, (RefIndex, int))]
+        assert len(arrays) == len(kept) - 2  # everything but idx and n
+        owners = {}
+        for a in arrays:
+            # a memoryview or an ndarray view counts its whole buffer, once
+            assert isinstance(a, (np.ndarray, memoryview)), type(a)
+            a = a.obj if isinstance(a, memoryview) else a
+            while isinstance(a, np.ndarray) and a.base is not None:
+                a = a.base
+            owners[id(a)] = memoryview(a).nbytes
+        assert sum(owners.values()) <= 120 * r
 
     def test_larger_reference_sa_lcp(self):
         rng = random.Random(5)
@@ -218,6 +227,51 @@ class TestSubstringConcat:
         assert ix.substring_concat(whole, whole) is None
         head, tail = (1, 32), (33, 64)
         assert ix.substring_concat(head, tail) == 1
+
+
+def _locus_refs():
+    rng = random.Random(12)
+    return [
+        bytes(rng.choice(b"acgt") for _ in range(120)),
+        bytes(rng.choice(b"ab") for _ in range(100)),
+        b"a" * 50,
+        (b"abcab" * 20)[:97],
+    ]
+
+
+@pytest.mark.parametrize("ref", _locus_refs(), ids=["acgt", "ab", "a50", "abcab"])
+def test_locus_is_highest_ancestor_deep_enough(ref):
+    # every leaf and every length up to its depth, against a plain walk
+    # up the parent pointers
+    ix = build_index(ref)
+    tree = ix._build_tree()
+    for pos in range(len(ref)):
+        up = [ix._isa[pos]]
+        while tree.parent[up[-1]] >= 0:
+            up.append(tree.parent[up[-1]])
+        for length in range(1, tree.depth[up[0]] + 1):
+            want = max(k for k, u in enumerate(up) if tree.depth[u] >= length)
+            assert tree.locus(pos, length) == up[want], (pos, length)
+
+
+def test_queries_return_plain_ints():
+    # scalars read from numpy arrays would come back as numpy integers
+    rng = random.Random(23)
+    r = 3000
+    ref = bytes(rng.choice(b"acgt") for _ in range(r))
+    ix = build_index(ref)
+    answers = []
+    for _ in range(2000):
+        s = rng.randint(1, r - 1)
+        m = rng.randint(s, min(r - 1, s + 12))
+        e = rng.randint(m + 1, min(r, m + 12))
+        # y is a run that follows x in R, or one from anywhere
+        y0 = m + 1 if rng.random() < 0.5 else rng.randint(1, e)
+        answers.append(ix.substring_concat((s, m), (y0, max(y0, e))))
+        assert type(ix.lce(s, y0)) is int
+        assert all(type(v) is int for v in ix.longest_match(ref[y0 - 1 : y0 + 20], 1))
+    assert {type(a) for a in answers} == {int, type(None)}
+    assert type(ix.longest_match(b"zz", 1)[1]) is type(None)
 
 
 @settings(max_examples=150)
