@@ -30,7 +30,7 @@ from __future__ import annotations
 from itertools import islice
 from typing import Callable, Iterable, List, Optional, Tuple
 
-from .errors import CharNotInReference, IndexOutOfRange, InvalidBlock
+from .errors import CharNotInReference, IndexOutOfRange
 from .partial_sums import SumTree
 from .ref_index import RefIndex
 
@@ -114,9 +114,7 @@ class CompressedString:
     def __init__(self, index: RefIndex, blocks: Iterable[Block] = ()):
         blocks = list(blocks)
         for blk in blocks:
-            s, e = blk
-            if not 1 <= s <= e <= index.r:
-                raise InvalidBlock(f"block {blk} outside reference of length {index.r}")
+            index._check_block(blk)
         self.index = index
         self._tree = SumTree([e - s + 1 for s, e in blocks], blocks)
         self.length = sum(e - s + 1 for s, e in blocks)

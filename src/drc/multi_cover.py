@@ -25,7 +25,6 @@ from .cover_engine import cut, restore_maximal
 from .errors import (
     CharNotInReference,
     IndexOutOfRange,
-    InvalidBlock,
     SameHandle,
     UnknownHandle,
 )
@@ -201,10 +200,7 @@ class CoverForest:
 
     def add_blocks(self, blocks: List[Block]) -> int:
         for blk in blocks:
-            s, e = blk
-            if not 1 <= s <= e <= self.index.r:
-                raise InvalidBlock(
-                    f"block {blk} outside reference of length {self.index.r}")
+            self.index._check_block(blk)
         return self._adopt(_build(list(blocks)))
 
     def handles(self) -> List[int]:

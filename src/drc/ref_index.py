@@ -21,7 +21,9 @@ the leaf of an occurrence up one heavy path at a time, stopping at the
 first path whose top is too shallow, so a substring that occurs once (the
 common case for long blocks) is found on its leaf's own path.  Queries
 read the int32 arrays through memoryviews over the same buffers and
-return plain ints.
+return plain ints.  So does the one factorization kernel, a plain Python
+loop that narrows an SA interval by two binary searches per matched byte,
+reading R's bytes and the SA memoryview directly.
 
 >>> ix = build_index(b"banana")
 >>> ix.factorize(b"bananaban")
@@ -44,11 +46,6 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .errors import CharNotInReference, EmptyReference, IndexOutOfRange, InvalidBlock
-
-try:  # pragma: no cover - exercised implicitly by the fallback tests
-    from numba import njit
-except ImportError:  # pragma: no cover
-    njit = None
 
 __all__ = ["RefIndex", "build_index"]
 
@@ -124,15 +121,15 @@ class _Rmq:
 # ----------------------------------------------------------------------
 # greedy factorization kernel
 
-def _factorize_py(data, sa, text, starts, ends):
-    """Greedy cover of ``text`` by longest matches in R, one suffix-array
-    descent per block, written to ``starts``/``ends`` (0-based, inclusive).
-    Stops after ``len(starts)`` blocks.  Returns (block count, -1), or
-    (blocks so far, position) at the first byte absent from R."""
+def _factorize(data, sa, text, pos, limit):
+    """Greedy cover of ``text[pos:]`` by longest matches in R = ``data``,
+    one descent of R's suffix array ``sa`` per block; every read is a
+    plain int.  Returns (blocks, -1) with at most ``limit`` 1-based
+    inclusive blocks, or (blocks so far, position) at the first byte
+    absent from R, 0-based."""
     n, m = len(data), len(text)
-    nb = 0
-    pos = 0
-    while pos < m:
+    blocks: List[Tuple[int, int]] = []
+    while pos < m and len(blocks) < limit:
         lo, hi, d = 0, n, 0
         w = 0
         while pos + d < m:
@@ -160,20 +157,10 @@ def _factorize_py(data, sa, text, starts, ends):
             lo, hi, d = new_lo, a, d + 1
             w = sa[lo]
         if d == 0:
-            return nb, pos
-        starts[nb] = w
-        ends[nb] = w + d - 1
-        nb += 1
+            return blocks, pos
+        blocks.append((w + 1, w + d))
         pos += d
-        if nb == len(starts):
-            break
-    return nb, -1
-
-
-if njit is not None:
-    _factorize = njit(cache=True)(_factorize_py)
-else:  # pragma: no cover
-    _factorize = _factorize_py
+    return blocks, -1
 
 
 # ----------------------------------------------------------------------
@@ -246,25 +233,20 @@ class RefIndex:
         witness start, or (0, None) if text[start] is absent from R."""
         if not 1 <= start <= len(text):
             raise IndexOutOfRange(f"start {start} outside [1, {len(text)}]")
-        t = np.frombuffer(bytes(text), dtype=np.uint8)[start - 1 :]
-        starts = np.empty(1, dtype=np.int64)
-        ends = np.empty(1, dtype=np.int64)
-        if _factorize(self._np_data, self.suffix_array, t, starts, ends)[0] == 0:
+        blocks, _ = _factorize(self.data, self._sa, bytes(text), start - 1, 1)
+        if not blocks:
             return 0, None
-        return int(ends[0] - starts[0]) + 1, int(starts[0]) + 1
+        s, e = blocks[0]
+        return e - s + 1, s
 
     def factorize(self, text: bytes) -> List[Tuple[int, int]]:
         """Greedy left-to-right cover of ``text`` by maximal reference
         matches; blocks as 1-based inclusive (start, end) pairs."""
-        if not text:
-            return []
-        t = np.frombuffer(bytes(text), dtype=np.uint8)
-        starts = np.empty(len(text), dtype=np.int64)
-        ends = np.empty(len(text), dtype=np.int64)
-        nb, bad = _factorize(self._np_data, self.suffix_array, t, starts, ends)
+        text = bytes(text)
+        blocks, bad = _factorize(self.data, self._sa, text, 0, len(text))
         if bad >= 0:
             raise CharNotInReference(bad + 1, text[bad])
-        return [(int(starts[k]) + 1, int(ends[k]) + 1) for k in range(nb)]
+        return blocks
 
     # ------------------------------------------------------------------
     # suffix tree + heavy paths (lazy)

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from drc.cover_engine import CompressedString, compress
 from drc.errors import CharNotInReference, IndexOutOfRange, InvalidBlock
+from drc.multi_cover import CoverForest
 from drc.oracles import (
     naive_decompress,
     naive_greedy_cover,
@@ -71,6 +72,24 @@ class TestCompress:
             CompressedString(BANANA, [(1, 7)])
         with pytest.raises(InvalidBlock):
             CompressedString(BANANA, [(0, 3)])
+
+
+def test_buffer_inputs_give_the_same_blocks():
+    rng = random.Random(4)
+    ref = bytes(rng.randrange(4) + 97 for _ in range(300))
+    ix = build_index(ref)
+    text = bytes(rng.randrange(4) + 97 for _ in range(500))
+    want = ix.factorize(text)
+    for buf in (text, bytearray(text), memoryview(text)):
+        assert ix.factorize(buf) == want
+        assert ix.longest_match(buf, 9) == ix.longest_match(text, 9)
+        assert compress(ix, buf).blocks() == want
+        forest = CoverForest(ix)
+        assert forest.blocks(forest.add(buf)) == want
+    with pytest.raises(CharNotInReference) as exc:
+        ix.factorize(bytearray(text[:40] + b"z" + text[40:]))
+    assert exc.value.position == 41
+    assert exc.value.byte == ord("z")
 
 
 class TestReads:

@@ -10,6 +10,7 @@ from drc.cover_engine import compress
 from drc.errors import (
     CharNotInReference,
     IndexOutOfRange,
+    InvalidBlock,
     SameHandle,
     UnknownHandle,
 )
@@ -56,6 +57,15 @@ class TestBasics:
         assert forest.block_count(h) == 1
         got = bytes(mc_access(forest, h, j) for j in range(1, 7))
         assert got == b"banana"
+
+    def test_add_blocks(self):
+        forest = CoverForest(BANANA)
+        h = forest.add_blocks([(1, 6), (1, 3)])
+        assert_string(forest, h, b"bananaban")
+        for blk in [(0, 1), (3, 2), (1, BANANA.r + 1)]:
+            with pytest.raises(InvalidBlock):
+                forest.add_blocks([(1, 3), blk])
+        assert forest.handles() == [h]
 
     def test_unknown_handle(self):
         forest, h = make(b"ban")

@@ -16,7 +16,7 @@ from drc.oracles import (
     naive_longest_match,
     naive_substring_concat,
 )
-from drc.ref_index import RefIndex, _factorize_py, _Tree, build_index
+from drc.ref_index import RefIndex, _factorize, _Tree, build_index
 
 
 BANANA = build_index(b"banana")
@@ -137,19 +137,22 @@ class TestFactorize:
         assert e.value.position == 4 and e.value.byte == ord("x")
 
     def test_python_kernel_agrees(self):
+        # from a start and up to a block limit, the kernel gives prefixes
+        # of the method's cover of the rest of the text
         rng = random.Random(21)
         ref = bytes(rng.randrange(3) + 97 for _ in range(128))
         ix = build_index(ref)
         text = bytes(rng.randrange(3) + 97 for _ in range(700))
-        via_method = ix.factorize(text)
-        starts = np.empty(len(text), dtype=np.int64)
-        ends = np.empty(len(text), dtype=np.int64)
-        nb, bad = _factorize_py(
-            np.frombuffer(ref, dtype=np.uint8), ix.suffix_array,
-            np.frombuffer(text, dtype=np.uint8), starts, ends,
-        )
-        assert bad == -1
-        assert [(int(starts[k]) + 1, int(ends[k]) + 1) for k in range(nb)] == via_method
+        for pos in (0, 37):
+            want = ix.factorize(text[pos:])
+            nb = len(want)
+            assert nb > 2
+            for k in (1, 2, nb - 1, nb):
+                assert _factorize(ix.data, ix._sa, text, pos, k) == (want[:k], -1)
+        # a byte absent from R ends the cover at its 0-based position
+        bad = text[:300] + b"x" + text[300:]
+        got = _factorize(ix.data, ix._sa, bad, 37, len(bad))
+        assert got == (ix.factorize(text[37:300]), 300)
 
     def test_blocks_spell_text_and_are_greedy(self):
         rng = random.Random(2)
