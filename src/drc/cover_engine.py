@@ -216,6 +216,11 @@ class CompressedString:
             s, e = blk = self._tree.item(l)
             rest = e - s + 2 - off  # chars from S[i] to the block's end
             parts = cut(blk, off, drop, new)
+            if parts[-1:] == [blk]:
+                # the last part is the block itself (an insert at its start):
+                # it keeps its entry and item, and its boundary with the next
+                # block, known absent from R, stays out of the window
+                parts.pop()
         # carve: split off the part before S[i], then S[i] from the rest,
         # then drop S[i]'s entry or add one for the new character
         m = l

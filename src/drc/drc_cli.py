@@ -307,31 +307,29 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# exit code of each failure class, tried in order: the first row whose
+# types match the exception gives the code
+_EXIT_CODES = (
+    (OSError, 1),
+    (CharNotInReference, 2),
+    (ChecksumMismatch, 3),
+    ((MalformedCoverFile, InvalidBlock), 4),
+    (ScriptError, 5),
+    (OpError, 6),
+    (EmptyReference, 7),
+)
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except OSError as exc:
-        print(f"drc: {exc}", file=sys.stderr)
-        return 1
-    except CharNotInReference as exc:
-        print(f"drc: {exc}", file=sys.stderr)
-        return 2
-    except ChecksumMismatch as exc:
-        print(f"drc: {exc}", file=sys.stderr)
-        return 3
-    except (MalformedCoverFile, InvalidBlock) as exc:
-        print(f"drc: {exc}", file=sys.stderr)
-        return 4
-    except ScriptError as exc:
-        print(f"drc: {exc}", file=sys.stderr)
-        return 5
-    except OpError as exc:
-        print(f"drc: {exc}", file=sys.stderr)
-        return 6
-    except EmptyReference as exc:
-        print(f"drc: {exc}", file=sys.stderr)
-        return 7
+    except (OSError, DrcError) as exc:
+        for types, code in _EXIT_CODES:
+            if isinstance(exc, types):
+                print(f"drc: {exc}", file=sys.stderr)
+                return code
+        raise
 
 
 if __name__ == "__main__":

@@ -14,6 +14,16 @@ past the touched window.
 Strings are addressed by opaque integer handles; split and concatenate
 consume their inputs and hand out fresh handles.  Empty strings are legal
 forest members (their tree is empty).
+
+>>> from drc.ref_index import build_index
+>>> forest = CoverForest(build_index(b"banana"))
+>>> a, b = forest.add(b"ban"), forest.add(b"ana")
+>>> c = forest.concat(a, b)  # handles a and b are consumed
+>>> forest.blocks(c)
+[(1, 6)]
+>>> left, right = forest.split(c, 4)
+>>> forest.decompress(left), forest.decompress(right)
+(b'ban', b'ana')
 """
 
 from __future__ import annotations
@@ -223,9 +233,9 @@ class CoverForest:
 
     # ------------------------------------------------------------------
 
-    def _locate(self, t: _Tree, j: int) -> Tuple[int, int]:
-        """(leaf ordinal, offset inside that leaf) for position j; j one
-        past the end gives one past the last leaf's end."""
+    def _locate(self, t: _Tree, j: int) -> Tuple[int, int, Block]:
+        """(leaf ordinal, offset inside that leaf, its block) for position
+        j; j one past the end gives one past the last leaf's end."""
         ord_ = 1
         while t.blk is None:
             if j <= t.left.nchars:
@@ -234,7 +244,7 @@ class CoverForest:
                 j -= t.left.nchars
                 ord_ += t.left.nleaves
                 t = t.right
-        return ord_, j
+        return ord_, j, t.blk
 
     def _remerge(self, t: _Tree, lo: int, hi: int,
                  edit: Optional[Callable[[List[Block]], None]] = None) -> Optional[_Tree]:
@@ -290,13 +300,17 @@ class CoverForest:
             self._trees[h] = _leaf(new)
             return
         # an append lands one past the end of the last leaf
-        l, off = self._locate(t, j)
-        lo = max(1, l - 1)
+        l, off, blk = self._locate(t, j)
+        parts = cut(blk, off, drop, new)
+        # a neighbor joins the window unless the part next to it is the old
+        # block itself, whose boundary with it is known absent from R
+        lo = l - (l > 1 and parts[:1] != [blk])
+        hi = l + (l < t.nleaves and parts[-1:] != [blk])
 
         def edit(win: List[Block]) -> None:
-            win[l - lo : l - lo + 1] = cut(win[l - lo], off, drop, new)
+            win[l - lo : l - lo + 1] = parts
 
-        self._trees[h] = self._remerge(t, lo, min(t.nleaves, l + 1), edit)
+        self._trees[h] = self._remerge(t, lo, hi, edit)
 
     # ------------------------------------------------------------------
 

@@ -21,12 +21,13 @@ leaves hopping between nodes, borrow/fuse repairs) rebuild the affected
 nodes' PackedSums outright; a rebuild is O(B) and touches at most two nodes
 per level.
 
-Each bottom node also keeps one item per entry, in a plain list beside its
-PackedSums: an opaque payload that rides along with its entry through every
-split, borrow and fuse.  Items are read and written by the uncounted
-accessors ``item``, ``set_item``, ``set_items`` (a run of consecutive
-entries in one walk) and ``items_from``; ``divide`` copies the item into
-both halves, ``merge`` keeps the left one, ``insert`` adds None.
+Every node has one shape: a PackedSums and a list of kids, slot for slot.
+An internal node's kids are its child nodes; a bottom node's kids are its
+entries' items, opaque payloads.  Split, borrow and fuse move each value
+together with its kid, at every level alike.  Items are read and written
+by the uncounted accessors ``item``, ``set_item``, ``set_items`` (a run of
+consecutive entries in one walk) and ``items_from``; ``divide`` copies the
+item into both halves, ``merge`` keeps the left one, ``insert`` adds None.
 
 A bulk build fills every node to about 3B/4, never to B, so the first
 entries added after it land without splitting anything.
@@ -60,23 +61,21 @@ __all__ = ["SumTree"]
 
 
 class _Node:
-    """One tree node.  Bottom nodes (children is None) hold leaf values in
-    ps and their items in items, slot for slot; internal nodes hold child
-    subtree sums in ps, slot for slot, and no items."""
+    """One tree node: entry j of ps is the value of kid j.  A bottom node's
+    kids are its entries' items; an internal node's kids are its child
+    nodes, whose subtree sums its entries hold."""
 
-    __slots__ = ("ps", "children", "nleaves", "items")
+    __slots__ = ("ps", "kids", "bottom", "nleaves")
 
-    def __init__(self, ps: PackedSums, children: Optional[List["_Node"]] = None,
-                 items: Optional[list] = None):
+    def __init__(self, ps: PackedSums, kids: list, bottom: bool):
         self.ps = ps
-        self.children = children
-        self.items = items
-        self.nleaves = len(ps) if children is None else sum(c.nleaves for c in children)
+        self.kids = kids
+        self.bottom = bottom
+        self.recount()
 
-    @property
-    def size(self) -> int:
-        # entries for bottom nodes, child count for internal ones
-        return len(self.ps)
+    def recount(self) -> None:
+        """Recompute the leaf count from the kids."""
+        self.nleaves = len(self.kids) if self.bottom else sum(c.nleaves for c in self.kids)
 
 
 # path element: (node, 1-based child slot taken)
@@ -117,13 +116,13 @@ class SumTree:
 
     def _bulk_build(self, vals: List[int], items: list) -> _Node:
         if not vals:
-            return _Node(PackedSums((), config=self.cfg), items=[])
+            return _Node(PackedSums((), config=self.cfg), [], True)
         cfg = self.cfg
-        nodes = [_Node(PackedSums(chunk, config=cfg), items=its)
+        nodes = [_Node(PackedSums(chunk, config=cfg), its, True)
                  for chunk, its in zip(self._chunk(vals), self._chunk(items))]
         while len(nodes) > 1:
             nodes = [
-                _Node(PackedSums([c.ps.total for c in group], config=cfg), group)
+                _Node(PackedSums([c.ps.total for c in group], config=cfg), group, False)
                 for group in self._chunk(nodes)
             ]
         return nodes[0]
@@ -164,13 +163,8 @@ class SumTree:
         n = self._root.nleaves
         if not 1 <= i <= n:
             raise IndexOutOfRange(f"sum index {i} outside [1, {n}]")
-        node, acc = self._root, 0
-        while node.children is not None:
-            k, i = self._child_for(node, i)
-            if k > 1:
-                acc += node.ps.sum(k - 1)
-            node = node.children[k - 1]
-        return acc + node.ps.sum(i)
+        node, slot, path = self._locate(i)
+        return node.ps.sum(slot) + sum(p.ps.sum(k - 1) for p, k in path if k > 1)
 
     def search(self, t: int) -> int:
         """Smallest i with Y[i] >= t."""
@@ -179,13 +173,13 @@ class SumTree:
         if not 1 <= t <= self.total:
             raise SearchOutOfRange(f"target {t} outside [1, {self.total}]")
         node, base = self._root, 0
-        while node.children is not None:
+        while not node.bottom:
             k = node.ps.search(t)
             if k > 1:
                 t -= node.ps.sum(k - 1)
-                for c in node.children[: k - 1]:
+                for c in node.kids[: k - 1]:
                     base += c.nleaves
-            node = node.children[k - 1]
+            node = node.kids[k - 1]
         return base + node.ps.search(t)
 
     def values(self) -> List[int]:
@@ -193,10 +187,10 @@ class SumTree:
         stack = [self._root]
         while stack:
             node = stack.pop()
-            if node.children is None:
+            if node.bottom:
                 out.extend(node.ps.values())
             else:
-                stack.extend(reversed(node.children))
+                stack.extend(reversed(node.kids))
         return out
 
     def prefix_sums(self) -> List[int]:
@@ -217,12 +211,12 @@ class SumTree:
     def item(self, i: int) -> Any:
         """The item of entry i."""
         node, slot, _ = self._slot(i, self._root.nleaves)
-        return node.items[slot - 1]
+        return node.kids[slot - 1]
 
     def set_item(self, i: int, x: Any) -> None:
         """Make x the item of entry i."""
         node, slot, _ = self._slot(i, self._root.nleaves)
-        node.items[slot - 1] = x
+        node.kids[slot - 1] = x
 
     def set_items(self, i: int, xs: List[Any]) -> None:
         """Make xs[k] the item of entry i + k for every k, in one walk."""
@@ -233,8 +227,8 @@ class SumTree:
             return
         done = 0
         for node, start in self._bottoms(*self._locate(i)):
-            take = min(len(node.items) - start, len(xs) - done)
-            node.items[start : start + take] = xs[done : done + take]
+            take = min(len(node.kids) - start, len(xs) - done)
+            node.kids[start : start + take] = xs[done : done + take]
             done += take
             if done == len(xs):
                 return
@@ -243,7 +237,7 @@ class SumTree:
         """Items of entries i, i+1, ... in order; i may be len + 1.  The
         tree must not change while the walk is running."""
         bottoms = self._bottoms(*self._slot(i, self._root.nleaves + 1))
-        return chain.from_iterable(node.items[start:] for node, start in bottoms)
+        return chain.from_iterable(node.kids[start:] for node, start in bottoms)
 
     @staticmethod
     def _bottoms(node: _Node, slot: int, path: _Path) -> Iterator[Tuple[_Node, int]]:
@@ -252,13 +246,13 @@ class SumTree:
         yield node, slot - 1
         while path:
             parent, k = path.pop()
-            if k == len(parent.children):
+            if k == len(parent.kids):
                 continue
             path.append((parent, k + 1))
-            node = parent.children[k]
-            while node.children is not None:
+            node = parent.kids[k]
+            while not node.bottom:
                 path.append((node, 1))
-                node = node.children[0]
+                node = node.kids[0]
             yield node, 0
 
     # ------------------------------------------------------------------
@@ -269,22 +263,22 @@ class SumTree:
         """(1-based child slot, index local to that child) for leaf i; an i
         past the subtree's end (the append position) goes to the last
         child."""
-        children = node.children
-        for k, child in enumerate(children, 1):
+        kids = node.kids
+        for k, child in enumerate(kids, 1):
             c = child.nleaves
             if i <= c:
                 return k, i
             i -= c
-        return len(children), children[-1].nleaves + i
+        return len(kids), kids[-1].nleaves + i
 
     def _locate(self, i: int) -> Tuple[_Node, int, _Path]:
         """Bottom node holding leaf i, its local slot, and the path down;
         i = nleaves + 1 gives the slot just past the last leaf."""
         node, path = self._root, []
-        while node.children is not None:
+        while not node.bottom:
             k, i = self._child_for(node, i)
             path.append((node, k))
-            node = node.children[k - 1]
+            node = node.kids[k - 1]
         return node, i, path
 
     # ------------------------------------------------------------------
@@ -292,34 +286,26 @@ class SumTree:
 
     def _refresh(self, node: _Node) -> None:
         """Recompute an internal node's sums and leaf count from children."""
-        node.ps = PackedSums([c.ps.total for c in node.children], config=self.cfg)
-        node.nleaves = sum(c.nleaves for c in node.children)
+        node.ps = PackedSums([c.ps.total for c in node.kids], config=self.cfg)
+        node.recount()
 
     def _split_child(self, parent: _Node, k: int) -> None:
         """Split parent's full k-th child (1-based) into two; parent must
         have a free slot."""
-        child = parent.children[k - 1]
+        child = parent.kids[k - 1]
         vals = child.ps.values()
         mid = len(vals) // 2
-        left_sum = sum(vals[:mid])
-        if child.children is None:
-            child.ps = PackedSums(vals[:mid], config=self.cfg)
-            child.nleaves = mid
-            right = _Node(PackedSums(vals[mid:], config=self.cfg), items=child.items[mid:])
-            del child.items[mid:]
-        else:
-            moved = child.children[mid:]
-            child.children = child.children[:mid]
-            child.ps = PackedSums(vals[:mid], config=self.cfg)
-            child.nleaves = sum(c.nleaves for c in child.children)
-            right = _Node(PackedSums(vals[mid:], config=self.cfg), moved)
-        parent.children.insert(k, right)
-        parent.ps.divide(k, left_sum)
+        right = _Node(PackedSums(vals[mid:], config=self.cfg), child.kids[mid:], child.bottom)
+        del child.kids[mid:]
+        child.ps = PackedSums(vals[:mid], config=self.cfg)
+        child.nleaves -= right.nleaves
+        parent.kids.insert(k, right)
+        parent.ps.divide(k, sum(vals[:mid]))
 
     def _grow_root_if_full(self) -> None:
         root = self._root
-        if root.size >= self.cfg.B:
-            new = _Node(PackedSums([root.ps.total], config=self.cfg), [root])
+        if len(root.ps) >= self.cfg.B:
+            new = _Node(PackedSums([root.ps.total], config=self.cfg), [root], False)
             self._root = new
             self._split_child(new, 1)
 
@@ -329,28 +315,28 @@ class SumTree:
         (append position)."""
         self._grow_root_if_full()
         node, path, b = self._root, [], self.cfg.B
-        while node.children is not None:
+        while not node.bottom:
             k, local = self._child_for(node, i)
-            if len(node.children[k - 1].ps) >= b:
+            if len(node.kids[k - 1].ps) >= b:
                 self._split_child(node, k)
                 k, local = self._child_for(node, i)
             path.append((node, k))
-            node, i = node.children[k - 1], local
+            node, i = node.kids[k - 1], local
         return node, i, path
 
     def _repair(self, node: _Node, path: _Path) -> None:
         """Restore minimum-degree invariants after node shrank."""
         bmin = self._bmin
-        while path and node.size < bmin:
+        while path and len(node.kids) < bmin:
             parent, k = path.pop()
             # 0-based sibling indexes; node itself sits at k - 1
             left = k - 2 if k > 1 else None
-            right = k if k < len(parent.children) else None
+            right = k if k < len(parent.kids) else None
             donor = None
-            if left is not None and parent.children[left].size > bmin:
-                donor, take_last = parent.children[left], True
-            elif right is not None and parent.children[right].size > bmin:
-                donor, take_last = parent.children[right], False
+            if left is not None and len(parent.kids[left].kids) > bmin:
+                donor, take_last = parent.kids[left], True
+            elif right is not None and len(parent.kids[right].kids) > bmin:
+                donor, take_last = parent.kids[right], False
             if donor is not None:
                 self._borrow(node, donor, take_last)
                 self._refresh(parent)
@@ -361,42 +347,29 @@ class SumTree:
             self._fuse(parent, lo)
             node = parent
         root = self._root
-        while root.children is not None and len(root.children) == 1:
-            root = root.children[0]
+        while not root.bottom and len(root.kids) == 1:
+            root = root.kids[0]
         self._root = root
 
     def _borrow(self, node: _Node, donor: _Node, take_last: bool) -> None:
-        if node.children is None:
-            nv, dv = node.ps.values(), donor.ps.values()
-            if take_last:
-                nv.insert(0, dv.pop())
-                node.items.insert(0, donor.items.pop())
-            else:
-                nv.append(dv.pop(0))
-                node.items.append(donor.items.pop(0))
-            node.ps = PackedSums(nv, config=self.cfg)
-            donor.ps = PackedSums(dv, config=self.cfg)
-            node.nleaves, donor.nleaves = len(nv), len(dv)
-        else:
-            moved = donor.children.pop(-1 if take_last else 0)
-            if take_last:
-                node.children.insert(0, moved)
-            else:
-                node.children.append(moved)
-            self._refresh(node)
-            self._refresh(donor)
+        """Move donor's last (take_last) or first kid, with its value, to
+        the near end of node."""
+        nv, dv = node.ps.values(), donor.ps.values()
+        src, dst = (-1, 0) if take_last else (0, len(nv))
+        nv.insert(dst, dv.pop(src))
+        node.kids.insert(dst, donor.kids.pop(src))
+        node.ps = PackedSums(nv, config=self.cfg)
+        donor.ps = PackedSums(dv, config=self.cfg)
+        node.recount()
+        donor.recount()
 
     def _fuse(self, parent: _Node, lo: int) -> None:
         """Fuse parent's 0-based children lo and lo+1 into one node."""
-        a, b = parent.children[lo], parent.children[lo + 1]
-        if a.children is None:
-            a.ps = PackedSums(a.ps.values() + b.ps.values(), config=self.cfg)
-            a.items.extend(b.items)
-            a.nleaves = len(a.ps)
-        else:
-            a.children.extend(b.children)
-            self._refresh(a)
-        parent.children.pop(lo + 1)
+        a, b = parent.kids[lo], parent.kids[lo + 1]
+        a.ps = PackedSums(a.ps.values() + b.ps.values(), config=self.cfg)
+        a.kids.extend(b.kids)
+        a.nleaves += b.nleaves
+        parent.kids.pop(lo + 1)
         parent.ps.merge(lo + 1)
 
     # ------------------------------------------------------------------
@@ -420,7 +393,7 @@ class SumTree:
             raise IndexOutOfRange(f"divide index {i} outside [1, {n}]")
         node, slot, path = self._descend_for_growth(i)
         node.ps.divide(slot, t)  # validates the split point
-        node.items.insert(slot, node.items[slot - 1])
+        node.kids.insert(slot, node.kids[slot - 1])
         node.nleaves += 1
         for parent, _ in path:
             parent.nleaves += 1
@@ -431,9 +404,9 @@ class SumTree:
         if not 1 <= i < n:
             raise IndexOutOfRange(f"merge index {i} outside [1, {n - 1}]")
         node, slot, path = self._locate(i)
-        if slot < node.size:
+        if slot < len(node.kids):
             node.ps.merge(slot)
-            del node.items[slot]
+            del node.kids[slot]
             node.nleaves -= 1
             for parent, _ in path:
                 parent.nleaves -= 1
@@ -448,7 +421,7 @@ class SumTree:
         nv2 = node2.ps.values()
         nv2[0] += v1
         node2.ps = PackedSums(nv2, config=self.cfg)
-        node2.items[0] = node.items.pop()
+        node2.kids[0] = node.kids.pop()
         # subtree sums changed by -v1 / +v1 below the fork; counts only on
         # the shrinking side
         fork = 0
@@ -472,7 +445,7 @@ class SumTree:
             raise IndexOutOfRange(f"insert index {i} outside [1, {n + 1}]")
         node, slot, path = self._descend_for_growth(i)
         node.ps.insert(slot, d)
-        node.items.insert(slot - 1, None)
+        node.kids.insert(slot - 1, None)
         node.nleaves += 1
         for parent, k in path:
             parent.nleaves += 1
@@ -489,7 +462,7 @@ class SumTree:
         if v >= 1 << self.cfg.delta:
             raise DeleteTooLarge(f"entry value {v} >= 2**{self.cfg.delta}")
         ps.delete(slot)
-        del node.items[slot - 1]
+        del node.kids[slot - 1]
         node.nleaves -= 1
         for parent, k in path:
             parent.nleaves -= 1
@@ -506,24 +479,22 @@ class SumTree:
 
         def walk(node: _Node, depth: int, is_root: bool) -> int:
             node.ps.validate()
-            if node.children is None:
+            assert len(node.kids) == len(node.ps)
+            if not is_root:
+                assert self._bmin <= len(node.kids) <= self.cfg.B, len(node.kids)
+            if node.bottom:
                 depths.add(depth)
-                assert node.nleaves == len(node.ps) == len(node.items)
-                if not is_root:
-                    assert self._bmin <= node.size <= self.cfg.B, node.size
+                assert node.nleaves == len(node.kids)
                 return node.ps.total
-            assert len(node.children) == len(node.ps)
             if is_root:
-                assert len(node.children) >= 2, "uncollapsed root"
-            else:
-                assert self._bmin <= node.size <= self.cfg.B, node.size
+                assert len(node.kids) >= 2, "uncollapsed root"
             vals = node.ps.values()
             total = 0
-            for j, child in enumerate(node.children):
+            for j, child in enumerate(node.kids):
                 got = walk(child, depth + 1, False)
                 assert got == vals[j], f"stale subtree sum at slot {j + 1}"
                 total += got
-            assert node.nleaves == sum(c.nleaves for c in node.children)
+            assert node.nleaves == sum(c.nleaves for c in node.kids)
             return total
 
         walk(root, 0, True)

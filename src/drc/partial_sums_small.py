@@ -20,6 +20,14 @@ search is one guarded subtraction (SIMD within a register).
 >>> ps.prefix_sums()
 [6, 7, 11, 18]
 
+``divide`` follows one rule.  The new entry i heads a run iff i = 1 or
+its value exceeds the run gap, and the new entry i+1 iff its own value
+does; each new head is anchored at its own prefix sum, the anchor of a
+run that entry i headed is dropped, and the rest of the old run shifts
+onto the anchor of i+1's run.  Every packed field it will write is
+checked before the first write, so an overflow leaves the state as it
+was and the edit falls back to a rebuild.
+
 Anchors drift as edits land between rebuilds, so queries verify their
 answers and fall back to an immediate rebuild when a stale anchor
 misleads them; the structure is rebuilt from scratch every B edits
@@ -191,9 +199,6 @@ class PackedSums:
 
     def rebuild(self) -> None:
         """Repack from scratch: recompute runs, anchors, offsets, counts."""
-        self._full_rebuild()
-
-    def _full_rebuild(self):
         self._load(self.values())
         self.rebuilds += 1
 
@@ -231,7 +236,7 @@ class PackedSums:
             # A stale anchor pushed the answer outside the inspected runs;
             # repacking makes the three-run window argument exact.
             self.search_fallbacks += 1
-            self._full_rebuild()
+            self.rebuild()
             j = self._search(t)
             if j is None:
                 raise AssertionError("search window missed on a fresh packing")
@@ -249,7 +254,8 @@ class PackedSums:
         while True:
             e0 = self._run_end(s0)
             j = self._search_run(s0, e0, reps[r - 1], t)
-            if j is not None and self._sum(j) >= t and self._sum(j - 1) < t:
+            # _search_run only answers a slot whose sum is >= t
+            if j is not None and self._sum(j - 1) < t:
                 return j
             if r >= last:
                 return None
@@ -301,8 +307,6 @@ class PackedSums:
         return (self._u >> (self._F * p)) & self._mask
 
     def _u_set(self, p, raw):
-        if not 0 < raw < self._guard:
-            raise _Overflow
         sh = self._F * p
         self._u = (self._u & ~(self._mask << sh)) | (raw << sh)
 
@@ -342,19 +346,12 @@ class PackedSums:
         self._c = self._c + pattern if d > 0 else self._c - pattern
 
     def _set_bit(self, p, b):
-        if (self._bits >> p) & 1 == b:
-            return
-        if b:
-            self._bits |= 1 << p
-            self._c_range_add(p, self._n - 1, +1)
-        else:
-            self._bits &= ~(1 << p)
-            self._c_range_add(p, self._n - 1, -1)
+        if (self._bits >> p) & 1 != b:
+            self._bits ^= 1 << p
+            self._c_range_add(p, self._n - 1, 1 if b else -1)
 
     def _slot_insert(self, p, raw, start):
         """Insert a slot at p; start=True marks it a run head."""
-        if not 0 < raw < self._guard:
-            raise _Overflow
         F = self._F
         sh = F * p
         low_mask = (1 << sh) - 1
@@ -395,7 +392,7 @@ class PackedSums:
         reps = self._reps
         if (self.ops_since_rebuild >= self.cfg.B
                 or not all(map(lt, reps, islice(reps, 1, None)))):
-            self._full_rebuild()
+            self.rebuild()
 
     def update(self, i: int, d: int) -> None:
         """Z[i] += d; shifts every later prefix sum by d."""
@@ -431,12 +428,10 @@ class PackedSums:
             raise BadSplit(f"split point {t} outside [0, {v}]")
         if self._n >= self.cfg.B:
             raise StructureFull(f"capacity {self.cfg.B} reached")
-        saved = (self._u, self._c, self._bits, self._n, self._reps[:])
         try:
             self._divide_fast(i, t, v, y_i)
         except _Overflow:
-            # the fast path may have written some fields before it overflowed
-            self._u, self._c, self._bits, self._n, self._reps = saved
+            # _divide_fast refuses before it writes: the state is untouched
             vals = self.values()
             vals[i - 1:i] = [t, v - t]
             self._load(vals)
@@ -445,66 +440,29 @@ class PackedSums:
         self._finish()
 
     def _divide_fast(self, i, t, v, y_i):
+        """The one divide rule of the module docstring.  Raises _Overflow,
+        before writing anything, if a field would leave (0, guard)."""
         bias, gap = self._bias, self._gap
         p = i - 1
         q = self._c_field(p)
-        rep_q = self._reps[q - 1]
-        u_raw = self._u_field(p)
-        e0 = self._run_end(p)
+        reps = self._reps
+        rep_q = reps[q - 1]
+        head = (self._bits >> p) & 1
         y_new = y_i - v + t
-        cut_left = i == 1 or t > gap       # head bit the new entry i needs
-        cut_mid = v - t > gap              # head bit the new entry i+1 needs
-        if (self._bits >> p) & 1:
-            if cut_left and cut_mid:
-                self._reps[q - 1] = y_new
-                self._u_set(p, bias)
-                self._reps.insert(q, y_i)
-                self._slot_insert(p + 1, bias, True)
-                self._range_add(p + 2, e0 + 1, rep_q - y_i)
-            elif cut_left:
-                self._reps[q - 1] = y_new
-                self._u_set(p, bias)
-                self._slot_insert(p + 1, y_i - y_new + bias, False)
-                self._range_add(p + 2, e0 + 1, rep_q - y_new)
-            elif cut_mid:
-                # i loses its head bit and joins the previous run; the old
-                # run keeps index q, re-anchored at the new entry i+1.
-                rep_prev = self._reps[q - 2]
-                self._set_bit(p, 0)
-                self._u_set(p, y_new - rep_prev + bias)
-                self._reps[q - 1] = y_i
-                self._slot_insert(p + 1, bias, True)
-                self._range_add(p + 2, e0 + 1, rep_q - y_i)
-            else:
-                # whole old run q folds into run q-1, its anchor disappears
-                rep_prev = self._reps[q - 2]
-                self._set_bit(p, 0)
-                self._u_set(p, y_new - rep_prev + bias)
-                self._reps.pop(q - 1)
-                self._slot_insert(p + 1, y_i - rep_prev + bias, False)
-                self._range_add(p + 2, e0 + 1, rep_q - rep_prev)
-        else:
-            if not cut_left and not cut_mid:
-                self._u_set(p, y_new - rep_q + bias)
-                self._slot_insert(p + 1, u_raw, False)
-            elif cut_left and not cut_mid:
-                self._reps.insert(q, y_new)
-                self._u_set(p, bias)
-                self._set_bit(p, 1)
-                self._slot_insert(p + 1, y_i - y_new + bias, False)
-                self._range_add(p + 2, e0 + 1, rep_q - y_new)
-            elif not cut_left and cut_mid:
-                self._reps.insert(q, y_i)
-                self._u_set(p, y_new - rep_q + bias)
-                self._slot_insert(p + 1, bias, True)
-                self._range_add(p + 2, e0 + 1, rep_q - y_i)
-            else:
-                self._reps.insert(q, y_new)
-                self._reps.insert(q + 1, y_i)
-                self._u_set(p, bias)
-                self._set_bit(p, 1)
-                self._slot_insert(p + 1, bias, True)
-                self._range_add(p + 2, e0 + 1, rep_q - y_i)
+        cut_left = i == 1 or t > gap
+        cut_mid = v - t > gap
+        # a headless entry i stays in run q, or joins run q - 1 if it headed q
+        a_i = y_new if cut_left else reps[q - 1 - head]
+        a_next = y_i if cut_mid else a_i
+        raw_i, raw_next = y_new - a_i + bias, y_i - a_next + bias
+        if not (0 < raw_i < self._guard and 0 < raw_next < self._guard):
+            raise _Overflow
+        # the first write, which refuses before it writes; the rest fit
+        self._range_add(p + 1, self._run_end(p), rep_q - a_next)
+        reps[q - head:q] = [y_new] * cut_left + [y_i] * cut_mid
+        self._u_set(p, raw_i)
+        self._set_bit(p, cut_left)
+        self._slot_insert(p + 1, raw_next, cut_mid)
 
     def merge(self, i: int) -> None:
         """Fuse entries i and i+1 into one entry of their summed value."""

@@ -16,7 +16,7 @@ from drc.oracles import (
     naive_greedy_cover,
     naive_maximality_check,
 )
-from drc.ref_index import build_index
+from drc.ref_index import RefIndex, build_index
 
 BANANA = build_index(b"banana")
 
@@ -311,6 +311,26 @@ def test_edit_shapes_pin_sumtree_ops(verb, i, ch, ops):
     else:
         expected = src[: i - 1] + src[i:]
     assert_coherent(cs, expected)
+
+
+@pytest.mark.parametrize("i, queries", [
+    (4, 2),   # block start: (uvw, z) and (z, abcde); (abcde, k) is unchanged
+    (13, 1),  # append: (pqr, z); (k, pqr) is unchanged
+])
+def test_edit_window_skips_unchanged_boundaries(monkeypatch, i, queries):
+    src = b"uvwabcdekpqr"
+    cs = compress(ALPHABET, src)
+    cs.insert(i, ord("z"))
+    assert cs.last_concat_calls == queries
+    forest = CoverForest(ALPHABET)
+    h = forest.add(src)
+    calls = []
+    real = RefIndex.substring_concat
+    monkeypatch.setattr(RefIndex, "substring_concat",
+                        lambda self, a, b: calls.append((a, b)) or real(self, a, b))
+    forest.insert(h, i, ord("z"))
+    assert len(calls) == queries
+    assert forest.blocks(h) == cs.blocks()
 
 
 def test_bytes_outside_0_255_are_not_in_the_reference():

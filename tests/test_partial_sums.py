@@ -26,7 +26,7 @@ def _nodes(t):
     while stack:
         node = stack.pop()
         yield node
-        stack.extend(node.children or ())
+        stack.extend(() if node.bottom else node.kids)
 
 
 class TestBasics:

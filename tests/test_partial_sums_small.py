@@ -168,13 +168,32 @@ class TestEdits:
         assert ps.prefix_sums() == [s for s in sums if s != 5] or sums[0] == sums[1]
 
     def test_divide_then_merge_is_identity(self):
-        for i in (1, 2, 3):
-            for t in (0, 1, 4):
-                ps = PackedSums([4, 6, 5])
-                ps.divide(i, t)
-                ps.merge(i)
-                assert ps.values() == [4, 6, 5]
-                ps.validate()
+        # run gap 64, with t and v - t on either side of it: the inputs reach
+        # every (entry i heads a run, new i heads one, new i+1 heads one) case
+        def fresh(vals, merges):
+            ps, oracle = PackedSums(vals), NaivePartialSums(vals)
+            for k in merges:
+                ps.merge(k)
+                oracle.merge(k)
+            return ps, oracle
+
+        for vals, merges in [
+            ([4, 6, 5], ()),
+            ([4, 6, 5, 100, 150], ()),     # entries 4 and 5 head runs of their own
+            ([4, 50, 50, 50, 6], (2, 2)),  # entry 2 grows to 150 and stays mid-run
+        ]:
+            for i in range(1, len(vals) - len(merges) + 1):
+                v = fresh(vals, merges)[1].values()[i - 1]
+                for t in sorted({0, 1, 4, v // 2, 70, v - 70, v} & set(range(v + 1))):
+                    ps, oracle = fresh(vals, merges)
+                    before = oracle.values()
+                    ps.divide(i, t)
+                    oracle.divide(i, t)
+                    ps.validate()
+                    assert ps.prefix_sums() == oracle.prefix_sums()
+                    ps.merge(i)
+                    ps.validate()
+                    assert ps.values() == before
 
     def test_insert_before_single_entry(self):
         ps = PackedSums([5])
