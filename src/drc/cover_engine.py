@@ -13,16 +13,16 @@ edits work directly on this form:
   that holds the position into the part before it, the new character and
   the part after it; ``CompressedString._edit`` carves the block's length
   entry to match and writes the parts;
-* maximality is then restored inside the at-most-5-block window by
-  querying the reference index for adjacent-pair concatenations until a
-  fixpoint (:func:`restore_maximal`).  Both helpers are shared with the
+* maximality is then restored inside the at-most-5-block window by one
+  forward scan of adjacent-pair concatenation queries
+  (:func:`restore_maximal`).  Both helpers are shared with the
   multi-string forest.
 
 A boundary whose concatenation is absent from R can never become present
 by merging its neighbors (merging only extends the string being sought),
-so the fixpoint loop touches each window boundary O(1) times; per edit it
-issues at most 8 concatenation queries and 10 SumTree operations.  Both
-counts are instrumented.
+so the scan asks each window boundary once: per edit ``len(window) - 1``
+concatenation queries, at most 4, and at most 10 SumTree operations.
+Both counts are instrumented.
 """
 
 from __future__ import annotations
@@ -71,31 +71,35 @@ def restore_maximal(
     """Merge adjacent pairs of a block window, in place, while their
     concatenation occurs in R, and return the window.
 
-    Every boundary starts dirty and the lowest dirty one is queried first.
-    ``concat`` answers one concatenation query; ``merged(k, blk)`` is told
-    each merge of window slots k and k + 1 (0-based) into ``blk``.
+    One forward scan: a hit merges slots k and k + 1 and asks boundary k
+    again; a miss moves on.  The boundary before a merge is not asked
+    again, since its new pair extends one found absent, so a call asks
+    ``len(win) - 1`` queries.  ``concat`` answers one; ``merged(k, blk)``
+    is told each merge of slots k and k + 1 (0-based) into ``blk``.
+
+    >>> R = b"abcdefghijklmnopqrstuvwxyz"
+    >>> asked = []
+    >>> def concat(x, y):  # blocks are 1-based inclusive intervals of R
+    ...     asked.append(R[x[0] - 1 : x[1]] + R[y[0] - 1 : y[1]])
+    ...     return R.find(asked[-1]) + 1 or None
+    >>> restore_maximal([(21, 23), (1, 3), (4, 5)], concat)
+    [(21, 23), (1, 5)]
+    >>> asked
+    [b'uvwabc', b'abcde']
     """
-    dirty = [True] * (len(win) - 1)
-    while True:
-        try:
-            k = dirty.index(True)
-        except ValueError:
-            return win
-        dirty[k] = False
+    k = 0
+    while k < len(win) - 1:
         pos = concat(win[k], win[k + 1])
         if pos is None:
+            k += 1
             continue
         s1, e1 = win[k]
         s2, e2 = win[k + 1]
         win[k] = (pos, pos + (e1 - s1) + (e2 - s2) + 1)
         del win[k + 1]
-        del dirty[k]
         if merged is not None:
             merged(k, win[k])
-        if k > 0:
-            dirty[k - 1] = True
-        if k < len(dirty):
-            dirty[k] = True
+    return win
 
 
 class CompressedString:

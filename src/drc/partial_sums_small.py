@@ -6,10 +6,11 @@ Maintains nonnegative entries Z[1..n], n <= B, under prefix-sum queries
 outright, consecutive sums are grouped into *runs*: a new run starts
 wherever one entry exceeds the run gap, each run is anchored by a
 representative value, and every sum is kept as a small offset from its
-run's anchor.  The offsets, the run-head bitstring, and the per-entry
-run counts are bit fields packed into Python ints sized like machine
-words, so a whole-suffix shift is one multiply-add and an intra-run
-search is one guarded subtraction (SIMD within a register).
+run's anchor.  The offsets are bit fields packed into a Python int sized
+like a machine word, so a whole-suffix shift is one multiply-add and an
+intra-run search is one guarded subtraction (SIMD within a register).
+Each run is one head bit: a slot's run is the popcount of the head bits
+at or below it, and a run's head slot is a select over them.
 
 >>> ps = PackedSums([5, 1, 4, 7])
 >>> ps.sum(4)
@@ -39,8 +40,8 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import islice
-from operator import lt
+from itertools import accumulate, islice
+from operator import le, lt
 
 from .errors import (
     BadConfig,
@@ -56,9 +57,7 @@ from .errors import (
 
 @lru_cache(maxsize=None)
 def _ones(field_bits: int, m: int) -> int:
-    """Int holding m fields of width field_bits, each with value 1."""
-    if m <= 0:
-        return 0
+    """Int holding m >= 0 fields of width field_bits, each with value 1."""
     return ((1 << (field_bits * m)) - 1) // ((1 << field_bits) - 1)
 
 
@@ -70,8 +69,6 @@ def _first_ge(word: int, nfields: int, tau: int, field_bits: int):
     subtracting tau from every field in one word-wide subtraction
     leaves field i's guard bit set exactly when field i >= tau.
     """
-    if nfields <= 0:
-        return None
     ones = _ones(field_bits, nfields)
     guards = ones << (field_bits - 1)
     z = ((word | guards) - tau * ones) & guards
@@ -158,7 +155,7 @@ class PackedSums:
     """
 
     __slots__ = ("cfg", "_F", "_mask", "_bias", "_guard", "_gap",
-                 "_n", "_reps", "_u", "_bits", "_c",
+                 "_n", "_reps", "_u", "_bits",
                  "ops_since_rebuild", "rebuilds", "search_fallbacks")
 
     def __init__(self, values=(), *, config: PsConfig | None = None):
@@ -183,22 +180,20 @@ class PackedSums:
         F, bias, gap = self._F, self._bias, self._gap
         self._n = len(vals)
         self._reps = []
-        u = bits = c = 0
-        y = rep = run = 0
+        u = bits = 0
+        y = rep = 0
         for p, z in enumerate(vals):
             y += z
             if p == 0 or z > gap:
-                run += 1
                 rep = y
                 self._reps.append(y)
                 bits |= 1 << p
             u |= (y - rep + bias) << (F * p)
-            c |= run << (F * p)
-        self._u, self._bits, self._c = u, bits, c
+        self._u, self._bits = u, bits
         self.ops_since_rebuild = 0
 
     def rebuild(self) -> None:
-        """Repack from scratch: recompute runs, anchors, offsets, counts."""
+        """Repack from scratch: recompute runs, anchors and offsets."""
         self._load(self.values())
         self.rebuilds += 1
 
@@ -223,9 +218,9 @@ class PackedSums:
     def _sum(self, i: int) -> int:
         if i == 0:
             return 0
-        p = (i - 1) * self._F
-        mask = self._mask
-        return self._reps[((self._c >> p) & mask) - 1] + ((self._u >> p) & mask) - self._bias
+        p = i - 1
+        return (self._reps[self._run(p) - 1]
+                + ((self._u >> (self._F * p)) & self._mask) - self._bias)
 
     def search(self, t: int) -> int:
         """Smallest i with sum(i) >= t, for 1 <= t <= total."""
@@ -245,12 +240,12 @@ class PackedSums:
     def _search(self, t: int):
         # Candidate runs: the one holding the successor anchor of t plus
         # its two neighbors.  Answers are verified before being trusted.
-        # One packed scan finds the first candidate's head slot; each later
-        # run starts at the next head bit.
+        # A select over the head bits finds the first candidate's head
+        # slot; each later run starts at the next head bit.
         reps = self._reps
         r0 = bisect_left(reps, t)
         r, last = max(1, r0), min(len(reps), r0 + 2)
-        s0 = _first_ge(self._c, self._n, r, self._F)
+        s0 = self._head(r)
         while True:
             e0 = self._run_end(s0)
             j = self._search_run(s0, e0, reps[r - 1], t)
@@ -281,9 +276,9 @@ class PackedSums:
         return [y - x for x, y in zip([0] + ys, ys)]
 
     def prefix_sums(self) -> list:
-        F, mask, bias, reps, u, c = self._F, self._mask, self._bias, self._reps, self._u, self._c
-        return [reps[((c >> p) & mask) - 1] + ((u >> p) & mask) - bias
-                for p in range(0, F * self._n, F)]
+        F, mask, bias, reps, u = self._F, self._mask, self._bias, self._reps, self._u
+        return [reps[r - 1] + ((u >> p) & mask) - bias
+                for p, r in zip(range(0, F * self._n, F), accumulate(self.run_flags))]
 
     @property
     def representatives(self) -> list:
@@ -299,7 +294,25 @@ class PackedSums:
 
     @property
     def run_prefix_counts(self) -> list:
-        return [self._c_field(p) for p in range(self._n)]
+        return [self._run(p) for p in range(self._n)]
+
+    # ------------------------------------------------------------------- runs
+
+    def _run(self, p):
+        """Run (1-based) of slot p: the head bits at or below p."""
+        return (self._bits & ((2 << p) - 1)).bit_count()
+
+    def _head(self, r):
+        """Head slot of run r: the lowest head bit once r - 1 are cleared."""
+        bits = self._bits
+        for _ in range(r - 1):
+            bits &= bits - 1
+        return (bits & -bits).bit_length() - 1
+
+    def _run_end(self, p):
+        """Last slot of the run holding slot p: before the next head bit."""
+        later = self._bits >> (p + 1)
+        return self._n - 1 if not later else p + (later & -later).bit_length() - 1
 
     # ---------------------------------------------------- packed word surgery
 
@@ -335,52 +348,21 @@ class PackedSums:
             u -= -d * pattern
         self._u = u
 
-    def _c_field(self, p):
-        return (self._c >> (self._F * p)) & self._mask
-
-    def _c_range_add(self, lo, hi, d):
-        if lo > hi:
-            return
-        F = self._F
-        pattern = _ones(F, hi - lo + 1) << (F * lo)
-        self._c = self._c + pattern if d > 0 else self._c - pattern
-
-    def _set_bit(self, p, b):
-        if (self._bits >> p) & 1 != b:
-            self._bits ^= 1 << p
-            self._c_range_add(p, self._n - 1, 1 if b else -1)
-
-    def _slot_insert(self, p, raw, start):
-        """Insert a slot at p; start=True marks it a run head."""
-        F = self._F
-        sh = F * p
-        low_mask = (1 << sh) - 1
-        self._u = (self._u & low_mask) | (raw << sh) | ((self._u >> sh) << (sh + F))
-        cprev = self._c_field(p - 1) if p else 0
-        self._c = (self._c & low_mask) | (cprev << sh) | ((self._c >> sh) << (sh + F))
-        bit_low = self._bits & ((1 << p) - 1)
-        self._bits = bit_low | ((self._bits >> p) << (p + 1))
+    def _slot_insert(self, p, raw, head):
+        """Insert slot p: offset field raw, and a head bit iff head."""
+        sh = self._F * p
+        u, bits = self._u, self._bits
+        self._u = (u & ((1 << sh) - 1)) | (raw << sh) | ((u >> sh) << (sh + self._F))
+        self._bits = (bits & ((1 << p) - 1)) | (head << p) | ((bits >> p) << (p + 1))
         self._n += 1
-        if start:
-            self._set_bit(p, 1)
 
     def _slot_remove(self, p):
-        if (self._bits >> p) & 1:
-            self._set_bit(p, 0)
-        F = self._F
-        sh = F * p
-        low_mask = (1 << sh) - 1
-        self._u = (self._u & low_mask) | ((self._u >> (sh + F)) << sh)
-        self._c = (self._c & low_mask) | ((self._c >> (sh + F)) << sh)
-        bit_low = self._bits & ((1 << p) - 1)
-        self._bits = bit_low | ((self._bits >> (p + 1)) << p)
+        """Drop slot p: its offset field and its head bit."""
+        sh = self._F * p
+        u, bits = self._u, self._bits
+        self._u = (u & ((1 << sh) - 1)) | ((u >> (sh + self._F)) << sh)
+        self._bits = (bits & ((1 << p) - 1)) | ((bits >> (p + 1)) << p)
         self._n -= 1
-
-    def _run_end(self, p):
-        """Last slot of the run that holds slot p: just before the next
-        head bit."""
-        later = self._bits >> (p + 1)
-        return self._n - 1 if not later else p + (later & -later).bit_length() - 1
 
     # --------------------------------------------------------------- mutators
 
@@ -412,7 +394,7 @@ class PackedSums:
             self._load(vals)
             self.rebuilds += 1
             return
-        q = self._c_field(p)
+        q = self._run(p)
         reps = self._reps
         for k in range(q, len(reps)):
             reps[k] += d
@@ -444,7 +426,7 @@ class PackedSums:
         before writing anything, if a field would leave (0, guard)."""
         bias, gap = self._bias, self._gap
         p = i - 1
-        q = self._c_field(p)
+        q = self._run(p)
         reps = self._reps
         rep_q = reps[q - 1]
         head = (self._bits >> p) & 1
@@ -461,7 +443,7 @@ class PackedSums:
         self._range_add(p + 1, self._run_end(p), rep_q - a_next)
         reps[q - head:q] = [y_new] * cut_left + [y_i] * cut_mid
         self._u_set(p, raw_i)
-        self._set_bit(p, cut_left)
+        self._bits ^= (head ^ cut_left) << p
         self._slot_insert(p + 1, raw_next, cut_mid)
 
     def merge(self, i: int) -> None:
@@ -473,8 +455,7 @@ class PackedSums:
         b2 = (self._bits >> (p + 1)) & 1
         if b1 and b2:
             # i was a singleton run; the merged entry inherits i+1's head
-            q = self._c_field(p)
-            self._reps.pop(q - 1)
+            self._reps.pop(self._run(p) - 1)
             self._slot_remove(p)
         elif b1:
             # keep i's head bit, adopt i+1's offset (same anchor, Y[i+1])
@@ -525,24 +506,15 @@ class PackedSums:
 
     def validate(self) -> None:
         """Full structural self-check; raises AssertionError on any breach."""
-        n = self._n
-        cfg = self.cfg
+        n, cfg, reps = self._n, self.cfg, self._reps
         assert self._u >> (cfg.F * n) == 0, "stray offset bits past count"
-        assert self._c >> (cfg.F * n) == 0, "stray count bits past count"
         assert self._bits >> n == 0, "stray head bits past count"
-        assert len(self._reps) == bin(self._bits).count("1"), "anchor/head mismatch"
+        assert len(reps) == self._bits.bit_count(), "anchor/head mismatch"
         if n:
             assert self._bits & 1, "first entry must head a run"
-        heads = 0
         for p in range(n):
-            heads += (self._bits >> p) & 1
-            assert self._c_field(p) == heads, f"run count wrong at slot {p}"
             assert 0 < self._u_field(p) < cfg.guard, f"offset field {p} out of range"
-        for k in range(len(self._reps) - 1):
-            assert self._reps[k] < self._reps[k + 1], "anchors not increasing"
-        prev = 0
-        for i in range(1, n + 1):
-            y = self._sum(i)
-            assert y >= prev, "prefix sums must be nondecreasing"
-            prev = y
+        assert all(map(lt, reps, islice(reps, 1, None))), "anchors not increasing"
+        ys = [self._sum(i) for i in range(n + 1)]
+        assert all(map(le, ys, islice(ys, 1, None))), "prefix sums must be nondecreasing"
         assert self.ops_since_rebuild < cfg.B, "rebuild counter overdue"

@@ -312,7 +312,7 @@ class _Tree:
     __slots__ = (
         "idx", "n", "l", "r", "depth", "parent",
         "child_off", "child_ids", "child_chars",
-        "top_of", "path_pos", "path_off", "path_nodes", "path_bottom",
+        "top_of", "path_pos", "path_off", "path_nodes",
         "du_off", "du_flat",
     )
 
@@ -390,10 +390,8 @@ class _Tree:
             path_nodes.append(u)
         self.path_nodes = nodes = np.array(path_nodes, dtype=np.int32)
         del down, path_nodes
-        bottoms = np.flatnonzero(nodes < n)  # each path ends at its one leaf
-        self.path_bottom = nodes[bottoms]
         self.path_off = off = np.zeros(len(tops) + 1, dtype=np.int32)
-        off[1:] = bottoms + 1
+        off[1:] = np.flatnonzero(nodes < n) + 1  # each path ends at its one leaf
         lengths = np.diff(off)
         self.top_of = np.empty(total, dtype=np.int32)
         self.top_of[nodes] = np.repeat(np.arange(len(tops), dtype=np.int32), lengths)
@@ -464,7 +462,8 @@ class _Tree:
 
         v0 = self.locus(x0, lx)
         t = self.top_of[v0]
-        sb = sa[self.path_bottom[t]]
+        off, nodes = self.path_off, self.path_nodes
+        sb = sa[nodes[off[t + 1] - 1]]  # the leaf that ends v0's path
 
         ext = sb + lx
         f = min(idx._lce0(ext, y0), ly) if ext < n else 0
@@ -473,7 +472,6 @@ class _Tree:
 
         # y diverges from the heavy path at string depth D
         big_d = lx + f
-        off, nodes = self.path_off, self.path_nodes
         lo = off[t] + self.path_pos[v0]
         q = nodes[bisect_left(nodes, big_d, lo, off[t + 1], key=depth.__getitem__)]
         if depth[q] > big_d or q < n:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from drc.cover_engine import CompressedString, compress
+from drc.cover_engine import CompressedString, compress, restore_maximal
 from drc.errors import CharNotInReference, IndexOutOfRange, InvalidBlock
 from drc.multi_cover import CoverForest
 from drc.oracles import (
@@ -20,7 +20,7 @@ from drc.ref_index import RefIndex, build_index
 
 BANANA = build_index(b"banana")
 
-CONCAT_BUDGET = 8
+CONCAT_BUDGET = 4  # len(window) - 1 for a window of at most 5 blocks
 ST_BUDGET = 10
 
 
@@ -331,6 +331,39 @@ def test_edit_window_skips_unchanged_boundaries(monkeypatch, i, queries):
     forest.insert(h, i, ord("z"))
     assert len(calls) == queries
     assert forest.blocks(h) == cs.blocks()
+
+
+def test_restore_maximal_skips_the_boundary_before_a_merge():
+    # (uvw, abc) is absent; after abc + de merges, the pair (uvw, abcde)
+    # extends that absent pair, so it is not asked again
+    calls, merges = [], []
+
+    def concat(a, b):
+        calls.append((a, b))
+        return ALPHABET.substring_concat(a, b)
+
+    win = restore_maximal([(21, 23), (1, 3), (4, 5)], concat,
+                          lambda k, blk: merges.append((k, blk)))
+    assert win == [(21, 23), (1, 5)]
+    assert merges == [(1, (1, 5))]
+    assert calls == [((21, 23), (1, 3)), ((1, 3), (4, 5))]
+
+
+def test_restore_maximal_asks_each_boundary_once():
+    rng = random.Random(3)
+    for _ in range(300):
+        ref = bytes(rng.choice(b"ab") for _ in range(rng.randrange(2, 12)))
+        idx = build_index(ref)
+        win = []
+        for _ in range(rng.randrange(1, 6)):
+            s = rng.randrange(1, len(ref) + 1)
+            win.append((s, rng.randrange(s, min(len(ref), s + 2) + 1)))
+        text = naive_decompress(ref, win)
+        calls = []
+        out = restore_maximal(list(win), lambda a, b: calls.append(1) or idx.substring_concat(a, b))
+        assert len(calls) == len(win) - 1
+        assert naive_decompress(ref, out) == text
+        assert naive_maximality_check(ref, out)
 
 
 def test_bytes_outside_0_255_are_not_in_the_reference():

@@ -1,6 +1,7 @@
 """Unit and property tests for the word-packed partial-sums structure."""
 
 import random
+from itertools import accumulate
 
 import pytest
 from hypothesis import given, strategies as st
@@ -405,6 +406,31 @@ CONFIGS = [
     PsConfig(w=64, delta=1, B=4, F=32),
     PsConfig(w=64, delta=8, B=4, F=16),
 ]
+
+
+@pytest.mark.parametrize("cfg", CONFIGS + [TestOverflowRollback.CFG])
+def test_runs_derived_from_head_bits(cfg):
+    """A slot's run is a popcount and a run's head a select over the head
+    bits; both must match the flags after every op of a random storm."""
+    rng = random.Random(cfg.B * 100 + cfg.F)
+    ps = oracle = None
+    for step in range(3000):
+        if step % 60 == 0:
+            # fresh mixed values keep several runs alive
+            vals = [rng.choice((rng.randrange(4), rng.randrange(1 << 30)))
+                    for _ in range(rng.randrange(cfg.B + 1))]
+            ps = PackedSums(vals, config=cfg)
+            oracle = NaivePartialSums(vals, capacity=cfg.B, delta=cfg.delta)
+        op = resolve_op(rng.choice(OP_KINDS), rng.randrange(1 << 30),
+                        rng.randrange(1 << 30), oracle.values(),
+                        capacity=cfg.B, delta=cfg.delta)
+        if op is not None:
+            assert apply_op(ps, op) == apply_op(oracle, op)
+        flags = ps.run_flags
+        assert ps.run_prefix_counts == list(accumulate(flags))
+        heads = [p for p, f in enumerate(flags) if f]
+        assert [ps._head(r) for r in range(1, len(heads) + 1)] == heads
+        assert ps.values() == oracle.values()
 
 
 @given(
