@@ -236,14 +236,20 @@ def _cmd_decompress(args: argparse.Namespace) -> int:
     return 0
 
 
+def _check_maximal(blocks: List[Tuple[int, int]], concat) -> None:
+    """``concat(x, y)``: a 1-based start of R[x]·R[y] in R, falsy if none."""
+    for x, y in zip(blocks, blocks[1:]):
+        if concat(x, y):
+            raise MalformedCoverFile(
+                f"cover not maximal: blocks ({x[0]},{x[1]}) and ({y[0]},{y[1]}) concatenate in R")
+
+
 def _cmd_verify(args: argparse.Namespace) -> int:
     ref = _read(args.ref)
     r, checksum, blocks = decode_cover(_read(args.infile))
     _check_reference(ref, r, checksum)
-    for (s1, e1), (s2, e2) in zip(blocks, blocks[1:]):
-        if ref.find(ref[s1 - 1 : e1] + ref[s2 - 1 : e2]) != -1:
-            raise MalformedCoverFile(
-                f"cover not maximal: blocks ({s1},{e1}) and ({s2},{e2}) concatenate in R")
+    # a plain scan, so verify builds no index
+    _check_maximal(blocks, lambda x, y: ref.find(ref[x[0] - 1 : x[1]] + ref[y[0] - 1 : y[1]]) + 1)
     print(f"ok n={len(blocks)} N={sum(e - s + 1 for s, e in blocks)}")
     return 0
 
@@ -254,6 +260,7 @@ def _cmd_edit(args: argparse.Namespace) -> int:
     r, checksum, blocks = decode_cover(_read(args.infile))
     _check_reference(ref, r, checksum)
     idx = build_index(ref)
+    _check_maximal(blocks, idx.substring_concat)  # edits keep a cover maximal, not make it so
     cs = CompressedString(idx, blocks)
     for op in ops:
         verb, i, lineno = op[0], op[1], op[-1]

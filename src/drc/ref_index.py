@@ -9,21 +9,23 @@ Answers four kinds of queries for the compression layers above:
   where the concatenation R[x]·R[y] occurs in R, or None.
 * ``occurrence(byte)``: some position of a single byte.
 
-The index is a suffix array with inverse and LCP arrays, a sparse-table
-range-minimum structure for constant-time LCE, and (built lazily, since
-only ``substring_concat`` needs it) a suffix tree from one bottom-up sweep
-over the LCP array (Abouelhoda-Kurtz-Ohlebusch), decomposed into heavy
-paths.  For every internal node u that starts a heavy path we store the
-sorted ranks of the suffixes in u's interval advanced by depth(u);
-concatenation queries reduce to one descent, two LCE probes and one binary
-search over such a rank set.  A descent is a bottom-up ``locus`` walk: from
-the leaf of an occurrence up one heavy path at a time, stopping at the
-first path whose top is too shallow, so a substring that occurs once (the
-common case for long blocks) is found on its leaf's own path.  Queries
-read the int32 arrays through memoryviews over the same buffers and
-return plain ints.  So does the one factorization kernel, a plain Python
-loop that narrows an SA interval by two binary searches per matched byte,
-reading R's bytes and the SA memoryview directly.
+The index is a suffix array with inverse and LCP arrays, all three from
+one numpy prefix-doubling pass (Manber-Myers) whose kept ranks give the
+LCP by binary lifting; then, built lazily since only edits need them, a
+sparse-table range-minimum structure for constant-time LCE and a suffix
+tree from one bottom-up sweep over the LCP array
+(Abouelhoda-Kurtz-Ohlebusch), decomposed into heavy paths.  For every
+internal node u that starts a heavy path we store the sorted ranks of
+the suffixes in u's interval advanced by depth(u); concatenation queries
+reduce to one descent, two LCE probes and one binary search over such a
+rank set.  A descent is a bottom-up ``locus`` walk: from the leaf of an
+occurrence up one heavy path at a time, stopping at the first path whose
+top is too shallow, so a substring that occurs once (the common case for
+long blocks) is found on its leaf's own path.  Queries read the int32
+arrays through memoryviews over the same buffers and return plain ints.
+So does the one factorization kernel, a plain Python loop that narrows
+an SA interval by two binary searches per matched byte, reading R's
+bytes and the SA memoryview directly.
 
 >>> ix = build_index(b"banana")
 >>> ix.factorize(b"bananaban")
@@ -51,50 +53,44 @@ __all__ = ["RefIndex", "build_index"]
 
 
 # ----------------------------------------------------------------------
-# suffix array construction (prefix doubling on numpy lexsort)
+# suffix, inverse suffix and LCP arrays (prefix doubling on one numpy key)
 
-def _suffix_array(data: np.ndarray) -> np.ndarray:
-    """SA of ``data`` (uint8), 0-based. A shorter suffix sorts before any
-    longer suffix it prefixes, i.e. the usual sentinel order without a
-    sentinel."""
-    n = len(data)
-    rank = data.astype(np.int64)
-    k = 1
-    order = np.argsort(rank, kind="stable")
-    while True:
-        key2 = np.full(n, -1, dtype=np.int64)
-        key2[: n - k] = rank[k:]
-        order = np.lexsort((key2, rank))
-        ro, ko = rank[order], key2[order]
-        bump = np.empty(n, dtype=np.int64)
-        bump[0] = 0
-        if n > 1:
-            bump[1:] = np.cumsum((ro[1:] != ro[:-1]) | (ko[1:] != ko[:-1]))
-        new_rank = np.empty(n, dtype=np.int64)
-        new_rank[order] = bump
-        rank = new_rank
-        if bump[-1] == n - 1:
-            return order.astype(np.int32)
-        k *= 2
+def _sa_isa_lcp(codes: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """SA, ISA and LCP (int32, 0-based) of a string given as the dense
+    ranks of its bytes.  A shorter suffix sorts before any longer suffix
+    it prefixes, i.e. the usual sentinel order without a sentinel.
 
-
-def _kasai(data: bytes, sa: np.ndarray, isa: np.ndarray) -> np.ndarray:
-    """lcp[j] = length of common prefix of suffixes SA[j-1], SA[j]."""
-    n = len(data)
-    lcp = np.zeros(n, dtype=np.int32)
-    h = 0
-    for i in range(n):
-        j = isa[i]
-        if j > 0:
-            k = sa[j - 1]
-            while i + h < n and k + h < n and data[i + h] == data[k + h]:
-                h += 1
-            lcp[j] = h
-            if h:
-                h -= 1
-        else:
-            h = 0
-    return lcp
+    Each round sorts the suffixes by twice as many leading bytes on the
+    one key ``rank * (n + 1) + next_rank + 1`` (0 past the end) and keeps
+    the ranks; the last round's are all distinct, so they are the ISA.
+    ``lcp[j]``, the common prefix of suffixes SA[j-1] and SA[j], comes
+    from the kept ranks, top level first: add 2^k where the next 2^k bytes
+    of both suffixes agree.  Equal ranks at two positions mean both hold
+    2^k real bytes, so a rank of -1 one past the end bounds the lifting."""
+    n = len(codes)
+    rank = np.empty(n + 1, dtype=np.int32)
+    rank[:n], rank[n] = codes, -1
+    ranks, top, k = [rank], int(rank.max()), 1
+    order = np.argsort(codes) if top == n - 1 else None  # only when n <= 256
+    while top < n - 1:
+        key = rank[:n].astype(np.int64) * (n + 1)
+        key[: n - k] += rank[k:n] + 1
+        order = np.argsort(key, kind="stable")
+        key = key[order]
+        bump = np.zeros(n, dtype=np.int32)
+        np.cumsum(key[1:] != key[:-1], out=bump[1:])
+        del key
+        rank = np.empty(n + 1, dtype=np.int32)
+        rank[order], rank[n] = bump, -1
+        ranks.append(rank)
+        top, k = int(bump[-1]), 2 * k
+    sa, lcp = order.astype(np.int32), np.zeros(n, dtype=np.int32)
+    a, b, h = sa[:-1], sa[1:], lcp[1:]
+    del ranks[-1]  # distinct: no two suffixes agree on that many bytes
+    while ranks:
+        rk = ranks.pop()  # freed once used
+        h += (rk[a + h] == rk[b + h]) * np.int32(1 << len(ranks))
+    return sa, rank[:n], lcp
 
 
 class _Rmq:
@@ -179,19 +175,17 @@ class RefIndex:
         self.data = bytes(data)
         self.r = len(data)
         self._np_data = np.frombuffer(self.data, dtype=np.uint8)
-        sa = _suffix_array(self._np_data)
-        isa = np.empty(self.r, dtype=np.int32)
-        isa[sa] = np.arange(self.r, dtype=np.int32)
+        bytes_seen, first_at, codes = np.unique(
+            self._np_data, return_index=True, return_inverse=True)
+        occ = np.zeros(256, dtype=np.int64)
+        occ[bytes_seen] = first_at + 1
+        self._occ = occ.tolist()
+        sa, isa, self._lcp = _sa_isa_lcp(codes)
         # queries read single entries: through a memoryview over the same
         # buffer each read is a plain int, about 5x cheaper than numpy's
         self._sa, self._isa = memoryview(sa), memoryview(isa)
-        occ = np.zeros(256, dtype=np.int64)
-        bytes_seen, first_at = np.unique(self._np_data, return_index=True)
-        occ[bytes_seen] = first_at + 1
-        self._occ = occ.tolist()
-        # common-extension machinery and the concatenation tree are only
-        # needed for edits; plain compression must not pay for them
-        self._lcp = None
+        # the RMQ and the concatenation tree are only needed for edits;
+        # plain compression must not pay for them
         self._rmq = None
         self._tree = None
 
@@ -216,7 +210,6 @@ class RefIndex:
 
     def _ensure_lce(self) -> None:
         if self._rmq is None:
-            self._lcp = _kasai(self.data, self._sa, self._isa)
             self._rmq = _Rmq(self._lcp)
 
     def _lce0(self, a: int, b: int) -> int:
@@ -275,7 +268,6 @@ class RefIndex:
     def validate(self, deep: bool = False) -> None:
         """Check SA/ISA/LCP coherence by direct character comparison; with
         ``deep`` also brute-force the tree topology and rank sets."""
-        self._ensure_lce()
         data, sa, isa, lcp, n = self.data, self._sa, self._isa, self._lcp, self.r
         assert sorted(int(v) for v in sa) == list(range(n))
         assert all(sa[isa[i]] == i for i in range(n))

@@ -307,6 +307,16 @@ class TestEdit:
         assert self.edit(ws, "A 1\nD 99\n") == 6
         assert "line 2" in capsys.readouterr().err
 
+    def test_non_maximal_cover_exits_4_and_writes_nothing(self, ws, capsys):
+        # (1,2)+(3,4) spells "abcd", which occurs in R: replaying "R 1 a"
+        # on this cover would write [(1,4), (5,6)], a cover verify rejects
+        ref = b"abcdef"
+        (ws / "ref").write_bytes(ref)
+        (ws / "cov").write_bytes(encode_cover(6, fnv1a64(ref), [(1, 2), (3, 4), (5, 6)]))
+        assert self.edit(ws, "R 1 a\n") == 4
+        assert "cover not maximal: blocks (1,2) and (3,4)" in capsys.readouterr().err
+        assert not (ws / "cov2").exists()
+
     def test_random_script_matches_oracle_replay(self, ws, capsys):
         rng = random.Random(11)
         ref = bytes(rng.choice(b"abc") for _ in range(60))

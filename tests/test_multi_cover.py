@@ -24,7 +24,7 @@ from drc.multi_cover import (
     mc_split,
 )
 from drc.oracles import naive_maximality_check
-from drc.ref_index import build_index
+from drc.ref_index import RefIndex, build_index
 
 BANANA = build_index(b"banana")
 
@@ -308,3 +308,52 @@ def test_balance_under_repeated_splits_and_joins():
         text = bytearray(forest.decompress(h))
         forest.validate()
     assert len(text) == len(src)
+
+
+def test_query_budget_under_random_storm(monkeypatch):
+    # most substring_concat calls per op: an edit re-merges a window of at
+    # most five blocks, a split asks at each side of its cut, a concat at
+    # its seam
+    rng = random.Random(8)
+    ref = bytes(rng.choice(b"abcd") for _ in range(300))
+    forest = CoverForest(build_index(ref))
+    mirrors = {forest.add(ref[i : i + 150]): bytearray(ref[i : i + 150])
+               for i in range(0, 240, 30)}
+    calls = []
+    real = RefIndex.substring_concat
+    monkeypatch.setattr(RefIndex, "substring_concat",
+                        lambda self, a, b: calls.append(1) or real(self, a, b))
+    budget = {"replace": 4, "insert": 4, "delete": 4, "split": 2, "concat": 1}
+    worst = dict.fromkeys(budget, 0)
+    for _ in range(10_000):
+        h = rng.choice(sorted(mirrors))
+        text = mirrors[h]
+        n = len(text)
+        kind = rng.choice(tuple(budget))
+        calls.clear()
+        if kind == "replace" and n:
+            j, ch = rng.randrange(1, n + 1), rng.choice(ref)
+            forest.replace(h, j, ch)
+            text[j - 1] = ch
+        elif kind == "insert":
+            j, ch = rng.randrange(1, n + 2), rng.choice(ref)
+            forest.insert(h, j, ch)
+            text[j - 1 : j - 1] = bytes([ch])
+        elif kind == "delete" and n:
+            j = rng.randrange(1, n + 1)
+            forest.delete(h, j)
+            del text[j - 1]
+        elif kind == "split" and n and len(mirrors) < 16:
+            j = rng.randrange(1, n + 1)
+            hl, hr = forest.split(h, j)
+            whole = mirrors.pop(h)
+            mirrors[hl], mirrors[hr] = whole[: j - 1], whole[j - 1 :]
+        elif kind == "concat" and len(mirrors) > 4:
+            other = rng.choice([x for x in sorted(mirrors) if x != h])
+            mirrors[forest.concat(h, other)] = mirrors.pop(h) + mirrors.pop(other)
+        worst[kind] = max(worst[kind], len(calls))
+    # every kind ran and asked at least once, none over its budget
+    assert all(0 < worst[k] <= budget[k] for k in budget), worst
+    for hh, tt in mirrors.items():
+        assert forest.decompress(hh) == bytes(tt)
+        assert naive_maximality_check(ref, forest.blocks(hh))

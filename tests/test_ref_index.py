@@ -1,6 +1,7 @@
 """Tests for the static reference index."""
 
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -37,15 +38,26 @@ class TestBuild:
         with pytest.raises(EmptyReference):
             build_index(b"")
 
+    @staticmethod
+    def check(data: bytes) -> None:
+        ix = build_index(data)
+        ix.validate(deep=True)
+        isa = np.asarray(ix._isa)
+        assert (isa[ix.suffix_array] == np.arange(len(data))).all()
+
     def test_random_references_validate(self):
         rng = random.Random(11)
         for sigma, r in [(2, 40), (3, 101), (4, 257), (26, 64), (256, 200)]:
-            data = bytes(rng.randrange(sigma) for _ in range(r))
-            build_index(data).validate(deep=True)
+            self.check(bytes(rng.randrange(sigma) for _ in range(r)))
+        # tiny references with high byte values, and every byte once,
+        # which needs no doubling round
+        for data in [b"ab", b"\xff\x00\xff", bytes(range(255, -1, -1))]:
+            self.check(data)
 
     def test_periodic_references_validate(self):
-        for data in [b"a" * 50, b"ab" * 30, b"abc" * 17 + b"ab"]:
-            build_index(data).validate(deep=True)
+        # a run of one byte takes the most doubling rounds
+        for data in [b"a" * 50, b"ab" * 30, b"abc" * 17 + b"ab", b"a" * 4096]:
+            self.check(data)
 
     def test_tree_bytes_per_reference_byte(self):
         # memory contract of the lazy concatenation tree: int32 arrays,
@@ -66,6 +78,18 @@ class TestBuild:
                 a = a.base
             owners[id(a)] = memoryview(a).nbytes
         assert sum(owners.values()) <= 120 * r
+
+    def test_build_bytes_per_reference_byte(self):
+        # the build keeps one int32 rank array per doubling round until the
+        # LCP is read off them; a run of one byte takes the most rounds
+        r = 2**16
+        tracemalloc.start()
+        try:
+            build_index(b"a" * r).lce(1, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 160 * r
 
     def test_larger_reference_sa_lcp(self):
         rng = random.Random(5)
