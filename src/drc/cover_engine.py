@@ -5,9 +5,10 @@ A source string S is stored as an ordered sequence of reference intervals
 adjacent blocks concatenate to a substring of R.  Reads and single-character
 edits work directly on this form:
 
-* one SumTree holds the sequence: its entries are the block lengths, so
-  position arithmetic (which block holds S[i]) is a ``search`` and a
-  ``sum``, and each entry's item is the block itself, reached by ordinal;
+* one SumTree holds the sequence: its entries are the block lengths and
+  each entry's item is the block itself, so position arithmetic (which
+  block holds S[i], at what offset) is one ``find``, which returns the
+  block's ordinal, the length before it and the block;
 * replace, insert and delete are one edit: drop 0 or 1 characters at a
   position and put 0 or 1 new ones there.  :func:`cut` splits the block
   that holds the position into the part before it, the new character and
@@ -107,7 +108,8 @@ class CompressedString:
 
     ``last_concat_calls`` and ``last_st_ops`` expose how many reference
     concatenation queries and SumTree operations the most recent public
-    operation issued.
+    operation issued.  Locating a position is one ``find``, counted as one
+    SumTree operation; an append locates nothing.
     """
 
     __slots__ = (
@@ -145,11 +147,11 @@ class CompressedString:
         self.last_concat_calls += 1
         return self.index.substring_concat(a, b)
 
-    def _locate(self, i: int) -> Tuple[int, int]:
-        """(block ordinal, 1-based offset inside the block) for S[i]."""
-        l = self._st("search", i)
-        before = self._st("sum", l - 1) if l > 1 else 0
-        return l, i - before
+    def _locate(self, i: int) -> Tuple[int, int, Block]:
+        """(block ordinal, 1-based offset inside the block, the block) for
+        S[i], from one counted ``find``."""
+        l, before, blk = self._st("find", i)
+        return l, i - before, blk
 
     # ------------------------------------------------------------------
     # reads
@@ -159,8 +161,7 @@ class CompressedString:
         self.last_concat_calls = self.last_st_ops = 0
         if not 1 <= i <= self.length:
             raise IndexOutOfRange(f"position {i} outside [1, {self.length}]")
-        l, off = self._locate(i)
-        s, _ = self._tree.item(l)
+        _, off, (s, _) = self._locate(i)
         return self.index.data[s + off - 2]
 
     def extract(self, i: int, ell: int) -> bytes:
@@ -171,7 +172,7 @@ class CompressedString:
                 f"range ({i}, len {ell}) outside string of length {self.length}")
         if ell == 0:
             return b""
-        l, off = self._locate(i)
+        l, off, _ = self._locate(i)
         data = self.index.data
         out = []
         need = ell
@@ -216,8 +217,8 @@ class CompressedString:
         if i > self.length:  # append; also the only path when S is empty
             l, off, rest, parts = self.block_count + 1, 1, 0, [new]
         else:
-            l, off = self._locate(i)
-            s, e = blk = self._tree.item(l)
+            l, off, blk = self._locate(i)
+            s, e = blk
             rest = e - s + 2 - off  # chars from S[i] to the block's end
             parts = cut(blk, off, drop, new)
             if parts[-1:] == [blk]:

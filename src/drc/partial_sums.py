@@ -10,6 +10,8 @@ Navigation is by leaf counts, so the seven operations each walk one
 root-to-leaf path:
 
 * ``sum`` / ``search`` / ``update`` touch one PackedSums per level.
+  ``find`` is a ``search`` that also hands back what its walk passed:
+  the prefix sum before the answer and the answer's item.
 * ``divide`` / ``insert`` add a leaf: nodes split top-down before they can
   overflow, and a split only needs a ``divide`` on the parent's sums (an
   exact split conserves the subtree total).
@@ -37,6 +39,8 @@ entries added after it land without splitting anything.
 (17, 95)
 >>> t.search(t.total)
 200
+>>> t.find(18)  # (i, Y[i - 1], item of entry i)
+(5, 17, None)
 >>> t.divide(8, 3); t.values()[7:9]
 [3, 4]
 """
@@ -92,7 +96,7 @@ class SumTree:
     for every entry.
     """
 
-    __slots__ = ("cfg", "_bmin", "_root")
+    __slots__ = ("cfg", "_bmin", "_root", "_found")
 
     def __init__(self, values: Iterable[int] = (), items: Optional[Iterable[Any]] = None,
                  *, config: PsConfig | None = None):
@@ -167,20 +171,33 @@ class SumTree:
         return node.ps.sum(slot) + sum(p.ps.sum(k - 1) for p, k in path if k > 1)
 
     def search(self, t: int) -> int:
-        """Smallest i with Y[i] >= t."""
+        """Smallest i with Y[i] >= t, from one root-to-leaf walk; the walk
+        leaves Y[i - 1] and entry i's item for ``find``."""
         if self._root.nleaves == 0:
             raise SearchOutOfRange("search on empty sequence")
         if not 1 <= t <= self.total:
             raise SearchOutOfRange(f"target {t} outside [1, {self.total}]")
-        node, base = self._root, 0
+        node, base, before = self._root, 0, 0
         while not node.bottom:
-            k = node.ps.search(t)
-            if k > 1:
-                t -= node.ps.sum(k - 1)
-                for c in node.kids[: k - 1]:
-                    base += c.nleaves
+            k, y = node.ps._find(t)
+            t -= y
+            before += y
+            for c in node.kids[: k - 1]:
+                base += c.nleaves
             node = node.kids[k - 1]
-        return base + node.ps.search(t)
+        j, y = node.ps._find(t)
+        self._found = before + y, node.kids[j - 1]
+        return base + j
+
+    def find(self, t: int) -> Tuple[int, int, Any]:
+        """(i, Y[i - 1], item of entry i) for the smallest i with Y[i] >= t.
+
+        One ``search``, whose walk already passed the other two: find is
+        that search with its by-products, so whatever counts or times the
+        seven operations sees it as one search.
+        """
+        i = self.search(t)
+        return (i, *self._found)
 
     def values(self) -> List[int]:
         out: List[int] = []

@@ -1,7 +1,8 @@
 """Word-packed dynamic partial sums over a short sequence.
 
 Maintains nonnegative entries Z[1..n], n <= B, under prefix-sum queries
-(``sum``, ``search``) and five local edits (``update``, ``divide``,
+(``sum``, ``search``, and ``find``, a search that also returns the prefix
+before its answer) and five local edits (``update``, ``divide``,
 ``merge``, ``insert``, ``delete``).  Instead of storing prefix sums
 outright, consecutive sums are grouped into *runs*: a new run starts
 wherever one entry exceeds the run gap, each run is anchored by a
@@ -17,6 +18,8 @@ at or below it, and a run's head slot is a select over them.
 17
 >>> ps.search(7)
 3
+>>> ps.find(7)
+(3, 6)
 >>> ps.update(1, 1)
 >>> ps.prefix_sums()
 [6, 7, 11, 18]
@@ -224,18 +227,28 @@ class PackedSums:
 
     def search(self, t: int) -> int:
         """Smallest i with sum(i) >= t, for 1 <= t <= total."""
+        return self.find(t)[0]
+
+    def find(self, t: int) -> tuple[int, int]:
+        """(i, sum(i - 1)) for the smallest i with sum(i) >= t, for
+        1 <= t <= total: the answer and the prefix that verified it."""
         if self._n == 0 or not 1 <= t <= self._sum(self._n):
             raise SearchOutOfRange(f"search target {t} outside [1, total]")
-        j = self._search(t)
-        if j is None:
+        return self._find(t)
+
+    def _find(self, t: int) -> tuple[int, int]:
+        """find for a caller that already knows 1 <= t <= total, such as a
+        SumTree walk, where the parent's entry bounds t."""
+        found = self._search(t)
+        if found is None:
             # A stale anchor pushed the answer outside the inspected runs;
             # repacking makes the three-run window argument exact.
             self.search_fallbacks += 1
             self.rebuild()
-            j = self._search(t)
-            if j is None:
+            found = self._search(t)
+            if found is None:
                 raise AssertionError("search window missed on a fresh packing")
-        return j
+        return found
 
     def _search(self, t: int):
         # Candidate runs: the one holding the successor anchor of t plus
@@ -249,9 +262,14 @@ class PackedSums:
         while True:
             e0 = self._run_end(s0)
             j = self._search_run(s0, e0, reps[r - 1], t)
-            # _search_run only answers a slot whose sum is >= t
-            if j is not None and self._sum(j - 1) < t:
-                return j
+            # _search_run only answers a slot whose sum is >= t; the slot
+            # before it, j - 2, is in this run unless j heads it
+            if j is not None:
+                q = j - 2
+                before = 0 if q < 0 else (reps[r - 1 - (q < s0)] + self._u_field(q)
+                                          - self._bias)
+                if before < t:
+                    return j, before
             if r >= last:
                 return None
             r, s0 = r + 1, e0 + 1

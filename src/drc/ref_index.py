@@ -495,9 +495,10 @@ class _Tree:
     # ------------------------------------------------------------------
 
     def validate(self) -> None:
-        """Brute-force structural checks; test-size references only."""
+        """Brute-force structural checks; test-size references only.  The
+        LCP array is trusted: ``RefIndex.validate`` checks it first."""
         idx, n = self.idx, self.n
-        sa, data = idx._sa, idx.data
+        sa = idx._sa
         total = len(self.depth)
         for name in self.__slots__[2:]:
             # an int32 view of the ndarray it was made from, not a copy
@@ -506,14 +507,12 @@ class _Tree:
             assert isinstance(mv.obj, np.ndarray), name
             assert np.shares_memory(mv.obj, np.asarray(mv)), name
         off, nodes = self.path_off, self.path_nodes
+        lcp = idx._lcp.tolist()
         for u in range(total):
             lu, ru, du = int(self.l[u]), int(self.r[u]), int(self.depth[u])
-            # every suffix in the interval shares the node's path string
-            pref = data[int(sa[lu]) : int(sa[lu]) + du]
-            assert len(pref) == du
-            for k in range(lu, ru + 1):
-                s = int(sa[k])
-                assert data[s : s + du] == pref
+            # the interval's first suffix spells the node's path string; the
+            # children loop below shows that the rest share it
+            assert int(sa[lu]) + du <= n
             p = int(self.parent[u])
             if p >= 0:
                 assert self.l[p] <= lu and ru <= self.r[p]
@@ -531,6 +530,9 @@ class _Tree:
             assert ls == [int(self.l[u])] + [e + 1 for e in rs[:-1]] and rs[-1] == self.r[u]
             chars = list(self.child_chars[a:b])
             assert chars == sorted(chars)
+            # children share their own, no shorter, path strings; an LCP
+            # reaching u's depth where they meet makes the interval share u's
+            assert all(lcp[s] >= self.depth[u] for s in ls[1:]), "suffixes leave the path"
             sizes = [e - s for s, e in zip(ls, rs)]
             heavy = nodes[int(off[self.top_of[u]]) + int(self.path_pos[u]) + 1]
             assert heavy == kids[sizes.index(max(sizes))], "heavy child"

@@ -184,6 +184,16 @@ class TestRejections:
         with pytest.raises(SearchOutOfRange):
             t.search(11)
 
+    def test_find_rejects_what_search_rejects(self):
+        with pytest.raises(SearchOutOfRange):
+            SumTree().find(1)
+        t = SumTree([5, 1, 4], ["a", "b", "c"])
+        for x in (0, -1, 11):
+            with pytest.raises(SearchOutOfRange):
+                t.find(x)
+        assert [t.find(x) for x in (1, 6, 7, 10)] == [
+            (1, 0, "a"), (2, 5, "b"), (3, 6, "c"), (3, 6, "c")]
+
 
 def random_soak(seed, n_ops, seed_len, config=None):
     rng = random.Random(seed)
@@ -201,6 +211,9 @@ def random_soak(seed, n_ops, seed_len, config=None):
         assert apply_op(t, op) == apply_op(oracle, op)
         if step % 97 == 0:
             assert t.values() == oracle.values()
+            for x in {1, (oracle.total + 1) // 2, oracle.total} - {0}:
+                l = oracle.search(x)
+                assert t.find(x) == (l, oracle.sum(l - 1) if l > 1 else 0, t.item(l))
             t.validate()
     assert t.values() == oracle.values()
     t.validate()
@@ -281,6 +294,10 @@ def test_items_follow_every_edit():
             i = rng.randrange(1, len(items) + 1)
             assert t.item(i) == items[i - 1]
             assert list(t.items_from(i)) == items[i - 1 :]
+            y = oracle.sum(i)
+            if y:
+                l = oracle.search(y)
+                assert t.find(y) == (l, oracle.sum(l - 1) if l > 1 else 0, items[l - 1])
         assert list(t.items_from(len(items) + 1)) == []
         if step % 97 == 0:
             t.validate()

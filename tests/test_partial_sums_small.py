@@ -317,6 +317,21 @@ class TestDriftAndRebuild:
                 assert ps.search(t) == oracle.search(t)
             ps.validate()
 
+    def test_find_falls_back_on_a_stale_anchor(self):
+        # these updates leave the anchors stale enough that the three-run
+        # window misses the answer for 57, so find repacks and asks again
+        ps = PackedSums(DEMO_Z, config=DEMO_CONFIG)
+        oracle = NaivePartialSums(DEMO_Z, capacity=24, delta=2)
+        for i, d in [(5, 2), (16, -3), (17, -3)]:
+            ps.update(i, d)
+            oracle.update(i, d)
+        assert ps.search_fallbacks == 0 and ps._search(57) is None
+        j = oracle.search(57)
+        assert ps.find(57) == (j, oracle.sum(j - 1)) == (18, 56)
+        assert ps.search_fallbacks == 1
+        assert ps.prefix_sums() == oracle.prefix_sums()
+        ps.validate()
+
     def test_search_consistency_after_mixed_surgery(self):
         ps = PackedSums(DEMO_Z, config=DEMO_CONFIG)
         oracle = NaivePartialSums(DEMO_Z, capacity=24, delta=2)
