@@ -494,7 +494,7 @@ class PackedSums:
             raise IndexOutOfRange(f"insert index {i} outside [1, {self._n + 1}]")
         if self._n == 0:
             self._load([d])
-            self.ops_since_rebuild = 1
+            self._finish()
             return
         if i <= self._n:
             self.divide(i, 0)

@@ -23,9 +23,9 @@ occurrence up one heavy path at a time, stopping at the first path whose
 top is too shallow, so a substring that occurs once (the common case for
 long blocks) is found on its leaf's own path.  Queries read the int32
 arrays through memoryviews over the same buffers and return plain ints.
-So does the one factorization kernel, a plain Python loop that narrows
-an SA interval by two binary searches per matched byte, reading R's
-bytes and the SA memoryview directly.
+So does the one factorization kernel, the classical suffix-array
+search: it bisects the SA memoryview on slices of R's bytes, so a text
+probe meets each suffix in one C-level compare.
 
 >>> ix = build_index(b"banana")
 >>> ix.factorize(b"bananaban")
@@ -118,42 +118,35 @@ class _Rmq:
 # greedy factorization kernel
 
 def _factorize(data, sa, text, pos, limit):
-    """Greedy cover of ``text[pos:]`` by longest matches in R = ``data``,
-    one descent of R's suffix array ``sa`` per block; every read is a
-    plain int.  Returns (blocks, -1) with at most ``limit`` 1-based
+    """Greedy cover of ``text[pos:]`` by longest matches in R = ``data``.
+    Each block bisects R's suffix array ``sa`` on byte-slice keys
+    (Manber-Myers search): a probe of the next k text bytes sorts between
+    the suffixes at j - 1 and j, and the longer of its common prefixes
+    with those two is the longest match within k bytes.  A match that
+    fills the probe is tried again at twice the width.  The witness is
+    the first suffix in SA order that starts with the match; it is at j
+    at the latest.  Returns (blocks, -1) with at most ``limit`` 1-based
     inclusive blocks, or (blocks so far, position) at the first byte
     absent from R, 0-based."""
     n, m = len(data), len(text)
+    key = lambda s: data[s : s + k]  # the first k bytes of a suffix, k as it is now
     blocks: List[Tuple[int, int]] = []
     while pos < m and len(blocks) < limit:
-        lo, hi, d = 0, n, 0
-        w = 0
-        while pos + d < m:
-            c = text[pos + d]
-            # shrink [lo, hi) to suffixes whose char at offset d equals c
-            a, b = lo, hi
-            while a < b:
-                mid = (a + b) // 2
-                p = sa[mid] + d
-                if (data[p] if p < n else -1) < c:
-                    a = mid + 1
-                else:
-                    b = mid
-            new_lo = a
-            a, b = new_lo, hi
-            while a < b:
-                mid = (a + b) // 2
-                p = sa[mid] + d
-                if (data[p] if p < n else -1) <= c:
-                    a = mid + 1
-                else:
-                    b = mid
-            if new_lo == a:
+        k = 32
+        while True:
+            t = text[pos : pos + k]
+            j = bisect_left(sa, t, key=key)
+            d = 0
+            for s in sa[max(j - 1, 0) : j + 1]:  # common prefixes in C
+                h = min(len(t), n - s)
+                x = int.from_bytes(t[:h], "big") ^ int.from_bytes(data[s : s + h], "big")
+                d = max(d, h - (x.bit_length() + 7) // 8)
+            if d < k:  # also when the text ends inside the probe
                 break
-            lo, hi, d = new_lo, a, d + 1
-            w = sa[lo]
+            k *= 2
         if d == 0:
             return blocks, pos
+        w = sa[bisect_left(sa, t[:d], 0, j, key=key)]
         blocks.append((w + 1, w + d))
         pos += d
     return blocks, -1

@@ -208,6 +208,11 @@ class TestEdits:
         ps.insert(3, 0)
         assert ps.values() == [2, 3, 0]
         ps.validate()
+        # with B = 1 the first insert is due its rebuild at once
+        one = PackedSums(config=PsConfig(B=1))
+        one.insert(1, 2)
+        one.validate()
+        assert one.values() == [2] and one.rebuilds == 1
 
     def test_delete_undoes_insert(self):
         ps = PackedSums([4, 6, 5])
@@ -420,6 +425,7 @@ CONFIGS = [
     DEMO_CONFIG,
     PsConfig(w=64, delta=1, B=4, F=32),
     PsConfig(w=64, delta=8, B=4, F=16),
+    PsConfig(B=1),  # rebuilds after every op
 ]
 
 

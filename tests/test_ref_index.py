@@ -1,6 +1,7 @@
 """Tests for the static reference index."""
 
 import random
+import time
 import tracemalloc
 
 import numpy as np
@@ -21,6 +22,25 @@ from drc.ref_index import RefIndex, _factorize, _Tree, build_index
 
 
 BANANA = build_index(b"banana")
+
+
+def first_in_sa_order(ref: bytes, seg: bytes) -> int:
+    """1-based start of the occurrence of ``seg`` in ``ref`` whose suffix
+    sorts first, i.e. the one of smallest ISA: the witness rule."""
+    return min((p for p in range(len(ref)) if ref.startswith(seg, p)),
+               key=lambda p: ref[p:]) + 1
+
+
+def assert_greedy(ref: bytes, text: bytes, blocks) -> None:
+    """Each block is a longest match at its start, witnessed by the
+    occurrence that sorts first, and the blocks spell ``text``."""
+    pos = 1
+    for s, e in blocks:
+        want, _ = naive_longest_match(ref, text, pos)
+        assert e - s + 1 == want
+        assert s == first_in_sa_order(ref, text[pos - 1 : pos - 1 + want])
+        pos += want
+    assert pos == len(text) + 1
 
 
 class TestBuild:
@@ -187,11 +207,77 @@ class TestFactorize:
             blocks = ix.factorize(text)
             spelled = b"".join(ref[s - 1 : e] for s, e in blocks)
             assert spelled == text
-            pos = 1
-            for s, e in blocks:
-                want, _ = naive_longest_match(ref, text, pos)
-                assert e - s + 1 == want
-                pos += want
+            assert_greedy(ref, text, blocks)
+
+    def test_matches_around_powers_of_two(self):
+        # probes start at 32 bytes and double while a match fills them;
+        # "z" starts R only, so piece + "z" never occurs and the first
+        # match is exactly the piece; the piece alone ends the text on a
+        # probe boundary when its length is a power of two
+        rng = random.Random(8)
+        ref = b"z" + bytes(rng.randrange(4) + 97 for _ in range(700))
+        ix = build_index(ref)
+        for length in (2 ** e + dl for e in range(3, 9) for dl in (-1, 0, 1)):
+            a = rng.randrange(1, len(ref) - length)
+            piece = ref[a : a + length]
+            for text in (piece + b"z" + piece, piece):
+                blocks = ix.factorize(text)
+                assert blocks[0][1] - blocks[0][0] + 1 == length
+                assert_greedy(ref, text, blocks)
+
+    def test_runs_end_on_probe_boundaries(self):
+        # the first suffix in SA order that holds a run of "a" is the
+        # shortest one, so it ends R
+        ix = build_index(b"a" * 100)
+        assert ix.factorize(b"a" * 64) == [(37, 100)]
+        assert ix.factorize(b"a" * 256) == [(1, 100), (1, 100), (45, 100)]
+
+    def test_probe_sorting_after_every_suffix(self):
+        # the probe bisects to j == n; the witness bisect stops below n
+        assert build_index(b"ab\xff").factorize(b"\xff\xff\xff") == [(3, 3)] * 3
+        ix = build_index(b"ba")
+        assert _factorize(ix.data, ix._sa, b"bb", 0, 2) == ([(1, 1), (1, 1)], -1)
+        assert ix.longest_match(b"bb", 1) == (1, 1)
+
+    def test_zero_and_ff_bytes(self):
+        # 0x00 and 0xff are the extreme bytes of each key compare and of
+        # the XOR that measures a common prefix
+        rng = random.Random(3)
+        for _ in range(200):
+            ref = bytes(rng.choice(b"\x00\x01\xfe\xff") for _ in range(rng.randint(1, 80)))
+            ix = build_index(ref)
+            text = b"".join(ref[a : a + rng.randint(1, 50)]
+                            for a in (rng.randrange(len(ref)) for _ in range(6)))
+            assert_greedy(ref, text, ix.factorize(text))
+
+    def test_longest_match_is_the_limit_one_kernel(self):
+        # longest_match runs the kernel with limit 1: at every start the
+        # longest match and the witness that sorts first, (0, None) on a
+        # byte absent from R
+        rng = random.Random(12)
+        for sigma in (1, 2, 3, 4):
+            ref = bytes(rng.randrange(sigma) + 97 for _ in range(rng.randint(1, 90)))
+            ix = build_index(ref)
+            text = bytes(rng.randrange(sigma + 1) + 97 for _ in range(150))
+            for start in range(1, len(text) + 1):
+                length, w = ix.longest_match(text, start)
+                want, _ = naive_longest_match(ref, text, start)
+                assert length == want
+                seg = text[start - 1 : start - 1 + want]
+                assert w == (first_in_sa_order(ref, seg) if want else None)
+
+    @pytest.mark.parametrize("ref, text", [
+        (b"a" * 2 ** 16, b"a" * 2 ** 20),
+        (b"abcab" * 2 ** 12, (b"abcab" * 2 ** 18)[3 : 3 + 2 ** 20]),
+    ], ids=["run", "periodic"])
+    def test_repetitive_reference_cost(self, ref, text):
+        # a match thousands of bytes long costs a few probe doublings, not
+        # work per matched byte
+        ix = build_index(ref)
+        t0 = time.perf_counter()
+        blocks = ix.factorize(text)
+        assert time.perf_counter() - t0 < 1.0
+        assert b"".join(ref[s - 1 : e] for s, e in blocks) == text
 
 
 class TestSubstringConcat:
