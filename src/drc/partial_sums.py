@@ -12,27 +12,28 @@ root-to-leaf path:
 * ``sum`` / ``search`` / ``update`` touch one PackedSums per level.
   ``find`` is a ``search`` that also hands back what its walk passed:
   the prefix sum before the answer and the answer's item.
-* ``divide`` / ``insert`` add a leaf: nodes split top-down before they can
-  overflow, and a split only needs a ``divide`` on the parent's sums (an
-  exact split conserves the subtree total).
-* ``merge`` / ``delete`` remove a leaf: underflowing nodes borrow from or
-  fuse with a neighbor, fusing two child slots of the parent's sums.
+* ``divide`` / ``insert`` add a leaf; ``merge`` / ``delete`` remove one.
 
-Value movements that a delta-bounded ``update`` cannot express (boundary
-leaves hopping between nodes, borrow/fuse repairs) rebuild the affected
-nodes' PackedSums outright; a rebuild is O(B) and touches at most two nodes
-per level.
+One rule, ``_chunk``, sizes every node: fewer than B entries stay one
+node, more become near-equal nodes of about 3B/4, each of B/2 to B - 1.
+The bulk build applies it level by level, so the first entries added
+after it split nothing.  ``_regroup`` applies it to a full node before a
+descent enters it (a split: one ``divide`` on the parent's sums, as an
+exact split conserves the subtree total), and to a node left under B/2
+with a neighbor (as one node, a fuse: one ``merge``; as two, an even
+share).  Value movements that a delta-bounded ``update`` cannot express
+(boundary leaves hopping between nodes, regroups) rebuild the affected
+nodes' PackedSums outright; a rebuild is O(B) and touches at most two
+nodes per level.
 
 Every node has one shape: a PackedSums and a list of kids, slot for slot.
 An internal node's kids are its child nodes; a bottom node's kids are its
-entries' items, opaque payloads.  Split, borrow and fuse move each value
-together with its kid, at every level alike.  Items are read and written
-by the uncounted accessors ``item``, ``set_item``, ``set_items`` (a run of
-consecutive entries in one walk) and ``items_from``; ``divide`` copies the
-item into both halves, ``merge`` keeps the left one, ``insert`` adds None.
-
-A bulk build fills every node to about 3B/4, never to B, so the first
-entries added after it land without splitting anything.
+entries' items, opaque payloads.  A regroup moves each value together
+with its kid, at every level alike.  Items are read and written by the
+uncounted accessors ``item``, ``set_item``, ``set_items`` (a run of
+consecutive entries in one walk) and ``items_from``; ``divide`` copies
+the item into both halves, ``merge`` keeps the left one, ``insert`` adds
+None.
 
 >>> t = SumTree([5, 1, 4, 7] * 50)
 >>> t.sum(4), t.sum(23)
@@ -122,25 +123,25 @@ class SumTree:
         if not vals:
             return _Node(PackedSums((), config=self.cfg), [], True)
         cfg = self.cfg
-        nodes = [_Node(PackedSums(chunk, config=cfg), its, True)
-                 for chunk, its in zip(self._chunk(vals), self._chunk(items))]
+        nodes = [_Node(PackedSums(vals[s], config=cfg), items[s], True)
+                 for s in self._chunk(len(vals))]
         while len(nodes) > 1:
             nodes = [
-                _Node(PackedSums([c.ps.total for c in group], config=cfg), group, False)
-                for group in self._chunk(nodes)
+                _Node(PackedSums([c.ps.total for c in nodes[s]], config=cfg), nodes[s], False)
+                for s in self._chunk(len(nodes))
             ]
         return nodes[0]
 
-    def _chunk(self, seq: list) -> List[list]:
-        """Split into near-equal pieces of about 3B/4, each of size in
-        [Bmin, B - 1]; fewer than B elements stay one piece.
+    def _chunk(self, n: int) -> List[slice]:
+        """Cut n entries into near-equal slices of about 3B/4, each of size
+        in [Bmin, B - 1]; fewer than B entries stay one slice.
 
         Such a k exists for every n >= B: the ranges [k*Bmin, k*(B-1)]
         of consecutive k overlap because 2*Bmin <= B.
         """
-        n, b = len(seq), self.cfg.B
+        b = self.cfg.B
         if n < b:
-            return [seq]
+            return [slice(0, n)]
         # nearest whole number to n / (3B/4), kept inside the feasible range
         k = (8 * n + 3 * b) // (6 * b)
         k = min(max(k, -(-n // (b - 1))), n // self._bmin)
@@ -148,7 +149,7 @@ class SumTree:
         out, at = [], 0
         for j in range(k):
             size = q + 1 if j < r else q
-            out.append(seq[at : at + size])
+            out.append(slice(at, at + size))
             at += size
         return out
 
@@ -306,88 +307,51 @@ class SumTree:
         node.ps = PackedSums([c.ps.total for c in node.kids], config=self.cfg)
         node.recount()
 
-    def _split_child(self, parent: _Node, k: int) -> None:
-        """Split parent's full k-th child (1-based) into two; parent must
-        have a free slot."""
-        child = parent.kids[k - 1]
-        vals = child.ps.values()
-        mid = len(vals) // 2
-        right = _Node(PackedSums(vals[mid:], config=self.cfg), child.kids[mid:], child.bottom)
-        del child.kids[mid:]
-        child.ps = PackedSums(vals[:mid], config=self.cfg)
-        child.nleaves -= right.nleaves
-        parent.kids.insert(k, right)
-        parent.ps.divide(k, sum(vals[:mid]))
-
-    def _grow_root_if_full(self) -> None:
-        root = self._root
-        if len(root.ps) >= self.cfg.B:
-            new = _Node(PackedSums([root.ps.total], config=self.cfg), [root], False)
-            self._root = new
-            self._split_child(new, 1)
+    def _regroup(self, parent: _Node, lo: int, count: int) -> None:
+        """Deal parent's 0-based children lo .. lo + count - 1 out again as
+        one node per ``_chunk`` slice, and mend the parent's sums."""
+        olds = parent.kids[lo : lo + count]
+        vals = [v for c in olds for v in c.ps.values()]
+        kids = [x for c in olds for x in c.kids]
+        cuts = self._chunk(len(vals))
+        parent.kids[lo : lo + count] = [
+            _Node(PackedSums(vals[s], config=self.cfg), kids[s], olds[0].bottom) for s in cuts]
+        if len(cuts) > count:
+            parent.ps.divide(lo + 1, sum(vals[cuts[0]]))
+        elif len(cuts) < count:
+            parent.ps.merge(lo + 1)
+        else:
+            self._refresh(parent)
 
     def _descend_for_growth(self, i: int) -> Tuple[_Node, int, _Path]:
         """Like _locate, but splits any full node before entering it, so the
         bottom node is guaranteed to have room.  i may be nleaves + 1
         (append position)."""
-        self._grow_root_if_full()
-        node, path, b = self._root, [], self.cfg.B
+        b, root = self.cfg.B, self._root
+        if len(root.ps) >= b:
+            self._root = _Node(PackedSums([root.ps.total], config=self.cfg), [root], False)
+            self._regroup(self._root, 0, 1)
+        node, path = self._root, []
         while not node.bottom:
             k, local = self._child_for(node, i)
             if len(node.kids[k - 1].ps) >= b:
-                self._split_child(node, k)
+                self._regroup(node, k - 1, 1)
                 k, local = self._child_for(node, i)
             path.append((node, k))
             node, i = node.kids[k - 1], local
         return node, i, path
 
     def _repair(self, node: _Node, path: _Path) -> None:
-        """Restore minimum-degree invariants after node shrank."""
-        bmin = self._bmin
-        while path and len(node.kids) < bmin:
+        """Restore minimum-degree invariants after node shrank: regroup an
+        underfull node with its left neighbor, or its right one if first."""
+        while path and len(node.kids) < self._bmin:
             parent, k = path.pop()
-            # 0-based sibling indexes; node itself sits at k - 1
-            left = k - 2 if k > 1 else None
-            right = k if k < len(parent.kids) else None
-            donor = None
-            if left is not None and len(parent.kids[left].kids) > bmin:
-                donor, take_last = parent.kids[left], True
-            elif right is not None and len(parent.kids[right].kids) > bmin:
-                donor, take_last = parent.kids[right], False
-            if donor is not None:
-                self._borrow(node, donor, take_last)
-                self._refresh(parent)
-                return
-            # fuse with a neighbor; combined size <= (bmin-1) + bmin <= B-1
-            sib_k = left if left is not None else right
-            lo = min(k - 1, sib_k)
-            self._fuse(parent, lo)
+            self._regroup(parent, max(k - 2, 0), 2)
             node = parent
         root = self._root
         while not root.bottom and len(root.kids) == 1:
             root = root.kids[0]
         self._root = root
-
-    def _borrow(self, node: _Node, donor: _Node, take_last: bool) -> None:
-        """Move donor's last (take_last) or first kid, with its value, to
-        the near end of node."""
-        nv, dv = node.ps.values(), donor.ps.values()
-        src, dst = (-1, 0) if take_last else (0, len(nv))
-        nv.insert(dst, dv.pop(src))
-        node.kids.insert(dst, donor.kids.pop(src))
-        node.ps = PackedSums(nv, config=self.cfg)
-        donor.ps = PackedSums(dv, config=self.cfg)
-        node.recount()
-        donor.recount()
-
-    def _fuse(self, parent: _Node, lo: int) -> None:
-        """Fuse parent's 0-based children lo and lo+1 into one node."""
-        a, b = parent.kids[lo], parent.kids[lo + 1]
-        a.ps = PackedSums(a.ps.values() + b.ps.values(), config=self.cfg)
-        a.kids.extend(b.kids)
-        a.nleaves += b.nleaves
-        parent.kids.pop(lo + 1)
-        parent.ps.merge(lo + 1)
 
     # ------------------------------------------------------------------
     # the seven operations

@@ -117,36 +117,45 @@ class _Rmq:
 # ----------------------------------------------------------------------
 # greedy factorization kernel
 
+def _shared(t: bytes, data: bytes, s: int) -> int:
+    """Length of the common prefix of probe t and R's suffix at s, in C."""
+    h = min(len(t), len(data) - s)
+    x = int.from_bytes(t[:h], "big") ^ int.from_bytes(data[s : s + h], "big")
+    return h - (x.bit_length() + 7) // 8
+
+
 def _factorize(data, sa, text, pos, limit):
     """Greedy cover of ``text[pos:]`` by longest matches in R = ``data``.
     Each block bisects R's suffix array ``sa`` on byte-slice keys
     (Manber-Myers search): a probe of the next k text bytes sorts between
     the suffixes at j - 1 and j, and the longer of its common prefixes
     with those two is the longest match within k bytes.  A match that
-    fills the probe is tried again at twice the width.  The witness is
-    the first suffix in SA order that starts with the match; it is at j
-    at the latest.  Returns (blocks, -1) with at most ``limit`` 1-based
-    inclusive blocks, or (blocks so far, position) at the first byte
-    absent from R, 0-based."""
-    n, m = len(data), len(text)
+    fills the probe is tried again at twice the width, bisecting from j
+    on: every suffix before j sorts before the longer probe too.  The
+    witness is the first suffix in SA order that starts with the match:
+    the one at j unless the one at j - 1 starts with it as well.  Returns
+    (blocks, -1) with at most ``limit`` 1-based inclusive blocks, or
+    (blocks so far, position) at the first byte absent from R, 0-based."""
+    m = len(text)
     key = lambda s: data[s : s + k]  # the first k bytes of a suffix, k as it is now
     blocks: List[Tuple[int, int]] = []
     while pos < m and len(blocks) < limit:
-        k = 32
+        k, j = 32, 0
         while True:
             t = text[pos : pos + k]
-            j = bisect_left(sa, t, key=key)
-            d = 0
-            for s in sa[max(j - 1, 0) : j + 1]:  # common prefixes in C
-                h = min(len(t), n - s)
-                x = int.from_bytes(t[:h], "big") ^ int.from_bytes(data[s : s + h], "big")
-                d = max(d, h - (x.bit_length() + 7) // 8)
+            j = bisect_left(sa, t, j, key=key)
+            # shared[0] is the suffix at j - 1 whenever j > 0
+            shared = [_shared(t, data, s) for s in sa[max(j - 1, 0) : j + 1]]
+            d = max(shared)
             if d < k:  # also when the text ends inside the probe
                 break
             k *= 2
         if d == 0:
             return blocks, pos
-        w = sa[bisect_left(sa, t[:d], 0, j, key=key)]
+        if j == 0 or shared[0] < d:
+            w = sa[j]
+        else:
+            w = sa[bisect_left(sa, t[:d], 0, j, key=key)]
         blocks.append((w + 1, w + d))
         pos += d
     return blocks, -1

@@ -1,5 +1,6 @@
 """Tests for the B-tree lift of the partial-sums structure."""
 
+import collections
 import itertools
 import random
 
@@ -147,6 +148,29 @@ class TestGrowShrink:
         assert t.sum(1) == 12345
         t.validate()
 
+    # B = 4: 6 values build as bottom nodes of [3, 3], 8 as [3, 3, 2]
+    @pytest.mark.parametrize("n, ops, sizes", [
+        # the full first node splits in two before the insert enters it
+        (6, [("insert", 1, 0), ("insert", 1, 0)], [3, 2, 3]),
+        # an underfull first node and its 2-entry neighbor fuse into one
+        (8, [("delete", 1), ("delete", 3), ("delete", 1)], [3, 2]),
+        # an underfull first node and its full neighbor share 1 + 4 evenly
+        (6, [("delete", 1), ("insert", 6, 0), ("delete", 1)], [3, 2]),
+    ], ids=["split", "fuse", "share"])
+    def test_nodes_regroup_into_chunk_pieces(self, n, ops, sizes):
+        cfg = PsConfig(B=4)
+        vals = [k % 4 for k in range(1, n + 1)]  # small enough to delete
+        t = SumTree(vals, config=cfg)
+        oracle = NaivePartialSums(vals, delta=cfg.delta)
+        for op in ops:
+            apply_op(t, op)
+            apply_op(oracle, op)
+        # _nodes walks a two-level tree's bottom nodes right to left
+        assert [len(node.ps) for node in _nodes(t) if node.bottom][::-1] == sizes
+        assert len(t._root.ps) == len(sizes)
+        assert t.values() == oracle.values()
+        t.validate()
+
 
 class TestRejections:
     def test_update_bounds(self):
@@ -245,9 +269,26 @@ class TestOracleSoak:
         t.validate()
 
 
-def test_items_follow_every_edit():
-    # B=4 makes splits, borrows, fuses and cross-node merges frequent; a
-    # plain list replays each op's effect on the items
+def test_items_follow_every_edit(monkeypatch):
+    # B=4 makes splits, fuses, even shares and cross-node merges frequent,
+    # as the counting wrappers check; a plain list replays each op's
+    # effect on the items
+    seen = collections.Counter()
+    regroup, merge = SumTree._regroup, SumTree.merge
+
+    def counting_regroup(self, parent, lo, count):
+        before = len(parent.kids)
+        regroup(self, parent, lo, count)
+        seen[("fuse", "share", "split")[len(parent.kids) - before + 1]] += 1
+
+    def counting_merge(self, i):
+        if 1 <= i < len(self):
+            node, slot, _ = self._locate(i)
+            seen["cross-node merge"] += slot == len(node.kids)
+        merge(self, i)
+
+    monkeypatch.setattr(SumTree, "_regroup", counting_regroup)
+    monkeypatch.setattr(SumTree, "merge", counting_merge)
     rng = random.Random(5)
     cfg = PsConfig(B=4)
     fresh = itertools.count()
@@ -302,6 +343,7 @@ def test_items_follow_every_edit():
         if step % 97 == 0:
             t.validate()
     t.validate()
+    assert all(seen[k] for k in ("split", "fuse", "share", "cross-node merge")), seen
 
 
 def test_item_accessor_bounds():
