@@ -14,6 +14,15 @@ root-to-leaf path:
   the prefix sum before the answer and the answer's item.
 * ``divide`` / ``insert`` add a leaf; ``merge`` / ``delete`` remove one.
 
+The tree keeps a *finger* on the bottom node its last walk reached: that
+node, the ordinal of its first leaf, and the path down to it.  A lookup
+by position whose leaf lies in the finger's node (for a growing op, in a
+node with room) starts there instead of at the root, so the several ops
+of one string edit walk the index about once.  Leaf counts change only
+in the node an op reached, which is the finger's, so its first ordinal
+stays right; every change of shape (a regroup, a merge across nodes)
+drops the finger.
+
 One rule, ``_chunk``, sizes every node: fewer than B entries stay one
 node, more become near-equal nodes of about 3B/4, each of B/2 to B - 1.
 The bulk build applies it level by level, so the first entries added
@@ -21,10 +30,10 @@ after it split nothing.  ``_regroup`` applies it to a full node before a
 descent enters it (a split: one ``divide`` on the parent's sums, as an
 exact split conserves the subtree total), and to a node left under B/2
 with a neighbor (as one node, a fuse: one ``merge``; as two, an even
-share).  Value movements that a delta-bounded ``update`` cannot express
-(boundary leaves hopping between nodes, regroups) rebuild the affected
-nodes' PackedSums outright; a rebuild is O(B) and touches at most two
-nodes per level.
+share: a ``merge`` and a ``divide``).  The regrouped nodes are built
+afresh, and a merge across two bottom nodes rebuilds the PackedSums of
+the nodes it changed; a rebuild is O(B) and touches at most two nodes
+per level.
 
 Every node has one shape: a PackedSums and a list of kids, slot for slot.
 An internal node's kids are its child nodes; a bottom node's kids are its
@@ -97,7 +106,7 @@ class SumTree:
     for every entry.
     """
 
-    __slots__ = ("cfg", "_bmin", "_root", "_found")
+    __slots__ = ("cfg", "_bmin", "_root", "_found", "_finger")
 
     def __init__(self, values: Iterable[int] = (), items: Optional[Iterable[Any]] = None,
                  *, config: PsConfig | None = None):
@@ -115,6 +124,7 @@ class SumTree:
         if len(its) != len(vals):
             raise ValueError(f"{len(its)} items for {len(vals)} values")
         self._root = self._bulk_build(vals, its)
+        self._finger = None
 
     # ------------------------------------------------------------------
     # construction
@@ -178,16 +188,18 @@ class SumTree:
             raise SearchOutOfRange("search on empty sequence")
         if not 1 <= t <= self.total:
             raise SearchOutOfRange(f"target {t} outside [1, {self.total}]")
-        node, base, before = self._root, 0, 0
+        node, base, before, path = self._root, 0, 0, []
         while not node.bottom:
             k, y = node.ps._find(t)
             t -= y
             before += y
             for c in node.kids[: k - 1]:
                 base += c.nleaves
+            path.append((node, k))
             node = node.kids[k - 1]
         j, y = node.ps._find(t)
         self._found = before + y, node.kids[j - 1]
+        self._finger = node, base + 1, tuple(path)
         return base + j
 
     def find(self, t: int) -> Tuple[int, int, Any]:
@@ -244,7 +256,7 @@ class SumTree:
         if not xs:
             return
         done = 0
-        for node, start in self._bottoms(*self._locate(i)):
+        for node, start in self._bottoms(i, *self._locate(i)):
             take = min(len(node.kids) - start, len(xs) - done)
             node.kids[start : start + take] = xs[done : done + take]
             done += take
@@ -254,23 +266,27 @@ class SumTree:
     def items_from(self, i: int) -> Iterator[Any]:
         """Items of entries i, i+1, ... in order; i may be len + 1.  The
         tree must not change while the walk is running."""
-        bottoms = self._bottoms(*self._slot(i, self._root.nleaves + 1))
+        bottoms = self._bottoms(i, *self._slot(i, self._root.nleaves + 1))
         return chain.from_iterable(node.kids[start:] for node, start in bottoms)
 
-    @staticmethod
-    def _bottoms(node: _Node, slot: int, path: _Path) -> Iterator[Tuple[_Node, int]]:
-        """Bottom nodes from node rightward, each with the 0-based item
-        index to start from: slot - 1 in the first, 0 in the rest."""
+    def _bottoms(self, i: int, node: _Node, slot: int,
+                 path: _Path) -> Iterator[Tuple[_Node, int]]:
+        """Bottom nodes from node, which holds leaf i at slot, rightward,
+        each with the 0-based item index to start from: slot - 1 in the
+        first, 0 in the rest.  The finger follows the walk."""
         yield node, slot - 1
+        first = i - slot + 1
         while path:
             parent, k = path.pop()
             if k == len(parent.kids):
                 continue
             path.append((parent, k + 1))
+            first += len(node.kids)
             node = parent.kids[k]
             while not node.bottom:
                 path.append((node, 1))
                 node = node.kids[0]
+            self._finger = node, first, tuple(path)
             yield node, 0
 
     # ------------------------------------------------------------------
@@ -289,14 +305,28 @@ class SumTree:
             i -= c
         return len(kids), kids[-1].nleaves + i
 
+    def _fingered(self, i: int) -> Optional[Tuple[_Node, int, _Path]]:
+        """``_locate(i)`` read off the finger if leaf i is in its node."""
+        if self._finger is not None:
+            node, first, path = self._finger
+            if first <= i < first + len(node.kids):
+                return node, i - first + 1, list(path)
+        return None
+
     def _locate(self, i: int) -> Tuple[_Node, int, _Path]:
         """Bottom node holding leaf i, its local slot, and the path down;
-        i = nleaves + 1 gives the slot just past the last leaf."""
-        node, path = self._root, []
+        i = nleaves + 1 gives the slot just past the last leaf.  From the
+        finger when it can; else a walk from the root, which moves the
+        finger to the node it reaches."""
+        hit = self._fingered(i)
+        if hit is not None:
+            return hit
+        node, path, want = self._root, [], i
         while not node.bottom:
             k, i = self._child_for(node, i)
             path.append((node, k))
             node = node.kids[k - 1]
+        self._finger = node, want - i + 1, tuple(path)
         return node, i, path
 
     # ------------------------------------------------------------------
@@ -310,24 +340,30 @@ class SumTree:
     def _regroup(self, parent: _Node, lo: int, count: int) -> None:
         """Deal parent's 0-based children lo .. lo + count - 1 out again as
         one node per ``_chunk`` slice, and mend the parent's sums."""
+        self._finger = None
         olds = parent.kids[lo : lo + count]
         vals = [v for c in olds for v in c.ps.values()]
         kids = [x for c in olds for x in c.kids]
         cuts = self._chunk(len(vals))
         parent.kids[lo : lo + count] = [
             _Node(PackedSums(vals[s], config=self.cfg), kids[s], olds[0].bottom) for s in cuts]
-        if len(cuts) > count:
-            parent.ps.divide(lo + 1, sum(vals[cuts[0]]))
-        elif len(cuts) < count:
+        # a split divides the parent's entry, a fuse merges two, and an even
+        # share does both; each conserves the total
+        if count == 2:
             parent.ps.merge(lo + 1)
-        else:
-            self._refresh(parent)
+        if len(cuts) == 2:
+            parent.ps.divide(lo + 1, sum(vals[cuts[0]]))
 
     def _descend_for_growth(self, i: int) -> Tuple[_Node, int, _Path]:
         """Like _locate, but splits any full node before entering it, so the
         bottom node is guaranteed to have room.  i may be nleaves + 1
-        (append position)."""
-        b, root = self.cfg.B, self._root
+        (append position).  From the finger when leaf i lies in its node
+        and the node has room: no full node is entered then."""
+        b = self.cfg.B
+        hit = self._fingered(i)
+        if hit is not None and len(hit[0].kids) < b:
+            return hit
+        root, want = self._root, i
         if len(root.ps) >= b:
             self._root = _Node(PackedSums([root.ps.total], config=self.cfg), [root], False)
             self._regroup(self._root, 0, 1)
@@ -339,6 +375,7 @@ class SumTree:
                 k, local = self._child_for(node, i)
             path.append((node, k))
             node, i = node.kids[k - 1], local
+        self._finger = node, want - i + 1, tuple(path)
         return node, i, path
 
     def _repair(self, node: _Node, path: _Path) -> None:
@@ -348,6 +385,7 @@ class SumTree:
             parent, k = path.pop()
             self._regroup(parent, max(k - 2, 0), 2)
             node = parent
+        # only a fuse leaves a root one child, and _regroup drops the finger
         root = self._root
         while not root.bottom and len(root.kids) == 1:
             root = root.kids[0]
@@ -362,7 +400,10 @@ class SumTree:
         if not 1 <= i <= n:
             raise IndexOutOfRange(f"update index {i} outside [1, {n}]")
         node, slot, path = self._locate(i)
-        node.ps.update(slot, d)  # validates delta width and sign
+        try:
+            node.ps.update(slot, d)  # validates delta width and sign
+        except NegativeEntry:
+            raise NegativeEntry(f"entry {i} would fall below zero") from None
         for parent, k in path:
             parent.ps.update(k, d)
 
@@ -415,6 +456,7 @@ class SumTree:
         self._refresh(path[fork - 1][0])
         for parent, _ in path[: fork - 1]:
             parent.nleaves -= 1
+        self._finger = None
         self._repair(node, path)
 
     def insert(self, i: int, d: int) -> None:
@@ -479,6 +521,10 @@ class SumTree:
             return total
 
         walk(root, 0, True)
+        if self._finger is not None:
+            node, first, path = self._finger
+            self._finger = None
+            assert self._locate(first) == (node, 1, list(path)), "stale finger"
         assert len(depths) == 1, "leaves at unequal depths"
         s = root.nleaves
         if s >= 2:

@@ -32,6 +32,13 @@ onto the anchor of i+1's run.  Every packed field it will write is
 checked before the first write, so an overflow leaves the state as it
 was and the edit falls back to a rebuild.
 
+A search is one pass, with no per-run helper call, over at most three
+candidate runs: the run holding t's successor anchor and its two
+neighbors.  The first candidate's head slot is r - 1 when every entry
+heads its own run (as on every internal SumTree level, whose entries
+exceed the gap), else one select over the head bits; a one-entry run is
+one field comparison, a longer one a packed comparison (``_first_ge``).
+
 Anchors drift as edits land between rebuilds, so queries verify their
 answers and fall back to an immediate rebuild when a stale anchor
 misleads them; the structure is rebuilt from scratch every B edits
@@ -253,40 +260,40 @@ class PackedSums:
     def _search(self, t: int):
         # Candidate runs: the one holding the successor anchor of t plus
         # its two neighbors.  Answers are verified before being trusted.
-        # A select over the head bits finds the first candidate's head
-        # slot; each later run starts at the next head bit.
-        reps = self._reps
+        # The first candidate's head slot is r - 1 when every entry heads
+        # its own run, else a select over the head bits; each later run
+        # starts at the next head bit.
+        reps, bits, n, u = self._reps, self._bits, self._n, self._u
+        F, mask, bias = self._F, self._mask, self._bias
         r0 = bisect_left(reps, t)
         r, last = max(1, r0), min(len(reps), r0 + 2)
-        s0 = self._head(r)
+        s0 = r - 1 if len(reps) == n else self._head(r)
         while True:
-            e0 = self._run_end(s0)
-            j = self._search_run(s0, e0, reps[r - 1], t)
-            # _search_run only answers a slot whose sum is >= t; the slot
-            # before it, j - 2, is in this run unless j heads it
+            later = bits >> (s0 + 1)
+            e0 = n - 1 if not later else s0 + (later & -later).bit_length() - 1
+            # one packed comparison finds the run's first slot whose sum
+            # is >= t; tau <= 1 means the head's, tau >= guard none
+            tau = t - reps[r - 1] + bias
+            if tau <= 1:
+                j = s0 + 1
+            elif tau >= self._guard:
+                j = None
+            elif e0 == s0:
+                j = s0 + 1 if (u >> (F * s0)) & mask >= tau else None
+            else:
+                m = e0 - s0 + 1
+                k = _first_ge((u >> (F * s0)) & ((1 << (F * m)) - 1), m, tau, F)
+                j = None if k is None else s0 + k + 1
+            # the slot before j, j - 2, is in this run unless j heads it
             if j is not None:
                 q = j - 2
-                before = 0 if q < 0 else (reps[r - 1 - (q < s0)] + self._u_field(q)
-                                          - self._bias)
+                before = 0 if q < 0 else (reps[r - 1 - (q < s0)]
+                                          + ((u >> (F * q)) & mask) - bias)
                 if before < t:
                     return j, before
             if r >= last:
                 return None
             r, s0 = r + 1, e0 + 1
-
-    def _search_run(self, s0: int, e0: int, rep: int, t: int):
-        """Candidate index within the run at slots s0..e0, anchored at
-        rep, by one packed comparison."""
-        tau = t - rep + self._bias
-        if tau <= 1:
-            return s0 + 1
-        if tau >= self._guard:
-            return None
-        F = self._F
-        m = e0 - s0 + 1
-        word = (self._u >> (F * s0)) & ((1 << (F * m)) - 1)
-        k = _first_ge(word, m, tau, F)
-        return None if k is None else s0 + k + 1
 
     def values(self) -> list:
         """Current entry values Z[1..n]."""

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import collections
 import random
 
 import pytest
@@ -16,6 +17,7 @@ from drc.oracles import (
     naive_greedy_cover,
     naive_maximality_check,
 )
+from drc.partial_sums import SumTree
 from drc.ref_index import RefIndex, build_index
 
 BANANA = build_index(b"banana")
@@ -313,6 +315,39 @@ def test_edit_shapes_pin_sumtree_ops(verb, i, ch, ops):
     else:
         expected = src[: i - 1] + src[i:]
     assert_coherent(cs, expected)
+
+
+def test_located_edit_walks_the_index_at_most_once(monkeypatch):
+    # 2^16 blocks abc | xyz | abc | ...: no two adjacent ones concatenate
+    # in R.  After its find, an edit that regroups no node and makes no
+    # cross-node merge (_refresh) reaches every other entry it touches
+    # from the finger or by one walk from the root.
+    cs = CompressedString(ALPHABET, [(1, 3), (24, 26)] * 2**15)
+    levels = 0
+    node = cs._tree._root
+    while not node.bottom:
+        levels, node = levels + 1, node.kids[0]
+    steps = collections.Counter()
+    child_for, regroup, refresh = SumTree._child_for, SumTree._regroup, SumTree._refresh
+    monkeypatch.setattr(SumTree, "_child_for", staticmethod(
+        lambda node, i: steps.update(["level"]) or child_for(node, i)))
+    monkeypatch.setattr(SumTree, "_regroup",
+                        lambda self, *a: steps.update(["shape"]) or regroup(self, *a))
+    monkeypatch.setattr(SumTree, "_refresh",
+                        lambda self, *a: steps.update(["shape"]) or refresh(self, *a))
+    rng = random.Random(16)
+    walks = collections.Counter()
+    for _ in range(2000):
+        verb = rng.choice(("replace", "insert", "delete"))
+        i = rng.randrange(1, len(cs) + 1)
+        args = (i,) if verb == "delete" else (i, ord(rng.choice("abcqxyz")))
+        steps.clear()
+        getattr(cs, verb)(*args)
+        assert_budgets(cs)
+        if not steps["shape"]:
+            walks[steps["level"] / levels] += 1
+    assert set(walks) == {0, 1} and walks[1] > 100, walks
+    cs.check()
 
 
 @pytest.mark.parametrize("i, queries", [

@@ -11,6 +11,7 @@ from drc.errors import (
     BadConfig,
     DeleteTooLarge,
     DeltaTooLarge,
+    DrcError,
     IndexOutOfRange,
     NegativeEntry,
     SearchOutOfRange,
@@ -181,6 +182,11 @@ class TestRejections:
             t.update(2, -2)
         with pytest.raises(IndexOutOfRange):
             t.update(4, 1)
+        # entry 41 is the first of its B = 4 bottom node: the message names
+        # the entry, not its slot there
+        deep = SumTree([1, 2, 3, 1] * 20, config=PsConfig(B=4))
+        with pytest.raises(NegativeEntry, match="^entry 41 would fall below zero$"):
+            deep.update(41, -3)
 
     def test_divide_merge_bounds(self):
         t = SumTree([5, 1, 4])
@@ -344,6 +350,68 @@ def test_items_follow_every_edit(monkeypatch):
             t.validate()
     t.validate()
     assert all(seen[k] for k in ("split", "fuse", "share", "cross-node merge")), seen
+
+
+def _outcome(t, kind, args):
+    try:
+        got = getattr(t, kind)(*args)
+    except DrcError as exc:
+        return type(exc), str(exc)
+    return list(got) if kind == "items_from" else got
+
+
+@pytest.mark.parametrize("cfg", [PsConfig(B=4), PsConfig(B=8), DEFAULT_CONFIG],
+                         ids=lambda c: f"B{c.B}")
+def test_finger_answers_as_walks_from_the_root(cfg, monkeypatch):
+    # most ops land near the previous one, so the finger of `fingered`
+    # often holds the leaf; `walked` loses its finger before every op
+    walks = collections.Counter()  # by tree: steps from its root
+    child_for = SumTree._child_for
+
+    def counting_child_for(node, i):
+        walks[node is fingered._root] += counting and node in (fingered._root, walked._root)
+        return child_for(node, i)
+
+    monkeypatch.setattr(SumTree, "_child_for", staticmethod(counting_child_for))
+    rng = random.Random(cfg.B)
+    vals = [rng.randrange(0, 50) for _ in range(300)]
+    fingered = SumTree(vals, range(300), config=cfg)
+    walked = SumTree(vals, range(300), config=cfg)
+    fresh = itertools.count(300)
+    pos, counting = 1, False
+    for step in range(3000):
+        n = len(walked)
+        pos = max(1, pos + rng.randrange(-1, 2)) if rng.random() < 0.9 else rng.randrange(n + 3)
+        kind = rng.choice(OP_KINDS + ("find", "item", "set_item", "items_from", "set_items"))
+        if kind in ("search", "find"):
+            near = 1 <= pos <= n and rng.random() < 0.8
+            args = (walked.sum(pos) if near else rng.randrange(walked.total + 2),)
+        elif kind == "update":
+            args = (pos, rng.randrange(-3, 4))
+        elif kind in ("divide", "insert"):
+            args = (pos, rng.randrange(5 if kind == "insert" else 30))
+        elif kind == "set_item":
+            args = (pos, next(fresh))
+        elif kind == "set_items":
+            args = (pos, [next(fresh) for _ in range(rng.randrange(9))])
+        else:
+            args = (pos,)
+        walked._finger = None
+        counting = True
+        assert _outcome(fingered, kind, args) == _outcome(walked, kind, args)
+        counting = False
+        if step % 10 == 0:
+            assert fingered.values() == walked.values()
+            assert list(fingered.items_from(1)) == list(walked.items_from(1))
+            for x in {1, (walked.total + 1) // 2, walked.total} - {0}:
+                walked._finger = None
+                assert fingered.find(x) == walked.find(x)
+        if step % 50 == 0:
+            fingered.validate()
+            walked.validate()
+    fingered.validate()
+    # the finger spares at least a quarter of the walks from the root
+    assert walks[True] < 3 * walks[False] / 4, walks
 
 
 def test_item_accessor_bounds():

@@ -1,6 +1,7 @@
 """Unit and property tests for the word-packed partial-sums structure."""
 
 import random
+from dataclasses import replace
 from itertools import accumulate
 
 import pytest
@@ -452,6 +453,52 @@ def test_runs_derived_from_head_bits(cfg):
         heads = [p for p, f in enumerate(flags) if f]
         assert [ps._head(r) for r in range(1, len(heads) + 1)] == heads
         assert ps.values() == oracle.values()
+
+
+@pytest.mark.parametrize("cfg", [replace(DEFAULT_CONFIG, run_gap=6), DEMO_CONFIG],
+                         ids=lambda c: f"B{c.B}")
+@pytest.mark.parametrize("shape", ["singletons", "one run", "mixed"])
+def test_find_storm_answers_every_target(cfg, shape):
+    """_find(t) against the oracle for every t after each op, on nodes
+    whose runs are all one entry (values above the gap, as on every
+    internal SumTree level), all one run, or mixed.  Updates drift the
+    anchors between the periodic rebuilds."""
+    gap = cfg.gap
+    keeps = {
+        "singletons": lambda vals: all(v > gap for v in vals),
+        "one run": lambda vals: all(v <= gap for v in vals[1:]),
+        "mixed": lambda vals: True,
+    }[shape]
+    rng = random.Random(cfg.B + len(shape))
+    vals = [rng.randrange(gap + 1, 8 * gap) for _ in range(3 * cfg.B // 4)]
+    if shape != "singletons":
+        vals[1:] = [rng.randrange(gap + 1) for _ in vals[1:]]
+    ps = PackedSums(vals, config=cfg)
+    oracle = NaivePartialSums(vals, capacity=cfg.B, delta=cfg.delta)
+    done = drifted = 0
+    while done < 400:
+        # updates, half the ops, are what drift the anchors
+        kind = rng.choice(MUTATOR_KINDS + ("update",) * 4)
+        op = resolve_op(kind, rng.randrange(1 << 30),
+                        rng.randrange(1 << 30), oracle.values(),
+                        capacity=cfg.B, delta=cfg.delta)
+        # a node keeps at least B/2 entries, as in a SumTree, and its shape
+        if op is None or op[0] in ("merge", "delete") and len(oracle) <= cfg.B // 2:
+            continue
+        trial = NaivePartialSums(oracle.values(), delta=cfg.delta)
+        apply_op(trial, op)
+        if not keeps(trial.values()):
+            continue
+        apply_op(ps, op)
+        apply_op(oracle, op)
+        done += 1
+        reps = len(ps.representatives)
+        assert reps == {"singletons": len(ps), "one run": 1}.get(shape, reps)
+        drifted += ps.representatives != PackedSums(ps.values(), config=cfg).representatives
+        for t in range(1, oracle.total + 1):
+            j = oracle.search(t)
+            assert ps._find(t) == (j, oracle.sum(j - 1) if j > 1 else 0)
+    assert drifted > 100 and ps.rebuilds > 10
 
 
 @given(
