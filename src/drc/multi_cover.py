@@ -4,6 +4,10 @@ Each string is a maximal cover of reference blocks, held in a leaf-oriented
 AVL tree: leaves are blocks in string order, internal nodes cache the total
 character count, leaf count, and height of their subtree.  Position lookups
 descend by character counts; split and concatenate are tree split and join.
+An edit rewrites its window of leaves in place (``_splice``): one descent
+overwrites or rebuilds the window and re-pulls the nodes above it, joining
+only where their children no longer balance.  No node is shared between
+strings, so a rewrite never reaches another handle.
 
 Joins and cuts expose fresh block adjacencies, so every operation re-checks
 the affected boundary pairs against the reference index and merges while a
@@ -29,7 +33,10 @@ forest members (their tree is empty).
 from __future__ import annotations
 
 import math
+from array import array
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
+
+import numpy as np
 
 from .cover_engine import cut, restore_maximal
 from .errors import (
@@ -61,10 +68,6 @@ class _Tree:
         self.height = 1
         self.nchars = blk[1] - blk[0] + 1 if blk is not None else 0
         self.nleaves = 1
-
-
-def _leaf(blk: Block) -> _Tree:
-    return _Tree(blk)
 
 
 def _pull(n: _Tree) -> None:
@@ -139,7 +142,7 @@ def _split_chars(t: Optional[_Tree], c: int) -> Tuple[Optional[_Tree], Optional[
         return t, None
     if t.blk is not None:
         s, _e = t.blk
-        return _leaf((s, s + c - 1)), _leaf((s + c, _e))
+        return _Tree((s, s + c - 1)), _Tree((s + c, _e))
     if c <= t.left.nchars:
         l, r = _split_chars(t.left, c)
         return l, _join(r, t.right)
@@ -147,17 +150,52 @@ def _split_chars(t: Optional[_Tree], c: int) -> Tuple[Optional[_Tree], Optional[
     return _join(t.left, l), r
 
 
-def _split_leaves(t: Optional[_Tree], k: int) -> Tuple[Optional[_Tree], Optional[_Tree]]:
-    """First k whole leaves, rest."""
-    if t is None or k == 0:
-        return None, t
-    if k == t.nleaves:
-        return t, None
-    if k <= t.left.nleaves:
-        l, r = _split_leaves(t.left, k)
-        return l, _join(r, t.right)
-    l, r = _split_leaves(t.right, k - t.left.nleaves)
-    return _join(t.left, l), r
+def _window(t: _Tree, lo: int, hi: int) -> List[Block]:
+    """The blocks of leaves [lo, hi] (1-based) of ``t``, in one descent
+    that visits only the subtrees holding them; ``hi`` past a subtree's
+    end means up to its end."""
+    out, todo = [], [(t, lo, hi)]
+    while todo:
+        n, lo, hi = todo.pop()
+        while n.blk is None:
+            k = n.left.nleaves
+            if lo > k:
+                n, lo, hi = n.right, lo - k, hi - k
+                continue
+            if hi > k:  # the right child's share waits for the left's
+                todo.append((n.right, 1, hi - k))
+            n = n.left
+        out.append(n.blk)
+    return out
+
+
+def _mend(t: _Tree, l: Optional[_Tree], r: Optional[_Tree]) -> Optional[_Tree]:
+    """``t`` over new children while they balance, else their join."""
+    if l is not None and r is not None and abs(l.height - r.height) <= 1:
+        t.left, t.right = l, r
+        _pull(t)
+        return t
+    return _join(l, r)
+
+
+def _splice(t: _Tree, lo: int, hi: int, new: List[Block]) -> Optional[_Tree]:
+    """Replace leaves [lo, hi] (1-based) of ``t`` by the blocks ``new`` in
+    one descent that rewrites ``t`` in place.  A window straddling both
+    children gives the left one as many blocks as it loses leaves and the
+    right one the rest; one block for one leaf overwrites the leaf."""
+    if t.blk is not None:
+        if len(new) != 1:
+            return _build(new)
+        t.blk = new[0]
+        t.nchars = new[0][1] - new[0][0] + 1
+        return t
+    k = t.left.nleaves
+    if hi <= k:
+        return _mend(t, _splice(t.left, lo, hi, new), t.right)
+    if lo > k:
+        return _mend(t, t.left, _splice(t.right, lo - k, hi - k, new))
+    m = k - lo + 1
+    return _mend(t, _splice(t.left, lo, k, new[:m]), _splice(t.right, 1, hi - k, new[m:]))
 
 
 def _leaves(t: Optional[_Tree]) -> Iterator[Block]:
@@ -177,7 +215,7 @@ def _build(blocks: List[Block]) -> Optional[_Tree]:
     if not blocks:
         return None
     if len(blocks) == 1:
-        return _leaf(blocks[0])
+        return _Tree(blocks[0])
     mid = len(blocks) // 2
     return _branch(_build(blocks[:mid]), _build(blocks[mid:]))
 
@@ -248,16 +286,14 @@ class CoverForest:
 
     def _remerge(self, t: _Tree, lo: int, hi: int,
                  edit: Optional[Callable[[List[Block]], None]] = None) -> Optional[_Tree]:
-        """Detach leaves [lo, hi] (1-based ordinals) of ``t``, let ``edit``
-        rewrite that block list, re-merge its boundaries, and return the
-        tree with the window put back."""
-        a, rest = _split_leaves(t, lo - 1)
-        w, b = _split_leaves(rest, hi - lo + 1)
-        win = list(_leaves(w))
+        """Read the blocks of leaves [lo, hi] (1-based ordinals) of ``t``,
+        let ``edit`` rewrite that list, re-merge its boundaries, and splice
+        the result back in place of the window; returns the new root."""
+        win = _window(t, lo, hi)
         if edit is not None:
             edit(win)
         restore_maximal(win, self.index.substring_concat)
-        return _join(_join(a, _build(win)), b)
+        return _splice(t, lo, hi, win)
 
     def access(self, h: int, j: int) -> int:
         """S_h[j] as an int byte."""
@@ -297,7 +333,7 @@ class CoverForest:
                 raise CharNotInReference(j, byte)
             new = (occ, occ)
         if t is None:
-            self._trees[h] = _leaf(new)
+            self._trees[h] = _Tree(new)
             return
         # an append lands one past the end of the last leaf
         l, off, blk = self._locate(t, j)
@@ -326,10 +362,8 @@ class CoverForest:
             return self._adopt(ta if tb is None else tb)
         # only the seam pair can merge: its neighbors were maximal and
         # their strings only grow
-        la, seam = _split_leaves(ta, ta.nleaves - 1)
-        head, rb = _split_leaves(tb, 1)
-        win = restore_maximal([seam.blk, head.blk], self.index.substring_concat)
-        return self._adopt(_join(_join(la, _build(win)), rb))
+        na = ta.nleaves
+        return self._adopt(self._remerge(_join(ta, tb), na, na + 1))
 
     def split(self, h: int, j: int) -> Tuple[int, int]:
         """Cut S_h into S[1..j-1] and S[j..]; the input is consumed."""
@@ -350,23 +384,31 @@ class CoverForest:
     # ------------------------------------------------------------------
 
     def validate(self) -> None:
-        """Recompute every cached field and check the AVL height bound."""
+        """Recompute every cached field, check the AVL height bound, and
+        check that no node is reachable twice: edits rewrite nodes in
+        place, so a shared node would change another string too."""
+        # node ids, sorted in place: a set of them would outweigh the trees
+        ids = array("Q")
         for h, t in self._trees.items():
             if t is None:
                 continue
-            height, nchars, nleaves = self._check_node(t)
+            height, nchars, nleaves = self._check_node(t, ids)
             edges = height - 1
             assert edges <= 1.44 * math.log2(nleaves + 1) + 1e-9, \
                 f"handle {h}: height {edges} exceeds AVL bound for {nleaves} leaves"
+        order = np.frombuffer(ids, np.uint64)
+        order.sort()
+        assert (order[1:] != order[:-1]).all(), "node reachable twice"
 
-    def _check_node(self, t: _Tree) -> Tuple[int, int, int]:
+    def _check_node(self, t: _Tree, ids: array) -> Tuple[int, int, int]:
+        ids.append(id(t))
         if t.blk is not None:
             s, e = t.blk
             assert 1 <= s <= e <= self.index.r
             assert t.height == 1 and t.nleaves == 1 and t.nchars == e - s + 1
             return 1, t.nchars, 1
-        hl, cl, ll = self._check_node(t.left)
-        hr, cr, lr = self._check_node(t.right)
+        hl, cl, ll = self._check_node(t.left, ids)
+        hr, cr, lr = self._check_node(t.right, ids)
         assert abs(hl - hr) <= 1, "AVL balance violated"
         assert t.height == 1 + max(hl, hr)
         assert t.nchars == cl + cr and t.nleaves == ll + lr

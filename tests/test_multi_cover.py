@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import math
 import random
+import statistics
+from array import array
 
 import pytest
 
@@ -14,8 +17,14 @@ from drc.errors import (
     SameHandle,
     UnknownHandle,
 )
+from drc import multi_cover
 from drc.multi_cover import (
     CoverForest,
+    _build,
+    _join,
+    _leaves,
+    _splice,
+    _window,
     mc_access,
     mc_concat,
     mc_delete,
@@ -357,3 +366,92 @@ def test_query_budget_under_random_storm(monkeypatch):
     for hh, tt in mirrors.items():
         assert forest.decompress(hh) == bytes(tt)
         assert naive_maximality_check(ref, forest.blocks(hh))
+
+
+def uneven_tree(rng, blocks):
+    """A tree of ``blocks`` joined from uneven ``_build`` pieces in random
+    order, so sibling heights differ."""
+    pieces, i = [], 0
+    while i < len(blocks):
+        k = rng.choice((1, 1, 2, 3, 5, 9))
+        pieces.append(_build(blocks[i : i + k]))
+        i += k
+    while len(pieces) > 1:
+        k = rng.randrange(len(pieces) - 1)
+        pieces[k : k + 2] = [_join(pieces[k], pieces[k + 1])]
+    return pieces[0]
+
+
+def test_window_and_splice_match_list_model():
+    # every window of up to four leaves (inside one child, across the
+    # lowest common ancestor, at either end) replaced by 0..5 blocks
+    rng = random.Random(15)
+    forest = CoverForest(build_index(bytes(range(97, 123)) * 4))
+    r = forest.index.r
+
+    def rand_block():
+        s = rng.randrange(1, r + 1)
+        return s, rng.randrange(s, r + 1)
+
+    for n in (1, 2, 3, 4, 5, 8, 13, 21, 34):
+        blocks = [rand_block() for _ in range(n)]
+        for lo in range(1, n + 1):
+            for hi in range(lo, min(lo + 3, n) + 1):
+                for k in range(6):
+                    new = [rand_block() for _ in range(k)]
+                    t = uneven_tree(rng, blocks)
+                    assert _window(t, lo, hi) == blocks[lo - 1 : hi]
+                    out = _splice(t, lo, hi, new)
+                    want = blocks[: lo - 1] + new + blocks[hi:]
+                    assert list(_leaves(out)) == want, (n, lo, hi, k)
+                    if k == hi - lo + 1:
+                        assert out is t  # leaves overwritten in place
+                    if out is None:
+                        continue
+                    height, _c, leaves = forest._check_node(out, array("Q"))
+                    assert leaves == len(want)
+                    assert height - 1 <= 1.44 * math.log2(leaves + 1) + 1e-9
+
+
+def test_validate_rejects_a_node_shared_by_two_handles():
+    rng = random.Random(4)
+    forest = CoverForest(BANANA)
+    ha = forest.add(bytes(rng.choice(b"abn") for _ in range(200)))
+    hb = forest.add(b"nabnab")
+    forest.validate()
+    graft = forest._trees[ha].left  # an internal node of ha
+    assert graft.blk is None
+    forest._trees[hb] = _join(forest._trees[hb], graft)
+    with pytest.raises(AssertionError, match="reachable twice"):
+        forest.validate()
+
+
+def test_point_edits_rewrite_few_nodes(monkeypatch):
+    # an edit rewrites its window in place: on a 10k-leaf string no edit
+    # allocates more than a small build plus a few joins' worth of nodes
+    rng = random.Random(5)
+    ref = bytes(rng.choice(b"ab") for _ in range(40))
+    forest = CoverForest(build_index(ref))
+    h = forest.add(bytes(rng.choice(b"ab") for _ in range(60_000)))
+    assert forest.block_count(h) >= 10_000
+    made = []
+    real = multi_cover._Tree.__init__
+    monkeypatch.setattr(multi_cover._Tree, "__init__",
+                        lambda self, blk: made.append(1) or real(self, blk))
+    per_edit = []
+    for _ in range(3000):
+        n = forest.length(h)
+        kind = rng.randrange(3)
+        made.clear()
+        if kind == 0:
+            forest.replace(h, rng.randrange(1, n + 1), rng.choice(b"ab"))
+        elif kind == 1:
+            forest.insert(h, rng.randrange(1, n + 2), rng.choice(b"ab"))
+        else:
+            forest.delete(h, rng.randrange(1, n + 1))
+        per_edit.append(len(made))
+    monkeypatch.undo()
+    assert max(per_edit) <= 16, max(per_edit)
+    assert statistics.median(per_edit) == 0
+    forest.validate()
+    assert naive_maximality_check(ref, forest.blocks(h))
