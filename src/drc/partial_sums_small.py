@@ -204,7 +204,11 @@ class PackedSums:
 
     def rebuild(self) -> None:
         """Repack from scratch: recompute runs, anchors and offsets."""
-        self._load(self.values())
+        self._repack(self.values())
+
+    def _repack(self, vals) -> None:
+        """Load ``vals`` afresh, counted as a rebuild."""
+        self._load(vals)
         self.rebuilds += 1
 
     # ---------------------------------------------------------------- queries
@@ -416,8 +420,7 @@ class PackedSums:
             # _range_add refuses before it writes: the state is untouched
             vals = self.values()
             vals[p] += d
-            self._load(vals)
-            self.rebuilds += 1
+            self._repack(vals)
             return
         q = self._run(p)
         reps = self._reps
@@ -441,8 +444,7 @@ class PackedSums:
             # _divide_fast refuses before it writes: the state is untouched
             vals = self.values()
             vals[i - 1:i] = [t, v - t]
-            self._load(vals)
-            self.rebuilds += 1
+            self._repack(vals)
             return
         self._finish()
 

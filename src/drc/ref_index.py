@@ -13,8 +13,8 @@ The index is a suffix array with inverse and LCP arrays, all three from
 one numpy prefix-doubling pass (Manber-Myers) whose kept ranks give the
 LCP by binary lifting; then, built lazily since only edits need them, a
 sparse-table range-minimum structure for constant-time LCE and a suffix
-tree from one bottom-up sweep over the LCP array
-(Abouelhoda-Kurtz-Ohlebusch), decomposed into heavy paths.  For every
+tree of LCP intervals (Abouelhoda-Kurtz-Ohlebusch), read off the nearest
+smaller LCP values on that table and split into heavy paths.  For every
 internal node u that starts a heavy path we store the sorted ranks of
 the suffixes in u's interval advanced by depth(u); concatenation queries
 reduce to one descent, two LCE probes and one binary search over such a
@@ -112,6 +112,28 @@ class _Rmq:
         k = (hi - lo + 1).bit_length() - 1
         row = self._rows[k]
         return min(row[lo], row[hi - (1 << k) + 1])
+
+    def nearest_smaller(self, left: bool) -> np.ndarray:
+        """For each entry, the index of the nearest strictly smaller entry
+        to its left (-1 if none) or right (the length if none), as int32.
+        A cursor per entry skips the next 2^k entries, top level first,
+        when their minimum is no smaller: one gather per level.
+
+        >>> rmq = _Rmq(np.array([0, 1, 3, 0, 0, 2], dtype=np.int32))  # banana's LCP
+        >>> rmq.nearest_smaller(left=True).tolist(), rmq.nearest_smaller(left=False).tolist()
+        ([-1, 0, 1, -1, -1, 4], [6, 3, 3, 6, 6, 6])
+        """
+        arr = np.asarray(self._rows[0])
+        # entry j's skipped run: [cur, j) going left, [j + 1, cur) going
+        # right.  Entries cut off by an end of the array are read as the
+        # whole block at that end, which holds them: skipping it takes the
+        # cursor past the end, where no smaller entry is left
+        cur = np.arange(len(arr), dtype=np.int32) + np.int32(not left)
+        for k in reversed(range(len(self._rows))):
+            row, w = np.asarray(self._rows[k]), 1 << k
+            at = np.maximum(cur - w, 0) if left else np.minimum(cur, len(row) - 1)
+            cur += (np.take(row, at) >= arr) * np.int32(-w if left else w)
+        return np.maximum(cur, 0) - 1 if left else np.minimum(cur, len(arr))
 
 
 # ----------------------------------------------------------------------
@@ -294,13 +316,13 @@ def build_index(data: bytes) -> RefIndex:
 
 class _Tree:
     """Suffix tree topology over the owner's SA/LCP, heavy-path arrays,
-    and per-path-top advanced-rank sets, from one LCP sweep; each array is
-    int32 and kept as a memoryview over its ndarray.
+    and per-path-top advanced-rank sets, all from array ops; each array
+    is int32 and kept as a memoryview over its ndarray.
 
     Node ids: leaf j (the j-th SA slot) is node j; internal nodes are
-    numbered from n (the root) as the sweep pushes them, so each node's
-    parent is known when it is popped.  ``l``/``r`` give each node's SA
-    interval, ``depth`` its string depth.  A leaf top's rank set is empty.
+    numbered from n (the root) in (SA interval start, depth) order.
+    ``l``/``r`` give each node's SA interval, ``depth`` its string depth.
+    Path j is the heavy path ending at leaf j; a leaf top's rank set is empty.
     """
 
     __slots__ = (
@@ -312,45 +334,35 @@ class _Tree:
 
     def __init__(self, idx: RefIndex):
         self.idx = idx
-        n = idx.r
-        self.n = n
-        sa, isa = idx.suffix_array, np.asarray(idx._isa)
+        n = self.n = idx.r
+        sa, isa, lcp, rmq = idx.suffix_array, np.asarray(idx._isa), idx._lcp, idx._rmq
 
-        # --- one bottom-up sweep over the LCP intervals ---
-        # Stack entries are (id, depth) above a sentinel that is the root's
-        # parent.  At step j, leaf j - 1 and each node popped hang off the
-        # stack top if that is at least as deep as lcp[j], else off the
-        # interval pushed next, whose id is already known.
-        deep, lo, hi, up = [0], [0], [0], [-1]
-        leaf_up = [0] * n
-        stack = [(-1, -1), (n, 0)]
-        lcps = idx._lcp[1:].tolist()
-        lcps.append(-1)  # closes every open interval, the root last
-        for j, lv in enumerate(lcps, 1):
-            u, d = stack[-1]
-            leaf_up[j - 1] = u if lv <= d else n + len(deep)
-            left = j - 1
-            while lv < d:
-                stack.pop()
-                k = u - n
-                hi[k] = j - 1
-                left = lo[k]
-                u, d = stack[-1]
-                up[k] = u if lv <= d else n + len(deep)
-            if lv > d:
-                stack.append((n + len(deep), lv))
-                deep.append(lv)
-                lo.append(left)
-                hi.append(0)
-                up.append(0)
-        del lcps, stack
-        total = n + len(deep)
+        # --- LCP intervals from nearest smaller values ---
+        # boundary j, between SA slots j - 1 and j (lcp[0] = 0 stands for
+        # the root's), lies in the interval of depth lcp[j] bounded by its
+        # nearest smaller LCPs; a node is a distinct (left end, depth)
+        left = np.maximum(rmq.nearest_smaller(left=True), 0)
+        key = left.astype(np.int64) * n + lcp
+        order = np.argsort(key)
+        first = np.diff(key[order], prepend=-1) != 0
+        del key
+        node_of = np.empty(n, dtype=np.int32)  # the root, key 0, is node n
+        node_of[order] = np.cumsum(first, dtype=np.int32) + np.int32(n - 1)
+        rep = order[first]  # one boundary of each node
+        del order, first
+        total = n + len(rep)
         leaves = np.arange(n, dtype=np.int32)
-        self.depth = depth = np.concatenate((n - sa, np.array(deep, dtype=np.int32)))
-        self.l = l = np.concatenate((leaves, np.array(lo, dtype=np.int32)))
-        self.r = r = np.concatenate((leaves, np.array(hi, dtype=np.int32)))
-        self.parent = parent = np.array(leaf_up + up, dtype=np.int32)
-        del deep, lo, hi, up, leaf_up, leaves
+        self.depth = depth = np.concatenate((n - sa, lcp[rep]))
+        self.l = l = np.concatenate((leaves, left[rep]))
+        self.r = r = np.concatenate((leaves, rmq.nearest_smaller(left=False)[rep] - 1))
+        del left, rep
+        # a node or leaf [i, k] hangs off the deeper of boundaries i and
+        # k + 1 (if k + 1 < n); equally deep, both lie in that one node
+        side = np.minimum(r + 1, n - 1)
+        np.copyto(side, l, where=(r == n - 1) | (lcp[side] <= lcp[l]))
+        self.parent = parent = node_of[side]
+        parent[n] = -1
+        del side, node_of
 
         # --- children in CSR form; SA interval order == edge-char order ---
         ids = np.lexsort((l, parent))[1:].astype(np.int32)  # the root sorts first
@@ -371,48 +383,46 @@ class _Tree:
         # (lexsort is stable); path tops are the nodes no parent picks
         heavy = ids[np.lexsort((l[ids] - r[ids], par))[child_off[n:total]]]
         del par
-        is_top = np.ones(total, dtype=bool)
-        is_top[heavy] = False
-        tops = np.flatnonzero(is_top)
-        down = heavy.tolist()
-        del is_top, heavy
-        path_nodes: List[int] = []
-        for u in tops.tolist():
-            while u >= n:
-                path_nodes.append(u)
-                u = down[u - n]
-            path_nodes.append(u)
-        self.path_nodes = nodes = np.array(path_nodes, dtype=np.int32)
-        del down, path_nodes
-        self.path_off = off = np.zeros(len(tops) + 1, dtype=np.int32)
-        off[1:] = np.flatnonzero(nodes < n) + 1  # each path ends at its one leaf
-        lengths = np.diff(off)
-        self.top_of = np.empty(total, dtype=np.int32)
-        self.top_of[nodes] = np.repeat(np.arange(len(tops), dtype=np.int32), lengths)
-        self.path_pos = np.empty(total, dtype=np.int32)
-        self.path_pos[nodes] = np.arange(total, dtype=np.int32) - np.repeat(off[:-1], lengths)
+        # pointer jumping: up[u] is the node pos[u] steps up u's path
+        up = np.arange(total, dtype=np.int32)
+        up[heavy] = parent[heavy]
+        self.path_pos = pos = np.zeros(total, dtype=np.int32)
+        pos[heavy] = 1
+        del heavy
+        while not np.array_equal(nxt := up[up], up):  # until up[u] is u's top
+            pos += pos[up]
+            up = nxt
+        del nxt
+        # a path ends at its one leaf: path j is leaf j's
+        top_of = np.empty(total, dtype=np.int32)
+        top_of[up[:n]] = leaves
+        self.top_of = top_of = top_of[up]
+        paths = np.flatnonzero(up[:n] >= n).astype(np.int32)  # with internal tops
+        inner = up[paths]
+        del up
+        self.path_off = off = np.zeros(n + 1, dtype=np.int32)
+        np.cumsum(pos[:n] + 1, out=off[1:])
+        self.path_nodes = np.empty(total, dtype=np.int32)
+        self.path_nodes[off[top_of] + pos] = np.arange(total, dtype=np.int32)
 
-        # --- advanced rank sets of the internal tops, which follow the
-        # leaf tops (empty sets); the suffixes of u share their first
-        # depth(u) chars, so advancing them keeps their SA order ---
-        inner = tops[tops >= n]
-        sizes = r[inner] - l[inner] + 1
-        ends = np.cumsum(sizes, dtype=np.int64)
-        if ends[-1] >= 2 ** 31:
+        # --- advanced rank sets of the internal tops; the suffixes of u
+        # share their first depth(u) chars, so advancing them keeps their
+        # SA order; one exactly depth(u) long runs off R and sorts first ---
+        lo, d = l[inner], depth[inner]
+        lo += sa[lo] + d == n
+        sizes = r[inner] - lo + 1
+        if sizes.sum(dtype=np.int64) >= 2 ** 31:
             raise OverflowError("rank sets exceed int32 offsets")
-        first = (ends - sizes).astype(np.int32)
-        slot = np.repeat(l[inner] - first, sizes)
+        self.du_off = du_off = np.zeros(n + 1, dtype=np.int32)
+        du_off[paths + 1] = sizes
+        np.cumsum(du_off, out=du_off)
+        slot = np.repeat(lo - du_off[paths], sizes)
         slot += np.arange(len(slot), dtype=np.int32)
         adv = sa[slot]
         del slot
-        adv += np.repeat(depth[inner], sizes)
-        # a suffix exactly depth(u) long runs off R; it sorts first in u
-        adv = adv[adv < n]
+        adv += np.repeat(d, sizes)
         self.du_flat = isa[adv]
         del adv
-        counts = sizes - (sa[l[inner]] + depth[inner] == n)
-        self.du_off = np.zeros(len(tops) + 1, dtype=np.int32)
-        self.du_off[len(tops) - len(inner) + 1 :] = np.cumsum(counts)
         for name in self.__slots__[2:]:  # plain-int reads, as for R's SA
             setattr(self, name, memoryview(getattr(self, name)))
 
@@ -532,33 +542,23 @@ class _Tree:
             assert ls == [int(self.l[u])] + [e + 1 for e in rs[:-1]] and rs[-1] == self.r[u]
             chars = list(self.child_chars[a:b])
             assert chars == sorted(chars)
-            # children share their own, no shorter, path strings; an LCP
-            # reaching u's depth where they meet makes the interval share u's
-            assert all(lcp[s] >= self.depth[u] for s in ls[1:]), "suffixes leave the path"
+            # children share their own, no shorter, path strings; the LCP
+            # where two meet is u's depth exactly: an LCP interval's value
+            assert all(lcp[s] == self.depth[u] for s in ls[1:]), "suffixes leave the path"
             sizes = [e - s for s, e in zip(ls, rs)]
             heavy = nodes[int(off[self.top_of[u]]) + int(self.path_pos[u]) + 1]
             assert heavy == kids[sizes.index(max(sizes))], "heavy child"
         # rank sets match their definition
         isa = idx._isa
         for t in range(len(off) - 1):
-            u = int(nodes[off[t]])
-            d = int(self.depth[u])
-            want = sorted(
-                int(isa[int(sa[k]) + d])
-                for k in range(int(self.l[u]), int(self.r[u]) + 1)
-                if int(sa[k]) + d < n
-            )
-            got = list(self.du_flat[self.du_off[t] : self.du_off[t + 1]])
-            assert got == want
+            u = nodes[off[t]]
+            d = self.depth[u]
+            want = sorted(isa[sa[k] + d] for k in range(self.l[u], self.r[u] + 1) if sa[k] + d < n)
+            assert list(self.du_flat[self.du_off[t] : self.du_off[t + 1]]) == want
         # each root-to-leaf walk crosses at most log2(n) + 1 path tops
         limit = math.log2(n) + 1 if n > 1 else 1
         for leaf in range(n):
             hops, u = 1, leaf
-            while True:
-                tn = int(self.path_nodes[self.path_off[self.top_of[u]]])
-                p = int(self.parent[tn])
-                if p < 0:
-                    break
-                hops += 1
-                u = p
+            while (p := self.parent[nodes[off[self.top_of[u]]]]) >= 0:
+                hops, u = hops + 1, p
             assert hops <= limit + 1e-9

@@ -111,6 +111,21 @@ class TestBuild:
             tracemalloc.stop()
         assert peak <= 160 * r
 
+    @pytest.mark.parametrize("unit", [b"abcab", b"a"])
+    def test_tree_build_bytes_per_reference_byte(self, unit):
+        # the tree build's own peak, the RMQ already built: a periodic
+        # reference has about as many internal nodes as leaves
+        r = 2**16
+        ix = build_index((unit * r)[:r])
+        ix.lce(1, 2)
+        tracemalloc.start()
+        try:
+            ix._build_tree()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 200 * r
+
     def test_larger_reference_sa_lcp(self):
         rng = random.Random(5)
         data = bytes(rng.randrange(256) for _ in range(10_000))
