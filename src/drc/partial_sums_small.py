@@ -5,13 +5,14 @@ Maintains nonnegative entries Z[1..n], n <= B, under prefix-sum queries
 before its answer) and five local edits (``update``, ``divide``,
 ``merge``, ``insert``, ``delete``).  Instead of storing prefix sums
 outright, consecutive sums are grouped into *runs*: a new run starts
-wherever one entry exceeds the run gap, each run is anchored by a
-representative value, and every sum is kept as a small offset from its
-run's anchor.  The offsets are bit fields packed into a Python int sized
-like a machine word, so a whole-suffix shift is one multiply-add and an
-intra-run search is one guarded subtraction (SIMD within a register).
-Each run is one head bit: a slot's run is the popcount of the head bits
-at or below it, and a run's head slot is a select over them.
+wherever one entry exceeds the run gap, each run is anchored at its
+head's own prefix sum, and every sum is kept as a small offset from its
+run's anchor (0 at the head).  The offsets are bit fields packed into a
+Python int sized like a machine word, so a run shift is one multiply-add
+and an intra-run search is one guarded subtraction (SIMD within a
+register).  Each run is one head bit: a slot's run is the popcount of
+the head bits at or below it, and a run's head slot is a select over
+them.
 
 >>> ps = PackedSums([5, 1, 4, 7])
 >>> ps.sum(4)
@@ -28,21 +29,18 @@ at or below it, and a run's head slot is a select over them.
 its value exceeds the run gap, and the new entry i+1 iff its own value
 does; each new head is anchored at its own prefix sum, the anchor of a
 run that entry i headed is dropped, and the rest of the old run shifts
-onto the anchor of i+1's run.  Every packed field it will write is
-checked before the first write, so an overflow leaves the state as it
-was and the edit falls back to a rebuild.
+onto the anchor of i+1's run.  Every edit keeps each head's offset at
+exactly 0, so the anchors are the heads' prefix sums, ordered by
+construction.
 
-A search is one pass, with no per-run helper call, over at most three
-candidate runs: the run holding t's successor anchor and its two
-neighbors.  The first candidate's head slot is r - 1 when every entry
-heads its own run (as on every internal SumTree level, whose entries
-exceed the gap), else one select over the head bits; a one-entry run is
-one field comparison, a longer one a packed comparison (``_first_ge``).
-
-Anchors drift as edits land between rebuilds, so queries verify their
-answers and fall back to an immediate rebuild when a stale anchor
-misleads them; the structure is rebuilt from scratch every B edits
-regardless.
+A search for t is one ``bisect`` over the anchors: run r, the last
+whose anchor is below t, holds the answer after its head, or else the
+next head is the answer.  One packed comparison (``_first_ge``) over
+run r's other fields tells which; where every entry heads its own run,
+as on every internal SumTree level, the bisect alone answers.  An
+update at a head moves anchors only, elsewhere it also adds to the rest
+of that one run's fields.  The structure is repacked every B edits,
+which keeps every offset inside the bound that PsConfig checks.
 """
 
 from __future__ import annotations
@@ -51,7 +49,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, islice
-from operator import le, lt
+from operator import le
 
 from .errors import (
     BadConfig,
@@ -88,10 +86,6 @@ def _first_ge(word: int, nfields: int, tau: int, field_bits: int):
     return (low.bit_length() - 1) // field_bits
 
 
-class _Overflow(Exception):
-    """Internal: a packed write would not fit its field."""
-
-
 @dataclass(frozen=True)
 class PsConfig:
     """Packing geometry for one PackedSums instance.
@@ -100,8 +94,8 @@ class PsConfig:
             the arithmetic itself runs on Python ints of any size)
     delta   update/insert arguments satisfy |d| < 2**delta
     B       capacity, and the rebuild period, of the structure
-    F       bit width of one packed field (1 guard + 1 sign-ish bias bit
-            + room for the largest offset plus drift)
+    F       bit width of one packed field (1 guard + 1 bias bit + room
+            for the largest offset)
     run_gap override for the run-splitting threshold; defaults to
             B * 2**delta and may only be lowered
 
@@ -123,9 +117,15 @@ class PsConfig:
         if self.B * self.F > 2 * self.w:
             raise BadConfig(f"{self.B} fields of {self.F} bits exceed two "
                             f"{self.w}-bit words")
-        # Worst-case |offset|: canonical span (B-1)*gap plus drift from B
-        # delta-bounded edits and divide-time anchor reuse; 2*B^2*2^delta
-        # bounds both with room to spare.
+        # An offset is the sum of the entries after its run's head up to
+        # its own.  A packing leaves each of the at most B - 1 non-heads at
+        # most the gap, and a divide makes a non-head of at most the gap.
+        # Of the at most B ops before the next packing, a merge folds one
+        # non-head into its neighbor and an update adds below 2**delta.
+        # So every offset lies in [0, (B-1)*gap + B*max(gap, 2**delta)],
+        # below 2*B^2*2^delta as gap <= B*2^delta.  Below the bias, every
+        # biased field stays in [bias, guard): no packed add carries or
+        # borrows across a field, and no write needs a check.
         if self.bias <= 2 * self.B * self.B * (1 << self.delta):
             raise BadConfig(f"F={self.F} too narrow for B={self.B}, "
                             f"delta={self.delta}")
@@ -165,8 +165,11 @@ class PackedSums:
     """
 
     __slots__ = ("cfg", "_F", "_mask", "_bias", "_guard", "_gap",
-                 "_n", "_reps", "_u", "_bits",
-                 "ops_since_rebuild", "rebuilds", "search_fallbacks")
+                 "_n", "_reps", "_u", "_bits", "ops_since_rebuild", "rebuilds")
+
+    # an exact anchor never misleads a search, so none falls back to a
+    # repack; the counter stays for the readers of PackedSums statistics
+    search_fallbacks = 0
 
     def __init__(self, values=(), *, config: PsConfig | None = None):
         cfg = self.cfg = config if config is not None else DEFAULT_CONFIG
@@ -180,7 +183,6 @@ class PackedSums:
         if len(vals) > cfg.B:
             raise StructureFull(f"{len(vals)} entries exceed capacity {cfg.B}")
         self.rebuilds = 0
-        self.search_fallbacks = 0
         self._load(vals)
 
     # ---------------------------------------------------------------- loading
@@ -204,11 +206,7 @@ class PackedSums:
 
     def rebuild(self) -> None:
         """Repack from scratch: recompute runs, anchors and offsets."""
-        self._repack(self.values())
-
-    def _repack(self, vals) -> None:
-        """Load ``vals`` afresh, counted as a rebuild."""
-        self._load(vals)
+        self._load(self.values())
         self.rebuilds += 1
 
     # ---------------------------------------------------------------- queries
@@ -242,7 +240,7 @@ class PackedSums:
 
     def find(self, t: int) -> tuple[int, int]:
         """(i, sum(i - 1)) for the smallest i with sum(i) >= t, for
-        1 <= t <= total: the answer and the prefix that verified it."""
+        1 <= t <= total: the answer and the prefix sum before it."""
         if self._n == 0 or not 1 <= t <= self._sum(self._n):
             raise SearchOutOfRange(f"search target {t} outside [1, total]")
         return self._find(t)
@@ -250,54 +248,27 @@ class PackedSums:
     def _find(self, t: int) -> tuple[int, int]:
         """find for a caller that already knows 1 <= t <= total, such as a
         SumTree walk, where the parent's entry bounds t."""
-        found = self._search(t)
-        if found is None:
-            # A stale anchor pushed the answer outside the inspected runs;
-            # repacking makes the three-run window argument exact.
-            self.search_fallbacks += 1
-            self.rebuild()
-            found = self._search(t)
-            if found is None:
-                raise AssertionError("search window missed on a fresh packing")
-        return found
-
-    def _search(self, t: int):
-        # Candidate runs: the one holding the successor anchor of t plus
-        # its two neighbors.  Answers are verified before being trusted.
-        # The first candidate's head slot is r - 1 when every entry heads
-        # its own run, else a select over the head bits; each later run
-        # starts at the next head bit.
-        reps, bits, n, u = self._reps, self._bits, self._n, self._u
-        F, mask, bias = self._F, self._mask, self._bias
-        r0 = bisect_left(reps, t)
-        r, last = max(1, r0), min(len(reps), r0 + 2)
-        s0 = r - 1 if len(reps) == n else self._head(r)
-        while True:
-            later = bits >> (s0 + 1)
-            e0 = n - 1 if not later else s0 + (later & -later).bit_length() - 1
-            # one packed comparison finds the run's first slot whose sum
-            # is >= t; tau <= 1 means the head's, tau >= guard none
-            tau = t - reps[r - 1] + bias
-            if tau <= 1:
-                j = s0 + 1
-            elif tau >= self._guard:
-                j = None
-            elif e0 == s0:
-                j = s0 + 1 if (u >> (F * s0)) & mask >= tau else None
-            else:
-                m = e0 - s0 + 1
-                k = _first_ge((u >> (F * s0)) & ((1 << (F * m)) - 1), m, tau, F)
-                j = None if k is None else s0 + k + 1
-            # the slot before j, j - 2, is in this run unless j heads it
-            if j is not None:
-                q = j - 2
-                before = 0 if q < 0 else (reps[r - 1 - (q < s0)]
-                                          + ((u >> (F * q)) & mask) - bias)
-                if before < t:
-                    return j, before
-            if r >= last:
-                return None
-            r, s0 = r + 1, e0 + 1
+        reps = self._reps
+        # heads of runs 1..r sum below t, the head of run r + 1 reaches it
+        r = bisect_left(reps, t)
+        if r == 0:
+            return 1, 0
+        n = self._n
+        if len(reps) == n:
+            return r + 1, reps[r - 1]
+        F, mask, bias, u = self._F, self._mask, self._bias, self._u
+        # run r's head slot s and last slot e (_head and _run_end, inline)
+        rep, s = reps[r - 1], self._head(r) if r > 1 else 0
+        later = self._bits >> (s + 1)
+        e = n - 1 if not later else s + (later & -later).bit_length() - 1
+        # the first of run r's slots s+1..e whose sum reaches t, else the
+        # head after e; a field reaches t when it is >= tau
+        tau = t - rep + bias
+        k = None
+        if e > s and tau < self._guard:
+            k = _first_ge((u >> (F * (s + 1))) & ((1 << (F * (e - s))) - 1), e - s, tau, F)
+        j = e + 1 if k is None else s + 1 + k
+        return j + 1, rep + ((u >> (F * (j - 1))) & mask) - bias
 
     def values(self) -> list:
         """Current entry values Z[1..n]."""
@@ -353,29 +324,11 @@ class PackedSums:
         self._u = (self._u & ~(self._mask << sh)) | (raw << sh)
 
     def _range_add(self, lo, hi, d):
-        """Add d to biased offset fields lo..hi (slots, inclusive).  Raises
-        _Overflow, before writing anything, if a field would leave
-        (0, guard)."""
-        if d == 0 or lo > hi:
-            return
-        F, guard = self._F, self._guard
-        if not -guard < d < guard:
-            raise _Overflow
-        pattern = _ones(F, hi - lo + 1) << (F * lo)
-        heads = pattern << (F - 1)
-        u = self._u
-        # Fields start inside (0, guard) and |d| < guard, so no carry or
-        # borrow crosses a field: a head bit tells each field's fate.
-        if d > 0:
-            u += d * pattern
-            if u & heads:
-                raise _Overflow
-        else:
-            # a field f survives exactly when f >= 1 - d
-            if ((u | heads) - (1 - d) * pattern) & heads != heads:
-                raise _Overflow
-            u -= -d * pattern
-        self._u = u
+        """Add d to the offset fields of slots lo..hi (inclusive).  The
+        offset bound of PsConfig keeps every field in [bias, guard), so
+        no carry or borrow crosses a field."""
+        if lo <= hi:
+            self._u += d * (_ones(self._F, hi - lo + 1) << (self._F * lo))
 
     def _slot_insert(self, p, raw, head):
         """Insert slot p: offset field raw, and a head bit iff head."""
@@ -396,13 +349,9 @@ class PackedSums:
     # --------------------------------------------------------------- mutators
 
     def _finish(self):
-        """Post-edit bookkeeping: periodic repack, and a repack when an
-        update left an anchor at or above the next one.  Offsets need no
-        check here: every writer refuses a value outside (0, guard)."""
+        """Count the op, and repack every B ops: that bounds the offsets."""
         self.ops_since_rebuild += 1
-        reps = self._reps
-        if (self.ops_since_rebuild >= self.cfg.B
-                or not all(map(lt, reps, islice(reps, 1, None)))):
+        if self.ops_since_rebuild >= self.cfg.B:
             self.rebuild()
 
     def update(self, i: int, d: int) -> None:
@@ -414,22 +363,19 @@ class PackedSums:
         if d < 0 and self._sum(i) - self._sum(i - 1) + d < 0:
             raise NegativeEntry(f"entry {i} would fall below zero")
         p = i - 1
-        try:
+        head = (self._bits >> p) & 1
+        # at a head the whole run moves with its anchor; elsewhere slots
+        # p.. of the run move, and the anchors after it
+        if not head:
             self._range_add(p, self._run_end(p), d)
-        except _Overflow:
-            # _range_add refuses before it writes: the state is untouched
-            vals = self.values()
-            vals[p] += d
-            self._repack(vals)
-            return
-        q = self._run(p)
+        q = self._run(p) - head
         reps = self._reps
-        for k in range(q, len(reps)):
-            reps[k] += d
+        reps[q:] = [x + d for x in reps[q:]]
         self._finish()
 
     def divide(self, i: int, t: int) -> None:
-        """Split entry i of value v into consecutive entries (t, v - t)."""
+        """Split entry i of value v into consecutive entries (t, v - t),
+        by the one divide rule of the module docstring."""
         if not 1 <= i <= self._n:
             raise IndexOutOfRange(f"divide index {i} outside [1, {self._n}]")
         y_i = self._sum(i)
@@ -438,24 +384,9 @@ class PackedSums:
             raise BadSplit(f"split point {t} outside [0, {v}]")
         if self._n >= self.cfg.B:
             raise StructureFull(f"capacity {self.cfg.B} reached")
-        try:
-            self._divide_fast(i, t, v, y_i)
-        except _Overflow:
-            # _divide_fast refuses before it writes: the state is untouched
-            vals = self.values()
-            vals[i - 1:i] = [t, v - t]
-            self._repack(vals)
-            return
-        self._finish()
-
-    def _divide_fast(self, i, t, v, y_i):
-        """The one divide rule of the module docstring.  Raises _Overflow,
-        before writing anything, if a field would leave (0, guard)."""
-        bias, gap = self._bias, self._gap
+        bias, gap, reps = self._bias, self._gap, self._reps
         p = i - 1
         q = self._run(p)
-        reps = self._reps
-        rep_q = reps[q - 1]
         head = (self._bits >> p) & 1
         y_new = y_i - v + t
         cut_left = i == 1 or t > gap
@@ -463,15 +394,12 @@ class PackedSums:
         # a headless entry i stays in run q, or joins run q - 1 if it headed q
         a_i = y_new if cut_left else reps[q - 1 - head]
         a_next = y_i if cut_mid else a_i
-        raw_i, raw_next = y_new - a_i + bias, y_i - a_next + bias
-        if not (0 < raw_i < self._guard and 0 < raw_next < self._guard):
-            raise _Overflow
-        # the first write, which refuses before it writes; the rest fit
-        self._range_add(p + 1, self._run_end(p), rep_q - a_next)
+        self._range_add(p + 1, self._run_end(p), reps[q - 1] - a_next)
         reps[q - head:q] = [y_new] * cut_left + [y_i] * cut_mid
-        self._u_set(p, raw_i)
+        self._u_set(p, y_new - a_i + bias)
         self._bits ^= (head ^ cut_left) << p
-        self._slot_insert(p + 1, raw_next, cut_mid)
+        self._slot_insert(p + 1, y_i - a_next + bias, cut_mid)
+        self._finish()
 
     def merge(self, i: int) -> None:
         """Fuse entries i and i+1 into one entry of their summed value."""
@@ -479,17 +407,18 @@ class PackedSums:
             raise IndexOutOfRange(f"merge index {i} outside [1, {self._n - 1}]")
         p = i - 1
         b1 = (self._bits >> p) & 1
-        b2 = (self._bits >> (p + 1)) & 1
-        if b1 and b2:
-            # i was a singleton run; the merged entry inherits i+1's head
-            self._reps.pop(self._run(p) - 1)
-            self._slot_remove(p)
-        elif b1:
-            # keep i's head bit, adopt i+1's offset (same anchor, Y[i+1])
-            self._u_set(p, self._u_field(p + 1))
+        if b1 and not (self._bits >> (p + 1)) & 1:
+            # i heads the run i+1 continues: re-anchor it at Y[i+1] and
+            # shift the rest of the run down by Z[i+1]
+            z = self._u_field(p + 1) - self._bias
             self._slot_remove(p + 1)
+            self._reps[self._run(p) - 1] += z
+            self._range_add(p + 1, self._run_end(p), -z)
         else:
-            # i sat mid-run: dropping its slot leaves i+1's field in place
+            if b1:
+                # i was a singleton run; the merged entry inherits i+1's head
+                self._reps.pop(self._run(p) - 1)
+            # dropping i's slot leaves i+1's field, and head bit, in place
             self._slot_remove(p)
         self._finish()
 
@@ -541,7 +470,9 @@ class PackedSums:
             assert self._bits & 1, "first entry must head a run"
         for p in range(n):
             assert 0 < self._u_field(p) < cfg.guard, f"offset field {p} out of range"
-        assert all(map(lt, reps, islice(reps, 1, None))), "anchors not increasing"
+            assert not (self._bits >> p) & 1 or self._u_field(p) == cfg.bias, \
+                f"head {p} is not at its anchor"
+        assert all(map(le, reps, islice(reps, 1, None))), "anchors decrease"
         ys = [self._sum(i) for i in range(n + 1)]
         assert all(map(le, ys, islice(ys, 1, None))), "prefix sums must be nondecreasing"
         assert self.ops_since_rebuild < cfg.B, "rebuild counter overdue"

@@ -1,5 +1,6 @@
 """Unit and property tests for the word-packed partial-sums structure."""
 
+import copy
 import random
 from dataclasses import replace
 from itertools import accumulate
@@ -291,7 +292,7 @@ class TestErrors:
         with pytest.raises(BadConfig):
             PsConfig(w=64, delta=2, B=16, F=16)  # 16 fields won't fit two words
         with pytest.raises(BadConfig):
-            PsConfig(w=64, delta=8, B=8, F=12)  # field too narrow for drift
+            PsConfig(w=64, delta=8, B=8, F=12)  # field below the offset bound
         with pytest.raises(BadConfig):
             PsConfig(run_gap=33)  # above B * 2**delta
         with pytest.raises(BadConfig):
@@ -308,8 +309,8 @@ class TestDriftAndRebuild:
         ps.validate()
 
     def test_tight_gap_survives_adversarial_updates(self):
-        # run threshold 4 with delta 2: repeated +-3 updates stale the
-        # anchors fast; answers must stay exact throughout.
+        # run threshold 4 with delta 2: repeated +-3 updates move heads and
+        # mid-run entries alike; answers must stay exact throughout.
         ps = PackedSums(DEMO_Z, config=DEMO_CONFIG)
         oracle = NaivePartialSums(DEMO_Z, capacity=24, delta=2)
         pattern = [(1, 3), (1, -3), (7, 3), (7, -3), (8, 3), (8, -3),
@@ -323,20 +324,43 @@ class TestDriftAndRebuild:
                 assert ps.search(t) == oracle.search(t)
             ps.validate()
 
-    def test_find_falls_back_on_a_stale_anchor(self):
-        # these updates leave the anchors stale enough that the three-run
-        # window misses the answer for 57, so find repacks and asks again
+    def test_updates_keep_every_head_at_its_prefix_sum(self):
+        # updates at a mid-run entry and at two heads: after each, every
+        # anchor is its head's prefix sum, and finds need no repack
         ps = PackedSums(DEMO_Z, config=DEMO_CONFIG)
         oracle = NaivePartialSums(DEMO_Z, capacity=24, delta=2)
         for i, d in [(5, 2), (16, -3), (17, -3)]:
             ps.update(i, d)
             oracle.update(i, d)
-        assert ps.search_fallbacks == 0 and ps._search(57) is None
-        j = oracle.search(57)
-        assert ps.find(57) == (j, oracle.sum(j - 1)) == (18, 56)
-        assert ps.search_fallbacks == 1
+            ys = oracle.prefix_sums()
+            assert ps.representatives == [y for y, f in zip(ys, ps.run_flags) if f]
+        assert ps.find(57) == (18, 56)
+        for t in range(1, oracle.total + 1):
+            j = oracle.search(t)
+            assert ps.find(t) == (j, oracle.sum(j - 1) if j > 1 else 0)
         assert ps.prefix_sums() == oracle.prefix_sums()
+        assert ps.rebuilds == 0 and ps.search_fallbacks == 0
         ps.validate()
+
+    def test_merge_reanchors_a_head_at_the_merged_sum(self):
+        # entry 1 heads the one run that entry 2 continues: the merged
+        # head's anchor becomes Y[2] and the rest of the run moves down
+        ps = PackedSums([5, 1, 2, 3])
+        ps.merge(1)
+        assert ps.representatives == [6] and ps.offsets == [0, 2, 5]
+        assert ps.prefix_sums() == [6, 8, 11]
+        ps.validate()
+
+    def test_validate_rejects_an_inexact_head(self):
+        # lower run 2's anchor and raise its fields to match: every sum and
+        # search answer stays the same, but the head is no longer exact
+        ps = PackedSums(DEMO_Z, config=DEMO_CONFIG)
+        slots = [p for p, c in enumerate(ps.run_prefix_counts) if c == 2]
+        ps._reps[1] -= 3
+        ps._u += 3 * sum(1 << (ps.cfg.F * p) for p in slots)
+        assert ps.prefix_sums() == DEMO_START["sums"]
+        with pytest.raises(AssertionError, match="not at its anchor"):
+            ps.validate()
 
     def test_search_consistency_after_mixed_surgery(self):
         ps = PackedSums(DEMO_Z, config=DEMO_CONFIG)
@@ -355,70 +379,73 @@ class TestDriftAndRebuild:
             ps.validate()
 
 
-class TestOverflowRollback:
-    """Offsets parked next to the guard make the fast paths overflow; the
-    fallback must rebuild from the state the op started from."""
+def offset_bound(cfg):
+    """The largest offset PsConfig's written bound allows: B - 1 non-heads
+    of at most the gap, and B ops each adding at most max(gap, 2**delta)."""
+    return (cfg.B - 1) * cfg.gap + cfg.B * max(cfg.gap, 1 << cfg.delta)
 
-    # fields of 10 bits: bias 256, guard 512; run gap 20
+
+class TestOffsetBound:
+    """Every offset stays inside the bound PsConfig checks, so no packed
+    write can leave its field and no write needs a rollback."""
+
+    # fields of 10 bits: bias 256, guard 512; run gap 20, bound 180
     CFG = PsConfig(w=64, delta=2, B=5, F=10)
 
-    @staticmethod
-    def park_near_guard(ps, r, room):
-        """Lower run r's anchor and raise its offsets by the same amount,
-        leaving `room` below the guard in the run's highest field; every
-        sum stays the same.  False, and no change, when that would not
-        raise the offsets or would leave anchors out of order."""
-        slots = [p for p, c in enumerate(ps.run_prefix_counts) if c == r]
-        shift = ps.cfg.guard - room - ps.cfg.bias - max(ps.offsets[p] for p in slots)
-        anchor = ps._reps[r - 1] - shift
-        if shift <= 0 or (r > 1 and ps._reps[r - 2] >= anchor):
-            return False
-        ps._reps[r - 1] = anchor
-        ps._u += shift * sum(1 << (ps.cfg.F * p) for p in slots)
-        ps.validate()
-        return True
+    def test_bound_is_below_the_bias(self):
+        for cfg in CONFIGS + [self.CFG, DEMO_CONFIG, replace(self.CFG, run_gap=0)]:
+            assert 0 <= offset_bound(cfg) < 2 * cfg.B * cfg.B << cfg.delta < cfg.bias
 
-    @pytest.mark.parametrize("op", [
-        ("update", 1, 3),   # overflows before it writes
-        ("divide", 2, 2),   # entry 2 leaves its head bit, then overflows
-        ("divide", 2, 10),  # run 2 folds into run 1, then overflows
-    ])
-    def test_overflow_falls_back_to_the_old_state(self, op):
-        # runs [300], [30, 1], [40]: a partial write to run 2's head bit
-        # would move entry 4 onto the wrong anchor
-        vals = [300, 30, 1, 40]
-        ps = PackedSums(vals, config=self.CFG)
-        oracle = NaivePartialSums(vals, capacity=5, delta=2)
-        assert self.park_near_guard(ps, 1, 2)
-        apply_op(ps, op)
-        apply_op(oracle, op)
-        assert ps.rebuilds == 1, "the fast path should have overflowed"
-        ps.validate()
-        assert ps.values() == oracle.values()
-        assert [ps.sum(i) for i in range(1, len(ps) + 1)] == oracle.prefix_sums()
-        for t in range(1, oracle.total + 1):
-            assert ps.search(t) == oracle.search(t)
-
-    def test_overflow_soak(self):
-        rng = random.Random(6)
-        vals = [300, 2, 30, 1]
-        ps = PackedSums(vals, config=self.CFG)
-        oracle = NaivePartialSums(vals, capacity=5, delta=2)
-        parked = 0
-        for _ in range(1000):
-            if len(ps):
-                r = rng.randrange(1, len(ps.representatives) + 1)
-                parked += self.park_near_guard(ps, r, rng.randrange(1, 8))
-            op = resolve_op(rng.choice(MUTATOR_KINDS), rng.randrange(1 << 30),
-                            rng.randrange(1 << 30), oracle.values(),
-                            capacity=5, delta=2)
-            if op is None:
-                continue
+    @pytest.mark.parametrize("cfg", [CFG, DEFAULT_CONFIG], ids=["B5", "B16"])
+    def test_folded_heads_push_past_a_fresh_packing(self, cfg):
+        # run 1 is a zero head and `a` entries of one gap, followed by `b`
+        # heads of two gaps.  Dividing the next head into two gaps adds
+        # both to run 1, and merging two of run 1's entries frees the slot
+        # again, so each pair of ops grows run 1's offset by two gaps; one
+        # update before the periodic repack adds the last 2**delta - 1.
+        gap, b = cfg.gap, (cfg.B - 2) // 2
+        a = cfg.B - 2 - b
+        vals = [0] + [gap] * a + [2 * gap] * b
+        ps = PackedSums(vals, config=cfg)
+        oracle = NaivePartialSums(vals, capacity=cfg.B, delta=cfg.delta)
+        script = [op for k in range(b) for op in (("divide", a + 2 + k, gap), ("merge", 2))]
+        script.append(("update", len(vals), (1 << cfg.delta) - 1))
+        for op in script:
             apply_op(ps, op)
             apply_op(oracle, op)
             ps.validate()
             assert ps.values() == oracle.values()
-        assert parked > 100 and ps.rebuilds > 100
+        assert ps.rebuilds == 0 and len(ps.representatives) == 1
+        peak = max(ps.offsets)
+        assert peak == (a + 2 * b) * gap + (1 << cfg.delta) - 1
+        assert (cfg.B - 1) * gap < peak <= offset_bound(cfg)
+
+    @pytest.mark.parametrize("cfg", [CFG, replace(CFG, run_gap=0), DEFAULT_CONFIG],
+                             ids=["B5", "B5-gap0", "B16"])
+    def test_adversary_stays_inside_the_bound(self, cfg):
+        # each step applies, of a few random valid ops, the one that leaves
+        # the largest offset
+        rng = random.Random(cfg.B + cfg.gap)
+        vals = [cfg.gap] * (cfg.B - 1)
+        ps = PackedSums(vals, config=cfg)
+        oracle = NaivePartialSums(vals, capacity=cfg.B, delta=cfg.delta)
+        for _ in range(400):
+            ops = [resolve_op(rng.choice(MUTATOR_KINDS), rng.randrange(1 << 30),
+                              rng.randrange(1 << 30), oracle.values(),
+                              capacity=cfg.B, delta=cfg.delta) for _ in range(8)]
+            trials = []
+            for op in filter(None, ops):
+                trial = copy.deepcopy(ps)
+                apply_op(trial, op)
+                trials.append((max(trial.offsets, default=0), op))
+            if not trials:
+                continue
+            op = max(trials, key=lambda x: x[0])[1]
+            apply_op(ps, op)
+            apply_op(oracle, op)
+            ps.validate()
+            assert ps.values() == oracle.values()
+            assert max(ps.offsets, default=0) <= offset_bound(cfg)
 
 
 CONFIGS = [
@@ -430,7 +457,7 @@ CONFIGS = [
 ]
 
 
-@pytest.mark.parametrize("cfg", CONFIGS + [TestOverflowRollback.CFG])
+@pytest.mark.parametrize("cfg", CONFIGS + [TestOffsetBound.CFG])
 def test_runs_derived_from_head_bits(cfg):
     """A slot's run is a popcount and a run's head a select over the head
     bits; both must match the flags after every op of a random storm."""
@@ -461,8 +488,8 @@ def test_runs_derived_from_head_bits(cfg):
 def test_find_storm_answers_every_target(cfg, shape):
     """_find(t) against the oracle for every t after each op, on nodes
     whose runs are all one entry (values above the gap, as on every
-    internal SumTree level), all one run, or mixed.  Updates drift the
-    anchors between the periodic rebuilds."""
+    internal SumTree level), all one run, or mixed.  Every head's anchor
+    must be its own prefix sum after each op."""
     gap = cfg.gap
     keeps = {
         "singletons": lambda vals: all(v > gap for v in vals),
@@ -475,9 +502,9 @@ def test_find_storm_answers_every_target(cfg, shape):
         vals[1:] = [rng.randrange(gap + 1) for _ in vals[1:]]
     ps = PackedSums(vals, config=cfg)
     oracle = NaivePartialSums(vals, capacity=cfg.B, delta=cfg.delta)
-    done = drifted = 0
+    done = 0
     while done < 400:
-        # updates, half the ops, are what drift the anchors
+        # half the ops are updates, which move the anchors
         kind = rng.choice(MUTATOR_KINDS + ("update",) * 4)
         op = resolve_op(kind, rng.randrange(1 << 30),
                         rng.randrange(1 << 30), oracle.values(),
@@ -494,11 +521,12 @@ def test_find_storm_answers_every_target(cfg, shape):
         done += 1
         reps = len(ps.representatives)
         assert reps == {"singletons": len(ps), "one run": 1}.get(shape, reps)
-        drifted += ps.representatives != PackedSums(ps.values(), config=cfg).representatives
+        ys = oracle.prefix_sums()
+        assert ps.representatives == [y for y, f in zip(ys, ps.run_flags) if f]
         for t in range(1, oracle.total + 1):
             j = oracle.search(t)
             assert ps._find(t) == (j, oracle.sum(j - 1) if j > 1 else 0)
-    assert drifted > 100 and ps.rebuilds > 10
+    assert ps.rebuilds > 10
 
 
 @given(
