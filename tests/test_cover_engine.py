@@ -280,37 +280,34 @@ class TestInverses:
 ALPHABET = build_index(b"abcdefghijklmnopqrstuvwxyz")
 
 
-# blocks uvw | abcde | k | pqr; every edit but the append is in a block
-# after the first.  ops counts the edit's SumTree operations: one find
-# locates it, then come the ones named
-EDIT_SHAPES = [
-    ("replace", 4, "z", 2),  # first offset: divide(l, 1)
-    ("replace", 6, "z", 3),  # interior: divide(l, off - 1), divide(l + 1, 1)
-    ("replace", 8, "z", 2),  # last offset: divide(l, off - 1)
-    ("delete", 4, None, 3),  # divide(l, 1), delete(l)
-    ("delete", 6, None, 4),  # divide, divide, delete
-    ("delete", 8, None, 3),  # divide(l, off - 1), delete(l + 1)
-    ("insert", 4, "z", 2),  # block start: insert(l, 1)
-    ("insert", 6, "z", 3),  # divide(l, off - 1), insert(l + 1, 1)
-    ("insert", 8, "z", 3),  # before the last char: the same two
-    ("replace", 9, "z", 1),  # single-char block: nothing to carve
-    ("delete", 9, None, 2),  # single-char block: delete(l)
-    ("insert", 9, "z", 2),  # before a single-char block: insert(l, 1)
-    ("insert", 13, "z", 1),  # append: insert(n + 1, 1), and no find
-    ("insert", 4, "x", 3),  # insert(l, 1), then uvw + x merge
-    ("replace", 9, "f", 2),  # abcde + f merge
-]
-
-
-@pytest.mark.parametrize("verb, i, ch, ops", EDIT_SHAPES, ids=[
-    f"{verb}-{i}" + (f"-{ch}" if ch else "") for verb, i, ch, _ in EDIT_SHAPES])
+@pytest.mark.parametrize("verb, i, ch, ops", [
+    # blocks uvw | abcde | k | pqr; every edit but the append is in a block
+    # after the first.  ops counts its locate as a search and a sum, the two
+    # walks that one find replaces, so a located edit issues ops - 1
+    ("replace", 4, "z", 3),  # first offset: divide(l, 1)
+    ("replace", 6, "z", 4),  # interior: divide(l, off - 1), divide(l + 1, 1)
+    ("replace", 8, "z", 3),  # last offset: divide(l, off - 1)
+    ("delete", 4, None, 4),  # divide(l, 1), delete(l)
+    ("delete", 6, None, 5),  # divide, divide, delete
+    ("delete", 8, None, 4),  # divide(l, off - 1), delete(l + 1)
+    ("insert", 4, "z", 3),  # block start: insert(l, 1)
+    ("insert", 6, "z", 4),  # divide(l, off - 1), insert(l + 1, 1)
+    ("insert", 8, "z", 4),  # before the last char: the same two
+    ("replace", 9, "z", 2),  # single-char block: nothing to carve
+    ("delete", 9, None, 3),  # single-char block: delete(l)
+    ("insert", 9, "z", 3),  # before a single-char block: insert(l, 1)
+    ("insert", 13, "z", 1),  # append: insert(n + 1, 1), no locate
+    ("insert", 4, "x", 4),  # insert(l, 1), then uvw + x merge
+    ("replace", 9, "f", 3),  # abcde + f merge
+])
 def test_edit_shapes_pin_sumtree_ops(verb, i, ch, ops):
     src = b"uvwabcdekpqr"
     cs = compress(ALPHABET, src)
     assert cs.blocks() == [(21, 23), (1, 5), (11, 11), (16, 18)]
     args = (i,) if ch is None else (i, ord(ch))
     getattr(cs, verb)(*args)
-    assert cs.last_st_ops == ops
+    located = i <= len(src)
+    assert cs.last_st_ops == ops - located
     if verb == "replace":
         expected = src[: i - 1] + ch.encode() + src[i:]
     elif verb == "insert":
