@@ -4,7 +4,8 @@ Each string is a maximal cover of reference blocks, held in a leaf-oriented
 AVL tree: leaves are blocks in string order, internal nodes cache the total
 character count, leaf count, and height of their subtree.  Position lookups
 descend by character counts; split and concatenate are tree split and join.
-An edit rewrites its window of leaves in place (``_splice``): one descent
+An edit reads its window of leaves in the descent that locates it
+(``_edit_window``) and rewrites it in place (``_splice``): one descent
 overwrites or rebuilds the window and re-pulls the nodes above it, joining
 only where their children no longer balance.  No node is shared between
 strings, so a rewrite never reaches another handle.
@@ -34,7 +35,7 @@ from __future__ import annotations
 
 import math
 from array import array
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -169,6 +170,43 @@ def _window(t: _Tree, lo: int, hi: int) -> List[Block]:
     return out
 
 
+def _edit_window(t: _Tree, j: int, drop: int,
+                 new: Optional[Block]) -> Tuple[int, int, List[Block]]:
+    """Leaves [lo, hi] (1-based) that an edit at position j of ``t``
+    rewrites, and the blocks to re-merge in their place: the :func:`cut`
+    of the leaf holding j (one past the end appends to the last leaf),
+    after its predecessor and before its successor.  A neighbor stays out
+    when the part next to it is the old block itself, whose boundary with
+    it is known absent from R.  One descent finds the leaf and the last
+    node where it went right (the predecessor ends that node's left
+    child) and left (the successor starts its right child); only a
+    neighbor that joins the window has that spine walked."""
+    l, before, after = 1, None, None
+    while t.blk is None:
+        if j <= t.left.nchars:
+            after, t = t.right, t.left
+        else:
+            j -= t.left.nchars
+            l += t.left.nleaves
+            before, t = t.left, t.right
+    blk = t.blk
+    parts = cut(blk, j, drop, new)
+    win = []
+    lo = hi = l
+    if before is not None and parts[:1] != [blk]:
+        while before.blk is None:
+            before = before.right
+        win.append(before.blk)
+        lo -= 1
+    win += parts
+    if after is not None and parts[-1:] != [blk]:
+        while after.blk is None:
+            after = after.left
+        win.append(after.blk)
+        hi += 1
+    return lo, hi, win
+
+
 def _mend(t: _Tree, l: Optional[_Tree], r: Optional[_Tree]) -> Optional[_Tree]:
     """``t`` over new children while they balance, else their join."""
     if l is not None and r is not None and abs(l.height - r.height) <= 1:
@@ -271,27 +309,11 @@ class CoverForest:
 
     # ------------------------------------------------------------------
 
-    def _locate(self, t: _Tree, j: int) -> Tuple[int, int, Block]:
-        """(leaf ordinal, offset inside that leaf, its block) for position
-        j; j one past the end gives one past the last leaf's end."""
-        ord_ = 1
-        while t.blk is None:
-            if j <= t.left.nchars:
-                t = t.left
-            else:
-                j -= t.left.nchars
-                ord_ += t.left.nleaves
-                t = t.right
-        return ord_, j, t.blk
-
-    def _remerge(self, t: _Tree, lo: int, hi: int,
-                 edit: Optional[Callable[[List[Block]], None]] = None) -> Optional[_Tree]:
+    def _remerge(self, t: _Tree, lo: int, hi: int) -> Optional[_Tree]:
         """Read the blocks of leaves [lo, hi] (1-based ordinals) of ``t``,
-        let ``edit`` rewrite that list, re-merge its boundaries, and splice
-        the result back in place of the window; returns the new root."""
+        re-merge their boundaries, and splice the result back in place of
+        the window; returns the new root."""
         win = _window(t, lo, hi)
-        if edit is not None:
-            edit(win)
         restore_maximal(win, self.index.substring_concat)
         return _splice(t, lo, hi, win)
 
@@ -335,18 +357,9 @@ class CoverForest:
         if t is None:
             self._trees[h] = _Tree(new)
             return
-        # an append lands one past the end of the last leaf
-        l, off, blk = self._locate(t, j)
-        parts = cut(blk, off, drop, new)
-        # a neighbor joins the window unless the part next to it is the old
-        # block itself, whose boundary with it is known absent from R
-        lo = l - (l > 1 and parts[:1] != [blk])
-        hi = l + (l < t.nleaves and parts[-1:] != [blk])
-
-        def edit(win: List[Block]) -> None:
-            win[l - lo : l - lo + 1] = parts
-
-        self._trees[h] = self._remerge(t, lo, hi, edit)
+        lo, hi, win = _edit_window(t, j, drop, new)
+        restore_maximal(win, self.index.substring_concat)
+        self._trees[h] = _splice(t, lo, hi, win)
 
     # ------------------------------------------------------------------
 

@@ -17,13 +17,17 @@ tree of LCP intervals (Abouelhoda-Kurtz-Ohlebusch), read off the nearest
 smaller LCP values on that table and split into heavy paths.  For every
 internal node u that starts a heavy path we store the sorted ranks of
 the suffixes in u's interval advanced by depth(u); concatenation queries
-reduce to one descent, two LCE probes and one binary search over such a
-rank set.  A descent is a bottom-up ``locus`` walk: from the leaf of an
-occurrence up one heavy path at a time, stopping at the first path whose
-top is too shallow, so a substring that occurs once (the common case for
-long blocks) is found on its leaf's own path.  Queries read the int32
-arrays through memoryviews over the same buffers and return plain ints.
-So does the one factorization kernel, the classical suffix-array
+reduce to at most two descents, two LCE probes and one binary search over
+such a rank set.  A descent is a bottom-up ``locus`` walk: from the leaf
+of an occurrence up one heavy path at a time, stopping at the first path
+whose top is too shallow, so a substring that occurs once (the common
+case for long blocks) is found on its leaf's own path.  A one-byte block
+needs no walk: a 256-entry table holds the root's child for each byte.
+Nor does a query ask an LCE probe that one byte compare answers: the
+first byte of y against the byte that follows x on its heavy path, or
+the first byte of an edge that y's own byte picked.  Queries read the
+int32 arrays through memoryviews over the same buffers and return plain
+ints.  So does the one factorization kernel, the classical suffix-array
 search: it bisects the SA memoryview on slices of R's bytes, so a text
 probe meets each suffix in one C-level compare.
 
@@ -277,10 +281,16 @@ class RefIndex:
         self, x: Tuple[int, int], y: Tuple[int, int]
     ) -> Optional[int]:
         """1-based start of an occurrence of R[x]·R[y] in R, or None."""
-        self._check_block(x)
-        self._check_block(y)
+        try:
+            (xs, xe), (ys, ye) = x, y
+            ok = 1 <= xs <= xe <= self.r and 1 <= ys <= ye <= self.r
+        except (TypeError, ValueError):
+            ok = False
+        if not ok:  # raise what checking each block in turn raises
+            self._check_block(x)
+            self._check_block(y)
         tree = self._tree if self._tree is not None else self._build_tree()
-        return tree.concat(x, y)
+        return tree.concat(xs - 1, xe - xs + 1, ys - 1, ye - ys + 1)
 
     def _build_tree(self) -> "_Tree":
         self._ensure_lce()
@@ -323,13 +333,14 @@ class _Tree:
     numbered from n (the root) in (SA interval start, depth) order.
     ``l``/``r`` give each node's SA interval, ``depth`` its string depth.
     Path j is the heavy path ending at leaf j; a leaf top's rank set is empty.
+    ``first[c]`` is the root's child whose edge starts with byte c, or -1.
     """
 
     __slots__ = (
         "idx", "n", "l", "r", "depth", "parent",
         "child_off", "child_ids", "child_chars",
         "top_of", "path_pos", "path_off", "path_nodes",
-        "du_off", "du_flat",
+        "du_off", "du_flat", "first",
     )
 
     def __init__(self, idx: RefIndex):
@@ -377,6 +388,11 @@ class _Tree:
         edge = idx._np_data[np.minimum(cpos, n - 1)].astype(np.int32)
         self.child_chars = np.where(cpos < n, edge, np.int32(-1))
         del cpos, edge
+        # the root's child for each byte, -1 for a byte absent from R: the
+        # locus of every one-byte block
+        self.first = np.full(256, -1, dtype=np.int32)
+        kids = slice(child_off[n], child_off[n + 1])
+        self.first[self.child_chars[kids]] = ids[kids]
 
         # --- heavy paths ---
         # heavy child: the largest, ties to the first in edge-char order
@@ -458,44 +474,49 @@ class _Tree:
             return self.child_ids[lo]
         return -1
 
-    def concat(self, x: Tuple[int, int], y: Tuple[int, int]) -> Optional[int]:
+    def concat(self, x0: int, lx: int, y0: int, ly: int) -> Optional[int]:
+        """1-based start of an occurrence of R[x0 : x0 + lx]·R[y0 : y0 + ly]
+        in R, or None; 0-based starts, both blocks nonempty and inside R."""
         idx, n = self.idx, self.n
         sa, data, depth = idx._sa, idx.data, self.depth
-        x0, lx = x[0] - 1, x[1] - x[0] + 1
-        y0, ly = y[0] - 1, y[1] - y[0] + 1
-
-        v0 = self.locus(x0, lx)
+        v0 = self.first[data[x0]] if lx == 1 else self.locus(x0, lx)
         t = self.top_of[v0]
         off, nodes = self.path_off, self.path_nodes
         sb = sa[nodes[off[t + 1] - 1]]  # the leaf that ends v0's path
 
+        # y diverges from the heavy path at string depth D = lx + f, at
+        # node q; one byte tells f = 0, and then q is v0
         ext = sb + lx
-        f = min(idx._lce0(ext, y0), ly) if ext < n else 0
-        if f == ly:
-            return sb + 1
-
-        # y diverges from the heavy path at string depth D
+        if ext == n or data[ext] != data[y0]:
+            f, q = 0, v0
+        else:
+            f = min(idx._lce0(ext, y0), ly) if ly > 1 else 1
+            if f == ly:
+                return sb + 1
+            lo = off[t] + self.path_pos[v0]
+            q = nodes[bisect_left(nodes, lx + f, lo, off[t + 1], key=depth.__getitem__)]
         big_d = lx + f
-        lo = off[t] + self.path_pos[v0]
-        q = nodes[bisect_left(nodes, big_d, lo, off[t + 1], key=depth.__getitem__)]
         if depth[q] > big_d or q < n:
             # mid-edge mismatch, or the path ran out at a leaf
             return None
         u = self._child_by_char(q, data[y0 + f])
         if u < 0:
             return None
+        # u's edge starts with y's next byte, so a probe is needed only
+        # when more than that one byte is at stake
         e = depth[u] - big_d
         rem = ly - f
         su = sa[self.l[u]]
         if rem <= e:
-            if idx._lce0(su + big_d, y0 + f) >= rem:
+            if rem == 1 or idx._lce0(su + big_d, y0 + f) >= rem:
                 return su + 1
             return None
-        if idx._lce0(su + big_d, y0 + f) < e:
+        if e > 1 and idx._lce0(su + big_d, y0 + f) < e:
             return None
         # whole edge matched; intersect u's advanced ranks with the SA
         # interval of the still-unmatched tail of y
-        tail = self.locus(y0 + f + e, rem - e)
+        yt, lt = y0 + f + e, rem - e
+        tail = self.first[data[yt]] if lt == 1 else self.locus(yt, lt)
         a, b = self.l[tail], self.r[tail]
         ut = self.top_of[u]
         du, hi = self.du_flat, self.du_off[ut + 1]
@@ -548,6 +569,15 @@ class _Tree:
             sizes = [e - s for s, e in zip(ls, rs)]
             heavy = nodes[int(off[self.top_of[u]]) + int(self.path_pos[u]) + 1]
             assert heavy == kids[sizes.index(max(sizes))], "heavy child"
+        # the byte table holds each root child under its edge char, -1 for
+        # a byte absent from R, and so the locus of every one-byte block
+        a, b = int(self.child_off[n]), int(self.child_off[n + 1])
+        want = [-1] * 256
+        for c, u in zip(self.child_chars[a:b], self.child_ids[a:b]):
+            want[c] = u
+        assert list(self.first) == want, "byte table"
+        assert all((want[c] < 0) == (idx.occurrence(c) is None) for c in range(256))
+        assert all(self.first[idx.data[p]] == self.locus(p, 1) for p in range(n))
         # rank sets match their definition
         isa = idx._isa
         for t in range(len(off) - 1):

@@ -6,10 +6,12 @@ import math
 import random
 import statistics
 from array import array
+from bisect import bisect_left
+from itertools import accumulate
 
 import pytest
 
-from drc.cover_engine import compress
+from drc.cover_engine import compress, cut
 from drc.errors import (
     CharNotInReference,
     IndexOutOfRange,
@@ -21,6 +23,7 @@ from drc import multi_cover
 from drc.multi_cover import (
     CoverForest,
     _build,
+    _edit_window,
     _join,
     _leaves,
     _splice,
@@ -411,6 +414,37 @@ def test_window_and_splice_match_list_model():
                     height, _c, leaves = forest._check_node(out, array("Q"))
                     assert leaves == len(want)
                     assert height - 1 <= 1.44 * math.log2(leaves + 1) + 1e-9
+
+
+def test_edit_window_matches_list_model():
+    # every replace, insert and delete position of a few strings, on
+    # balanced and uneven trees: the one descent reads the window that
+    # the block list gives, with the leaf that holds j found by summing
+    # block lengths and a neighbor left out when the part next to it is
+    # the old block (an insert at a block start keeps the next block out);
+    # over "banana", a one-byte block often sits next to a copy of itself
+    rng = random.Random(19)
+    ref = bytes(rng.choice(b"abcd") for _ in range(120))
+    kept_out = 0
+    for ref, size in [(ref, 1), (ref, 2), (ref, 5), (ref, 60), (ref, 400), (b"banana", 80)]:
+        forest = CoverForest(build_index(ref))
+        h = forest.add(bytes(rng.choice(sorted(set(ref))) for _ in range(size)))
+        blocks = forest.blocks(h)
+        ends = list(accumulate(e - s + 1 for s, e in blocks))
+        n = ends[-1]
+        for t in (forest._trees[h], uneven_tree(rng, blocks)):
+            for drop, new, last in ((1, (2, 2), n), (0, (3, 3), n + 1), (1, None, n)):
+                for j in range(1, last + 1):
+                    l = min(bisect_left(ends, j), len(blocks) - 1)
+                    blk = blocks[l]
+                    parts = cut(blk, j - ends[l] + blk[1] - blk[0] + 1, drop, new)
+                    lo = l - (l > 0 and parts[:1] != [blk])
+                    hi = l + (l < len(blocks) - 1 and parts[-1:] != [blk])
+                    want = blocks[lo:l] + parts + blocks[l + 1 : hi + 1]
+                    assert _edit_window(t, j, drop, new) == (lo + 1, hi + 1, want), (size, j)
+                    kept_out += hi == l < len(blocks) - 1
+            assert list(_leaves(t)) == blocks  # reading changed nothing
+    assert kept_out > 0
 
 
 def test_validate_rejects_a_node_shared_by_two_handles():

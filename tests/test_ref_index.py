@@ -1,5 +1,6 @@
 """Tests for the static reference index."""
 
+import hashlib
 import random
 import time
 import tracemalloc
@@ -421,6 +422,97 @@ def test_concat_matches_oracle(ref, xi, xl, yi, yl):
         assert ref.find(cat) == -1
     else:
         assert ref[got - 1 : got - 1 + len(cat)] == cat
+
+
+class TestConcatShortcuts:
+    """Queries that one byte decides.  Each one's answer agrees with the
+    naive scan, and its LCE probes and locus climbs are counted: a
+    shortcut that is taken asks neither."""
+
+    @staticmethod
+    def ask(monkeypatch, ref: bytes, x, y, lce: int, locus: int):
+        ix = build_index(ref)
+        tree = ix._build_tree()
+        calls = {"lce": 0, "locus": 0}
+
+        def counted(key, real):
+            def call(*args):
+                calls[key] += 1
+                return real(*args)
+            return call
+
+        monkeypatch.setattr(RefIndex, "_lce0", counted("lce", RefIndex._lce0))
+        monkeypatch.setattr(_Tree, "locus", counted("locus", _Tree.locus))
+        got = ix.substring_concat(x, y)
+        monkeypatch.undo()
+        want = naive_substring_concat(ref, x, y)
+        assert (got is None) == (want is None)
+        if got is not None:
+            cat = ref[x[0] - 1 : x[1]] + ref[y[0] - 1 : y[1]]
+            assert ref[got - 1 : got - 1 + len(cat)] == cat
+        assert calls == {"lce": lce, "locus": locus}, calls
+        tree.validate()
+        return got
+
+    def test_one_byte_x_only_at_the_end(self, monkeypatch):
+        # "z" ends R: its leaf's suffix runs out after it
+        for y in [(1, 1), (2, 5)]:
+            assert self.ask(monkeypatch, b"abcabz", (6, 6), y, lce=0, locus=0) is None
+
+    def test_path_leaf_ends_r(self, monkeypatch):
+        # "ab"'s heavy path ends at the suffix "ab" itself: ext == n, and
+        # the branch for "x" is a leaf whose edge starts with it
+        assert self.ask(monkeypatch, b"abxab", (4, 5), (3, 3), lce=0, locus=1) == 1
+
+    def test_first_byte_mismatch_mid_edge(self, monkeypatch):
+        # every "a" is followed by "b": "ac" leaves the tree inside an edge
+        assert self.ask(monkeypatch, b"abcabd", (1, 1), (3, 4), lce=0, locus=0) is None
+
+    def test_first_byte_mismatch_at_a_node(self, monkeypatch):
+        # the heavy path goes on with "c"; "d" and "da" branch off at "ab"
+        assert self.ask(monkeypatch, b"abcabd", (1, 2), (6, 6), lce=0, locus=1) == 4
+        assert self.ask(monkeypatch, b"abcabda", (1, 2), (6, 7), lce=1, locus=1) == 4
+        assert self.ask(monkeypatch, b"abcabdxdc", (1, 2), (8, 9), lce=1, locus=1) is None
+
+    def test_one_byte_y_hit(self, monkeypatch):
+        assert self.ask(monkeypatch, b"abcabd", (4, 5), (3, 3), lce=0, locus=1) == 1
+
+    def test_one_byte_left_after_branching(self, monkeypatch):
+        # "a" then "bd": one byte of y on the heavy path, one on the branch
+        assert self.ask(monkeypatch, b"abcabd", (1, 1), (5, 6), lce=1, locus=0) == 4
+
+    def test_one_byte_edge_then_rank_set(self, monkeypatch):
+        # "a" branches to the internal node "ac", one byte below it; the
+        # rest of y is looked up in that node's rank set
+        ref = b"abxabyabzacdacecb"
+        assert self.ask(monkeypatch, ref, (1, 1), (11, 12), lce=0, locus=0) == 10
+        assert self.ask(monkeypatch, ref, (1, 1), (14, 15), lce=0, locus=0) == 13
+        assert self.ask(monkeypatch, ref, (1, 1), (16, 17), lce=0, locus=0) is None
+        assert self.ask(monkeypatch, ref, (1, 1), (11, 13), lce=0, locus=1) == 10
+
+
+def test_concat_witnesses_are_pinned():
+    # the witness an answer names decides the blocks that ``drc edit``
+    # writes, so it must not change with how a query is answered; the
+    # digest pins the answers of the query without its one-byte shortcuts
+    rng = random.Random(31)
+    words = b"the of and block merge split tree leaf window probe query".split()
+    lexicon = b" ".join(rng.choice(words) for _ in range(400))[:2000]
+    acgt = bytes(rng.choice(b"acgt") for _ in range(2000))
+    answers = []
+    for ref in (acgt, lexicon):
+        ix, r = build_index(ref), len(ref)
+        for _ in range(2500):
+            lx, ly = (rng.choice((1, 1, 2, 3, rng.randint(1, 30))) for _ in "xy")
+            xs = rng.randint(1, r - lx + 1)
+            if rng.random() < 0.3 and xs + lx + ly - 1 <= r:
+                ys = xs + lx  # y follows x in R, so the pair occurs
+            else:
+                ys = rng.randint(1, r - ly + 1)
+            answers.append(ix.substring_concat((xs, xs + lx - 1), (ys, ys + ly - 1)))
+    assert sum(a is not None for a in answers) > 1000
+    digest = hashlib.sha256(repr(answers).encode()).hexdigest()[:16]
+    assert digest == "4c2b506a4792ce55"
 
 
 def test_occurrence_map():
