@@ -20,6 +20,14 @@ Strings are addressed by opaque integer handles; split and concatenate
 consume their inputs and hand out fresh handles.  Empty strings are legal
 forest members (their tree is empty).
 
+Consecutive reads share a descent: the forest keeps one read finger, the
+handle, the leaf the last ``access`` descent reached, and the string
+position just before that leaf's first character.  A read of the same
+handle inside that leaf is answered from the finger.  Every edit,
+``split`` and ``concat`` drops it on entry, because they rewrite leaves in
+place; ``add`` and ``add_blocks`` keep it, because handles are never
+reused.
+
 >>> from drc.ref_index import build_index
 >>> forest = CoverForest(build_index(b"banana"))
 >>> a, b = forest.add(b"ban"), forest.add(b"ana")
@@ -29,6 +37,11 @@ forest members (their tree is empty).
 >>> left, right = forest.split(c, 4)
 >>> forest.decompress(left), forest.decompress(right)
 (b'ban', b'ana')
+>>> forest.access(right, 1), forest.access(right, 2)  # one descent
+(97, 110)
+>>> forest.replace(right, 2, ord("b"))  # drops the finger
+>>> bytes(forest.access(right, j) for j in range(1, 4))
+b'aba'
 """
 
 from __future__ import annotations
@@ -265,6 +278,12 @@ class CoverForest:
         self.index = index
         self._trees: Dict[int, Optional[_Tree]] = {}
         self._next_handle = 1
+        # the read finger (see access); no finger while the leaf is None.
+        # Three attributes, not a tuple: a tuple per descent would feed
+        # the cyclic garbage collector.
+        self._finger_handle = 0
+        self._finger_base = 0
+        self._finger_leaf: Optional[_Tree] = None
 
     # ------------------------------------------------------------------
 
@@ -318,17 +337,32 @@ class CoverForest:
         return _splice(t, lo, hi, win)
 
     def access(self, h: int, j: int) -> int:
-        """S_h[j] as an int byte."""
-        t = self._tree(h)
+        """S_h[j] as an int byte.  The read finger holds a handle, the leaf
+        the last descent reached and the position before that leaf; a j
+        inside that leaf of the same handle is read off it, any other j
+        descends from the root and moves the finger to the leaf it
+        reaches.  Edits, ``split`` and ``concat`` drop the finger; ``add``
+        keeps it, as handles are never reused."""
+        leaf = self._finger_leaf
+        if self._finger_handle == h and leaf is not None:
+            k = j - self._finger_base
+            if 0 < k <= leaf.nchars:
+                return self.index.data[leaf.blk[0] + k - 2]
+        try:
+            t = self._trees[h]
+        except KeyError:
+            raise UnknownHandle(f"no string with handle {h}") from None
         n = t.nchars if t is not None else 0
         if not 1 <= j <= n:
             raise IndexOutOfRange(f"position {j} outside [1, {n}]")
+        at = j
         while t.blk is None:
             if j <= t.left.nchars:
                 t = t.left
             else:
                 j -= t.left.nchars
                 t = t.right
+        self._finger_handle, self._finger_base, self._finger_leaf = h, at - j, t
         return self.index.data[t.blk[0] + j - 2]
 
     def replace(self, h: int, j: int, byte: int) -> None:
@@ -344,6 +378,7 @@ class CoverForest:
     def _edit(self, h: int, j: int, drop: int, byte: Optional[int]) -> None:
         """Replace the ``drop`` (0 or 1) characters at S_h[j] by ``byte``
         (None: by nothing) and re-merge the leaf's window."""
+        self._finger_leaf = None
         t = self._tree(h)
         n = (t.nchars if t is not None else 0) + 1 - drop
         if not 1 <= j <= n:
@@ -365,6 +400,7 @@ class CoverForest:
 
     def concat(self, h_a: int, h_b: int) -> int:
         """New string S_a . S_b; both inputs are consumed."""
+        self._finger_leaf = None
         if h_a == h_b:
             # resolve the handle first so unknown beats same
             self._tree(h_a)
@@ -380,6 +416,7 @@ class CoverForest:
 
     def split(self, h: int, j: int) -> Tuple[int, int]:
         """Cut S_h into S[1..j-1] and S[j..]; the input is consumed."""
+        self._finger_leaf = None
         t = self._tree(h)
         n = t.nchars if t is not None else 0
         if not 1 <= j <= n:
@@ -399,7 +436,10 @@ class CoverForest:
     def validate(self) -> None:
         """Recompute every cached field, check the AVL height bound, and
         check that no node is reachable twice: edits rewrite nodes in
-        place, so a shared node would change another string too."""
+        place, so a shared node would change another string too.  A set
+        finger must name a live handle, and a fresh descent to the
+        position after its base must reach its leaf, at the leaf's first
+        character."""
         # node ids, sorted in place: a set of them would outweigh the trees
         ids = array("Q")
         for h, t in self._trees.items():
@@ -412,6 +452,19 @@ class CoverForest:
         order = np.frombuffer(ids, np.uint64)
         order.sort()
         assert (order[1:] != order[:-1]).all(), "node reachable twice"
+        leaf = self._finger_leaf
+        if leaf is not None:
+            h, base = self._finger_handle, self._finger_base
+            assert h in self._trees, f"finger on dead handle {h}"
+            t, j = self._trees[h], base + 1
+            assert t is not None and j <= t.nchars, "finger past the string's end"
+            while t.blk is None:
+                if j <= t.left.nchars:
+                    t = t.left
+                else:
+                    j -= t.left.nchars
+                    t = t.right
+            assert t is leaf and j == 1, "finger off its leaf"
 
     def _check_node(self, t: _Tree, ids: array) -> Tuple[int, int, int]:
         ids.append(id(t))

@@ -10,6 +10,8 @@ from bisect import bisect_left
 from itertools import accumulate
 
 import pytest
+from hypothesis import settings, strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
 from drc.cover_engine import compress, cut
 from drc.errors import (
@@ -489,3 +491,317 @@ def test_point_edits_rewrite_few_nodes(monkeypatch):
     assert statistics.median(per_edit) == 0
     forest.validate()
     assert naive_maximality_check(ref, forest.blocks(h))
+
+
+# The read finger: consecutive reads inside one leaf share a descent, and
+# every call that rewrites a tree drops it.
+
+FOX = build_index(b"the quick brown fox jumps over the lazy dog")
+FOX_SRC = b"quick dog jumps the lazy brown fox over the quick"  # 7 leaves, 3-10 chars
+FOX_ALPHA = sorted(set(FOX.data))
+
+
+def finger_span(forest: CoverForest):
+    """First and last position of the finger's leaf."""
+    leaf = forest._finger_leaf
+    return forest._finger_base + 1, forest._finger_base + leaf.nchars
+
+
+def read_run(forest: CoverForest, h: int, text: bytearray, lo: int, hi: int) -> None:
+    for j in range(max(lo, 1), min(hi, len(text)) + 1):
+        assert forest.access(h, j) == text[j - 1], (h, j)
+
+
+def other_byte(text: bytearray, j: int) -> int:
+    old = text[j - 1] if j <= len(text) else 0
+    return next(c for c in FOX_ALPHA if c != old)
+
+
+@pytest.mark.parametrize("where", ["inside", "first", "last", "past"])
+@pytest.mark.parametrize("kind", ["replace", "insert", "delete"])
+def test_finger_reads_match_mirror_around_edits(kind, where):
+    # for every leaf: a run of reads sets the finger on it, an edit lands
+    # inside it, at its first or last char, or just past it, and reads
+    # around the edit and over the whole string match a bytearray
+    for leaf_no in range(7):
+        forest = CoverForest(FOX)
+        h, other = forest.add(FOX_SRC), forest.add(b"lazy fox")
+        assert forest.block_count(h) == 7
+        text = bytearray(FOX_SRC)
+        first = sum(e - s + 1 for s, e in forest.blocks(h)[:leaf_no]) + 1
+        read_run(forest, h, text, first, first + 2)
+        s, e = finger_span(forest)
+        assert s == first
+        j = {"inside": min(s + 1, e), "first": s, "last": e, "past": e + 1}[where]
+        if j > len(text) + (kind == "insert"):
+            continue  # nothing past the last leaf but an append
+        byte = other_byte(text, j)
+        if kind == "replace":
+            forest.replace(h, j, byte)
+            text[j - 1] = byte
+        elif kind == "insert":
+            forest.insert(h, j, byte)
+            text[j - 1 : j - 1] = bytes([byte])
+        else:
+            forest.delete(h, j)
+            del text[j - 1]
+        forest.validate()
+        read_run(forest, h, text, s - 2, e + 3)
+        forest.validate()
+        read_run(forest, h, text, 1, len(text))
+        read_run(forest, other, bytearray(b"lazy fox"), 1, 8)
+        forest.validate()
+        assert forest.decompress(h) == bytes(text)
+
+
+def test_finger_across_split_and_concat():
+    forest = CoverForest(FOX)
+    h, other = forest.add(FOX_SRC), forest.add(b"brown dog over the fox")
+    text, otext = bytearray(FOX_SRC), bytearray(b"brown dog over the fox")
+
+    # splitting another handle leaves the cached string readable
+    read_run(forest, h, text, 12, 16)
+    ol, orr = forest.split(other, 7)
+    forest.validate()
+    read_run(forest, h, text, 12, 16)
+    ltext, rtext = otext[:6], otext[6:]
+    read_run(forest, ol, ltext, 1, len(ltext))
+
+    # splitting the cached handle inside the cached leaf
+    read_run(forest, h, text, 20, 22)
+    s, e = finger_span(forest)
+    cut_at = s + 1
+    a, b = forest.split(h, cut_at)
+    forest.validate()
+    for j in (s, cut_at, e):
+        with pytest.raises(UnknownHandle):
+            forest.access(h, j)
+    atext, btext = text[: cut_at - 1], text[cut_at - 1 :]
+    read_run(forest, a, atext, 1, len(atext))
+    read_run(forest, b, btext, 1, len(btext))
+
+    # concatenating the cached handle with another
+    read_run(forest, a, atext, len(atext) - 3, len(atext))
+    c = forest.concat(a, orr)
+    forest.validate()
+    with pytest.raises(UnknownHandle):
+        forest.access(a, len(atext))
+    ctext = atext + rtext
+    read_run(forest, c, ctext, 1, len(ctext))
+
+    # concatenating two other handles while the finger is on c
+    read_run(forest, c, ctext, 5, 9)
+    d = forest.concat(ol, b)
+    forest.validate()
+    for gone in (ol, b):
+        with pytest.raises(UnknownHandle):
+            forest.access(gone, 1)
+    read_run(forest, c, ctext, 5, 9)
+    read_run(forest, d, ltext + btext, 1, len(ltext) + len(btext))
+    forest.validate()
+
+
+def test_out_of_range_reads_ignore_the_finger():
+    forest = CoverForest(FOX)
+    h, empty = forest.add(FOX_SRC), forest.add(b"")
+    n = len(FOX_SRC)
+    forest.access(h, 1)  # finger on the first leaf
+    with pytest.raises(IndexOutOfRange, match=rf"^position 0 outside \[1, {n}\]$"):
+        forest.access(h, 0)
+    forest.access(h, n)  # finger on the last leaf
+    with pytest.raises(IndexOutOfRange, match=rf"^position {n + 1} outside \[1, {n}\]$"):
+        forest.access(h, n + 1)
+    with pytest.raises(IndexOutOfRange, match=r"^position 1 outside \[1, 0\]$"):
+        forest.access(empty, 1)
+    forest.validate()
+
+
+class CountingTrees(dict):
+    """A handle table that counts lookups: in ``access`` only a descent
+    looks its handle up."""
+
+    def __init__(self, trees):
+        super().__init__(trees)
+        self.lookups = 0
+
+    def __getitem__(self, h):
+        self.lookups += 1
+        return super().__getitem__(h)
+
+
+def test_reads_descend_once_per_leaf(monkeypatch):
+    blocks = [(5, 10), (41, 43), (20, 26), (32, 40), (11, 20), (27, 35), (5, 9)]
+    forest = CoverForest(FOX)
+    h = forest.add_blocks(blocks)
+    text = bytearray(b"".join(FOX.data[s - 1 : e] for s, e in blocks))
+    trees = CountingTrees(forest._trees)
+    monkeypatch.setattr(forest, "_trees", trees)
+
+    read_run(forest, h, text, 1, len(text))
+    assert trees.lookups == len(blocks)
+    trees.lookups = 0
+    for j in range(len(text), 0, -1):  # backwards, from the last leaf
+        assert forest.access(h, j) == text[j - 1]
+    assert trees.lookups == len(blocks) - 1
+
+    # add keeps the finger: handles are never reused
+    forest.access(h, 12)
+    other = forest.add(b"lazy fox")
+    trees.lookups = 0
+    forest.access(h, 13)
+    assert trees.lookups == 0
+
+    def edit(op):
+        forest.access(h, 8)
+        trees.lookups = 0
+        forest.access(h, finger_span(forest)[1])
+        assert trees.lookups == 0  # the finger is set
+        op()
+        assert forest._finger_leaf is None
+        trees.lookups = 0
+        forest.access(h, 8)
+        assert trees.lookups == 1
+
+    edit(lambda: forest.replace(h, 8, ord("z")))
+    edit(lambda: forest.insert(h, 30, ord("o")))
+    edit(lambda: forest.delete(h, 30))
+    edit(lambda: forest.replace(other, 1, ord("l")))
+    hl, hr = forest.split(other, 3)
+    forest.access(h, 12)
+    forest.concat(hl, hr)
+    assert forest._finger_leaf is None
+    forest.access(h, 12)
+    h2, h3 = forest.split(h, 20)
+    assert forest._finger_leaf is None
+    trees.lookups = 0
+    forest.access(h2, 8)
+    assert trees.lookups == 1
+    forest.validate()
+
+
+def test_validate_rejects_a_stale_finger():
+    forest = CoverForest(FOX)
+    h = forest.add(FOX_SRC)
+    forest.access(h, 12)
+    forest.validate()
+    forest._finger_base += 1  # off the leaf's first char
+    with pytest.raises(AssertionError, match="finger off its leaf"):
+        forest.validate()
+    forest._finger_base -= 1
+    forest._finger_leaf = _build([(1, 3)])  # a leaf of no string
+    with pytest.raises(AssertionError, match="finger off its leaf"):
+        forest.validate()
+    forest.access(h, 12)
+    forest._trees[forest._next_handle] = forest._trees.pop(h)
+    with pytest.raises(AssertionError, match="dead handle"):
+        forest.validate()
+
+
+class FingerMachine(RuleBasedStateMachine):
+    """Runs of reads between edits, splits and concats, against bytearray
+    mirrors.  Edits and runs often start at the finger's leaf, where a
+    stale finger would show; consumed handles must stay unknown."""
+
+    def __init__(self):
+        super().__init__()
+        self.forest = CoverForest(FOX)
+        self.mirrors = {}
+        self.dead = []
+
+    def pick(self, data, nonempty=False):
+        """A live handle, the finger's one half the time."""
+        live = [h for h in sorted(self.mirrors) if self.mirrors[h] or not nonempty]
+        fh = self.forest._finger_handle
+        if fh in live and self.forest._finger_leaf is not None and data.draw(st.booleans()):
+            return fh
+        return data.draw(st.sampled_from(live))
+
+    def position(self, data, h, extra=0):
+        """A position of S_h, or of one past its end when extra is 1:
+        random, or around the finger's leaf when it is on h."""
+        n = len(self.mirrors[h]) + extra
+        leaf = self.forest._finger_leaf
+        if leaf is not None and self.forest._finger_handle == h and data.draw(st.booleans()):
+            s, e = finger_span(self.forest)
+            j = data.draw(st.sampled_from([s, s + 1, e - 1, e, e + 1]))
+            return min(max(j, 1), n)
+        return data.draw(st.integers(1, n))
+
+    @rule(pieces=st.lists(st.tuples(st.integers(0, 42), st.integers(1, 12)), max_size=6))
+    def add(self, pieces):
+        src = b"".join(FOX.data[i : i + k] for i, k in pieces)
+        self.mirrors[self.forest.add(src)] = bytearray(src)
+
+    @precondition(lambda self: self.mirrors)
+    @rule(data=st.data(), length=st.integers(1, 30), backwards=st.booleans())
+    def read(self, data, length, backwards):
+        h = self.pick(data)
+        text = self.mirrors[h]
+        if not text:
+            with pytest.raises(IndexOutOfRange):
+                self.forest.access(h, 1)
+            return
+        j = self.position(data, h)
+        run = range(j, min(j + length, len(text) + 1))
+        for k in reversed(run) if backwards else run:
+            assert self.forest.access(h, k) == text[k - 1], (h, k)
+
+    @precondition(lambda self: self.dead)
+    @rule(data=st.data())
+    def read_dead(self, data):
+        with pytest.raises(UnknownHandle):
+            self.forest.access(data.draw(st.sampled_from(self.dead)), 1)
+
+    @precondition(lambda self: any(self.mirrors.values()))
+    @rule(data=st.data(), byte=st.sampled_from(FOX_ALPHA))
+    def replace(self, data, byte):
+        h = self.pick(data, nonempty=True)
+        j = self.position(data, h)
+        self.forest.replace(h, j, byte)
+        self.mirrors[h][j - 1] = byte
+
+    @precondition(lambda self: self.mirrors)
+    @rule(data=st.data(), byte=st.sampled_from(FOX_ALPHA))
+    def insert(self, data, byte):
+        h = self.pick(data)
+        j = self.position(data, h, extra=1)
+        self.forest.insert(h, j, byte)
+        self.mirrors[h][j - 1 : j - 1] = bytes([byte])
+
+    @precondition(lambda self: any(self.mirrors.values()))
+    @rule(data=st.data())
+    def delete(self, data):
+        h = self.pick(data, nonempty=True)
+        j = self.position(data, h)
+        self.forest.delete(h, j)
+        del self.mirrors[h][j - 1]
+
+    @precondition(lambda self: any(self.mirrors.values()) and len(self.mirrors) < 8)
+    @rule(data=st.data())
+    def split(self, data):
+        h = self.pick(data, nonempty=True)
+        j = self.position(data, h)
+        hl, hr = self.forest.split(h, j)
+        text = self.mirrors.pop(h)
+        self.mirrors[hl], self.mirrors[hr] = text[: j - 1], text[j - 1 :]
+        self.dead.append(h)
+
+    @precondition(lambda self: len(self.mirrors) >= 2)
+    @rule(data=st.data())
+    def concat(self, data):
+        ha = self.pick(data)
+        hb = data.draw(st.sampled_from([h for h in sorted(self.mirrors) if h != ha]))
+        hc = self.forest.concat(ha, hb)
+        self.mirrors[hc] = self.mirrors.pop(ha) + self.mirrors.pop(hb)
+        self.dead += [ha, hb]
+
+    @invariant()
+    def matches_mirrors(self):
+        self.forest.validate()
+        for h, text in self.mirrors.items():
+            assert self.forest.decompress(h) == bytes(text)
+            assert naive_maximality_check(FOX.data, self.forest.blocks(h))
+
+
+TestFingerMachine = FingerMachine.TestCase
+TestFingerMachine.settings = settings(max_examples=150, stateful_step_count=40)
