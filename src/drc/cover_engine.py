@@ -16,8 +16,9 @@ edits work directly on this form:
   entry to match and writes the parts;
 * maximality is then restored inside the at-most-5-block window by one
   forward scan of adjacent-pair concatenation queries
-  (:func:`restore_maximal`).  Both helpers are shared with the
-  multi-string forest.
+  (:func:`restore_maximal`).  Both helpers, and the position and
+  character check every edit starts with (:func:`edit_block`), are
+  shared with the multi-string forest.
 
 A boundary whose concatenation is absent from R can never become present
 by merging its neighbors (merging only extends the string being sought),
@@ -35,9 +36,33 @@ from .errors import CharNotInReference, IndexOutOfRange
 from .partial_sums import SumTree
 from .ref_index import RefIndex
 
-__all__ = ["CompressedString", "compress", "cut", "restore_maximal"]
+__all__ = ["CompressedString", "compress", "cut", "edit_block", "restore_maximal"]
 
 Block = Tuple[int, int]  # 1-based inclusive interval of R
+
+
+def edit_block(index: RefIndex, length: int, j: int, drop: int,
+               byte: Optional[int]) -> Optional[Block]:
+    """Check an edit of a string of ``length`` characters that drops
+    ``drop`` (0 or 1) characters at position j and puts ``byte`` (None:
+    nothing) there, and return the block of the new character, or None.
+
+    >>> from drc.ref_index import build_index
+    >>> edit_block(build_index(b"banana"), 6, 7, 0, ord("n"))  # append
+    (3, 3)
+    >>> edit_block(build_index(b"banana"), 6, 7, 1, None)
+    Traceback (most recent call last):
+    drc.errors.IndexOutOfRange: position 7 outside [1, 6]
+    """
+    n = length + 1 - drop
+    if not 1 <= j <= n:
+        raise IndexOutOfRange(f"position {j} outside [1, {n}]")
+    if byte is None:
+        return None
+    occ = index.occurrence(byte)
+    if occ is None:
+        raise CharNotInReference(j, byte)
+    return occ, occ
 
 
 def cut(blk: Block, off: int, drop: int, new: Optional[Block]) -> List[Block]:
@@ -205,15 +230,7 @@ class CompressedString:
         (None: by nothing), carve the block's length entry to match the
         parts :func:`cut` returns, and re-merge around them."""
         self.last_concat_calls = self.last_st_ops = 0
-        n = self.length + 1 - drop
-        if not 1 <= i <= n:
-            raise IndexOutOfRange(f"position {i} outside [1, {n}]")
-        new = None
-        if byte is not None:
-            occ = self.index.occurrence(byte)
-            if occ is None:
-                raise CharNotInReference(i, byte)
-            new = (occ, occ)
+        new = edit_block(self.index, self.length, i, drop, byte)
         if i > self.length:  # append; also the only path when S is empty
             l, off, rest, parts = self.block_count + 1, 1, 0, [new]
         else:

@@ -6,9 +6,11 @@ character count, leaf count, and height of their subtree.  Position lookups
 descend by character counts; split and concatenate are tree split and join.
 An edit reads its window of leaves in the descent that locates it
 (``_edit_window``) and rewrites it in place (``_splice``): one descent
-overwrites or rebuilds the window and re-pulls the nodes above it, joining
-only where their children no longer balance.  No node is shared between
-strings, so a rewrite never reaches another handle.
+overwrites or rebuilds the window, then joins each node's new children
+with ``_join``, passing the node itself as ``top``: the one node a join
+may reuse, kept over the children while they balance.  ``_join`` never
+rewrites its inputs' nodes.  No node is shared between strings, so a
+rewrite never reaches another handle.
 
 Joins and cuts expose fresh block adjacencies, so every operation re-checks
 the affected boundary pairs against the reference index and merges while a
@@ -52,13 +54,8 @@ from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from .cover_engine import cut, restore_maximal
-from .errors import (
-    CharNotInReference,
-    IndexOutOfRange,
-    SameHandle,
-    UnknownHandle,
-)
+from .cover_engine import cut, edit_block, restore_maximal
+from .errors import IndexOutOfRange, SameHandle, UnknownHandle
 from .ref_index import RefIndex
 
 __all__ = [
@@ -91,13 +88,6 @@ def _pull(n: _Tree) -> None:
     n.nleaves = l.nleaves + r.nleaves
 
 
-def _branch(a: _Tree, b: _Tree) -> _Tree:
-    n = _Tree(None)
-    n.left, n.right = a, b
-    _pull(n)
-    return n
-
-
 def _rot_right(n: _Tree) -> _Tree:
     p = n.left
     n.left = p.right
@@ -117,35 +107,45 @@ def _rot_left(n: _Tree) -> _Tree:
 
 
 def _rebalance(n: _Tree) -> _Tree:
-    """Fix a balance factor of +-2 left by a join step."""
+    """Fix a balance factor of +-2 left by a join step.  A double rotation
+    lifts a grandchild from the join's inputs, so it lifts a copy of it."""
     _pull(n)
     bf = n.left.height - n.right.height
     if bf > 1:
         if n.left.left.height < n.left.right.height:
+            n.left.right = _join(n.left.right.left, n.left.right.right)
             n.left = _rot_left(n.left)
         return _rot_right(n)
     if bf < -1:
         if n.right.right.height < n.right.left.height:
+            n.right.left = _join(n.right.left.left, n.right.left.right)
             n.right = _rot_right(n.right)
         return _rot_left(n)
     return n
 
 
-def _join(a: Optional[_Tree], b: Optional[_Tree]) -> Optional[_Tree]:
-    """Concatenate two AVL trees of leaves."""
+def _join(a: Optional[_Tree], b: Optional[_Tree],
+          top: Optional[_Tree] = None) -> Optional[_Tree]:
+    """Concatenate two AVL trees of leaves without rewriting their nodes.
+    ``top``, an internal node the caller no longer uses, goes over the two
+    subtrees whose heights meet (a new node when None); new nodes above."""
     if a is None:
         return b
     if b is None:
         return a
-    if a.height >= b.height + 2:
+    d = a.height - b.height
+    if d > 1:
         n = _Tree(None)
-        n.left, n.right = a.left, _join(a.right, b)
+        n.left, n.right = a.left, _join(a.right, b, top)
         return _rebalance(n)
-    if b.height >= a.height + 2:
+    if d < -1:
         n = _Tree(None)
-        n.left, n.right = _join(a, b.left), b.right
+        n.left, n.right = _join(a, b.left, top), b.right
         return _rebalance(n)
-    return _branch(a, b)
+    n = top or _Tree(None)
+    n.left, n.right = a, b
+    _pull(n)
+    return n
 
 
 def _split_chars(t: Optional[_Tree], c: int) -> Tuple[Optional[_Tree], Optional[_Tree]]:
@@ -220,20 +220,12 @@ def _edit_window(t: _Tree, j: int, drop: int,
     return lo, hi, win
 
 
-def _mend(t: _Tree, l: Optional[_Tree], r: Optional[_Tree]) -> Optional[_Tree]:
-    """``t`` over new children while they balance, else their join."""
-    if l is not None and r is not None and abs(l.height - r.height) <= 1:
-        t.left, t.right = l, r
-        _pull(t)
-        return t
-    return _join(l, r)
-
-
 def _splice(t: _Tree, lo: int, hi: int, new: List[Block]) -> Optional[_Tree]:
     """Replace leaves [lo, hi] (1-based) of ``t`` by the blocks ``new`` in
     one descent that rewrites ``t`` in place.  A window straddling both
     children gives the left one as many blocks as it loses leaves and the
-    right one the rest; one block for one leaf overwrites the leaf."""
+    right one the rest; one block for one leaf overwrites the leaf.  Each
+    node on the way is the ``top`` of its new children's join."""
     if t.blk is not None:
         if len(new) != 1:
             return _build(new)
@@ -242,11 +234,11 @@ def _splice(t: _Tree, lo: int, hi: int, new: List[Block]) -> Optional[_Tree]:
         return t
     k = t.left.nleaves
     if hi <= k:
-        return _mend(t, _splice(t.left, lo, hi, new), t.right)
+        return _join(_splice(t.left, lo, hi, new), t.right, t)
     if lo > k:
-        return _mend(t, t.left, _splice(t.right, lo - k, hi - k, new))
+        return _join(t.left, _splice(t.right, lo - k, hi - k, new), t)
     m = k - lo + 1
-    return _mend(t, _splice(t.left, lo, k, new[:m]), _splice(t.right, 1, hi - k, new[m:]))
+    return _join(_splice(t.left, lo, k, new[:m]), _splice(t.right, 1, hi - k, new[m:]), t)
 
 
 def _leaves(t: Optional[_Tree]) -> Iterator[Block]:
@@ -268,7 +260,7 @@ def _build(blocks: List[Block]) -> Optional[_Tree]:
     if len(blocks) == 1:
         return _Tree(blocks[0])
     mid = len(blocks) // 2
-    return _branch(_build(blocks[:mid]), _build(blocks[mid:]))
+    return _join(_build(blocks[:mid]), _build(blocks[mid:]))
 
 
 class CoverForest:
@@ -331,10 +323,10 @@ class CoverForest:
     def _remerge(self, t: _Tree, lo: int, hi: int) -> Optional[_Tree]:
         """Read the blocks of leaves [lo, hi] (1-based ordinals) of ``t``,
         re-merge their boundaries, and splice the result back in place of
-        the window; returns the new root."""
+        the window if a pair merged; returns the root."""
         win = _window(t, lo, hi)
         restore_maximal(win, self.index.substring_concat)
-        return _splice(t, lo, hi, win)
+        return _splice(t, lo, hi, win) if len(win) <= hi - lo else t
 
     def access(self, h: int, j: int) -> int:
         """S_h[j] as an int byte.  The read finger holds a handle, the leaf
@@ -380,15 +372,7 @@ class CoverForest:
         (None: by nothing) and re-merge the leaf's window."""
         self._finger_leaf = None
         t = self._tree(h)
-        n = (t.nchars if t is not None else 0) + 1 - drop
-        if not 1 <= j <= n:
-            raise IndexOutOfRange(f"position {j} outside [1, {n}]")
-        new = None
-        if byte is not None:
-            occ = self.index.occurrence(byte)
-            if occ is None:
-                raise CharNotInReference(j, byte)
-            new = (occ, occ)
+        new = edit_block(self.index, t.nchars if t is not None else 0, j, drop, byte)
         if t is None:
             self._trees[h] = _Tree(new)
             return

@@ -449,6 +449,91 @@ def test_edit_window_matches_list_model():
     assert kept_out > 0
 
 
+def node_fields(t):
+    """Every node of ``t`` with its fields, by node identity."""
+    out, stack = {}, [t] if t is not None else []
+    while stack:
+        n = stack.pop()
+        out[id(n)] = (n, n.blk, n.left, n.right, n.height, n.nchars, n.nleaves)
+        if n.blk is None:
+            stack += [n.left, n.right]
+    return out
+
+
+def count_new_nodes(monkeypatch):
+    """A list that grows by one per ``_Tree`` made from now on."""
+    made = []
+    real = multi_cover._Tree.__init__
+    monkeypatch.setattr(multi_cover._Tree, "__init__",
+                        lambda self, blk: made.append(1) or real(self, blk))
+    return made
+
+
+def test_join_matches_list_model():
+    # random pairs of pieces, empty ones included, joined with and without
+    # a spare node on top: the leaves concatenate, the result is an AVL
+    # tree, the spare is used exactly when both sides have leaves, and no
+    # node of either input changes
+    rng = random.Random(23)
+    forest = CoverForest(build_index(bytes(range(97, 123))))
+    used = 0
+    for _ in range(1500):
+        sides = []
+        for base in (1, 13):
+            n = rng.choice((0, 1, 2, 3, 5, 8, 13, 30))
+            blocks = [(base + i % 13, base + i % 13) for i in range(n)]
+            t = rng.choice((_build, lambda b: uneven_tree(rng, b) if b else None))(blocks)
+            sides.append((t, blocks, node_fields(t)))
+        (a, blocks_a, before_a), (b, blocks_b, before_b) = sides
+        top = _build([(1, 1), (2, 2)]) if rng.random() < 0.5 else None
+        out = _join(a, b, top)
+        assert list(_leaves(out)) == blocks_a + blocks_b
+        after = node_fields(out)
+        if top is not None:
+            assert (id(top) in after) == (a is not None and b is not None)
+            used += id(top) in after
+        for before in (before_a, before_b):
+            for n, *fields in before.values():
+                assert [n.blk, n.left, n.right, n.height, n.nchars, n.nleaves] == fields
+        if out is None:
+            continue
+        height, _c, leaves = forest._check_node(out, array("Q"))
+        assert leaves == len(blocks_a) + len(blocks_b)
+        assert height - 1 <= 1.44 * math.log2(leaves + 1) + 1e-9
+    assert used > 0
+
+
+def test_unbalanced_splice_reuses_the_node_where_heights_meet(monkeypatch):
+    # rewriting the right half of 8 leaves as one block leaves the root's
+    # children 3 and 1 levels high: their join makes one node above the
+    # left child's right child, and the old root goes where the heights meet
+    blocks = [(i, i) for i in range(1, 9)]
+    t = _build(blocks)
+    made = count_new_nodes(monkeypatch)
+    out = _splice(t, 5, 8, [(5, 8)])
+    monkeypatch.undo()
+    assert list(_leaves(out)) == blocks[:4] + [(5, 8)]
+    assert len(made) == 1
+    assert out.right is t and out.right.right.blk == (5, 8)
+    CoverForest(build_index(b"abcdefgh"))._check_node(out, array("Q"))
+
+
+def test_remerge_without_a_merge_keeps_the_tree(monkeypatch):
+    # every boundary of a maximal cover is absent from R, so re-merging
+    # any two neighbors changes nothing: same root, no node made
+    rng = random.Random(29)
+    forest = CoverForest(build_index(bytes(rng.choice(b"ab") for _ in range(40))))
+    h = forest.add(bytes(rng.choice(b"ab") for _ in range(600)))
+    t, blocks = forest._trees[h], forest.blocks(h)
+    before = node_fields(t)
+    made = count_new_nodes(monkeypatch)
+    for lo in range(1, len(blocks)):
+        assert forest._remerge(t, lo, lo + 1) is t
+    monkeypatch.undo()
+    assert made == []
+    assert node_fields(t) == before
+
+
 def test_validate_rejects_a_node_shared_by_two_handles():
     rng = random.Random(4)
     forest = CoverForest(BANANA)
