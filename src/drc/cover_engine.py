@@ -30,6 +30,7 @@ Both counts are instrumented.
 from __future__ import annotations
 
 from itertools import islice
+from operator import index as as_int
 from typing import Callable, Iterable, List, Optional, Tuple
 
 from .errors import CharNotInReference, IndexOutOfRange
@@ -215,11 +216,11 @@ class CompressedString:
 
     def replace(self, i: int, byte: int) -> None:
         """S[i] = byte."""
-        self._edit(i, 1, byte)
+        self._edit(i, 1, as_int(byte))
 
     def insert(self, i: int, byte: int) -> None:
         """Insert byte before position i (i = N+1 appends)."""
-        self._edit(i, 0, byte)
+        self._edit(i, 0, as_int(byte))
 
     def delete(self, i: int) -> None:
         """Remove S[i]."""

@@ -60,7 +60,8 @@ class CharNotInReference(DrcError, ValueError):
     """
 
     def __init__(self, position: int, byte: int):
-        super().__init__(f"byte 0x{byte:02x} at source position {position} "
+        shown = f"0x{byte:02x}" if 0 <= byte <= 255 else str(byte)
+        super().__init__(f"byte {shown} at source position {position} "
                          f"does not occur in the reference")
         self.position = position
         self.byte = byte

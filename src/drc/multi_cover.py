@@ -50,6 +50,7 @@ from __future__ import annotations
 
 import math
 from array import array
+from operator import index as as_int
 from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
@@ -358,11 +359,11 @@ class CoverForest:
         return self.index.data[t.blk[0] + j - 2]
 
     def replace(self, h: int, j: int, byte: int) -> None:
-        self._edit(h, j, 1, byte)
+        self._edit(h, j, 1, as_int(byte))
 
     def insert(self, h: int, j: int, byte: int) -> None:
         """Insert byte before position j of S_h (j = length+1 appends)."""
-        self._edit(h, j, 0, byte)
+        self._edit(h, j, 0, as_int(byte))
 
     def delete(self, h: int, j: int) -> None:
         self._edit(h, j, 1, None)

@@ -16,24 +16,23 @@ root-to-leaf path:
 
 The tree keeps a *finger* on the bottom node its last walk reached: that
 node, the ordinal of its first leaf, and the path down to it.  A lookup
-by position whose leaf lies in the finger's node (for a growing op, in a
-node with room) starts there instead of at the root, so the several ops
-of one string edit walk the index about once.  Leaf counts change only
-in the node an op reached, which is the finger's, so its first ordinal
-stays right; every change of shape (a regroup, a merge across nodes)
-drops the finger.
+by position whose leaf lies in the finger's node starts there instead
+of at the root, so the several ops of one string edit walk the index
+about once.  Leaf counts change only in the node an op reached, which is
+the finger's, so its first ordinal stays right; every change of shape (a
+regroup, a merge across nodes) drops the finger.
 
 One rule, ``_chunk``, sizes every node: fewer than B entries stay one
 node, more become near-equal nodes of about 3B/4, each of B/2 to B - 1.
 The bulk build applies it level by level, so the first entries added
-after it split nothing.  ``_regroup`` applies it to a full node before a
-descent enters it (a split: one ``divide`` on the parent's sums, as an
-exact split conserves the subtree total), and to a node left under B/2
-with a neighbor (as one node, a fuse: one ``merge``; as two, an even
-share: a ``merge`` and a ``divide``).  The regrouped nodes are built
-afresh, and a merge across two bottom nodes rebuilds the PackedSums of
-the nodes it changed; a rebuild is O(B) and touches at most two nodes
-per level.
+after it split nothing.  ``_regroup`` applies it to a full node only
+when a growth below it must grow it (a split: one ``divide`` on the
+parent's sums, as an exact split conserves the subtree total), and to a
+node left under B/2 with a neighbor (as one node, a fuse: one ``merge``;
+as two, an even share: a ``merge`` and a ``divide``).  The regrouped
+nodes are built afresh, and a merge across two bottom nodes rebuilds the
+PackedSums of the nodes it changed; a rebuild is O(B) and touches at
+most two nodes per level.
 
 Every node has one shape: a PackedSums and a list of kids, slot for slot.
 An internal node's kids are its child nodes; a bottom node's kids are its
@@ -63,7 +62,6 @@ from typing import Any, Iterable, Iterator, List, Optional, Tuple
 
 from .errors import (
     BadConfig,
-    DeleteTooLarge,
     DeltaTooLarge,
     IndexOutOfRange,
     NegativeEntry,
@@ -305,22 +303,15 @@ class SumTree:
             i -= c
         return len(kids), kids[-1].nleaves + i
 
-    def _fingered(self, i: int) -> Optional[Tuple[_Node, int, _Path]]:
-        """``_locate(i)`` read off the finger if leaf i is in its node."""
+    def _locate(self, i: int) -> Tuple[_Node, int, _Path]:
+        """Bottom node holding leaf i, its local slot, and the path down;
+        i = nleaves + 1 gives the slot just past the last leaf.  From the
+        finger when leaf i is in its node; else a walk from the root,
+        which moves the finger to the node it reaches."""
         if self._finger is not None:
             node, first, path = self._finger
             if first <= i < first + len(node.kids):
                 return node, i - first + 1, list(path)
-        return None
-
-    def _locate(self, i: int) -> Tuple[_Node, int, _Path]:
-        """Bottom node holding leaf i, its local slot, and the path down;
-        i = nleaves + 1 gives the slot just past the last leaf.  From the
-        finger when it can; else a walk from the root, which moves the
-        finger to the node it reaches."""
-        hit = self._fingered(i)
-        if hit is not None:
-            return hit
         node, path, want = self._root, [], i
         while not node.bottom:
             k, i = self._child_for(node, i)
@@ -355,28 +346,35 @@ class SumTree:
             parent.ps.divide(lo + 1, sum(vals[cuts[0]]))
 
     def _descend_for_growth(self, i: int) -> Tuple[_Node, int, _Path]:
-        """Like _locate, but splits any full node before entering it, so the
-        bottom node is guaranteed to have room.  i may be nleaves + 1
-        (append position).  From the finger when leaf i lies in its node
-        and the node has room: no full node is entered then."""
+        """``_locate(i)`` in a bottom node with room for one more leaf; i
+        may be nleaves + 1 (append position).  While the node it lands in
+        is full, split the highest node of the run of full nodes directly
+        above it, or grow the root a level if that run reaches it, and
+        look again: a full node splits only when a growth must grow it."""
         b = self.cfg.B
-        hit = self._fingered(i)
-        if hit is not None and len(hit[0].kids) < b:
-            return hit
-        root, want = self._root, i
-        if len(root.ps) >= b:
-            self._root = _Node(PackedSums([root.ps.total], config=self.cfg), [root], False)
-            self._regroup(self._root, 0, 1)
-        node, path = self._root, []
-        while not node.bottom:
-            k, local = self._child_for(node, i)
-            if len(node.kids[k - 1].ps) >= b:
-                self._regroup(node, k - 1, 1)
-                k, local = self._child_for(node, i)
-            path.append((node, k))
-            node, i = node.kids[k - 1], local
-        self._finger = node, want - i + 1, tuple(path)
-        return node, i, path
+        while True:
+            node, slot, path = self._locate(i)
+            if len(node.kids) < b:
+                return node, slot, path
+            top = len(path)
+            while top and len(path[top - 1][0].kids) >= b:
+                top -= 1
+            if top:
+                parent, k = path[top - 1]
+                self._regroup(parent, k - 1, 1)
+            else:
+                root = self._root
+                self._root = _Node(PackedSums([root.ps.total], config=self.cfg), [root], False)
+                self._regroup(self._root, 0, 1)
+
+    @staticmethod
+    def _adjust(path: _Path, leaves: int, d: int = 0) -> None:
+        """Add leaves to the leaf count of every node on path and, unless d
+        is 0, d to the entry it holds for the path's next node."""
+        for parent, k in path:
+            parent.nleaves += leaves
+            if d:
+                parent.ps.update(k, d)
 
     def _repair(self, node: _Node, path: _Path) -> None:
         """Restore minimum-degree invariants after node shrank: regroup an
@@ -404,8 +402,7 @@ class SumTree:
             node.ps.update(slot, d)  # validates delta width and sign
         except NegativeEntry:
             raise NegativeEntry(f"entry {i} would fall below zero") from None
-        for parent, k in path:
-            parent.ps.update(k, d)
+        self._adjust(path, 0, d)
 
     def divide(self, i: int, t: int) -> None:
         """Split Z[i] = v into consecutive entries t, v - t; both keep
@@ -417,8 +414,7 @@ class SumTree:
         node.ps.divide(slot, t)  # validates the split point
         node.kids.insert(slot, node.kids[slot - 1])
         node.nleaves += 1
-        for parent, _ in path:
-            parent.nleaves += 1
+        self._adjust(path, 1)
 
     def merge(self, i: int) -> None:
         """Replace Z[i], Z[i+1] by their sum, which keeps Z[i]'s item."""
@@ -430,8 +426,7 @@ class SumTree:
             node.ps.merge(slot)
             del node.kids[slot]
             node.nleaves -= 1
-            for parent, _ in path:
-                parent.nleaves -= 1
+            self._adjust(path, -1)
             self._repair(node, path)
             return
         # Z[i] ends this bottom node; fold it into the next node's head.
@@ -444,18 +439,14 @@ class SumTree:
         nv2[0] += v1
         node2.ps = PackedSums(nv2, config=self.cfg)
         node2.kids[0] = node.kids.pop()
-        # subtree sums changed by -v1 / +v1 below the fork; counts only on
-        # the shrinking side
-        fork = 0
-        while fork < len(path) and path[fork][0] is path2[fork][0]:
-            fork += 1
-        for parent, _ in reversed(path[fork:]):
-            self._refresh(parent)
-        for parent, _ in reversed(path2[fork:]):
-            self._refresh(parent)
-        self._refresh(path[fork - 1][0])
-        for parent, _ in path[: fork - 1]:
-            parent.nleaves -= 1
+        # one leaf fewer on the shrinking side; subtree sums move by -v1 /
+        # +v1 below the node where the two paths meet
+        self._adjust(path, -1)
+        for (a, _), (b, _) in zip(reversed(path), reversed(path2)):
+            self._refresh(a)
+            if a is b:
+                break
+            self._refresh(b)
         self._finger = None
         self._repair(node, path)
 
@@ -470,9 +461,7 @@ class SumTree:
         node.ps.insert(slot, d)
         node.kids.insert(slot - 1, None)
         node.nleaves += 1
-        for parent, k in path:
-            parent.nleaves += 1
-            parent.ps.update(k, d)
+        self._adjust(path, 1, d)
 
     def delete(self, i: int) -> None:
         """Remove entry i; its value must fit in delta bits."""
@@ -482,14 +471,10 @@ class SumTree:
         node, slot, path = self._locate(i)
         ps = node.ps
         v = ps.sum(slot) - (ps.sum(slot - 1) if slot > 1 else 0)
-        if v >= 1 << self.cfg.delta:
-            raise DeleteTooLarge(f"entry value {v} >= 2**{self.cfg.delta}")
-        ps.delete(slot)
+        ps.delete(slot)  # validates the value's width
         del node.kids[slot - 1]
         node.nleaves -= 1
-        for parent, k in path:
-            parent.nleaves -= 1
-            parent.ps.update(k, -v)
+        self._adjust(path, -1, -v)
         self._repair(node, path)
 
     # ------------------------------------------------------------------

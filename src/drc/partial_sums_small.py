@@ -37,10 +37,11 @@ A search for t is one ``bisect`` over the anchors: run r, the last
 whose anchor is below t, holds the answer after its head, or else the
 next head is the answer.  One packed comparison (``_first_ge``) over
 run r's other fields tells which; where every entry heads its own run,
-as on every internal SumTree level, the bisect alone answers.  An
-update at a head moves anchors only, elsewhere it also adds to the rest
-of that one run's fields.  The structure is repacked every B edits,
-which keeps every offset inside the bound that PsConfig checks.
+the bisect alone answers.  On an internal SumTree level too, an entry
+heads a run only when its subtree sum exceeds the gap.  An update at a
+head moves anchors only, elsewhere it also adds to the rest of that one
+run's fields.  The structure is repacked every B edits, which keeps
+every offset inside the bound that PsConfig checks.
 """
 
 from __future__ import annotations
@@ -434,14 +435,10 @@ class PackedSums:
             self._load([d])
             self._finish()
             return
-        if i <= self._n:
-            self.divide(i, 0)
-            self.update(i, d)
-        else:
-            last = self._sum(self._n) - self._sum(self._n - 1)
-            self.divide(self._n, last)
-            # divide already grew the sequence; the fresh zero is the tail
-            self.update(self._n, d)
+        # a zero before entry i, or after the last entry for an append
+        n = self._n
+        self.divide(min(i, n), 0 if i <= n else self._sum(n) - self._sum(n - 1))
+        self.update(i, d)
 
     def delete(self, i: int) -> None:
         """Remove entry i; its value must fit one delta-bounded update."""
@@ -453,10 +450,8 @@ class PackedSums:
         self.update(i, -v)
         if self._n == 1:
             self._load([])
-        elif i < self._n:
-            self.merge(i)
         else:
-            self.merge(i - 1)
+            self.merge(min(i, self._n - 1))
 
     # -------------------------------------------------------------- validation
 

@@ -415,6 +415,28 @@ def test_bytes_outside_0_255_are_not_in_the_reference():
     assert_coherent(cs, b"banana")
 
 
+def test_byte_outside_0_255_is_named_as_it_is():
+    cs = compress(BANANA, b"banana")
+    with pytest.raises(CharNotInReference, match=r"^byte -1 at source position 2 "):
+        cs.insert(2, -1)
+    with pytest.raises(CharNotInReference, match=r"^byte 0x7a at source position 2 "):
+        cs.insert(2, ord("z"))
+
+
+@pytest.mark.parametrize("src", [b"", b"abc", b"abcab"])
+@pytest.mark.parametrize("op", ["insert", "replace"])
+def test_a_byte_that_is_no_integer_changes_nothing(src, op):
+    # None is the engine's own "put nothing" marker; it must not get through
+    cs = compress(build_index(b"abcabc"), src)
+    blocks = cs.blocks()
+    for i in range(1, len(src) + 2):
+        for byte in (None, 97.0, b"a"):
+            with pytest.raises(TypeError):
+                getattr(cs, op)(i, byte)
+            assert cs.blocks() == blocks
+            assert_coherent(cs, src)
+
+
 def random_reference(rng: random.Random, r: int, sigma: int) -> bytes:
     return bytes(rng.randrange(sigma) + 97 for _ in range(r))
 

@@ -149,6 +149,19 @@ class TestEdits:
                 forest.insert(h, 1, byte)
         assert_string(forest, h, b"banana")
 
+    @pytest.mark.parametrize("src", [b"", b"abc", b"abcab"])
+    @pytest.mark.parametrize("op", ["insert", "replace"])
+    def test_a_byte_that_is_no_integer_changes_nothing(self, src, op):
+        # None is the engine's own "put nothing" marker; it must not get through
+        forest, h = make(src, build_index(b"abcabc"))
+        blocks = forest.blocks(h)
+        for j in range(1, len(src) + 2):
+            for byte in (None, 97.0, b"a"):
+                with pytest.raises(TypeError):
+                    getattr(forest, op)(h, j, byte)
+                assert forest.blocks(h) == blocks
+                assert_string(forest, h, src)
+
     def test_matches_single_string_engine(self):
         rng = random.Random(7)
         ref = bytes(rng.choice(b"abc") for _ in range(80))

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from drc.errors import (
     BadConfig,
+    BadSplit,
     DeleteTooLarge,
     DeltaTooLarge,
     DrcError,
@@ -18,7 +19,7 @@ from drc.errors import (
 )
 from drc.oracles import NaivePartialSums
 from drc.partial_sums import SumTree
-from drc.partial_sums_small import DEFAULT_CONFIG, PsConfig
+from drc.partial_sums_small import DEFAULT_CONFIG, PackedSums, PsConfig
 
 from support import DEMO_Z, OP_KINDS, apply_op, resolve_op
 
@@ -223,6 +224,50 @@ class TestRejections:
                 t.find(x)
         assert [t.find(x) for x in (1, 6, 7, 10)] == [
             (1, 0, "a"), (2, 5, "b"), (3, 6, "c"), (3, 6, "c")]
+
+
+def _full_tree():
+    # four bottom nodes of three under a root of two; the append fills the last
+    t = SumTree([1, 2, 3, 5] * 3, "abcdefghijkl", config=PsConfig(B=4))
+    t.insert(13, 1)
+    assert len(t._locate(13)[0].kids) == 4
+    return t
+
+
+def _full_packed():
+    return PackedSums([1, 2, 3, 5], config=PsConfig(B=4))
+
+
+def _state(s):
+    if isinstance(s, SumTree):
+        return s.values(), list(s.items_from(1)), [len(node.kids) for node in _nodes(s)]
+    return s.values(), s.representatives, s.offsets, s.run_flags, s.ops_since_rebuild
+
+
+@pytest.mark.parametrize("make", [_full_tree, _full_packed], ids=["SumTree", "PackedSums"])
+@pytest.mark.parametrize("op, error", [
+    (lambda s: s.delete(4), DeleteTooLarge),  # Z[4] = 5 >= 2**2
+    (lambda s: s.insert(1, 4), DeltaTooLarge),
+    (lambda s: s.insert(len(s) + 1, -1), DeltaTooLarge),
+    (lambda s: s.divide(len(s), 6), BadSplit),  # on the full bottom node
+    (lambda s: s.merge(len(s)), IndexOutOfRange),
+    (lambda s: s.merge(0), IndexOutOfRange),
+    (lambda s: s.update(0, 1), IndexOutOfRange),
+    (lambda s: s.update(len(s) + 1, 1), IndexOutOfRange),
+    (lambda s: s.update(1, -2), NegativeEntry),
+], ids=["delete-large", "insert-wide", "insert-negative", "divide-bad-split",
+        "merge-last", "merge-0", "update-0", "update-past-end", "update-negative"])
+def test_a_rejected_op_leaves_the_structure_as_it_was(make, op, error):
+    s = make()
+    before = _state(s)
+    with pytest.raises(error):
+        op(s)
+    after = _state(s)
+    if isinstance(s, SumTree) and error is BadSplit:
+        # the full bottom node may split before the split point is checked
+        before, after = before[:2], after[:2]
+    assert after == before
+    s.validate()
 
 
 def random_soak(seed, n_ops, seed_len, config=None):
