@@ -184,6 +184,7 @@ class CompressedString:
 
     def access(self, i: int) -> int:
         """S[i] as an int byte."""
+        i = as_int(i)
         self.last_concat_calls = self.last_st_ops = 0
         if not 1 <= i <= self.length:
             raise IndexOutOfRange(f"position {i} outside [1, {self.length}]")
@@ -192,6 +193,7 @@ class CompressedString:
 
     def extract(self, i: int, ell: int) -> bytes:
         """S[i .. i+ell-1]."""
+        i, ell = as_int(i), as_int(ell)
         self.last_concat_calls = self.last_st_ops = 0
         if ell < 0 or i < 1 or i + ell - 1 > self.length:
             raise IndexOutOfRange(
@@ -216,15 +218,15 @@ class CompressedString:
 
     def replace(self, i: int, byte: int) -> None:
         """S[i] = byte."""
-        self._edit(i, 1, as_int(byte))
+        self._edit(as_int(i), 1, as_int(byte))
 
     def insert(self, i: int, byte: int) -> None:
         """Insert byte before position i (i = N+1 appends)."""
-        self._edit(i, 0, as_int(byte))
+        self._edit(as_int(i), 0, as_int(byte))
 
     def delete(self, i: int) -> None:
         """Remove S[i]."""
-        self._edit(i, 1, None)
+        self._edit(as_int(i), 1, None)
 
     def _edit(self, i: int, drop: int, byte: Optional[int]) -> None:
         """Replace the ``drop`` (0 or 1) characters at S[i] by ``byte``

@@ -1,16 +1,31 @@
 """A forest of compressed strings supporting split and concatenation.
 
 Each string is a maximal cover of reference blocks, held in a leaf-oriented
-AVL tree: leaves are blocks in string order, internal nodes cache the total
-character count, leaf count, and height of their subtree.  Position lookups
-descend by character counts; split and concatenate are tree split and join.
-An edit reads its window of leaves in the descent that locates it
-(``_edit_window``) and rewrites it in place (``_splice``): one descent
-overwrites or rebuilds the window, then joins each node's new children
-with ``_join``, passing the node itself as ``top``: the one node a join
-may reuse, kept over the children while they balance.  ``_join`` never
-rewrites its inputs' nodes.  No node is shared between strings, so a
-rewrite never reaches another handle.
+AVL tree whose leaves are chunks: lists of up to ``_CHUNK`` consecutive
+blocks, kept with an array of the prefix sums of their lengths.
+Internal nodes cache the character count, block count (``nleaves``) and
+height of their subtree, so block ordinals and position lookups work as if
+every block were a leaf; a lookup descends by character counts to a chunk
+and bisects the chunk's prefix sums.  Split and concatenate are tree split
+and join.
+
+A point edit reads its window of blocks in the descent that locates it
+(``_edit_window``).  When what it writes back lies inside one chunk (a
+neighbor from another chunk that did not merge is not written back) and
+the chunk stays within its size bounds, the edit rewrites a slice of the
+chunk (``_rewrite``) and adds its char and block deltas to the nodes on the
+descent path: no node is allocated and nothing is joined.  Otherwise (a
+neighbor in another chunk merged, or the chunk overflows or runs
+underfull) ``_splice`` writes the window back in one descent, joining each
+node's new children with ``_join``, which never rewrites its inputs' nodes
+and reuses the rewritten node itself as the ``top`` where the heights meet.
+A chunk over ``_CHUNK`` blocks is rebuilt as chunks of near-equal size.  No
+chunk but a string's only one has fewer than ``_CHUNK // 4`` blocks: a
+piece of a cut chunk, or a whole string, that small goes into its
+neighbor's edge chunk instead of under a join (``_concat``), and a chunk an
+edit or a re-merge leaves that small fuses with a neighbor (``_fuse``).  No
+node or chunk is shared between strings, so a rewrite never reaches another
+handle.
 
 Joins and cuts expose fresh block adjacencies, so every operation re-checks
 the affected boundary pairs against the reference index and merges while a
@@ -22,13 +37,14 @@ Strings are addressed by opaque integer handles; split and concatenate
 consume their inputs and hand out fresh handles.  Empty strings are legal
 forest members (their tree is empty).
 
-Consecutive reads share a descent: the forest keeps one read finger, the
-handle, the leaf the last ``access`` descent reached, and the string
-position just before that leaf's first character.  A read of the same
-handle inside that leaf is answered from the finger.  Every edit,
-``split`` and ``concat`` drops it on entry, because they rewrite leaves in
-place; ``add`` and ``add_blocks`` keep it, because handles are never
-reused.
+Consecutive reads share a descent: the forest keeps one read finger on the
+block the last ``access`` reached: the handle, the chunk and the position
+just before it, the block's span of positions, and the shift from a
+position in that span to its byte of R.  A read of the same handle inside
+that block is answered from the finger, and a read elsewhere in the same
+chunk moves the finger to its block by bisection, without descending.  Every edit, ``split`` and
+``concat`` drops the finger on entry, because they rewrite chunks in place;
+``add`` and ``add_blocks`` keep it, because handles are never reused.
 
 >>> from drc.ref_index import build_index
 >>> forest = CoverForest(build_index(b"banana"))
@@ -44,12 +60,16 @@ reused.
 >>> forest.replace(right, 2, ord("b"))  # drops the finger
 >>> bytes(forest.access(right, j) for j in range(1, 4))
 b'aba'
+>>> forest.extract(right, 2, 2)
+b'ba'
 """
 
 from __future__ import annotations
 
 import math
 from array import array
+from bisect import bisect_left
+from itertools import accumulate
 from operator import index as as_int
 from typing import Dict, Iterator, List, Optional, Tuple
 
@@ -67,19 +87,57 @@ __all__ = [
 
 Block = Tuple[int, int]
 
+# Most blocks a chunk holds; one under _CHUNK // 4 fuses with a neighbor
+# unless it is its string's only chunk.
+_CHUNK = 32
+
+
+def _ends(blks: List[Block]) -> array:
+    """The prefix sums of the block lengths of a chunk."""
+    return array("q", list(accumulate([e - s + 1 for s, e in blks])))
+
 
 class _Tree:
-    """Leaf (blk set) or internal node (blk None, two children)."""
+    """Leaf (``blks``, a chunk of blocks, and ``ends``, the prefix sums of
+    their lengths, computed when not given) or internal node (both None,
+    two children)."""
 
-    __slots__ = ("blk", "left", "right", "height", "nchars", "nleaves")
+    __slots__ = ("blks", "ends", "left", "right", "height", "nchars", "nleaves")
 
-    def __init__(self, blk: Optional[Block]):
-        self.blk = blk
+    def __init__(self, blks: Optional[List[Block]], ends: Optional[array] = None):
+        self.blks = blks
         self.left: Optional[_Tree] = None
         self.right: Optional[_Tree] = None
         self.height = 1
-        self.nchars = blk[1] - blk[0] + 1 if blk is not None else 0
-        self.nleaves = 1
+        if blks is None:
+            self.ends = None
+            self.nchars = self.nleaves = 0
+        else:
+            self.ends = ends = _ends(blks) if ends is None else ends
+            self.nchars = ends[-1] if blks else 0
+            self.nleaves = len(blks)
+
+
+def _rewrite(t: _Tree, a: int, w: int, new: List[Block]) -> int:
+    """Write ``new`` over the ``w`` blocks of chunk ``t`` from index a, in
+    place, keeping its prefix ends and counts; returns the char delta."""
+    blks, ends = t.blks, t.ends
+    x = ends[a - 1] if a else 0
+    dc = -(ends[a + w - 1] if a + w else 0)
+    part = []
+    for s, e in new:
+        x += e - s + 1
+        part.append(x)
+    dc += x
+    blks[a : a + w] = new
+    if dc:  # the ends after the window move too
+        part += [y + dc for y in ends[a + w :]]
+        ends[a:] = array("q", part)
+    else:
+        ends[a : a + w] = array("q", part)
+    t.nchars += dc
+    t.nleaves = len(blks)
+    return dc
 
 
 def _pull(n: _Tree) -> None:
@@ -127,7 +185,7 @@ def _rebalance(n: _Tree) -> _Tree:
 
 def _join(a: Optional[_Tree], b: Optional[_Tree],
           top: Optional[_Tree] = None) -> Optional[_Tree]:
-    """Concatenate two AVL trees of leaves without rewriting their nodes.
+    """Concatenate two AVL trees of chunks without rewriting their nodes.
     ``top``, an internal node the caller no longer uses, goes over the two
     subtrees whose heights meet (a new node when None); new nodes above."""
     if a is None:
@@ -149,30 +207,62 @@ def _join(a: Optional[_Tree], b: Optional[_Tree],
     return n
 
 
+def _seek(t: _Tree, j: int) -> Tuple[int, int]:
+    """(index, 1-based offset) of char j in chunk ``t``, by bisection;
+    j = t.nchars + 1 is one past the last block's end."""
+    ends = t.ends
+    k = min(bisect_left(ends, j), len(ends) - 1)
+    return k, j - ends[k - 1] if k else j
+
+
 def _split_chars(t: Optional[_Tree], c: int) -> Tuple[Optional[_Tree], Optional[_Tree]]:
-    """First c characters, rest; divides the block the cut lands in."""
+    """First c characters, rest; divides the chunk, and the block, the cut
+    lands in.  A piece of that chunk under ``_CHUNK // 4`` blocks goes
+    into its neighbor on the same side (``_concat``)."""
     if t is None or c == 0:
         return None, t
     if c == t.nchars:
         return t, None
-    if t.blk is not None:
-        s, _e = t.blk
-        return _Tree((s, s + c - 1)), _Tree((s + c, _e))
+    if t.blks is not None:
+        blks = t.blks
+        k, off = _seek(t, c)
+        s, e = blks[k]
+        ends = t.ends
+        rest = array("q", [x - c for x in ends[k:]])
+        if s + off - 1 == e:
+            return _Tree(blks[: k + 1], ends[: k + 1]), _Tree(blks[k + 1 :], rest[1:])
+        head = ends[:k]
+        head.append(c)
+        return (_Tree(blks[:k] + [(s, s + off - 1)], head),
+                _Tree([(s + off, e)] + blks[k + 1 :], rest))
     if c <= t.left.nchars:
         l, r = _split_chars(t.left, c)
-        return l, _join(r, t.right)
+        return l, _concat(r, t.right)
     l, r = _split_chars(t.right, c - t.left.nchars)
-    return _join(t.left, l), r
+    return _concat(t.left, l), r
+
+
+def _concat(a: Optional[_Tree], b: Optional[_Tree]) -> Optional[_Tree]:
+    """``_join`` of two trees the caller gives up, except that a lone chunk
+    under ``_CHUNK // 4`` blocks on either side goes into the other side's
+    edge chunk, in place, instead of under a join."""
+    if a is None or b is None:
+        return b if a is None else a
+    if a.blks is not None and a.nleaves < _CHUNK // 4:
+        return _splice(b, 1, 1, a.blks + _first(b).blks[:1])
+    if b.blks is not None and b.nleaves < _CHUNK // 4:
+        return _splice(a, a.nleaves, a.nleaves, _last(a).blks[-1:] + b.blks)
+    return _join(a, b)
 
 
 def _window(t: _Tree, lo: int, hi: int) -> List[Block]:
-    """The blocks of leaves [lo, hi] (1-based) of ``t``, in one descent
-    that visits only the subtrees holding them; ``hi`` past a subtree's
-    end means up to its end."""
+    """Blocks [lo, hi] (1-based) of ``t``, in one descent that visits only
+    the subtrees holding them; ``hi`` past a subtree's end means up to its
+    end."""
     out, todo = [], [(t, lo, hi)]
     while todo:
         n, lo, hi = todo.pop()
-        while n.blk is None:
+        while n.blks is None:
             k = n.left.nleaves
             if lo > k:
                 n, lo, hi = n.right, lo - k, hi - k
@@ -180,88 +270,136 @@ def _window(t: _Tree, lo: int, hi: int) -> List[Block]:
             if hi > k:  # the right child's share waits for the left's
                 todo.append((n.right, 1, hi - k))
             n = n.left
-        out.append(n.blk)
+        out += n.blks[lo - 1 : hi]
     return out
 
 
-def _edit_window(t: _Tree, j: int, drop: int,
-                 new: Optional[Block]) -> Tuple[int, int, List[Block]]:
-    """Leaves [lo, hi] (1-based) that an edit at position j of ``t``
+def _edit_window(t: _Tree, j: int, drop: int, new: Optional[Block]
+                 ) -> Tuple[int, int, List[Block], List[_Tree], _Tree, int]:
+    """Blocks [lo, hi] (1-based) that an edit at position j of ``t``
     rewrites, and the blocks to re-merge in their place: the :func:`cut`
-    of the leaf holding j (one past the end appends to the last leaf),
+    of the block holding j (one past the end appends to the last block),
     after its predecessor and before its successor.  A neighbor stays out
     when the part next to it is the old block itself, whose boundary with
-    it is known absent from R.  One descent finds the leaf and the last
-    node where it went right (the predecessor ends that node's left
-    child) and left (the successor starts its right child); only a
-    neighbor that joins the window has that spine walked."""
-    l, before, after = 1, None, None
-    while t.blk is None:
+    it is known absent from R.
+
+    One descent finds the chunk, recording the internal nodes on its
+    path, and the last node where it went right (the previous chunk ends
+    that node's left child) and left (the next chunk starts its right
+    child); only a neighbor in another chunk has that spine walked.  Also
+    returns the path, the chunk and the ordinal of its first block."""
+    path, l, before, after = [], 1, None, None
+    while t.blks is None:
+        path.append(t)
         if j <= t.left.nchars:
             after, t = t.right, t.left
         else:
             j -= t.left.nchars
             l += t.left.nleaves
             before, t = t.left, t.right
-    blk = t.blk
-    parts = cut(blk, j, drop, new)
-    win = []
-    lo = hi = l
-    if before is not None and parts[:1] != [blk]:
-        while before.blk is None:
-            before = before.right
-        win.append(before.blk)
+    blks = t.blks
+    k, off = _seek(t, j)
+    blk = blks[k]
+    win = cut(blk, off, drop, new)
+    lo = hi = l + k
+    head, tail = not win or win[0] != blk, not win or win[-1] != blk
+    if head and (k or before is not None):
+        win.insert(0, blks[k - 1] if k else _last(before).blks[-1])
         lo -= 1
-    win += parts
-    if after is not None and parts[-1:] != [blk]:
-        while after.blk is None:
-            after = after.left
-        win.append(after.blk)
+    if tail and (k + 1 < len(blks) or after is not None):
+        win.append(blks[k + 1] if k + 1 < len(blks) else _first(after).blks[0])
         hi += 1
-    return lo, hi, win
+    return lo, hi, win, path, t, l
 
 
-def _splice(t: _Tree, lo: int, hi: int, new: List[Block]) -> Optional[_Tree]:
-    """Replace leaves [lo, hi] (1-based) of ``t`` by the blocks ``new`` in
+def _splice(t: _Tree, lo: int, hi: int, new: List[Block],
+            m: Optional[int] = None) -> Optional[_Tree]:
+    """Replace blocks [lo, hi] (1-based) of ``t`` by the blocks ``new`` in
     one descent that rewrites ``t`` in place.  A window straddling both
-    children gives the left one as many blocks as it loses leaves and the
-    right one the rest; one block for one leaf overwrites the leaf.  Each
-    node on the way is the ``top`` of its new children's join."""
-    if t.blk is not None:
-        if len(new) != 1:
-            return _build(new)
-        t.blk = new[0]
-        t.nchars = new[0][1] - new[0][0] + 1
-        return t
+    children gives the left one ``m`` of the new blocks, by default as
+    many as it loses, and the right one the rest.  A chunk's list is
+    rewritten in place; one left empty goes, and one over ``_CHUNK`` blocks
+    is rebuilt as chunks of near-equal size.  Each node on the way is the
+    ``top`` of its new children's join."""
+    if t.blks is not None:
+        _rewrite(t, lo - 1, min(hi, t.nleaves) - lo + 1, new)
+        return t if 0 < t.nleaves <= _CHUNK else _build(t.blks)
     k = t.left.nleaves
     if hi <= k:
-        return _join(_splice(t.left, lo, hi, new), t.right, t)
+        return _join(_splice(t.left, lo, hi, new, m), t.right, t)
     if lo > k:
-        return _join(t.left, _splice(t.right, lo - k, hi - k, new), t)
-    m = k - lo + 1
+        return _join(t.left, _splice(t.right, lo - k, hi - k, new, m), t)
+    if m is None:
+        m = k - lo + 1
     return _join(_splice(t.left, lo, k, new[:m]), _splice(t.right, 1, hi - k, new[m:]), t)
 
 
+def _fuse(t: Optional[_Tree], i: int) -> Optional[_Tree]:
+    """Fuse the chunk holding block i (1-based) of ``t`` with a neighbor
+    when it has fewer than ``_CHUNK // 4`` blocks and is not the only
+    chunk: its blocks join the end of the previous chunk, or the start of
+    the next one when it is the first, in one ``_splice``, which splits
+    the grown chunk if it overflows.  Returns the root."""
+    if t is None or t.blks is not None or not 1 <= i <= t.nleaves:
+        return t
+    n, f, before, after = t, 1, None, None
+    while n.blks is None:
+        k = n.left.nleaves
+        if i <= k:
+            after, n = n.right, n.left
+        else:
+            i -= k
+            f += k
+            before, n = n.left, n.right
+    blks = n.blks
+    if len(blks) >= _CHUNK // 4:
+        return t
+    if before is not None:
+        return _splice(t, f - 1, f + len(blks) - 1, _last(before).blks[-1:] + blks,
+                       len(blks) + 1)
+    return _splice(t, f, f + len(blks), blks + _first(after).blks[:1], 0)
+
+
+def _first(t: _Tree) -> _Tree:
+    while t.blks is None:
+        t = t.left
+    return t
+
+
+def _last(t: _Tree) -> _Tree:
+    while t.blks is None:
+        t = t.right
+    return t
+
+
 def _leaves(t: Optional[_Tree]) -> Iterator[Block]:
+    """The blocks of ``t`` in string order."""
     if t is None:
         return
     stack = [t]
     while stack:
         n = stack.pop()
-        if n.blk is not None:
-            yield n.blk
+        if n.blks is not None:
+            yield from n.blks
         else:
             stack.append(n.right)
             stack.append(n.left)
 
 
 def _build(blocks: List[Block]) -> Optional[_Tree]:
-    if not blocks:
-        return None
-    if len(blocks) == 1:
-        return _Tree(blocks[0])
-    mid = len(blocks) // 2
-    return _join(_build(blocks[:mid]), _build(blocks[mid:]))
+    """A balanced tree of ``blocks`` in chunks of near-equal size: one
+    chunk up to ``_CHUNK`` blocks, else chunks about three quarters full,
+    so that the first inserts into them split nothing."""
+    n = len(blocks)
+    q = min(n, -(-4 * n // (3 * _CHUNK))) if n > _CHUNK else min(n, 1)
+    return _stack([_Tree(blocks[n * i // q : n * (i + 1) // q]) for i in range(q)])
+
+
+def _stack(leaves: List[_Tree]) -> Optional[_Tree]:
+    if len(leaves) <= 1:
+        return leaves[0] if leaves else None
+    mid = len(leaves) // 2
+    return _join(_stack(leaves[:mid]), _stack(leaves[mid:]))
 
 
 class CoverForest:
@@ -271,14 +409,22 @@ class CoverForest:
         self.index = index
         self._trees: Dict[int, Optional[_Tree]] = {}
         self._next_handle = 1
-        # the read finger (see access); no finger while the leaf is None.
-        # Three attributes, not a tuple: a tuple per descent would feed
-        # the cyclic garbage collector.
+        # the read finger (see access); no finger while the leaf is None,
+        # and then its block is the empty span (0, 0].  Separate attributes,
+        # not a tuple: a tuple per descent would feed the cyclic garbage
+        # collector.
         self._finger_handle = 0
-        self._finger_base = 0
-        self._finger_leaf: Optional[_Tree] = None
+        self._finger_leaf: Optional[_Tree] = None  # the chunk
+        self._finger_chunk = 0  # the position before the chunk
+        self._finger_base = 0  # the block's span of positions, (base, end]
+        self._finger_end = 0
+        self._finger_shift = 0  # the index in R's data of S_h[j] is shift + j
 
     # ------------------------------------------------------------------
+
+    def _drop_finger(self) -> None:
+        self._finger_leaf = None
+        self._finger_end = 0
 
     def _adopt(self, t: Optional[_Tree]) -> int:
         h = self._next_handle
@@ -322,70 +468,144 @@ class CoverForest:
     # ------------------------------------------------------------------
 
     def _remerge(self, t: _Tree, lo: int, hi: int) -> Optional[_Tree]:
-        """Read the blocks of leaves [lo, hi] (1-based ordinals) of ``t``,
-        re-merge their boundaries, and splice the result back in place of
-        the window if a pair merged; returns the root."""
+        """Read blocks [lo, hi] (1-based ordinals) of ``t``, re-merge their
+        boundaries, and splice the result back in place of the window if a
+        pair merged; returns the root."""
         win = _window(t, lo, hi)
         restore_maximal(win, self.index.substring_concat)
         return _splice(t, lo, hi, win) if len(win) <= hi - lo else t
 
     def access(self, h: int, j: int) -> int:
-        """S_h[j] as an int byte.  The read finger holds a handle, the leaf
-        the last descent reached and the position before that leaf; a j
-        inside that leaf of the same handle is read off it, any other j
-        descends from the root and moves the finger to the leaf it
-        reaches.  Edits, ``split`` and ``concat`` drop the finger; ``add``
-        keeps it, as handles are never reused."""
-        leaf = self._finger_leaf
-        if self._finger_handle == h and leaf is not None:
-            k = j - self._finger_base
-            if 0 < k <= leaf.nchars:
-                return self.index.data[leaf.blk[0] + k - 2]
-        try:
-            t = self._trees[h]
-        except KeyError:
-            raise UnknownHandle(f"no string with handle {h}") from None
+        """S_h[j] as an int byte.  The read finger holds a handle and a
+        block of its string; a j inside that block is read off it, a j
+        elsewhere in the block's chunk moves the finger to the block that
+        holds j without a descent, and any other j descends from the root
+        and moves the finger to the block it reaches.  A j that is no
+        integer is refused before the finger moves.  Edits, ``split`` and
+        ``concat`` drop the finger; ``add`` keeps it, as handles are never
+        reused."""
+        if self._finger_handle == h and self._finger_base < j <= self._finger_end:
+            return self.index.data[self._finger_shift + j]
+        j = as_int(j)
+        t = self._finger_leaf
+        k = j - self._finger_chunk
+        if self._finger_handle != h or t is None or not 0 < k <= t.nchars:
+            try:
+                t = self._trees[h]
+            except KeyError:
+                raise UnknownHandle(f"no string with handle {h}") from None
+            n = t.nchars if t is not None else 0
+            if not 1 <= j <= n:
+                raise IndexOutOfRange(f"position {j} outside [1, {n}]")
+            k = j
+            while t.blks is None:
+                l = t.left
+                if k <= l.nchars:
+                    t = l
+                else:
+                    k -= l.nchars
+                    t = t.right
+            self._finger_handle, self._finger_leaf, self._finger_chunk = h, t, j - k
+        ends = t.ends  # _seek, inline on the read path
+        i = bisect_left(ends, k)
+        if i:
+            k -= ends[i - 1]
+        s, e = t.blks[i]
+        base = j - k
+        self._finger_base, self._finger_end = base, base + e - s + 1
+        self._finger_shift = s - 2 - base
+        return self.index.data[s + k - 2]
+
+    def extract(self, h: int, j: int, m: int) -> bytes:
+        """S_h[j .. j+m-1]: one descent to the chunk holding j, then slices
+        of its blocks from j onward and of the chunks after it."""
+        j, m = as_int(j), as_int(m)
+        t = self._tree(h)
         n = t.nchars if t is not None else 0
-        if not 1 <= j <= n:
-            raise IndexOutOfRange(f"position {j} outside [1, {n}]")
-        at = j
-        while t.blk is None:
+        if m < 0 or j < 1 or j + m - 1 > n:
+            raise IndexOutOfRange(f"range ({j}, len {m}) outside string of length {n}")
+        if m == 0:
+            return b""
+        rights = []  # the right subtrees still to read, nearest last
+        while t.blks is None:
             if j <= t.left.nchars:
+                rights.append(t.right)
                 t = t.left
             else:
                 j -= t.left.nchars
                 t = t.right
-        self._finger_handle, self._finger_base, self._finger_leaf = h, at - j, t
-        return self.index.data[t.blk[0] + j - 2]
+        k, off = _seek(t, j)
+        data, out, blks = self.index.data, [], t.blks[k:]
+        while True:
+            for s, e in blks:
+                take = min(e - s + 2 - off, m)
+                out.append(data[s + off - 2 : s + off - 2 + take])
+                m -= take
+                if not m:
+                    return b"".join(out)
+                off = 1
+            t = rights.pop()
+            while t.blks is None:
+                rights.append(t.right)
+                t = t.left
+            blks = t.blks
 
     def replace(self, h: int, j: int, byte: int) -> None:
-        self._edit(h, j, 1, as_int(byte))
+        self._edit(h, as_int(j), 1, as_int(byte))
 
     def insert(self, h: int, j: int, byte: int) -> None:
         """Insert byte before position j of S_h (j = length+1 appends)."""
-        self._edit(h, j, 0, as_int(byte))
+        self._edit(h, as_int(j), 0, as_int(byte))
 
     def delete(self, h: int, j: int) -> None:
-        self._edit(h, j, 1, None)
+        self._edit(h, as_int(j), 1, None)
 
     def _edit(self, h: int, j: int, drop: int, byte: Optional[int]) -> None:
         """Replace the ``drop`` (0 or 1) characters at S_h[j] by ``byte``
-        (None: by nothing) and re-merge the leaf's window."""
-        self._finger_leaf = None
+        (None: by nothing) and re-merge the block's window.  A neighbor from
+        another chunk that did not merge is not written back, so a window
+        that then lies inside one chunk and leaves it within its bounds is
+        written into the chunk's list, and the char and block deltas are
+        added along the descent path; any other goes through ``_splice``,
+        and through ``_fuse`` where a chunk lost blocks."""
+        self._drop_finger()
         t = self._tree(h)
         new = edit_block(self.index, t.nchars if t is not None else 0, j, drop, byte)
         if t is None:
-            self._trees[h] = _Tree(new)
+            self._trees[h] = _Tree([new])
             return
-        lo, hi, win = _edit_window(t, j, drop, new)
+        lo, hi, win, path, leaf, f = _edit_window(t, j, drop, new)
+        first, last = (win[0], win[-1]) if win else (None, None)
         restore_maximal(win, self.index.substring_concat)
-        self._trees[h] = _splice(t, lo, hi, win)
+        # a neighbor from another chunk that did not merge stays as it is
+        if lo < f and win[0] is first:
+            del win[0]
+            lo += 1
+        if hi >= f + leaf.nleaves and win and win[-1] is last:
+            win.pop()
+            hi -= 1
+        dl = len(win) - (hi - lo + 1)
+        size = leaf.nleaves + dl
+        if (f <= lo and hi < f + leaf.nleaves and 0 < size <= _CHUNK
+                and (size >= _CHUNK // 4 or not path)):
+            dc = _rewrite(leaf, lo - f, hi - lo + 1, win)
+            for n in path:
+                n.nchars += dc
+                n.nleaves += dl
+            return
+        t = _splice(t, lo, hi, win)
+        if dl < 0:
+            # the chunks that can have shrunk hold the window's last block
+            # and the one after it
+            end = lo + len(win) - 1
+            t = _fuse(_fuse(t, end), end + 1)
+        self._trees[h] = t
 
     # ------------------------------------------------------------------
 
     def concat(self, h_a: int, h_b: int) -> int:
         """New string S_a . S_b; both inputs are consumed."""
-        self._finger_leaf = None
+        self._drop_finger()
         if h_a == h_b:
             # resolve the handle first so unknown beats same
             self._tree(h_a)
@@ -395,13 +615,15 @@ class CoverForest:
         if ta is None or tb is None:
             return self._adopt(ta if tb is None else tb)
         # only the seam pair can merge: its neighbors were maximal and
-        # their strings only grow
-        na = ta.nleaves
-        return self._adopt(self._remerge(_join(ta, tb), na, na + 1))
+        # their strings only grow.  A merge may leave a seam chunk underfull
+        na, n = ta.nleaves, ta.nleaves + tb.nleaves
+        t = self._remerge(_concat(ta, tb), na, na + 1)
+        return self._adopt(_fuse(_fuse(t, na), na + 1) if t.nleaves < n else t)
 
     def split(self, h: int, j: int) -> Tuple[int, int]:
         """Cut S_h into S[1..j-1] and S[j..]; the input is consumed."""
-        self._finger_leaf = None
+        self._drop_finger()
+        j = as_int(j)
         t = self._tree(h)
         n = t.nchars if t is not None else 0
         if not 1 <= j <= n:
@@ -409,31 +631,41 @@ class CoverForest:
         del self._trees[h]
         left, right = _split_chars(t, j - 1)
         # a cut shortens the blocks on both sides of it, so each may now
-        # merge with its neighbor
+        # merge with its neighbor, which may leave the edge chunk underfull
         if left is not None and left.nleaves > 1:
-            left = self._remerge(left, left.nleaves - 1, left.nleaves)
+            n = left.nleaves
+            left = self._remerge(left, n - 1, n)
+            if left.nleaves < n:
+                left = _fuse(left, n - 1)
         if right.nleaves > 1:
+            n = right.nleaves
             right = self._remerge(right, 1, 2)
+            if right.nleaves < n:
+                right = _fuse(right, 1)
         return self._adopt(left), self._adopt(right)
 
     # ------------------------------------------------------------------
 
     def validate(self) -> None:
-        """Recompute every cached field, check the AVL height bound, and
-        check that no node is reachable twice: edits rewrite nodes in
-        place, so a shared node would change another string too.  A set
-        finger must name a live handle, and a fresh descent to the
-        position after its base must reach its leaf, at the leaf's first
-        character."""
-        # node ids, sorted in place: a set of them would outweigh the trees
+        """Recompute every cached field; check each chunk's size, between
+        ``_CHUNK // 4`` (1 for a string's only chunk) and ``_CHUNK``, and
+        the AVL height bound on the chunk count; and check that no node or
+        chunk is reachable twice: edits rewrite them in place, so a shared
+        one would change another string too.  A set finger must name a live
+        handle, and a fresh descent to the position after its base must
+        reach its chunk, after the chunk's base, at the first character of
+        its block."""
+        # node and chunk ids, sorted in place: a set of them would outweigh
+        # the trees
         ids = array("Q")
         for h, t in self._trees.items():
             if t is None:
                 continue
-            height, nchars, nleaves = self._check_node(t, ids)
+            low = 1 if t.blks is not None else max(1, _CHUNK // 4)
+            height, _nchars, _nleaves, chunks = self._check_node(t, ids, low)
             edges = height - 1
-            assert edges <= 1.44 * math.log2(nleaves + 1) + 1e-9, \
-                f"handle {h}: height {edges} exceeds AVL bound for {nleaves} leaves"
+            assert edges <= 1.44 * math.log2(chunks + 1) + 1e-9, \
+                f"handle {h}: height {edges} exceeds AVL bound for {chunks} chunks"
         order = np.frombuffer(ids, np.uint64)
         order.sort()
         assert (order[1:] != order[:-1]).all(), "node reachable twice"
@@ -443,27 +675,38 @@ class CoverForest:
             assert h in self._trees, f"finger on dead handle {h}"
             t, j = self._trees[h], base + 1
             assert t is not None and j <= t.nchars, "finger past the string's end"
-            while t.blk is None:
+            while t.blks is None:
                 if j <= t.left.nchars:
                     t = t.left
                 else:
                     j -= t.left.nchars
                     t = t.right
-            assert t is leaf and j == 1, "finger off its leaf"
+            i, off = _seek(t, j)
+            s, e = t.blks[i]
+            assert (t, base + 1 - j, off, self._finger_end, self._finger_shift) == (
+                leaf, self._finger_chunk, 1, base + e - s + 1, s - 2 - base), \
+                "finger off its block"
 
-    def _check_node(self, t: _Tree, ids: array) -> Tuple[int, int, int]:
+    def _check_node(self, t: _Tree, ids: array, low: int = 1) -> Tuple[int, int, int, int]:
+        """(height, nchars, nleaves, chunks) of ``t``, recomputed, with each
+        chunk's size checked against [low, _CHUNK]."""
         ids.append(id(t))
-        if t.blk is not None:
-            s, e = t.blk
-            assert 1 <= s <= e <= self.index.r
-            assert t.height == 1 and t.nleaves == 1 and t.nchars == e - s + 1
-            return 1, t.nchars, 1
-        hl, cl, ll = self._check_node(t.left, ids)
-        hr, cr, lr = self._check_node(t.right, ids)
+        if t.blks is not None:
+            blks = t.blks
+            ids.append(id(blks))
+            assert low <= len(blks) <= _CHUNK, \
+                f"chunk of {len(blks)} blocks outside [{low}, {_CHUNK}]"
+            assert all(1 <= s <= e <= self.index.r for s, e in blks)
+            assert t.height == 1
+            assert t.ends == _ends(blks), "stale chunk ends"
+            assert t.nchars == t.ends[-1] and t.nleaves == len(blks), "stale chunk counts"
+            return 1, t.nchars, t.nleaves, 1
+        hl, cl, ll, kl = self._check_node(t.left, ids, low)
+        hr, cr, lr, kr = self._check_node(t.right, ids, low)
         assert abs(hl - hr) <= 1, "AVL balance violated"
         assert t.height == 1 + max(hl, hr)
-        assert t.nchars == cl + cr and t.nleaves == ll + lr
-        return t.height, t.nchars, t.nleaves
+        assert t.nchars == cl + cr and t.nleaves == ll + lr, "stale counts"
+        return t.height, t.nchars, t.nleaves, kl + kr
 
 
 # contract-name wrappers

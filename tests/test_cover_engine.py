@@ -5,6 +5,7 @@ from __future__ import annotations
 import collections
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -435,6 +436,36 @@ def test_a_byte_that_is_no_integer_changes_nothing(src, op):
                 getattr(cs, op)(i, byte)
             assert cs.blocks() == blocks
             assert_coherent(cs, src)
+
+
+@pytest.mark.parametrize("op", ["access", "extract", "replace", "insert", "delete"])
+def test_a_position_that_is_no_integer_changes_nothing(op):
+    # a float or a string position is refused before anything changes; a
+    # numpy integer is a position like any int
+    calls = {
+        "access": lambda cs, i: cs.access(i),
+        "extract": lambda cs, i: cs.extract(i, 3),
+        "replace": lambda cs, i: cs.replace(i, ord("n")),
+        "insert": lambda cs, i: cs.insert(i, ord("n")),
+        "delete": lambda cs, i: cs.delete(i),
+    }
+    src = b"bananaban"
+    cs = compress(BANANA, src)
+    blocks = cs.blocks()
+    for bad in (2.5, 3.0, "3", None):
+        with pytest.raises(TypeError):
+            calls[op](cs, bad)
+        assert cs.blocks() == blocks
+        assert_coherent(cs, src)
+    if op == "extract":
+        with pytest.raises(TypeError):
+            cs.extract(2, 3.0)
+        assert_coherent(cs, src)
+    want = compress(BANANA, src)
+    for i in (np.int64(3), np.uint8(1), np.int32(len(src) - 2)):
+        assert calls[op](cs, i) == calls[op](want, int(i))
+        assert cs.blocks() == want.blocks()
+        cs.check()
 
 
 def random_reference(rng: random.Random, r: int, sigma: int) -> bytes:

@@ -5,10 +5,12 @@ from __future__ import annotations
 import math
 import random
 import statistics
+import tracemalloc
 from array import array
 from bisect import bisect_left
 from itertools import accumulate
 
+import numpy as np
 import pytest
 from hypothesis import settings, strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
@@ -24,6 +26,7 @@ from drc.errors import (
 from drc import multi_cover
 from drc.multi_cover import (
     CoverForest,
+    _Tree,
     _build,
     _edit_window,
     _join,
@@ -41,6 +44,20 @@ from drc.oracles import naive_maximality_check
 from drc.ref_index import RefIndex, build_index
 
 BANANA = build_index(b"banana")
+
+# the module's chunk bound, and bounds at which small strings span many
+# chunks: 2 and 3 give straddling windows and overflow splits on every
+# few edits, 8 gives chunks under its fuse size of 2
+CHUNK_BOUNDS = (multi_cover._CHUNK, 2, 3, 8)
+
+
+def chunk_bounds(monkeypatch):
+    """Each bound of CHUNK_BOUNDS, with the module's bound set to it while
+    the caller's loop body runs."""
+    for c in CHUNK_BOUNDS:
+        monkeypatch.setattr(multi_cover, "_CHUNK", c)
+        yield c
+    monkeypatch.setattr(multi_cover, "_CHUNK", CHUNK_BOUNDS[0])
 
 
 def make(src: bytes = b"", ref=BANANA):
@@ -162,6 +179,41 @@ class TestEdits:
                 assert forest.blocks(h) == blocks
                 assert_string(forest, h, src)
 
+    @pytest.mark.parametrize("op", ["access", "extract", "replace", "insert", "delete",
+                                    "split"])
+    def test_a_position_that_is_no_integer_changes_nothing(self, op):
+        # a float or a string position is refused before anything changes,
+        # split included, which must not lose the string; a numpy integer
+        # is a position like any int
+        calls = {
+            "access": lambda f, h, j: f.access(h, j),
+            "extract": lambda f, h, j: f.extract(h, j, 3),
+            "replace": lambda f, h, j: f.replace(h, j, ord("n")),
+            "insert": lambda f, h, j: f.insert(h, j, ord("n")),
+            "delete": lambda f, h, j: f.delete(h, j),
+            "split": lambda f, h, j: [f.blocks(g) for g in f.split(h, j)],
+        }
+        src = b"bananaban"
+        forest, h = make(src)
+        blocks = forest.blocks(h)
+        for bad in (2.5, 3.0, "3", None):
+            with pytest.raises(TypeError):
+                calls[op](forest, h, bad)
+            assert forest.handles() == [h]
+            assert forest.blocks(h) == blocks
+            assert_string(forest, h, src)
+        if op == "extract":
+            with pytest.raises(TypeError):
+                forest.extract(h, 2, 3.0)
+            assert_string(forest, h, src)
+        for j in (np.int64(3), np.uint8(1), np.int32(len(src) - 2)):
+            want, hw = make(src)
+            forest, h = make(src)
+            assert calls[op](forest, h, j) == calls[op](want, hw, int(j))
+            assert [forest.blocks(g) for g in forest.handles()] == \
+                [want.blocks(g) for g in want.handles()]
+            forest.validate()
+
     def test_matches_single_string_engine(self):
         rng = random.Random(7)
         ref = bytes(rng.choice(b"abc") for _ in range(80))
@@ -263,8 +315,34 @@ class TestSplit:
             forest.length(h)
 
 
-def test_interleaved_forest_soak():
-    rng = random.Random(42)
+def test_interleaved_forest_soak(monkeypatch):
+    # the same op stream at every chunk bound; reads check access and
+    # extract against the mirrors.  Where the fuse size is over 1, chunks
+    # fuse both ways: a lone small piece of a cut or a concat goes into its
+    # neighbor, and a chunk a merge left underfull fuses
+    fused = set()
+    real_splice, real_concat = multi_cover._splice, multi_cover._concat
+
+    def splice(t, lo, hi, new, m=None):
+        if m is not None:
+            fused.add("after a merge")
+        return real_splice(t, lo, hi, new, m)
+
+    def concat(a, b):
+        if a is not None and b is not None and any(
+                x.blks is not None and x.nleaves < multi_cover._CHUNK // 4 for x in (a, b)):
+            fused.add("lone piece")
+        return real_concat(a, b)
+
+    monkeypatch.setattr(multi_cover, "_splice", splice)
+    monkeypatch.setattr(multi_cover, "_concat", concat)
+    for chunk in chunk_bounds(monkeypatch):
+        fused.clear()
+        soak(random.Random(42))
+        assert len(fused) == (2 if chunk // 4 > 1 else 0), (chunk, fused)
+
+
+def soak(rng):
     ref = bytes(rng.choice(b"abcd") for _ in range(120))
     idx = build_index(ref)
     forest = CoverForest(idx)
@@ -294,6 +372,8 @@ def test_interleaved_forest_soak():
         elif kind == "access" and n:
             j = rng.randrange(1, n + 1)
             assert forest.access(h, j) == text[j - 1]
+            m = rng.randrange(n - j + 2)
+            assert forest.extract(h, j, m) == text[j - 1 : j - 1 + m], (j, m)
         elif kind == "concat" and len(mirrors) >= 2:
             other = rng.choice([x for x in sorted(mirrors) if x != h])
             merged = forest.concat(h, other)
@@ -308,11 +388,13 @@ def test_interleaved_forest_soak():
             forest.validate()
             for hh, tt in mirrors.items():
                 assert forest.decompress(hh) == bytes(tt)
+                assert forest.extract(hh, 1, len(tt)) == bytes(tt)
                 assert naive_maximality_check(ref, forest.blocks(hh))
 
     forest.validate()
     for hh, tt in mirrors.items():
         assert forest.decompress(hh) == bytes(tt)
+        assert forest.extract(hh, 1, len(tt)) == bytes(tt)
         assert naive_maximality_check(ref, forest.blocks(hh))
 
 
@@ -400,75 +482,122 @@ def uneven_tree(rng, blocks):
     return pieces[0]
 
 
-def test_window_and_splice_match_list_model():
-    # every window of up to four leaves (inside one child, across the
-    # lowest common ancestor, at either end) replaced by 0..5 blocks
-    rng = random.Random(15)
+def test_window_and_splice_match_list_model(monkeypatch):
+    # every window of up to four blocks (inside one chunk, across chunks
+    # and the lowest common ancestor, at either end) replaced by 0..5
+    # blocks, at every chunk bound
     forest = CoverForest(build_index(bytes(range(97, 123)) * 4))
     r = forest.index.r
+    for chunk in chunk_bounds(monkeypatch):
+        rng = random.Random(15)
 
-    def rand_block():
-        s = rng.randrange(1, r + 1)
-        return s, rng.randrange(s, r + 1)
+        def rand_block():
+            s = rng.randrange(1, r + 1)
+            return s, rng.randrange(s, r + 1)
 
-    for n in (1, 2, 3, 4, 5, 8, 13, 21, 34):
-        blocks = [rand_block() for _ in range(n)]
-        for lo in range(1, n + 1):
-            for hi in range(lo, min(lo + 3, n) + 1):
-                for k in range(6):
-                    new = [rand_block() for _ in range(k)]
-                    t = uneven_tree(rng, blocks)
-                    assert _window(t, lo, hi) == blocks[lo - 1 : hi]
-                    out = _splice(t, lo, hi, new)
-                    want = blocks[: lo - 1] + new + blocks[hi:]
-                    assert list(_leaves(out)) == want, (n, lo, hi, k)
-                    if k == hi - lo + 1:
-                        assert out is t  # leaves overwritten in place
-                    if out is None:
-                        continue
-                    height, _c, leaves = forest._check_node(out, array("Q"))
-                    assert leaves == len(want)
-                    assert height - 1 <= 1.44 * math.log2(leaves + 1) + 1e-9
+        for n in (1, 2, 3, 4, 5, 8, 13, 21, 34):
+            blocks = [rand_block() for _ in range(n)]
+            for lo in range(1, n + 1):
+                for hi in range(lo, min(lo + 3, n) + 1):
+                    for k in range(6):
+                        new = [rand_block() for _ in range(k)]
+                        t = uneven_tree(rng, blocks)
+                        assert _window(t, lo, hi) == blocks[lo - 1 : hi]
+                        out = _splice(t, lo, hi, new)
+                        want = blocks[: lo - 1] + new + blocks[hi:]
+                        assert list(_leaves(out)) == want, (chunk, n, lo, hi, k)
+                        if k == hi - lo + 1:
+                            assert out is t  # chunks rewritten in place
+                        if out is None:
+                            continue
+                        height, _c, leaves, chunks = forest._check_node(out, array("Q"))
+                        assert leaves == len(want)
+                        assert height - 1 <= 1.44 * math.log2(chunks + 1) + 1e-9
 
 
-def test_edit_window_matches_list_model():
+def test_edit_window_matches_list_model(monkeypatch):
     # every replace, insert and delete position of a few strings, on
-    # balanced and uneven trees: the one descent reads the window that
-    # the block list gives, with the leaf that holds j found by summing
-    # block lengths and a neighbor left out when the part next to it is
-    # the old block (an insert at a block start keeps the next block out);
-    # over "banana", a one-byte block often sits next to a copy of itself
-    rng = random.Random(19)
-    ref = bytes(rng.choice(b"abcd") for _ in range(120))
-    kept_out = 0
-    for ref, size in [(ref, 1), (ref, 2), (ref, 5), (ref, 60), (ref, 400), (b"banana", 80)]:
-        forest = CoverForest(build_index(ref))
-        h = forest.add(bytes(rng.choice(sorted(set(ref))) for _ in range(size)))
-        blocks = forest.blocks(h)
-        ends = list(accumulate(e - s + 1 for s, e in blocks))
-        n = ends[-1]
-        for t in (forest._trees[h], uneven_tree(rng, blocks)):
-            for drop, new, last in ((1, (2, 2), n), (0, (3, 3), n + 1), (1, None, n)):
-                for j in range(1, last + 1):
-                    l = min(bisect_left(ends, j), len(blocks) - 1)
-                    blk = blocks[l]
-                    parts = cut(blk, j - ends[l] + blk[1] - blk[0] + 1, drop, new)
-                    lo = l - (l > 0 and parts[:1] != [blk])
-                    hi = l + (l < len(blocks) - 1 and parts[-1:] != [blk])
-                    want = blocks[lo:l] + parts + blocks[l + 1 : hi + 1]
-                    assert _edit_window(t, j, drop, new) == (lo + 1, hi + 1, want), (size, j)
-                    kept_out += hi == l < len(blocks) - 1
-            assert list(_leaves(t)) == blocks  # reading changed nothing
-    assert kept_out > 0
+    # balanced and uneven trees at every chunk bound: the one descent
+    # reads the window that the block list gives, with the block that
+    # holds j found by summing block lengths and a neighbor left out when
+    # the part next to it is the old block (an insert at a block start
+    # keeps the next block out); over "banana", a one-byte block often sits
+    # next to a copy of itself.  The descent also gives its path, the chunk
+    # that holds j and that chunk's first ordinal
+    kept_out = across = 0
+    for chunk in chunk_bounds(monkeypatch):
+        rng = random.Random(19)
+        ref = bytes(rng.choice(b"abcd") for _ in range(120))
+        for ref, size in [(ref, 1), (ref, 2), (ref, 5), (ref, 60), (ref, 400),
+                          (b"banana", 80)]:
+            forest = CoverForest(build_index(ref))
+            h = forest.add(bytes(rng.choice(sorted(set(ref))) for _ in range(size)))
+            blocks = forest.blocks(h)
+            ends = list(accumulate(e - s + 1 for s, e in blocks))
+            n = ends[-1]
+            for t in (forest._trees[h], uneven_tree(rng, blocks)):
+                for drop, new, last in ((1, (2, 2), n), (0, (3, 3), n + 1), (1, None, n)):
+                    for j in range(1, last + 1):
+                        l = min(bisect_left(ends, j), len(blocks) - 1)
+                        blk = blocks[l]
+                        parts = cut(blk, j - ends[l] + blk[1] - blk[0] + 1, drop, new)
+                        lo = l - (l > 0 and parts[:1] != [blk])
+                        hi = l + (l < len(blocks) - 1 and parts[-1:] != [blk])
+                        want = blocks[lo:l] + parts + blocks[l + 1 : hi + 1]
+                        got_lo, got_hi, win, path, leaf, first = _edit_window(t, j, drop, new)
+                        assert (got_lo, got_hi, win) == (lo + 1, hi + 1, want), (chunk, size, j)
+                        assert first == leaf_start(t, leaf)
+                        assert first <= l + 1 < first + len(leaf.blks)
+                        assert len(path) == depth_of(t, leaf)
+                        kept_out += hi == l < len(blocks) - 1
+                        across += not first <= lo + 1 <= hi + 1 < first + len(leaf.blks)
+                assert list(_leaves(t)) == blocks  # reading changed nothing
+    assert kept_out > 0 and across > 0
+
+
+def leaf_start(t, leaf):
+    """The ordinal of the first block of chunk ``leaf`` in ``t``."""
+    first = 1
+    for n in chunks_of(t):
+        if n is leaf:
+            return first
+        first += len(n.blks)
+    raise AssertionError("chunk not in tree")
+
+
+def depth_of(t, leaf):
+    """Internal nodes above chunk ``leaf`` in ``t``."""
+    todo = [(t, 0)]
+    while todo:
+        n, d = todo.pop()
+        if n is leaf:
+            return d
+        if n.blks is None:
+            todo += [(n.left, d + 1), (n.right, d + 1)]
+    raise AssertionError("chunk not in tree")
+
+
+def chunks_of(t):
+    """The chunk nodes of ``t`` in string order."""
+    out, stack = [], [t] if t is not None else []
+    while stack:
+        n = stack.pop()
+        if n.blks is not None:
+            out.append(n)
+        else:
+            stack += [n.right, n.left]
+    return out
 
 
 def node_fields(t):
-    """Every node of ``t`` with its fields, by node identity."""
+    """Every node of ``t`` with its fields, a chunk's blocks included, by
+    node identity."""
     out, stack = {}, [t] if t is not None else []
     while stack:
         n = stack.pop()
-        out[id(n)] = (n, n.blk, n.left, n.right, n.height, n.nchars, n.nleaves)
-        if n.blk is None:
+        blocks = tuple(n.blks) if n.blks is not None else None
+        out[id(n)] = (n, n.blks, blocks, n.left, n.right, n.height, n.nchars, n.nleaves)
+        if n.blks is None:
             stack += [n.left, n.right]
     return out
 
@@ -478,57 +607,75 @@ def count_new_nodes(monkeypatch):
     made = []
     real = multi_cover._Tree.__init__
     monkeypatch.setattr(multi_cover._Tree, "__init__",
-                        lambda self, blk: made.append(1) or real(self, blk))
+                        lambda self, *args: made.append(1) or real(self, *args))
     return made
 
 
-def test_join_matches_list_model():
+def test_join_matches_list_model(monkeypatch):
     # random pairs of pieces, empty ones included, joined with and without
-    # a spare node on top: the leaves concatenate, the result is an AVL
-    # tree, the spare is used exactly when both sides have leaves, and no
-    # node of either input changes
-    rng = random.Random(23)
+    # a spare node on top, at every chunk bound: the blocks concatenate,
+    # the result is an AVL tree, the spare is used exactly when both sides
+    # have blocks, and no node or chunk of either input changes
     forest = CoverForest(build_index(bytes(range(97, 123))))
     used = 0
-    for _ in range(1500):
-        sides = []
-        for base in (1, 13):
-            n = rng.choice((0, 1, 2, 3, 5, 8, 13, 30))
-            blocks = [(base + i % 13, base + i % 13) for i in range(n)]
-            t = rng.choice((_build, lambda b: uneven_tree(rng, b) if b else None))(blocks)
-            sides.append((t, blocks, node_fields(t)))
-        (a, blocks_a, before_a), (b, blocks_b, before_b) = sides
-        top = _build([(1, 1), (2, 2)]) if rng.random() < 0.5 else None
-        out = _join(a, b, top)
-        assert list(_leaves(out)) == blocks_a + blocks_b
-        after = node_fields(out)
-        if top is not None:
-            assert (id(top) in after) == (a is not None and b is not None)
-            used += id(top) in after
-        for before in (before_a, before_b):
-            for n, *fields in before.values():
-                assert [n.blk, n.left, n.right, n.height, n.nchars, n.nleaves] == fields
-        if out is None:
-            continue
-        height, _c, leaves = forest._check_node(out, array("Q"))
-        assert leaves == len(blocks_a) + len(blocks_b)
-        assert height - 1 <= 1.44 * math.log2(leaves + 1) + 1e-9
+    for chunk in chunk_bounds(monkeypatch):
+        rng = random.Random(23)
+        for _ in range(1500):
+            sides = []
+            for base in (1, 13):
+                n = rng.choice((0, 1, 2, 3, 5, 8, 13, 30))
+                blocks = [(base + i % 13, base + i % 13) for i in range(n)]
+                t = rng.choice((_build, lambda b: uneven_tree(rng, b) if b else None))(blocks)
+                sides.append((t, blocks, node_fields(t)))
+            (a, blocks_a, before_a), (b, blocks_b, before_b) = sides
+            top = _join(_Tree([(1, 1)]), _Tree([(2, 2)])) if rng.random() < 0.5 else None
+            out = _join(a, b, top)
+            assert list(_leaves(out)) == blocks_a + blocks_b
+            after = node_fields(out)
+            if top is not None:
+                assert (id(top) in after) == (a is not None and b is not None)
+                used += id(top) in after
+            for before in (before_a, before_b):
+                for n, *fields in before.values():
+                    blocks = tuple(n.blks) if n.blks is not None else None
+                    assert [n.blks, blocks, n.left, n.right, n.height, n.nchars,
+                            n.nleaves] == fields
+            if out is None:
+                continue
+            height, _c, leaves, chunks = forest._check_node(out, array("Q"))
+            assert leaves == len(blocks_a) + len(blocks_b)
+            assert height - 1 <= 1.44 * math.log2(chunks + 1) + 1e-9
     assert used > 0
 
 
 def test_unbalanced_splice_reuses_the_node_where_heights_meet(monkeypatch):
-    # rewriting the right half of 8 leaves as one block leaves the root's
-    # children 3 and 1 levels high: their join makes one node above the
-    # left child's right child, and the old root goes where the heights meet
+    # with one block per chunk, rewriting the right half of 8 blocks as
+    # one block leaves the root's children 3 and 1 levels high: their join
+    # makes one node above the left child's right child, and the old root
+    # goes where the heights meet
+    monkeypatch.setattr(multi_cover, "_CHUNK", 1)
     blocks = [(i, i) for i in range(1, 9)]
     t = _build(blocks)
     made = count_new_nodes(monkeypatch)
     out = _splice(t, 5, 8, [(5, 8)])
-    monkeypatch.undo()
     assert list(_leaves(out)) == blocks[:4] + [(5, 8)]
     assert len(made) == 1
-    assert out.right is t and out.right.right.blk == (5, 8)
+    assert out.right is t and out.right.right.blks == [(5, 8)]
     CoverForest(build_index(b"abcdefgh"))._check_node(out, array("Q"))
+
+    # with 4 blocks per chunk, rewriting blocks 3-6 of 16, which straddle
+    # the first two chunks, keeps every node: the left chunk gets as many
+    # blocks as it loses, the right one the rest
+    monkeypatch.setattr(multi_cover, "_CHUNK", 4)
+    blocks = [(i, i) for i in range(1, 17)]
+    t = multi_cover._stack([_Tree(blocks[i : i + 4]) for i in range(0, 16, 4)])
+    before = chunks_of(t)
+    made.clear()
+    out = _splice(t, 3, 6, [(3, 4), (5, 6)])
+    assert list(_leaves(out)) == blocks[:2] + [(3, 4), (5, 6)] + blocks[6:]
+    assert out is t and made == [] and chunks_of(out) == before
+    assert [len(n.blks) for n in before] == [4, 2, 4, 4]
+    CoverForest(build_index(b"abcdefgh" * 2))._check_node(out, array("Q"))
 
 
 def test_remerge_without_a_merge_keeps_the_tree(monkeypatch):
@@ -551,58 +698,109 @@ def test_validate_rejects_a_node_shared_by_two_handles():
     rng = random.Random(4)
     forest = CoverForest(BANANA)
     ha = forest.add(bytes(rng.choice(b"abn") for _ in range(200)))
-    hb = forest.add(b"nabnab")
+    hb = forest.add(bytes(rng.choice(b"abn") for _ in range(200)))
     forest.validate()
     graft = forest._trees[ha].left  # an internal node of ha
-    assert graft.blk is None
+    assert graft.blks is None
     forest._trees[hb] = _join(forest._trees[hb], graft)
     with pytest.raises(AssertionError, match="reachable twice"):
         forest.validate()
 
 
 def test_point_edits_rewrite_few_nodes(monkeypatch):
-    # an edit rewrites its window in place: on a 10k-leaf string no edit
-    # allocates more than a small build plus a few joins' worth of nodes
+    # an edit that writes inside one chunk rewrites the chunk's list and
+    # the counts on its path: no node, no join, no splice.  The rest (a
+    # neighbor in another chunk that merged, a chunk over its bound or
+    # under its fuse size) splice, and allocate at most a chunk rebuild
+    # plus a few joins' worth of nodes.  On a 10k-block string of tiny
+    # blocks, nearly all edits take the first path
     rng = random.Random(5)
     ref = bytes(rng.choice(b"ab") for _ in range(40))
     forest = CoverForest(build_index(ref))
     h = forest.add(bytes(rng.choice(b"ab") for _ in range(60_000)))
     assert forest.block_count(h) >= 10_000
-    made = []
-    real = multi_cover._Tree.__init__
-    monkeypatch.setattr(multi_cover._Tree, "__init__",
-                        lambda self, blk: made.append(1) or real(self, blk))
+    made = count_new_nodes(monkeypatch)
+    joins, splices = [], []
+    for name, log in (("_join", joins), ("_splice", splices)):
+        real = getattr(multi_cover, name)
+        monkeypatch.setattr(multi_cover, name,
+                            lambda *a, real=real, log=log: log.append(1) or real(*a))
     per_edit = []
     for _ in range(3000):
         n = forest.length(h)
         kind = rng.randrange(3)
-        made.clear()
+        for log in (made, joins, splices):
+            log.clear()
         if kind == 0:
             forest.replace(h, rng.randrange(1, n + 1), rng.choice(b"ab"))
         elif kind == 1:
             forest.insert(h, rng.randrange(1, n + 2), rng.choice(b"ab"))
         else:
             forest.delete(h, rng.randrange(1, n + 1))
-        per_edit.append(len(made))
+        per_edit.append((len(splices), len(joins), len(made)))
     monkeypatch.undo()
-    assert max(per_edit) <= 16, max(per_edit)
-    assert statistics.median(per_edit) == 0
+    in_chunk = [e for e in per_edit if e[0] == 0]
+    assert in_chunk.count((0, 0, 0)) == len(in_chunk) >= 0.9 * len(per_edit)
+    assert max(made for _s, _j, made in per_edit) <= 8
+    assert statistics.median(made for _s, _j, made in per_edit) == 0
     forest.validate()
     assert naive_maximality_check(ref, forest.blocks(h))
 
 
-# The read finger: consecutive reads inside one leaf share a descent, and
+def test_bytes_per_block_on_a_large_string():
+    # a 47k-block string as the edit-dna benchmark builds it: 2^20 chars
+    # stitched from 4-40-byte pieces of a 100 kB ACGT reference.  The
+    # forest's own memory, the tracemalloc traces allocated in this module
+    # (its nodes and chunk lists), stays under 40 bytes per block after the
+    # build and after 5000 random edits.  The blocks themselves are the
+    # cover, made before tracing starts or by the engine's shared helpers
+    rng = random.Random(1)
+    ref = bytes(b"acgt"[rng.randrange(4)] for _ in range(100_000))
+    src = bytearray()
+    while len(src) < 1 << 20:
+        s = rng.randrange(len(ref))
+        src += ref[s : s + 4 + rng.randrange(37)]
+    index = build_index(ref)
+    blocks = index.factorize(bytes(src[: 1 << 20]))
+    assert len(blocks) > 45_000
+    index.substring_concat(blocks[0], blocks[1])  # the lazy builds
+
+    def own_bytes_per_block(forest, h):
+        snap = tracemalloc.take_snapshot().filter_traces(
+            [tracemalloc.Filter(True, multi_cover.__file__)])
+        return sum(t.size for t in snap.traces) / forest.block_count(h)
+
+    tracemalloc.start()
+    try:
+        forest = CoverForest(index)
+        h = forest.add_blocks(blocks)
+        assert tracemalloc.get_traced_memory()[0] / len(blocks) <= 40
+        assert own_bytes_per_block(forest, h) <= 40
+        for _ in range(5000):
+            n, kind, ch = forest.length(h), rng.randrange(3), b"acgt"[rng.randrange(4)]
+            if kind == 0:
+                forest.replace(h, rng.randrange(1, n + 1), ch)
+            elif kind == 1:
+                forest.insert(h, rng.randrange(1, n + 2), ch)
+            else:
+                forest.delete(h, rng.randrange(1, n + 1))
+        assert own_bytes_per_block(forest, h) <= 40
+    finally:
+        tracemalloc.stop()
+    forest.validate()
+
+
+# The read finger: consecutive reads inside one chunk share a descent, and
 # every call that rewrites a tree drops it.
 
 FOX = build_index(b"the quick brown fox jumps over the lazy dog")
-FOX_SRC = b"quick dog jumps the lazy brown fox over the quick"  # 7 leaves, 3-10 chars
+FOX_SRC = b"quick dog jumps the lazy brown fox over the quick"  # 7 blocks, 3-10 chars
 FOX_ALPHA = sorted(set(FOX.data))
 
 
 def finger_span(forest: CoverForest):
-    """First and last position of the finger's leaf."""
-    leaf = forest._finger_leaf
-    return forest._finger_base + 1, forest._finger_base + leaf.nchars
+    """First and last position of the finger's block."""
+    return forest._finger_base + 1, forest._finger_end
 
 
 def read_run(forest: CoverForest, h: int, text: bytearray, lo: int, hi: int) -> None:
@@ -618,7 +816,7 @@ def other_byte(text: bytearray, j: int) -> int:
 @pytest.mark.parametrize("where", ["inside", "first", "last", "past"])
 @pytest.mark.parametrize("kind", ["replace", "insert", "delete"])
 def test_finger_reads_match_mirror_around_edits(kind, where):
-    # for every leaf: a run of reads sets the finger on it, an edit lands
+    # for every block: a run of reads sets the finger on it, an edit lands
     # inside it, at its first or last char, or just past it, and reads
     # around the edit and over the whole string match a bytearray
     for leaf_no in range(7):
@@ -632,7 +830,7 @@ def test_finger_reads_match_mirror_around_edits(kind, where):
         assert s == first
         j = {"inside": min(s + 1, e), "first": s, "last": e, "past": e + 1}[where]
         if j > len(text) + (kind == "insert"):
-            continue  # nothing past the last leaf but an append
+            continue  # nothing past the last block but an append
         byte = other_byte(text, j)
         if kind == "replace":
             forest.replace(h, j, byte)
@@ -665,7 +863,7 @@ def test_finger_across_split_and_concat():
     ltext, rtext = otext[:6], otext[6:]
     read_run(forest, ol, ltext, 1, len(ltext))
 
-    # splitting the cached handle inside the cached leaf
+    # splitting the cached handle inside the cached block
     read_run(forest, h, text, 20, 22)
     s, e = finger_span(forest)
     cut_at = s + 1
@@ -728,6 +926,8 @@ class CountingTrees(dict):
 
 
 def test_reads_descend_once_per_leaf(monkeypatch):
+    # a run of reads descends once per chunk, forwards or backwards: the
+    # finger moves to any block of its chunk without a descent
     blocks = [(5, 10), (41, 43), (20, 26), (32, 40), (11, 20), (27, 35), (5, 9)]
     forest = CoverForest(FOX)
     h = forest.add_blocks(blocks)
@@ -735,12 +935,25 @@ def test_reads_descend_once_per_leaf(monkeypatch):
     trees = CountingTrees(forest._trees)
     monkeypatch.setattr(forest, "_trees", trees)
 
-    read_run(forest, h, text, 1, len(text))
-    assert trees.lookups == len(blocks)
-    trees.lookups = 0
-    for j in range(len(text), 0, -1):  # backwards, from the last leaf
-        assert forest.access(h, j) == text[j - 1]
-    assert trees.lookups == len(blocks) - 1
+    for chunk, chunks in ((multi_cover._CHUNK, 1), (2, 5), (3, 4)):
+        monkeypatch.setattr(multi_cover, "_CHUNK", chunk)
+        g = forest.add_blocks(blocks)
+        assert len(chunks_of(trees[g])) == chunks
+        trees.lookups = 0
+        read_run(forest, g, text, 1, len(text))
+        assert trees.lookups == chunks
+        trees.lookups = 0
+        for j in range(len(text), 0, -1):  # backwards, from the last block
+            assert forest.access(g, j) == text[j - 1]
+        assert trees.lookups == chunks - 1
+        # the finger is on the first block: a jump inside its chunk moves
+        # it without a descent, a jump to another chunk descends
+        trees.lookups = 0
+        forest.access(g, len(text))
+        forest.access(g, 1)
+        assert trees.lookups == (0 if chunks == 1 else 2)
+        del trees[g]  # its chunks fit only this loop's bound
+    monkeypatch.setattr(multi_cover, "_CHUNK", CHUNK_BOUNDS[0])
 
     # add keeps the finger: handles are never reused
     forest.access(h, 12)
@@ -782,26 +995,89 @@ def test_validate_rejects_a_stale_finger():
     h = forest.add(FOX_SRC)
     forest.access(h, 12)
     forest.validate()
-    forest._finger_base += 1  # off the leaf's first char
-    with pytest.raises(AssertionError, match="finger off its leaf"):
+    for field, delta in (("_finger_base", 1), ("_finger_chunk", 1), ("_finger_chunk", -1),
+                         ("_finger_end", -1), ("_finger_shift", 1)):
+        setattr(forest, field, getattr(forest, field) + delta)  # off its block
+        with pytest.raises(AssertionError, match="finger off its block"):
+            forest.validate()
+        setattr(forest, field, getattr(forest, field) - delta)
         forest.validate()
-    forest._finger_base -= 1
-    forest._finger_leaf = _build([(1, 3)])  # a leaf of no string
-    with pytest.raises(AssertionError, match="finger off its leaf"):
+    forest._finger_leaf = _build(forest.blocks(h))  # a chunk of no string
+    with pytest.raises(AssertionError, match="finger off its block"):
         forest.validate()
-    forest.access(h, 12)
+    forest.access(h, 30)
     forest._trees[forest._next_handle] = forest._trees.pop(h)
     with pytest.raises(AssertionError, match="dead handle"):
         forest.validate()
 
 
+def many_chunks():
+    """A forest holding one valid string of 13 chunks, its tree, and a
+    middle chunk with the internal nodes above it."""
+    rng = random.Random(31)
+    forest = CoverForest(FOX)
+    h = forest.add_blocks([(s, s + rng.randrange(3)) for s in
+                           (rng.randrange(1, FOX.r - 2) for _ in range(300))])
+    forest.validate()
+    t = forest._trees[h]
+    assert len(chunks_of(t)) == 13
+    path, n = [], t
+    while n.blks is None:  # right, then left, then right, ...: a middle chunk
+        path.append(n)
+        n = n.right if len(path) % 2 else n.left
+    return forest, t, n, path
+
+
+def resize(chunk, path, size):
+    """Cut or pad ``chunk`` to ``size`` blocks and keep every count above
+    it right, so that only the size is wrong."""
+    old = chunk.blks[:]
+    chunk.blks[size:] = []
+    chunk.blks += [(1, 1)] * (size - len(chunk.blks))
+    dc = sum(e - s + 1 for s, e in chunk.blks) - sum(e - s + 1 for s, e in old)
+    for n in path + [chunk]:
+        n.nchars += dc
+        n.nleaves += size - len(old)
+
+
+@pytest.mark.parametrize("size, low", [(multi_cover._CHUNK + 1, multi_cover._CHUNK // 4),
+                                       (multi_cover._CHUNK // 4 - 1, multi_cover._CHUNK // 4)])
+def test_validate_rejects_a_chunk_out_of_bounds(size, low):
+    forest, _t, chunk, path = many_chunks()
+    resize(chunk, path, size)
+    with pytest.raises(AssertionError,
+                       match=rf"^chunk of {size} blocks outside \[{low}, {multi_cover._CHUNK}\]$"):
+        forest.validate()
+
+
+def test_an_only_chunk_may_be_underfull():
+    forest = CoverForest(FOX)
+    for blocks in ([(1, 3)], [(1, 3), (5, 9)]):
+        forest.add_blocks(blocks)
+    forest.validate()
+
+
+@pytest.mark.parametrize("field", ["nchars", "nleaves"])
+def test_validate_rejects_stale_counts(field):
+    for where, message in ((-1, "stale chunk counts"), (1, "stale counts")):
+        forest, _t, chunk, path = many_chunks()
+        node = chunk if where < 0 else path[where]
+        setattr(node, field, getattr(node, field) + 1)
+        with pytest.raises(AssertionError, match=message):
+            forest.validate()
+
+
 class FingerMachine(RuleBasedStateMachine):
     """Runs of reads between edits, splits and concats, against bytearray
-    mirrors.  Edits and runs often start at the finger's leaf, where a
-    stale finger would show; consumed handles must stay unknown."""
+    mirrors.  Edits and runs often start at the finger's block, where a
+    stale finger would show; consumed handles must stay unknown.  The
+    module's chunk bound is ``chunk`` while a machine runs."""
+
+    chunk = multi_cover._CHUNK
 
     def __init__(self):
         super().__init__()
+        self.saved_chunk, multi_cover._CHUNK = multi_cover._CHUNK, self.chunk
         self.forest = CoverForest(FOX)
         self.mirrors = {}
         self.dead = []
@@ -816,7 +1092,7 @@ class FingerMachine(RuleBasedStateMachine):
 
     def position(self, data, h, extra=0):
         """A position of S_h, or of one past its end when extra is 1:
-        random, or around the finger's leaf when it is on h."""
+        random, or around the finger's block when it is on h."""
         n = len(self.mirrors[h]) + extra
         leaf = self.forest._finger_leaf
         if leaf is not None and self.forest._finger_handle == h and data.draw(st.booleans()):
@@ -900,6 +1176,23 @@ class FingerMachine(RuleBasedStateMachine):
             assert self.forest.decompress(h) == bytes(text)
             assert naive_maximality_check(FOX.data, self.forest.blocks(h))
 
+    def teardown(self):
+        multi_cover._CHUNK = self.saved_chunk
+
 
 TestFingerMachine = FingerMachine.TestCase
 TestFingerMachine.settings = settings(max_examples=150, stateful_step_count=40)
+
+
+def small_chunk_case(chunk):
+    """The machine's test case at a chunk bound where a few blocks span
+    many chunks."""
+    machine = type(f"ChunkOf{chunk}Machine", (FingerMachine,), {"chunk": chunk})
+    case = machine.TestCase
+    case.settings = settings(max_examples=100, stateful_step_count=40)
+    return case
+
+
+TestFingerMachineChunkOf2 = small_chunk_case(2)
+TestFingerMachineChunkOf3 = small_chunk_case(3)
+TestFingerMachineChunkOf8 = small_chunk_case(8)
