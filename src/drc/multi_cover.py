@@ -16,16 +16,16 @@ the chunk stays within its size bounds, the edit rewrites a slice of the
 chunk (``_rewrite``) and adds its char and block deltas to the nodes on the
 descent path: no node is allocated and nothing is joined.  Otherwise (a
 neighbor in another chunk merged, or the chunk overflows or runs
-underfull) ``_splice`` writes the window back in one descent, joining each
-node's new children with ``_join``, which never rewrites its inputs' nodes
-and reuses the rewritten node itself as the ``top`` where the heights meet.
-A chunk over ``_CHUNK`` blocks is rebuilt as chunks of near-equal size.  No
-chunk but a string's only one has fewer than ``_CHUNK // 4`` blocks: a
-piece of a cut chunk, or a whole string, that small goes into its
-neighbor's edge chunk instead of under a join (``_concat``), and a chunk an
-edit or a re-merge leaves that small fuses with a neighbor (``_fuse``).  No
-node or chunk is shared between strings, so a rewrite never reaches another
-handle.
+underfull) ``_splice`` writes the window back in one descent, combining
+each node's new children with ``_concat``, which joins them with ``_join``
+(never rewriting its inputs' nodes, and reusing the rewritten node itself
+as the ``top`` where the heights meet).  A chunk over ``_CHUNK`` blocks is
+rebuilt as chunks of near-equal size.  No chunk but a string's only one
+has fewer than ``_CHUNK // 4`` blocks, by one rule: wherever two trees
+meet, at a splice's node, a cut or a concatenation's seam, ``_concat``
+puts a lone chunk that small into the other side's edge chunk instead of
+under a join.  No node or chunk is shared between strings, so a rewrite
+never reaches another handle.
 
 Joins and cuts expose fresh block adjacencies, so every operation re-checks
 the affected boundary pairs against the reference index and merges while a
@@ -71,7 +71,7 @@ from array import array
 from bisect import bisect_left
 from itertools import accumulate
 from operator import index as as_int
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -87,8 +87,8 @@ __all__ = [
 
 Block = Tuple[int, int]
 
-# Most blocks a chunk holds; one under _CHUNK // 4 fuses with a neighbor
-# unless it is its string's only chunk.
+# Most blocks a chunk holds; _concat puts one under _CHUNK // 4 into a
+# neighbor unless it is its string's only chunk.
 _CHUNK = 32
 
 
@@ -217,8 +217,9 @@ def _seek(t: _Tree, j: int) -> Tuple[int, int]:
 
 def _split_chars(t: Optional[_Tree], c: int) -> Tuple[Optional[_Tree], Optional[_Tree]]:
     """First c characters, rest; divides the chunk, and the block, the cut
-    lands in.  A piece of that chunk under ``_CHUNK // 4`` blocks goes
-    into its neighbor on the same side (``_concat``)."""
+    lands in, and consumes ``t``: each node on the cut's path is the ``top``
+    of the ``_concat`` at its level, which puts a piece of that chunk under
+    ``_CHUNK // 4`` blocks into its neighbor on the same side."""
     if t is None or c == 0:
         return None, t
     if c == t.nchars:
@@ -237,22 +238,24 @@ def _split_chars(t: Optional[_Tree], c: int) -> Tuple[Optional[_Tree], Optional[
                 _Tree([(s + off, e)] + blks[k + 1 :], rest))
     if c <= t.left.nchars:
         l, r = _split_chars(t.left, c)
-        return l, _concat(r, t.right)
+        return l, _concat(r, t.right, t)
     l, r = _split_chars(t.right, c - t.left.nchars)
-    return _concat(t.left, l), r
+    return _concat(t.left, l, t), r
 
 
-def _concat(a: Optional[_Tree], b: Optional[_Tree]) -> Optional[_Tree]:
-    """``_join`` of two trees the caller gives up, except that a lone chunk
-    under ``_CHUNK // 4`` blocks on either side goes into the other side's
-    edge chunk, in place, instead of under a join."""
+def _concat(a: Optional[_Tree], b: Optional[_Tree],
+            top: Optional[_Tree] = None) -> Optional[_Tree]:
+    """``_join(a, b, top)`` of two trees the caller gives up, except that a
+    lone chunk under ``_CHUNK // 4`` blocks on either side goes into the
+    other side's edge chunk, in place, instead of under a join.  This is
+    the one place where an undersized chunk is absorbed."""
     if a is None or b is None:
         return b if a is None else a
     if a.blks is not None and a.nleaves < _CHUNK // 4:
         return _splice(b, 1, 1, a.blks + _first(b).blks[:1])
     if b.blks is not None and b.nleaves < _CHUNK // 4:
         return _splice(a, a.nleaves, a.nleaves, _last(a).blks[-1:] + b.blks)
-    return _join(a, b)
+    return _join(a, b, top)
 
 
 def _window(t: _Tree, lo: int, hi: int) -> List[Block]:
@@ -312,52 +315,25 @@ def _edit_window(t: _Tree, j: int, drop: int, new: Optional[Block]
     return lo, hi, win, path, t, l
 
 
-def _splice(t: _Tree, lo: int, hi: int, new: List[Block],
-            m: Optional[int] = None) -> Optional[_Tree]:
+def _splice(t: _Tree, lo: int, hi: int, new: List[Block]) -> Optional[_Tree]:
     """Replace blocks [lo, hi] (1-based) of ``t`` by the blocks ``new`` in
     one descent that rewrites ``t`` in place.  A window straddling both
-    children gives the left one ``m`` of the new blocks, by default as
-    many as it loses, and the right one the rest.  A chunk's list is
-    rewritten in place; one left empty goes, and one over ``_CHUNK`` blocks
-    is rebuilt as chunks of near-equal size.  Each node on the way is the
-    ``top`` of its new children's join."""
+    children gives the left one as many of the new blocks as it loses, and
+    the right one the rest.  A chunk's list is rewritten in place; one left
+    empty goes, and one over ``_CHUNK`` blocks is rebuilt as chunks of
+    near-equal size.  Each node on the way combines its new children through
+    ``_concat`` with itself as the ``top``, so a chunk left under
+    ``_CHUNK // 4`` blocks goes into its sibling's edge chunk."""
     if t.blks is not None:
         _rewrite(t, lo - 1, min(hi, t.nleaves) - lo + 1, new)
         return t if 0 < t.nleaves <= _CHUNK else _build(t.blks)
     k = t.left.nleaves
     if hi <= k:
-        return _join(_splice(t.left, lo, hi, new, m), t.right, t)
+        return _concat(_splice(t.left, lo, hi, new), t.right, t)
     if lo > k:
-        return _join(t.left, _splice(t.right, lo - k, hi - k, new, m), t)
-    if m is None:
-        m = k - lo + 1
-    return _join(_splice(t.left, lo, k, new[:m]), _splice(t.right, 1, hi - k, new[m:]), t)
-
-
-def _fuse(t: Optional[_Tree], i: int) -> Optional[_Tree]:
-    """Fuse the chunk holding block i (1-based) of ``t`` with a neighbor
-    when it has fewer than ``_CHUNK // 4`` blocks and is not the only
-    chunk: its blocks join the end of the previous chunk, or the start of
-    the next one when it is the first, in one ``_splice``, which splits
-    the grown chunk if it overflows.  Returns the root."""
-    if t is None or t.blks is not None or not 1 <= i <= t.nleaves:
-        return t
-    n, f, before, after = t, 1, None, None
-    while n.blks is None:
-        k = n.left.nleaves
-        if i <= k:
-            after, n = n.right, n.left
-        else:
-            i -= k
-            f += k
-            before, n = n.left, n.right
-    blks = n.blks
-    if len(blks) >= _CHUNK // 4:
-        return t
-    if before is not None:
-        return _splice(t, f - 1, f + len(blks) - 1, _last(before).blks[-1:] + blks,
-                       len(blks) + 1)
-    return _splice(t, f, f + len(blks), blks + _first(after).blks[:1], 0)
+        return _concat(t.left, _splice(t.right, lo - k, hi - k, new), t)
+    m = k - lo + 1
+    return _concat(_splice(t.left, lo, k, new[:m]), _splice(t.right, 1, hi - k, new[m:]), t)
 
 
 def _first(t: _Tree) -> _Tree:
@@ -442,10 +418,11 @@ class CoverForest:
         """Compress a new string into the forest."""
         return self._adopt(_build(self.index.factorize(src)))
 
-    def add_blocks(self, blocks: List[Block]) -> int:
+    def add_blocks(self, blocks: Iterable[Block]) -> int:
+        blocks = list(blocks)
         for blk in blocks:
             self.index._check_block(blk)
-        return self._adopt(_build(list(blocks)))
+        return self._adopt(_build(blocks))
 
     def handles(self) -> List[int]:
         return sorted(self._trees)
@@ -566,8 +543,8 @@ class CoverForest:
         another chunk that did not merge is not written back, so a window
         that then lies inside one chunk and leaves it within its bounds is
         written into the chunk's list, and the char and block deltas are
-        added along the descent path; any other goes through ``_splice``,
-        and through ``_fuse`` where a chunk lost blocks."""
+        added along the descent path; any other, a chunk left under
+        ``_CHUNK // 4`` blocks included, goes through ``_splice``."""
         self._drop_finger()
         t = self._tree(h)
         new = edit_block(self.index, t.nchars if t is not None else 0, j, drop, byte)
@@ -593,13 +570,7 @@ class CoverForest:
                 n.nchars += dc
                 n.nleaves += dl
             return
-        t = _splice(t, lo, hi, win)
-        if dl < 0:
-            # the chunks that can have shrunk hold the window's last block
-            # and the one after it
-            end = lo + len(win) - 1
-            t = _fuse(_fuse(t, end), end + 1)
-        self._trees[h] = t
+        self._trees[h] = _splice(t, lo, hi, win)
 
     # ------------------------------------------------------------------
 
@@ -615,10 +586,9 @@ class CoverForest:
         if ta is None or tb is None:
             return self._adopt(ta if tb is None else tb)
         # only the seam pair can merge: its neighbors were maximal and
-        # their strings only grow.  A merge may leave a seam chunk underfull
-        na, n = ta.nleaves, ta.nleaves + tb.nleaves
-        t = self._remerge(_concat(ta, tb), na, na + 1)
-        return self._adopt(_fuse(_fuse(t, na), na + 1) if t.nleaves < n else t)
+        # their strings only grow
+        na = ta.nleaves
+        return self._adopt(self._remerge(_concat(ta, tb), na, na + 1))
 
     def split(self, h: int, j: int) -> Tuple[int, int]:
         """Cut S_h into S[1..j-1] and S[j..]; the input is consumed."""
@@ -631,17 +601,11 @@ class CoverForest:
         del self._trees[h]
         left, right = _split_chars(t, j - 1)
         # a cut shortens the blocks on both sides of it, so each may now
-        # merge with its neighbor, which may leave the edge chunk underfull
+        # merge with its neighbor
         if left is not None and left.nleaves > 1:
-            n = left.nleaves
-            left = self._remerge(left, n - 1, n)
-            if left.nleaves < n:
-                left = _fuse(left, n - 1)
+            left = self._remerge(left, left.nleaves - 1, left.nleaves)
         if right.nleaves > 1:
-            n = right.nleaves
             right = self._remerge(right, 1, 2)
-            if right.nleaves < n:
-                right = _fuse(right, 1)
         return self._adopt(left), self._adopt(right)
 
     # ------------------------------------------------------------------

@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import random
 import statistics
+import sys
 import tracemalloc
 from array import array
 from bisect import bisect_left
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import settings, strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
-from drc.cover_engine import compress, cut
+from drc.cover_engine import CompressedString, compress, cut
 from drc.errors import (
     CharNotInReference,
     IndexOutOfRange,
@@ -96,6 +97,25 @@ class TestBasics:
         for blk in [(0, 1), (3, 2), (1, BANANA.r + 1)]:
             with pytest.raises(InvalidBlock):
                 forest.add_blocks([(1, 3), blk])
+        assert forest.handles() == [h]
+
+    def test_add_blocks_takes_an_iterator(self):
+        # both engines check and build from one pass over the blocks, so a
+        # generator gives the same string as a list, and a bad block in it
+        # is still refused
+        blocks = [(1, 6), (1, 3), (1, 3)]
+        forest = CoverForest(BANANA)
+        h = forest.add_blocks(b for b in blocks)
+        assert forest.blocks(h) == blocks
+        assert forest.decompress(h) == b"bananabanban"
+        forest.validate()
+        cs = CompressedString(BANANA, (b for b in blocks))
+        assert cs.blocks() == blocks and len(cs) == 12
+        cs.check()
+        with pytest.raises(InvalidBlock):
+            forest.add_blocks(iter([(1, 3), (0, 1)]))
+        with pytest.raises(InvalidBlock):
+            CompressedString(BANANA, iter([(1, 3), (0, 1)]))
         assert forest.handles() == [h]
 
     def test_unknown_handle(self):
@@ -317,29 +337,24 @@ class TestSplit:
 
 def test_interleaved_forest_soak(monkeypatch):
     # the same op stream at every chunk bound; reads check access and
-    # extract against the mirrors.  Where the fuse size is over 1, chunks
-    # fuse both ways: a lone small piece of a cut or a concat goes into its
-    # neighbor, and a chunk a merge left underfull fuses
-    fused = set()
-    real_splice, real_concat = multi_cover._splice, multi_cover._concat
+    # extract against the mirrors.  Where the floor C // 4 is over 1,
+    # _concat puts a lone small chunk into its neighbor both where a
+    # _splice combines a node's children and at a cut or a concat's seam
+    absorbed = set()
+    real_concat = multi_cover._concat
 
-    def splice(t, lo, hi, new, m=None):
-        if m is not None:
-            fused.add("after a merge")
-        return real_splice(t, lo, hi, new, m)
-
-    def concat(a, b):
+    def concat(a, b, top=None):
         if a is not None and b is not None and any(
                 x.blks is not None and x.nleaves < multi_cover._CHUNK // 4 for x in (a, b)):
-            fused.add("lone piece")
-        return real_concat(a, b)
+            caller = sys._getframe(1).f_code.co_name
+            absorbed.add("under a splice" if caller == "_splice" else "at a cut or seam")
+        return real_concat(a, b, top)
 
-    monkeypatch.setattr(multi_cover, "_splice", splice)
     monkeypatch.setattr(multi_cover, "_concat", concat)
     for chunk in chunk_bounds(monkeypatch):
-        fused.clear()
+        absorbed.clear()
         soak(random.Random(42))
-        assert len(fused) == (2 if chunk // 4 > 1 else 0), (chunk, fused)
+        assert len(absorbed) == (2 if chunk // 4 > 1 else 0), (chunk, absorbed)
 
 
 def soak(rng):
@@ -503,16 +518,52 @@ def test_window_and_splice_match_list_model(monkeypatch):
                         new = [rand_block() for _ in range(k)]
                         t = uneven_tree(rng, blocks)
                         assert _window(t, lo, hi) == blocks[lo - 1 : hi]
+                        # chunks are rewritten in place, unless the input holds
+                        # a chunk under the floor that the splice absorbs
+                        floor = t.blks is not None or all(
+                            len(c.blks) >= chunk // 4 for c in chunks_of(t))
                         out = _splice(t, lo, hi, new)
                         want = blocks[: lo - 1] + new + blocks[hi:]
                         assert list(_leaves(out)) == want, (chunk, n, lo, hi, k)
-                        if k == hi - lo + 1:
-                            assert out is t  # chunks rewritten in place
+                        if k == hi - lo + 1 and floor:
+                            assert out is t
                         if out is None:
                             continue
                         height, _c, leaves, chunks = forest._check_node(out, array("Q"))
                         assert leaves == len(want)
                         assert height - 1 <= 1.44 * math.log2(chunks + 1) + 1e-9
+
+
+def test_splice_keeps_the_chunk_floor(monkeypatch):
+    # chains of random windows of up to four blocks replaced by 0..5 blocks,
+    # from trees that _build makes: no chunk but an only one ends under
+    # C // 4 blocks, because each node combines its children through _concat
+    forest = CoverForest(build_index(bytes(range(97, 123)) * 4))
+    r = forest.index.r
+    rng = random.Random(31)
+
+    def rand_block():
+        s = rng.randrange(1, r + 1)
+        return s, rng.randrange(s, r + 1)
+
+    for chunk in (8, 12, 16, 32):
+        monkeypatch.setattr(multi_cover, "_CHUNK", chunk)
+        for _ in range(60):
+            blocks = [rand_block() for _ in range(rng.randrange(chunk + 1, 6 * chunk))]
+            t = _build(blocks)
+            for _ in range(30):
+                lo = rng.randrange(1, len(blocks) + 1)
+                hi = min(lo + rng.randrange(4), len(blocks))
+                new = [rand_block() for _ in range(rng.randrange(6))]
+                t = _splice(t, lo, hi, new)
+                blocks[lo - 1 : hi] = new
+                assert list(_leaves(t)) == blocks, (chunk, lo, hi, len(new))
+                if t is None:
+                    break
+                low = 1 if t.blks is not None else chunk // 4
+                height, _c, leaves, chunks = forest._check_node(t, array("Q"), low)
+                assert leaves == len(blocks)
+                assert height - 1 <= 1.44 * math.log2(chunks + 1) + 1e-9
 
 
 def test_edit_window_matches_list_model(monkeypatch):
