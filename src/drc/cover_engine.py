@@ -7,8 +7,10 @@ edits work directly on this form:
 
 * one SumTree holds the sequence: its entries are the block lengths and
   each entry's item is the block itself, so position arithmetic (which
-  block holds S[i], at what offset) is one ``find``, which returns the
-  block's ordinal, the length before it and the block;
+  block holds S[i], at what offset) is one walk.  ``access`` takes the
+  read descent, ``lookup``, which returns the length before the block
+  and the block; ``extract`` and the edits take ``find``, which also
+  returns the block's ordinal and leaves the tree's finger on its node;
 * replace, insert and delete are one edit: drop 0 or 1 characters at a
   position and put 0 or 1 new ones there.  :func:`cut` splits the block
   that holds the position into the part before it, the new character and
@@ -29,7 +31,6 @@ Both counts are instrumented.
 
 from __future__ import annotations
 
-from itertools import islice
 from operator import index as as_int
 from typing import Callable, Iterable, List, Optional, Tuple
 
@@ -134,8 +135,8 @@ class CompressedString:
 
     ``last_concat_calls`` and ``last_st_ops`` expose how many reference
     concatenation queries and SumTree operations the most recent public
-    operation issued.  Locating a position is one ``find``, counted as one
-    SumTree operation; an append locates nothing.
+    operation issued.  Locating a position is one ``lookup`` or ``find``,
+    counted as one SumTree operation; an append locates nothing.
     """
 
     __slots__ = (
@@ -188,8 +189,8 @@ class CompressedString:
         self.last_concat_calls = self.last_st_ops = 0
         if not 1 <= i <= self.length:
             raise IndexOutOfRange(f"position {i} outside [1, {self.length}]")
-        _, off, (s, _) = self._locate(i)
-        return self.index.data[s + off - 2]
+        before, (s, _) = self._st("lookup", i)
+        return self.index.data[s + i - before - 2]
 
     def extract(self, i: int, ell: int) -> bytes:
         """S[i .. i+ell-1]."""
@@ -265,21 +266,18 @@ class CompressedString:
 
     def _place(self, first: int, parts: List[Block]) -> None:
         """Write ``parts`` as the blocks at ordinals first, first + 1, ...,
-        whose length entries are already in place, then re-merge the window
-        from the block before them to the block after them until every
-        window boundary is maximal."""
-        self._tree.set_items(first, parts)
+        whose length entries are already in place, and read the window
+        from the block before them to the block after them in the same
+        walk; then re-merge the window until every boundary is maximal."""
         lo = max(1, first - 1)
         # inclusive ordinal of the window's end
         hi = min(self.block_count, first + len(parts))
-        if hi <= lo:
-            return
+        window = self._tree.set_items(first, parts, lo, hi)
 
         def merged(k: int, blk: Block) -> None:
             self._st("merge", lo + k)
             self._tree.set_item(lo + k, blk)
 
-        window = list(islice(self._tree.items_from(lo), hi - lo + 1))
         restore_maximal(window, self._concat, merged)
 
     # ------------------------------------------------------------------

@@ -13,14 +13,26 @@ root-to-leaf path:
   ``find`` is a ``search`` that also hands back what its walk passed:
   the prefix sum before the answer and the answer's item.
 * ``divide`` / ``insert`` add a leaf; ``merge`` / ``delete`` remove one.
+  Above the bottom node, ``update``, ``insert`` and ``delete`` shift one
+  entry per level by an amount the bottom node's own checks already
+  bounded, so those levels skip the public checks.
+
+Beside ``find`` there is the read descent, ``lookup``: the same walk by
+prefix sum, but it hands back only the prefix sum before the answer and
+the answer's item.  ``find`` also sums the leaf counts of the children
+it passes, to return the ordinal, and records the path; a read needs
+neither.
 
 The tree keeps a *finger* on the bottom node its last walk reached: that
-node, the ordinal of its first leaf, and the path down to it.  A lookup
+node, the ordinal of its first leaf, and the path down to it.  A walk
 by position whose leaf lies in the finger's node starts there instead
 of at the root, so the several ops of one string edit walk the index
-about once.  Leaf counts change only in the node an op reached, which is
-the finger's, so its first ordinal stays right; every change of shape (a
-regroup, a merge across nodes) drops the finger.
+about once.  ``search`` and ``find`` move the finger to the node they
+reach, and so do the walks by position (the ops, ``item``, ``set_item``,
+``set_items``, ``items_from``) whenever they leave the finger's node;
+``lookup`` leaves it where it was.  Leaf counts change only in the node
+an op reached, which is the finger's, so its first ordinal stays right;
+every change of shape (a regroup, a merge across nodes) drops the finger.
 
 One rule, ``_chunk``, sizes every node: fewer than B entries stay one
 node, more become near-equal nodes of about 3B/4, each of B/2 to B - 1.
@@ -39,9 +51,9 @@ An internal node's kids are its child nodes; a bottom node's kids are its
 entries' items, opaque payloads.  A regroup moves each value together
 with its kid, at every level alike.  Items are read and written by the
 uncounted accessors ``item``, ``set_item``, ``set_items`` (a run of
-consecutive entries in one walk) and ``items_from``; ``divide`` copies
-the item into both halves, ``merge`` keeps the left one, ``insert`` adds
-None.
+consecutive entries, and the items around it, in one walk) and
+``items_from``; ``divide`` copies the item into both halves, ``merge``
+keeps the left one, ``insert`` adds None.
 
 >>> t = SumTree([5, 1, 4, 7] * 50)
 >>> t.sum(4), t.sum(23)
@@ -50,6 +62,8 @@ None.
 200
 >>> t.find(18)  # (i, Y[i - 1], item of entry i)
 (5, 17, None)
+>>> t.lookup(18)  # (Y[i - 1], item of entry i)
+(17, None)
 >>> t.divide(8, 3); t.values()[7:9]
 [3, 4]
 """
@@ -200,6 +214,24 @@ class SumTree:
         self._finger = node, base + 1, tuple(path)
         return base + j
 
+    def lookup(self, t: int) -> Tuple[int, Any]:
+        """(Y[i - 1], item of entry i) for the smallest i with Y[i] >= t.
+
+        The read descent: one root-to-leaf walk that takes each level's
+        answer from its PackedSums and nothing else.  It sums no leaf
+        counts, builds no path and leaves the finger where it was.
+        """
+        if not 1 <= t <= self._root.ps.total:
+            raise SearchOutOfRange(f"target {t} outside [1, {self._root.ps.total}]")
+        node, before = self._root, 0
+        while not node.bottom:
+            k, y = node.ps._find(t)
+            t -= y
+            before += y
+            node = node.kids[k - 1]
+        j, y = node.ps._find(t)
+        return before + y, node.kids[j - 1]
+
     def find(self, t: int) -> Tuple[int, int, Any]:
         """(i, Y[i - 1], item of entry i) for the smallest i with Y[i] >= t.
 
@@ -246,20 +278,33 @@ class SumTree:
         node, slot, _ = self._slot(i, self._root.nleaves)
         node.kids[slot - 1] = x
 
-    def set_items(self, i: int, xs: List[Any]) -> None:
-        """Make xs[k] the item of entry i + k for every k, in one walk."""
-        n = self._root.nleaves
+    def set_items(self, i: int, xs: List[Any], lo: Optional[int] = None,
+                  hi: Optional[int] = None) -> List[Any]:
+        """Make xs[k] the item of entry i + k for every k, and return the
+        items of entries lo..hi (lo <= i, i + len(xs) - 1 <= hi; by default
+        the entries written), all in one walk from entry lo."""
+        n, end = self._root.nleaves, i + len(xs) - 1
         if not 1 <= i <= n + 1 - len(xs):
-            raise IndexOutOfRange(f"items {i}..{i + len(xs) - 1} outside [1, {n}]")
-        if not xs:
-            return
-        done = 0
-        for node, start in self._bottoms(i, *self._locate(i)):
-            take = min(len(node.kids) - start, len(xs) - done)
-            node.kids[start : start + take] = xs[done : done + take]
-            done += take
-            if done == len(xs):
-                return
+            raise IndexOutOfRange(f"items {i}..{end} outside [1, {n}]")
+        lo = i if lo is None else lo
+        hi = end if hi is None else hi
+        if not (1 <= lo <= i and end <= hi <= n):
+            raise IndexOutOfRange(f"window {lo}..{hi} does not hold items {i}..{end}")
+        out: List[Any] = []
+        if hi < lo:
+            return out
+        at = lo  # ordinal of the node's entry `start`
+        for node, start in self._bottoms(lo, *self._locate(lo)):
+            kids = node.kids
+            stop = min(len(kids), start + hi + 1 - at)
+            a, b = max(i, at), min(end, at + stop - start - 1)
+            if a <= b:
+                kids[start + a - at : start + b + 1 - at] = xs[a - i : b + 1 - i]
+            out += kids[start:stop]
+            at += stop - start
+            if at > hi:
+                break
+        return out
 
     def items_from(self, i: int) -> Iterator[Any]:
         """Items of entries i, i+1, ... in order; i may be len + 1.  The
@@ -374,7 +419,9 @@ class SumTree:
         for parent, k in path:
             parent.nleaves += leaves
             if d:
-                parent.ps.update(k, d)
+                # the bottom op bounded d, and an entry above it is a
+                # subtree sum, which stays nonnegative with the entry
+                parent.ps._shift(k, d)
 
     def _repair(self, node: _Node, path: _Path) -> None:
         """Restore minimum-degree invariants after node shrank: regroup an
@@ -470,7 +517,7 @@ class SumTree:
             raise IndexOutOfRange(f"delete index {i} outside [1, {n}]")
         node, slot, path = self._locate(i)
         ps = node.ps
-        v = ps.sum(slot) - (ps.sum(slot - 1) if slot > 1 else 0)
+        v = ps._sum(slot) - ps._sum(slot - 1)
         ps.delete(slot)  # validates the value's width
         del node.kids[slot - 1]
         node.nleaves -= 1

@@ -29,9 +29,12 @@ them.
 its value exceeds the run gap, and the new entry i+1 iff its own value
 does; each new head is anchored at its own prefix sum, the anchor of a
 run that entry i headed is dropped, and the rest of the old run shifts
-onto the anchor of i+1's run.  Every edit keeps each head's offset at
-exactly 0, so the anchors are the heads' prefix sums, ordered by
-construction.
+onto the anchor of i+1's run.  ``insert`` applies the same rule to its
+one new entry and leaves every other head bit as it was; ``delete``
+hands a removed head's run to the slot after it.  Each edit is one
+primitive: one set of checks, one count toward the repack.  Every edit
+keeps each head's offset at exactly 0, so the anchors are the heads'
+prefix sums, ordered by construction.
 
 A search for t is one ``bisect`` over the anchors: run r, the last
 whose anchor is below t, holds the answer after its head, or else the
@@ -119,14 +122,23 @@ class PsConfig:
             raise BadConfig(f"{self.B} fields of {self.F} bits exceed two "
                             f"{self.w}-bit words")
         # An offset is the sum of the entries after its run's head up to
-        # its own.  A packing leaves each of the at most B - 1 non-heads at
-        # most the gap, and a divide makes a non-head of at most the gap.
-        # Of the at most B ops before the next packing, a merge folds one
-        # non-head into its neighbor and an update adds below 2**delta.
-        # So every offset lies in [0, (B-1)*gap + B*max(gap, 2**delta)],
-        # below 2*B^2*2^delta as gap <= B*2^delta.  Below the bias, every
-        # biased field stays in [bias, guard): no packed add carries or
-        # borrows across a field, and no write needs a check.
+        # its own, so it lies in [0, M], M the summed value of all
+        # non-heads.  Let k be the number of non-heads (at most B - 1, as
+        # slot 1 heads) and P = M - k*gap.  A packing makes every non-head
+        # at most the gap: P <= 0.  Each of the at most B ops before the
+        # next packing raises P by at most max(gap, 2**delta):
+        # - update adds below 2**delta to one entry;
+        # - insert adds a non-head below 2**delta, or a head, which moves
+        #   the rest of a run into its own run and changes neither M nor k;
+        # - divide keeps or lowers P: each entry it leaves a non-head is
+        #   at most the gap;
+        # - merge and delete take at most one non-head out of k and add
+        #   nothing to M (delete's new head is the non-head after a
+        #   removed head, whose value leaves M).
+        # So M <= (B-1)*gap + B*max(gap, 2**delta), below 2*B^2*2^delta as
+        # gap <= B*2^delta.  Below the bias, every biased field stays in
+        # [bias, guard): no packed add carries or borrows across a field,
+        # and no write needs a check.
         if self.bias <= 2 * self.B * self.B * (1 << self.delta):
             raise BadConfig(f"F={self.F} too narrow for B={self.B}, "
                             f"delta={self.delta}")
@@ -184,30 +196,30 @@ class PackedSums:
         if len(vals) > cfg.B:
             raise StructureFull(f"{len(vals)} entries exceed capacity {cfg.B}")
         self.rebuilds = 0
-        self._load(vals)
+        self._pack(accumulate(vals))
 
     # ---------------------------------------------------------------- loading
 
-    def _load(self, vals):
-        """Canonical packing of the given values: greedy runs, fresh anchors."""
+    def _pack(self, ys):
+        """Canonical packing of the prefix sums ys, an iterable: greedy
+        runs, fresh anchors."""
         F, bias, gap = self._F, self._bias, self._gap
-        self._n = len(vals)
-        self._reps = []
-        u = bits = 0
-        y = rep = 0
-        for p, z in enumerate(vals):
-            y += z
-            if p == 0 or z > gap:
-                rep = y
-                self._reps.append(y)
+        reps = []
+        u = bits = y = rep = 0
+        p = -1
+        for p, x in enumerate(ys):
+            if x - y > gap or not p:
+                rep = x
+                reps.append(x)
                 bits |= 1 << p
-            u |= (y - rep + bias) << (F * p)
-        self._u, self._bits = u, bits
+            u |= (x - rep + bias) << (F * p)
+            y = x
+        self._n, self._reps, self._u, self._bits = p + 1, reps, u, bits
         self.ops_since_rebuild = 0
 
     def rebuild(self) -> None:
         """Repack from scratch: recompute runs, anchors and offsets."""
-        self._load(self.values())
+        self._pack(self.prefix_sums())
         self.rebuilds += 1
 
     # ---------------------------------------------------------------- queries
@@ -277,9 +289,18 @@ class PackedSums:
         return [y - x for x, y in zip([0] + ys, ys)]
 
     def prefix_sums(self) -> list:
-        F, mask, bias, reps, u = self._F, self._mask, self._bias, self._reps, self._u
-        return [reps[r - 1] + ((u >> p) & mask) - bias
-                for p, r in zip(range(0, F * self._n, F), accumulate(self.run_flags))]
+        """Y[1..n], decoded field by field: each head bit starts the next
+        anchor."""
+        F, mask, bits, u = self._F, self._mask, self._bits, self._u
+        reps = iter(self._reps)
+        out, rep = [], 0
+        for _ in range(self._n):
+            if bits & 1:
+                rep = next(reps) - self._bias
+            out.append(rep + (u & mask))
+            u >>= F
+            bits >>= 1
+        return out
 
     @property
     def representatives(self) -> list:
@@ -363,6 +384,12 @@ class PackedSums:
             raise DeltaTooLarge(f"|{d}| >= 2**{self.cfg.delta}")
         if d < 0 and self._sum(i) - self._sum(i - 1) + d < 0:
             raise NegativeEntry(f"entry {i} would fall below zero")
+        self._shift(i, d)
+
+    def _shift(self, i: int, d: int) -> None:
+        """update for a caller that already bounds d and keeps Z[i] + d
+        nonnegative, such as a SumTree level above the entry whose own
+        update, insert or delete checked d."""
         p = i - 1
         head = (self._bits >> p) & 1
         # at a head the whole run moves with its anchor; elsewhere slots
@@ -424,34 +451,64 @@ class PackedSums:
         self._finish()
 
     def insert(self, i: int, d: int) -> None:
-        """Insert a new entry of value d at position i (old i shifts right)."""
+        """Insert a new entry of value d at position i (old i shifts right).
+
+        The new entry heads a run iff i = 1 or d exceeds the run gap; every
+        other entry keeps its head bit.  A new head is anchored at its own
+        prefix sum and takes over the rest of the run before it; a new
+        non-head joins that run, whose later slots move up by d."""
         if not 0 <= d < 1 << self.cfg.delta:
             raise DeltaTooLarge(f"insert value {d} outside [0, 2**{self.cfg.delta})")
         if self._n >= self.cfg.B:
             raise StructureFull(f"capacity {self.cfg.B} reached")
         if not 1 <= i <= self._n + 1:
             raise IndexOutOfRange(f"insert index {i} outside [1, {self._n + 1}]")
-        if self._n == 0:
-            self._load([d])
-            self._finish()
-            return
-        # a zero before entry i, or after the last entry for an append
-        n = self._n
-        self.divide(min(i, n), 0 if i <= n else self._sum(n) - self._sum(n - 1))
-        self.update(i, d)
+        p, bias, reps = i - 1, self._bias, self._reps
+        # run q holds slot p - 1, at offset off, and ends at old slot e;
+        # y is Y[i - 1]
+        q = off = y = 0
+        e = -1
+        if p:
+            q, off, e = self._run(p - 1), self._u_field(p - 1) - bias, self._run_end(p - 1)
+            y = reps[q - 1] + off
+        if not p or d > self._gap:
+            self._range_add(p, e, -off)
+            self._slot_insert(p, bias, 1)
+            reps[q:] = [y + d] + [x + d for x in reps[q:]]
+        else:
+            self._range_add(p, e, d)
+            self._slot_insert(p, off + d + bias, 0)
+            reps[q:] = [x + d for x in reps[q:]]
+        self._finish()
 
     def delete(self, i: int) -> None:
-        """Remove entry i; its value must fit one delta-bounded update."""
+        """Remove entry i; its value must fit one delta-bounded update.
+
+        A removed non-head takes its value off the rest of its run; a
+        removed head hands its run to the next slot, re-anchored at that
+        slot's new prefix sum, or takes its anchor along if it ran alone."""
         if not 1 <= i <= self._n:
             raise IndexOutOfRange(f"delete index {i} outside [1, {self._n}]")
         v = self._sum(i) - self._sum(i - 1)
         if v >= 1 << self.cfg.delta:
             raise DeleteTooLarge(f"entry value {v} >= 2**{self.cfg.delta}")
-        self.update(i, -v)
-        if self._n == 1:
-            self._load([])
+        p, reps = i - 1, self._reps
+        q, e = self._run(p), self._run_end(p)
+        if not (self._bits >> p) & 1:
+            self._range_add(p + 1, e, -v)
+            self._slot_remove(p)
+            reps[q:] = [x - v for x in reps[q:]]
+        elif e > p:
+            # slot p + 1, of value z, heads the run: its anchor is Y[i + 1] - v
+            z = self._u_field(p + 1) - self._bias
+            self._slot_remove(p)
+            self._bits |= 1 << p
+            self._range_add(p, e - 1, -z)
+            reps[q - 1:] = [reps[q - 1] + z - v] + [x - v for x in reps[q:]]
         else:
-            self.merge(min(i, self._n - 1))
+            self._slot_remove(p)
+            reps[q - 1:] = [x - v for x in reps[q:]]
+        self._finish()
 
     # -------------------------------------------------------------- validation
 

@@ -48,7 +48,7 @@ from support import (
     resolve_op,
 )
 
-CONCAT_BUDGET = 8
+CONCAT_BUDGET = 4  # len(window) - 1 for a window of at most 5 blocks
 ST_BUDGET = 10
 
 

@@ -322,7 +322,9 @@ def test_located_edit_walks_the_index_at_most_once(monkeypatch):
     # 2^16 blocks abc | xyz | abc | ...: no two adjacent ones concatenate
     # in R.  After its find, an edit that regroups no node and makes no
     # cross-node merge (_refresh) reaches every other entry it touches
-    # from the finger or by one walk from the root.
+    # from the finger or by one walk from the root.  Reads between the
+    # edits take the read descent, which walks no leaf counts and leaves
+    # the finger where it was.
     cs = CompressedString(ALPHABET, [(1, 3), (24, 26)] * 2**15)
     levels = 0
     node = cs._tree._root
@@ -342,6 +344,10 @@ def test_located_edit_walks_the_index_at_most_once(monkeypatch):
         verb = rng.choice(("replace", "insert", "delete"))
         i = rng.randrange(1, len(cs) + 1)
         args = (i,) if verb == "delete" else (i, ord(rng.choice("abcqxyz")))
+        finger, steps["level"] = cs._tree._finger, 0
+        got = cs.access(rng.randrange(1, len(cs) + 1))
+        assert cs._tree._finger is finger and steps["level"] == 0
+        assert got in b"abcqxyz" and cs.last_st_ops == 1
         steps.clear()
         getattr(cs, verb)(*args)
         assert_budgets(cs)

@@ -3,6 +3,7 @@
 import collections
 import itertools
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,12 +17,13 @@ from drc.errors import (
     IndexOutOfRange,
     NegativeEntry,
     SearchOutOfRange,
+    StructureFull,
 )
 from drc.oracles import NaivePartialSums
 from drc.partial_sums import SumTree
 from drc.partial_sums_small import DEFAULT_CONFIG, PackedSums, PsConfig
 
-from support import DEMO_Z, OP_KINDS, apply_op, resolve_op
+from support import DEMO_Z, MUTATOR_KINDS, OP_KINDS, apply_op, resolve_op
 
 
 def _nodes(t):
@@ -241,7 +243,8 @@ def _full_packed():
 def _state(s):
     if isinstance(s, SumTree):
         return s.values(), list(s.items_from(1)), [len(node.kids) for node in _nodes(s)]
-    return s.values(), s.representatives, s.offsets, s.run_flags, s.ops_since_rebuild
+    return (s.values(), s.representatives, s.offsets, s.run_flags, s.ops_since_rebuild,
+            s.rebuilds)
 
 
 @pytest.mark.parametrize("make", [_full_tree, _full_packed], ids=["SumTree", "PackedSums"])
@@ -255,8 +258,11 @@ def _state(s):
     (lambda s: s.update(0, 1), IndexOutOfRange),
     (lambda s: s.update(len(s) + 1, 1), IndexOutOfRange),
     (lambda s: s.update(1, -2), NegativeEntry),
+    (lambda s: s.delete(0), IndexOutOfRange),
+    (lambda s: s.delete(len(s) + 1), IndexOutOfRange),
 ], ids=["delete-large", "insert-wide", "insert-negative", "divide-bad-split",
-        "merge-last", "merge-0", "update-0", "update-past-end", "update-negative"])
+        "merge-last", "merge-0", "update-0", "update-past-end", "update-negative",
+        "delete-0", "delete-past-end"])
 def test_a_rejected_op_leaves_the_structure_as_it_was(make, op, error):
     s = make()
     before = _state(s)
@@ -268,6 +274,22 @@ def test_a_rejected_op_leaves_the_structure_as_it_was(make, op, error):
         before, after = before[:2], after[:2]
     assert after == before
     s.validate()
+
+
+def test_a_rejected_insert_changes_nothing():
+    # the full structures above reject an insert by capacity first; here
+    # a PackedSums with room rejects it by position, a full one by
+    # capacity, and a SumTree by position
+    for s, i, error in [(PackedSums([1, 0, 3], config=PsConfig(B=4)), 0, IndexOutOfRange),
+                        (PackedSums([1, 0, 3], config=PsConfig(B=4)), 5, IndexOutOfRange),
+                        (_full_packed(), 2, StructureFull),
+                        (_full_tree(), 0, IndexOutOfRange),
+                        (_full_tree(), 15, IndexOutOfRange)]:
+        before = _state(s)
+        with pytest.raises(error):
+            s.insert(i, 1)
+        assert _state(s) == before
+        s.validate()
 
 
 def random_soak(seed, n_ops, seed_len, config=None):
@@ -375,11 +397,19 @@ def test_items_follow_every_edit(monkeypatch):
             k = rng.randrange(1, min(9, len(items)) + 1)
             i = len(items) - k + 1 if step % 2 else rng.randrange(1, len(items) - k + 2)
             xs = [next(fresh) for _ in range(k)]
-            t.set_items(i, xs)
+            # half the writes also read a window of up to 2 more items on
+            # each side, in the same walk
+            lo = max(1, i - rng.randrange(3)) if step % 2 else i
+            hi = min(len(items), i + k - 1 + rng.randrange(3)) if step % 2 else i + k - 1
+            got = t.set_items(i, xs, lo, hi) if step % 2 else t.set_items(i, xs)
             items[i - 1 : i - 1 + k] = xs
+            assert got == items[lo - 1 : hi]
             for bad in (0, len(items) - k + 2):
                 with pytest.raises(IndexOutOfRange):
                     t.set_items(bad, xs)
+            for window in ((i + 1, hi), (lo, i + k - 2), (0, hi), (lo, len(items) + 1)):
+                with pytest.raises(IndexOutOfRange):
+                    t.set_items(i, xs[::-1], *window)
             t.set_items(len(items) + 1, [])
         assert list(t.items_from(1)) == items
         if items:
@@ -457,6 +487,43 @@ def test_finger_answers_as_walks_from_the_root(cfg, monkeypatch):
     fingered.validate()
     # the finger spares at least a quarter of the walks from the root
     assert walks[True] < 3 * walks[False] / 4, walks
+
+
+@pytest.mark.parametrize("cfg", [PsConfig(B=4), DEFAULT_CONFIG, replace(DEFAULT_CONFIG, run_gap=0)],
+                         ids=["B4", "B16", "B16-gap0"])
+def test_lookup_answers_as_find_and_keeps_the_finger(cfg):
+    # zero-valued entries among small and large ones, so that targets
+    # skip over zeros and runs of every shape occur on every level
+    rng = random.Random(cfg.B + cfg.gap)
+    vals = [rng.choice((0, 0, 1, 3, 40, 200)) for _ in range(250)]
+    t = SumTree(vals, range(len(vals)), config=cfg)
+    oracle = NaivePartialSums(vals, delta=cfg.delta)
+    for rnd in range(4):
+        if rnd:
+            done = 0
+            while done < 150:
+                op = resolve_op(rng.choice(MUTATOR_KINDS), rng.randrange(1 << 30),
+                                rng.randrange(1 << 30), oracle.values(), delta=cfg.delta)
+                if op is not None:
+                    apply_op(t, op)
+                    apply_op(oracle, op)
+                    done += 1
+            assert t.values() == oracle.values()
+        for x in range(1, t.total + 1):
+            finger = t._finger
+            got = t.lookup(x)
+            assert t._finger is finger
+            assert got == t.find(x)[1:]
+        finger, state = t._finger, (t.values(), list(t.items_from(1)))
+        for bad in (0, -1, t.total + 1):
+            t._finger = finger
+            with pytest.raises(SearchOutOfRange):
+                t.lookup(bad)
+            assert t._finger is finger
+            assert (t.values(), list(t.items_from(1))) == state
+        t.validate()
+    with pytest.raises(SearchOutOfRange):
+        SumTree().lookup(1)
 
 
 def test_item_accessor_bounds():

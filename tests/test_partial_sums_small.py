@@ -236,6 +236,54 @@ class TestEdits:
         assert ps.values() == [4, 6]
 
 
+    def test_insert_and_delete_keep_the_other_head_bits(self):
+        # (values, run flags, anchors, offsets) after each op; the default
+        # gap is 64, so only slot 1 and an insert at slot 1 make heads
+        ps = PackedSums([3, 1, 2, 3])
+        for op, want in [
+            (("insert", 1, 1), ([1, 3, 1, 2, 3], [1, 1, 0, 0, 0], [1, 4], [0, 0, 1, 3, 6])),
+            # a deleted head hands its run to the next slot
+            (("delete", 2), ([1, 1, 2, 3], [1, 1, 0, 0], [1, 2], [0, 0, 2, 5])),
+            (("insert", 3, 2), ([1, 1, 2, 2, 3], [1, 1, 0, 0, 0], [1, 2], [0, 0, 2, 4, 7])),
+            (("delete", 4), ([1, 1, 2, 3], [1, 1, 0, 0], [1, 2], [0, 0, 2, 5])),
+            (("delete", 2), ([1, 2, 3], [1, 1, 0], [1, 3], [0, 0, 3])),
+        ]:
+            apply_op(ps, op)
+            assert (ps.values(), ps.run_flags, ps.representatives, ps.offsets) == want
+            ps.validate()
+        # with a gap of 2, an inserted 3 heads a new run that takes over
+        # the rest of its run; deleting a lone head takes its anchor along
+        ps = PackedSums([2, 1, 1, 2], config=replace(DEFAULT_CONFIG, run_gap=2))
+        for op, want in [
+            (("insert", 3, 3), ([2, 1, 3, 1, 2], [1, 0, 1, 0, 0], [2, 6], [0, 1, 0, 1, 3])),
+            (("delete", 1), ([1, 3, 1, 2], [1, 1, 0, 0], [1, 4], [0, 0, 1, 3])),
+            (("delete", 1), ([3, 1, 2], [1, 0, 0], [3], [0, 1, 3])),
+        ]:
+            apply_op(ps, op)
+            assert (ps.values(), ps.run_flags, ps.representatives, ps.offsets) == want
+            ps.validate()
+
+    def test_insert_and_delete_count_one_op_each(self):
+        rng = random.Random(7)
+        ps = PackedSums(config=PsConfig(B=8))
+        for _ in range(300):
+            n = len(ps)
+            grow = n == 0 or n < 8 and rng.random() < 0.5
+            small = [i for i, v in enumerate(ps.values(), 1) if v < 4]
+            if not grow and not small:
+                continue
+            ops, rebuilds = ps.ops_since_rebuild, ps.rebuilds
+            if grow:
+                ps.insert(rng.randrange(1, n + 2), rng.randrange(4))
+            else:
+                ps.delete(rng.choice(small))
+            if ops + 1 < 8:
+                assert (ps.ops_since_rebuild, ps.rebuilds) == (ops + 1, rebuilds)
+            else:
+                assert (ps.ops_since_rebuild, ps.rebuilds) == (0, rebuilds + 1)
+            ps.validate()
+
+
 class TestErrors:
     def test_update_rejections(self):
         ps = PackedSums([5, 1])
@@ -419,6 +467,36 @@ class TestOffsetBound:
         peak = max(ps.offsets)
         assert peak == (a + 2 * b) * gap + (1 << cfg.delta) - 1
         assert (cfg.B - 1) * gap < peak <= offset_bound(cfg)
+
+    @pytest.mark.parametrize("cfg", [CFG, DEFAULT_CONFIG], ids=["B5", "B16"])
+    def test_inserts_and_deletes_between_packings_stay_inside_the_bound(self, cfg):
+        # one run: a zero head, `a` entries of one gap and `b` zeros fill
+        # all B slots.  Of the two primitives only an insert grows the run,
+        # by below 2**delta at a non-head slot; a delete at a non-head
+        # takes its value off, so deleting a zero frees a slot and loses
+        # nothing.  B ops alternate the two, all at non-heads, and the
+        # last one repacks.
+        top, b = (1 << cfg.delta) - 1, (cfg.B + 1) // 2
+        a = cfg.B - 1 - b
+        vals = [0] + [cfg.gap] * a + [0] * b
+        ps = PackedSums(vals, config=cfg)
+        oracle = NaivePartialSums(vals, capacity=cfg.B, delta=cfg.delta)
+        peak = 0
+        for step in range(cfg.B):
+            if step % 2:
+                op = ("insert", 2, top)
+            else:
+                op = ("delete", len(oracle) - oracle.values()[::-1].index(0))
+            assert not ps.run_flags[op[1] - 1] if op[0] == "delete" else op[1] > 1
+            apply_op(ps, op)
+            apply_op(oracle, op)
+            assert ps.values() == oracle.values()
+            assert all(cfg.bias <= f < cfg.guard for f in map(ps._u_field, range(len(ps))))
+            ps.validate()
+            peak = max(peak, *ps.offsets)
+            assert ps.ops_since_rebuild == (step + 1) % cfg.B
+        assert ps.rebuilds == 1 and len(ps.representatives) == 1
+        assert peak == a * cfg.gap + (cfg.B // 2) * top <= offset_bound(cfg)
 
     @pytest.mark.parametrize("cfg", [CFG, replace(CFG, run_gap=0), DEFAULT_CONFIG],
                              ids=["B5", "B5-gap0", "B16"])
