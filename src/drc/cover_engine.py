@@ -7,10 +7,12 @@ edits work directly on this form:
 
 * one SumTree holds the sequence: its entries are the block lengths and
   each entry's item is the block itself, so position arithmetic (which
-  block holds S[i], at what offset) is one walk.  ``access`` takes the
-  read descent, ``lookup``, which returns the length before the block
-  and the block; ``extract`` and the edits take ``find``, which also
-  returns the block's ordinal and leaves the tree's finger on its node;
+  block holds S[i], at what offset) is one walk.  The reads take the
+  read descent: ``access`` by ``lookup``, which returns the length
+  before the block and the block, and ``extract`` by ``lookup_items``,
+  which returns that length and the blocks from there on.  The edits
+  take ``find``, which also returns the block's ordinal and leaves the
+  tree's finger on its node;
 * replace, insert and delete are one edit: drop 0 or 1 characters at a
   position and put 0 or 1 new ones there.  :func:`cut` splits the block
   that holds the position into the part before it, the new character and
@@ -135,7 +137,7 @@ class CompressedString:
 
     ``last_concat_calls`` and ``last_st_ops`` expose how many reference
     concatenation queries and SumTree operations the most recent public
-    operation issued.  Locating a position is one ``lookup`` or ``find``,
+    operation issued.  Locating a position is one read descent or ``find``,
     counted as one SumTree operation; an append locates nothing.
     """
 
@@ -201,11 +203,12 @@ class CompressedString:
                 f"range ({i}, len {ell}) outside string of length {self.length}")
         if ell == 0:
             return b""
-        l, off, _ = self._locate(i)
+        before, items = self._st("lookup_items", i)
+        off = i - before
         data = self.index.data
         out = []
         need = ell
-        for s, e in self._tree.items_from(l):
+        for s, e in items:
             take = min(e - s + 1 - (off - 1), need)
             out.append(data[s + off - 2 : s + off - 2 + take])
             need -= take

@@ -21,7 +21,8 @@ Beside ``find`` there is the read descent, ``lookup``: the same walk by
 prefix sum, but it hands back only the prefix sum before the answer and
 the answer's item.  ``find`` also sums the leaf counts of the children
 it passes, to return the ordinal, and records the path; a read needs
-neither.
+neither.  ``lookup_items`` is the read descent that keeps its path and
+hands back the items from the answer's on, read node by node.
 
 The tree keeps a *finger* on the bottom node its last walk reached: that
 node, the ordinal of its first leaf, and the path down to it.  A walk
@@ -30,9 +31,10 @@ of at the root, so the several ops of one string edit walk the index
 about once.  ``search`` and ``find`` move the finger to the node they
 reach, and so do the walks by position (the ops, ``item``, ``set_item``,
 ``set_items``, ``items_from``) whenever they leave the finger's node;
-``lookup`` leaves it where it was.  Leaf counts change only in the node
-an op reached, which is the finger's, so its first ordinal stays right;
-every change of shape (a regroup, a merge across nodes) drops the finger.
+``lookup`` and ``lookup_items`` leave it where it was.  Leaf counts
+change only in the node an op reached, which is the finger's, so its
+first ordinal stays right; every change of shape (a regroup, a merge
+across nodes) drops the finger.
 
 One rule, ``_chunk``, sizes every node: fewer than B entries stay one
 node, more become near-equal nodes of about 3B/4, each of B/2 to B - 1.
@@ -232,6 +234,27 @@ class SumTree:
         j, y = node.ps._find(t)
         return before + y, node.kids[j - 1]
 
+    def lookup_items(self, t: int) -> Tuple[int, Iterator[Any]]:
+        """(Y[i - 1], the items of entries i, i + 1, ...) for the smallest
+        i with Y[i] >= t.
+
+        The read descent of ``lookup``, keeping its path to walk on to
+        later bottom nodes: it sums no leaf counts and leaves the finger
+        where it was.  The tree must not change while the items are read.
+        """
+        if not 1 <= t <= self._root.ps.total:
+            raise SearchOutOfRange(f"target {t} outside [1, {self._root.ps.total}]")
+        node, before, path = self._root, 0, []
+        while not node.bottom:
+            k, y = node.ps._find(t)
+            t -= y
+            before += y
+            path.append((node, k))
+            node = node.kids[k - 1]
+        j, y = node.ps._find(t)
+        bottoms = self._bottoms(None, node, j, path)
+        return before + y, chain.from_iterable(b.kids[start:] for b, start in bottoms)
+
     def find(self, t: int) -> Tuple[int, int, Any]:
         """(i, Y[i - 1], item of entry i) for the smallest i with Y[i] >= t.
 
@@ -312,24 +335,28 @@ class SumTree:
         bottoms = self._bottoms(i, *self._slot(i, self._root.nleaves + 1))
         return chain.from_iterable(node.kids[start:] for node, start in bottoms)
 
-    def _bottoms(self, i: int, node: _Node, slot: int,
+    def _bottoms(self, i: Optional[int], node: _Node, slot: int,
                  path: _Path) -> Iterator[Tuple[_Node, int]]:
         """Bottom nodes from node, which holds leaf i at slot, rightward,
         each with the 0-based item index to start from: slot - 1 in the
-        first, 0 in the rest.  The finger follows the walk."""
+        first, 0 in the rest.  The finger follows the walk unless i is
+        None."""
         yield node, slot - 1
-        first = i - slot + 1
+        if i is not None:
+            first = i - slot + 1
         while path:
             parent, k = path.pop()
             if k == len(parent.kids):
                 continue
             path.append((parent, k + 1))
-            first += len(node.kids)
+            if i is not None:
+                first += len(node.kids)
             node = parent.kids[k]
             while not node.bottom:
                 path.append((node, 1))
                 node = node.kids[0]
-            self._finger = node, first, tuple(path)
+            if i is not None:
+                self._finger = node, first, tuple(path)
             yield node, 0
 
     # ------------------------------------------------------------------

@@ -11,7 +11,9 @@ Answers four kinds of queries for the compression layers above:
 
 The index is a suffix array with inverse and LCP arrays, all three from
 one numpy prefix-doubling pass (Manber-Myers) whose kept ranks give the
-LCP by binary lifting; then, built lazily since only edits need them, a
+LCP by binary lifting, and the suffix keys: the first 8 bytes of each
+suffix in SA order as a zero-padded big-endian uint64, 20 bytes per
+reference byte in all.  Then, built lazily since only edits need them, a
 sparse-table range-minimum structure for constant-time LCE and a suffix
 tree of LCP intervals (Abouelhoda-Kurtz-Ohlebusch), read off the nearest
 smaller LCP values on that table and split into heavy paths.  For every
@@ -29,7 +31,9 @@ the first byte of an edge that y's own byte picked.  Queries read the
 int32 arrays through memoryviews over the same buffers and return plain
 ints.  So does the one factorization kernel, the classical suffix-array
 search: it bisects the SA memoryview on slices of R's bytes, so a text
-probe meets each suffix in one C-level compare.
+probe meets each suffix in one C-level compare, and only inside the SA
+range whose suffix keys equal the text's own 8-byte key, which two
+bisections over the keys find.
 
 >>> ix = build_index(b"banana")
 >>> ix.factorize(b"bananaban")
@@ -46,7 +50,7 @@ readers.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -143,14 +147,22 @@ class _Rmq:
 # ----------------------------------------------------------------------
 # greedy factorization kernel
 
-def _shared(t: bytes, data: bytes, s: int) -> int:
-    """Length of the common prefix of probe t and R's suffix at s, in C."""
-    h = min(len(t), len(data) - s)
-    x = int.from_bytes(t[:h], "big") ^ int.from_bytes(data[s : s + h], "big")
-    return h - (x.bit_length() + 7) // 8
+def _suffix_keys(data: np.ndarray, sa: np.ndarray) -> np.ndarray:
+    """``keys[j]``: the first 8 bytes of suffix SA[j] as a big-endian
+    uint64, zero-padded past the end of R.  One gather of 8-byte windows
+    over R padded with 7 zero bytes, read as big-endian words.
+
+    >>> keys = _suffix_keys(np.frombuffer(b"banana", np.uint8), np.array([5, 3, 1]))
+    >>> [hex(v) for v in keys.tolist()]  # a, ana, anana
+    ['0x6100000000000000', '0x616e610000000000', '0x616e616e61000000']
+    """
+    padded = np.zeros(len(data) + 7, dtype=np.uint8)
+    padded[: len(data)] = data
+    rows = np.lib.stride_tricks.sliding_window_view(padded, 8)[sa]
+    return rows.view(">u8").ravel().astype(np.uint64)
 
 
-def _factorize(data, sa, text, pos, limit):
+def _factorize(data, sa, keys, text, pos, limit):
     """Greedy cover of ``text[pos:]`` by longest matches in R = ``data``.
     Each block bisects R's suffix array ``sa`` on byte-slice keys
     (Manber-Myers search): a probe of the next k text bytes sorts between
@@ -159,29 +171,57 @@ def _factorize(data, sa, text, pos, limit):
     fills the probe is tried again at twice the width, bisecting from j
     on: every suffix before j sorts before the longer probe too.  The
     witness is the first suffix in SA order that starts with the match:
-    the one at j unless the one at j - 1 starts with it as well.  Returns
-    (blocks, -1) with at most ``limit`` 1-based inclusive blocks, or
-    (blocks so far, position) at the first byte absent from R, 0-based."""
-    m = len(text)
+    the one at j unless the one at j - 1 starts with it as well.
+
+    Every byte-slice bisection runs inside one SA range [lo, hi): the
+    suffixes whose ``keys`` entry, their first 8 bytes zero-padded,
+    equals that of the text at ``pos``.  Two C-level bisections over the
+    keys find it, and it holds the probe's insertion point: a suffix below
+    it sorts before the probe, one above it after.  A suffix below the
+    range shares fewer bytes with the probe than one inside it at j or
+    later, and one above it fewer than 8.  Returns (blocks, -1) with at
+    most ``limit`` 1-based inclusive blocks, or (blocks so far, position)
+    at the first byte absent from R, 0-based."""
+    n, m = len(data), len(text)
     key = lambda s: data[s : s + k]  # the first k bytes of a suffix, k as it is now
     blocks: List[Tuple[int, int]] = []
     while pos < m and len(blocks) < limit:
-        k, j = 32, 0
+        head = text[pos : pos + 8]
+        q = int.from_bytes(head, "big") << 64 - 8 * len(head)
+        lo = bisect_left(keys, q)
+        hi = bisect_right(keys, q, lo)
+        k, j = 32, lo
         while True:
             t = text[pos : pos + k]
-            j = bisect_left(sa, t, j, key=key)
-            # shared[0] is the suffix at j - 1 whenever j > 0
-            shared = [_shared(t, data, s) for s in sa[max(j - 1, 0) : j + 1]]
-            d = max(shared)
+            j = bisect_left(sa, t, j, hi, key=key)
+            # common prefixes with the suffixes at j - 1 and j, by the
+            # highest differing bit of their XOR; the one below a nonempty
+            # range loses to the one at j, and the one above the range
+            # loses to a full 8-byte key at j - 1
+            a = b = -1
+            if j > 0 and (j > lo or lo == hi):
+                s = sa[j - 1]
+                h = min(len(t), n - s)
+                x = int.from_bytes(t[:h], "big") ^ int.from_bytes(data[s : s + h], "big")
+                a = h - (x.bit_length() + 7) // 8
+            if j < n and (j < hi or a < 8):
+                s = sa[j]
+                h = min(len(t), n - s)
+                x = int.from_bytes(t[:h], "big") ^ int.from_bytes(data[s : s + h], "big")
+                b = h - (x.bit_length() + 7) // 8
+            d = max(a, b, 0)
             if d < k:  # also when the text ends inside the probe
                 break
             k *= 2
         if d == 0:
             return blocks, pos
-        if j == 0 or shared[0] < d:
+        if a < d:
             w = sa[j]
         else:
-            w = sa[bisect_left(sa, t[:d], 0, j, key=key)]
+            if d < 8:  # the match's own key range starts at or below lo
+                q = int.from_bytes(t[:d], "big") << 64 - 8 * d
+                lo = bisect_left(keys, q, 0, lo)
+            w = sa[bisect_left(sa, t[:d], lo, j, key=key)]
         blocks.append((w + 1, w + d))
         pos += d
     return blocks, -1
@@ -193,8 +233,8 @@ class RefIndex:
     """Immutable query index over a reference byte string."""
 
     __slots__ = (
-        "data", "r", "_sa", "_isa", "_lcp", "_rmq", "_occ", "_np_data",
-        "_tree",
+        "data", "r", "_sa", "_isa", "_lcp", "_keys", "_rmq", "_occ",
+        "_np_data", "_tree",
     )
 
     def __init__(self, data: bytes):
@@ -212,6 +252,7 @@ class RefIndex:
         # queries read single entries: through a memoryview over the same
         # buffer each read is a plain int, about 5x cheaper than numpy's
         self._sa, self._isa = memoryview(sa), memoryview(isa)
+        self._keys = memoryview(_suffix_keys(self._np_data, sa))
         # the RMQ and the concatenation tree are only needed for edits;
         # plain compression must not pay for them
         self._rmq = None
@@ -254,7 +295,7 @@ class RefIndex:
         witness start, or (0, None) if text[start] is absent from R."""
         if not 1 <= start <= len(text):
             raise IndexOutOfRange(f"start {start} outside [1, {len(text)}]")
-        blocks, _ = _factorize(self.data, self._sa, bytes(text), start - 1, 1)
+        blocks, _ = _factorize(self.data, self._sa, self._keys, bytes(text), start - 1, 1)
         if not blocks:
             return 0, None
         s, e = blocks[0]
@@ -264,7 +305,7 @@ class RefIndex:
         """Greedy left-to-right cover of ``text`` by maximal reference
         matches; blocks as 1-based inclusive (start, end) pairs."""
         text = bytes(text)
-        blocks, bad = _factorize(self.data, self._sa, text, 0, len(text))
+        blocks, bad = _factorize(self.data, self._sa, self._keys, text, 0, len(text))
         if bad >= 0:
             raise CharNotInReference(bad + 1, text[bad])
         return blocks
@@ -300,11 +341,18 @@ class RefIndex:
     # ------------------------------------------------------------------
 
     def validate(self, deep: bool = False) -> None:
-        """Check SA/ISA/LCP coherence by direct character comparison; with
-        ``deep`` also brute-force the tree topology and rank sets."""
+        """Check SA/ISA/LCP and the suffix keys by direct character
+        comparison; with ``deep`` also brute-force the tree topology and
+        rank sets."""
         data, sa, isa, lcp, n = self.data, self._sa, self._isa, self._lcp, self.r
         assert sorted(int(v) for v in sa) == list(range(n))
         assert all(sa[isa[i]] == i for i in range(n))
+        keys = self._keys
+        assert len(keys) == n
+        for j in range(n):
+            head = data[sa[j] : sa[j] + 8]
+            assert keys[j] == int.from_bytes(head + bytes(8 - len(head)), "big"), "key"
+            assert j == 0 or keys[j - 1] <= keys[j], "keys out of order"
         for j in range(1, n):
             a, b = int(sa[j - 1]), int(sa[j])
             h = int(lcp[j])

@@ -324,7 +324,7 @@ def test_located_edit_walks_the_index_at_most_once(monkeypatch):
     # cross-node merge (_refresh) reaches every other entry it touches
     # from the finger or by one walk from the root.  Reads between the
     # edits take the read descent, which walks no leaf counts and leaves
-    # the finger where it was.
+    # the finger where it was, and so does a range read walking on from it.
     cs = CompressedString(ALPHABET, [(1, 3), (24, 26)] * 2**15)
     levels = 0
     node = cs._tree._root
@@ -348,6 +348,10 @@ def test_located_edit_walks_the_index_at_most_once(monkeypatch):
         got = cs.access(rng.randrange(1, len(cs) + 1))
         assert cs._tree._finger is finger and steps["level"] == 0
         assert got in b"abcqxyz" and cs.last_st_ops == 1
+        at = rng.randrange(1, len(cs) + 1)
+        got = cs.extract(at, rng.randint(0, min(200, len(cs) + 1 - at)))
+        assert cs._tree._finger is finger and steps["level"] == 0
+        assert set(got) <= set(b"abcqxyz") and cs.last_st_ops == (len(got) > 0)
         steps.clear()
         getattr(cs, verb)(*args)
         assert_budgets(cs)

@@ -526,6 +526,37 @@ def test_lookup_answers_as_find_and_keeps_the_finger(cfg):
         SumTree().lookup(1)
 
 
+@pytest.mark.parametrize("cfg", [PsConfig(B=4), DEFAULT_CONFIG], ids=["B4", "B16"])
+def test_lookup_items_reads_on_and_keeps_the_finger(cfg):
+    # the read descent that walks on: the items from the answer's on,
+    # across every bottom node after it, as find and items_from give them
+    rng = random.Random(cfg.B)
+    vals = [rng.choice((0, 0, 1, 3, 40)) for _ in range(300)]
+    t = SumTree(vals, range(len(vals)), config=cfg)
+    oracle = NaivePartialSums(vals, delta=cfg.delta)
+    for rnd in range(3):
+        for _ in range(100 * rnd):
+            op = resolve_op(rng.choice(MUTATOR_KINDS), rng.randrange(1 << 30),
+                            rng.randrange(1 << 30), oracle.values(), delta=cfg.delta)
+            if op is not None:
+                apply_op(t, op)
+                apply_op(oracle, op)
+        for x in range(1, t.total + 1, 5):
+            t.item(rng.randint(1, len(t)))  # the finger on some node
+            finger = t._finger
+            before, items = t.lookup_items(x)
+            got = list(items)
+            assert t._finger is finger
+            i, want, _ = t.find(x)
+            assert before == want and got == list(t.items_from(i))
+        for bad in (0, -1, t.total + 1):
+            with pytest.raises(SearchOutOfRange):
+                t.lookup_items(bad)
+        t.validate()
+    with pytest.raises(SearchOutOfRange):
+        SumTree().lookup_items(1)
+
+
 def test_item_accessor_bounds():
     t = SumTree([5, 1, 4], ["a", "b", "c"])
     assert [t.item(i) for i in (1, 2, 3)] == ["a", "b", "c"]

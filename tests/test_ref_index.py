@@ -127,6 +127,36 @@ class TestBuild:
             tracemalloc.stop()
         assert peak <= 200 * r
 
+    def test_eager_index_bytes_per_reference_byte(self):
+        # what a build keeps before any edit: int32 SA, ISA and LCP, 4
+        # bytes each per reference byte, and the uint64 suffix keys, 8; the
+        # ISA keeps the end slot of the doubling's last rank array
+        rng = random.Random(24)
+        r = 20_000
+        ix = build_index(bytes(rng.choice(b"acgt") for _ in range(r)))
+        owners = {}
+        for a in (ix._sa, ix._isa, ix._lcp, ix._keys):
+            a = a.obj if isinstance(a, memoryview) else a
+            while a.base is not None:
+                a = a.base
+            owners[id(a)] = a.nbytes
+        assert len(owners) == 4
+        assert sum(owners.values()) == 20 * r + 4
+
+    def test_validate_checks_the_suffix_keys(self):
+        rng = random.Random(25)
+        ix = build_index(bytes(rng.choice(b"ab\x00") for _ in range(300)))
+        ix.validate()
+        keys = np.asarray(ix._keys)
+        # one flipped bit: in the last byte of a key, a padding byte for a
+        # suffix ending R, and in the first
+        for j, bit in ((0, 0), (150, 0), (int(ix._isa[297]), 0), (299, 63)):
+            keys[j] ^= np.uint64(1 << bit)
+            with pytest.raises(AssertionError, match="key"):
+                ix.validate()
+            keys[j] ^= np.uint64(1 << bit)
+        ix.validate()
+
     def test_larger_reference_sa_lcp(self):
         rng = random.Random(5)
         data = bytes(rng.randrange(256) for _ in range(10_000))
@@ -208,10 +238,10 @@ class TestFactorize:
             nb = len(want)
             assert nb > 2
             for k in (1, 2, nb - 1, nb):
-                assert _factorize(ix.data, ix._sa, text, pos, k) == (want[:k], -1)
+                assert _factorize(ix.data, ix._sa, ix._keys, text, pos, k) == (want[:k], -1)
         # a byte absent from R ends the cover at its 0-based position
         bad = text[:300] + b"x" + text[300:]
-        got = _factorize(ix.data, ix._sa, bad, 37, len(bad))
+        got = _factorize(ix.data, ix._sa, ix._keys, bad, 37, len(bad))
         assert got == (ix.factorize(text[37:300]), 300)
 
     def test_blocks_spell_text_and_are_greedy(self):
@@ -252,7 +282,7 @@ class TestFactorize:
         # the probe bisects to j == n; the witness bisect stops below n
         assert build_index(b"ab\xff").factorize(b"\xff\xff\xff") == [(3, 3)] * 3
         ix = build_index(b"ba")
-        assert _factorize(ix.data, ix._sa, b"bb", 0, 2) == ([(1, 1), (1, 1)], -1)
+        assert _factorize(ix.data, ix._sa, ix._keys, b"bb", 0, 2) == ([(1, 1), (1, 1)], -1)
         assert ix.longest_match(b"bb", 1) == (1, 1)
 
     def test_zero_and_ff_bytes(self):
@@ -294,6 +324,60 @@ class TestFactorize:
         blocks = ix.factorize(text)
         assert time.perf_counter() - t0 < 1.0
         assert b"".join(ref[s - 1 : e] for s, e in blocks) == text
+
+
+class TestKeyRange:
+    """Each factorization search runs inside the SA range of suffixes whose
+    first 8 bytes, zero-padded, equal the text's: around R's end, at the
+    text's end and for matches under 8 bytes that range is an edge case."""
+
+    @staticmethod
+    def check_every_start(ref: bytes, text: bytes, starts=None) -> None:
+        ix = build_index(ref)
+        ix.validate()
+        for start in starts or range(1, len(text) + 1):
+            length, w = ix.longest_match(text, start)
+            want, _ = naive_longest_match(ref, text, start)
+            assert length == want, (ref, text, start)
+            seg = text[start - 1 : start - 1 + want]
+            assert w == (first_in_sa_order(ref, seg) if want else None), (ref, text, start)
+
+    def test_references_shorter_than_a_key(self):
+        rng = random.Random(41)
+        for _ in range(300):
+            ref = bytes(rng.choice(b"\x00a\xff") for _ in range(rng.randint(1, 7)))
+            text = bytes(rng.choice(b"\x00a\xff") for _ in range(rng.randint(1, 24)))
+            self.check_every_start(ref, text)
+
+    def test_text_tails_shorter_than_a_key(self):
+        # the last 8 starts probe fewer than 8 text bytes
+        rng = random.Random(42)
+        for _ in range(150):
+            ref = bytes(rng.choice(b"\x00\x01\xff") for _ in range(rng.randint(8, 60)))
+            a = rng.randrange(len(ref))
+            text = ref[a : a + rng.randint(1, 30)] + ref[-rng.randint(1, 7) :]
+            self.check_every_start(ref, text, range(max(1, len(text) - 7), len(text) + 1))
+
+    def test_suffix_ending_r_ties_with_one_going_on_in_zeros(self):
+        # "ab" ends R and pads to the key of "ab" + six 0x00 bytes.  After
+        # the probe "ab\0\0\0\0\0\0z", the suffix inside its key range
+        # shares 2 bytes and the one above it 4
+        ref = b"ab\x00\x00\x01ab"
+        assert build_index(ref).longest_match(b"ab" + bytes(6) + b"z", 1) == (4, 1)
+        zeros = b"ab" + bytes(8) + b"q"
+        for ref in (b"xab\x00\x00\x00\x00\x00\x00\x00qab", zeros + b"ab", b"ab" + zeros):
+            for text in (zeros, zeros[:8] + b"x", b"ab", b"ab\x00", zeros[:9] + b"ab\x00"):
+                self.check_every_start(ref, text)
+
+    def test_short_matches_witnessed_below_the_key_range(self):
+        # "abe" has no suffix in its key range; the match "ab" sorts below
+        # it, first at "abc", which only a widened witness search reaches
+        assert build_index(b"abcabd").longest_match(b"abe", 1) == (2, 1)
+        rng = random.Random(43)
+        for _ in range(200):
+            ref = bytes(rng.choice(b"abc") for _ in range(rng.randint(8, 40)))
+            text = bytes(rng.choice(b"abcd") for _ in range(30))
+            self.check_every_start(ref, text)
 
 
 class TestSubstringConcat:
