@@ -53,7 +53,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, islice
-from operator import le
+from operator import index, le
 
 from .errors import (
     BadConfig,
@@ -189,7 +189,7 @@ class PackedSums:
         # the geometry as plain ints, read on every hot path
         self._F, self._mask, self._bias = cfg.F, cfg.field_mask, cfg.bias
         self._guard, self._gap = cfg.guard, cfg.gap
-        vals = [int(v) for v in values]
+        vals = list(map(index, values))
         for v in vals:
             if v < 0:
                 raise NegativeEntry(f"entry value {v} is negative")
@@ -378,6 +378,7 @@ class PackedSums:
 
     def update(self, i: int, d: int) -> None:
         """Z[i] += d; shifts every later prefix sum by d."""
+        d = index(d)
         if not 1 <= i <= self._n:
             raise IndexOutOfRange(f"update index {i} outside [1, {self._n}]")
         if abs(d) >= 1 << self.cfg.delta:
@@ -457,6 +458,7 @@ class PackedSums:
         other entry keeps its head bit.  A new head is anchored at its own
         prefix sum and takes over the rest of the run before it; a new
         non-head joins that run, whose later slots move up by d."""
+        d = index(d)
         if not 0 <= d < 1 << self.cfg.delta:
             raise DeltaTooLarge(f"insert value {d} outside [0, 2**{self.cfg.delta})")
         if self._n >= self.cfg.B:

@@ -275,6 +275,7 @@ class RefIndex:
         """Longest common prefix length of suffixes R[a..] and R[b..]."""
         if not (1 <= a <= self.r and 1 <= b <= self.r):
             raise IndexOutOfRange(f"positions ({a}, {b}) outside [1, {self.r}]")
+        self._ensure_lce()
         return self._lce0(a - 1, b - 1)
 
     def _ensure_lce(self) -> None:
@@ -282,9 +283,9 @@ class RefIndex:
             self._rmq = _Rmq(self._lcp)
 
     def _lce0(self, a: int, b: int) -> int:
+        """lce of 0-based positions, the RMQ built."""
         if a == b:
             return self.r - a
-        self._ensure_lce()
         ra, rb = self._isa[a], self._isa[b]
         if ra > rb:
             ra, rb = rb, ra
@@ -314,7 +315,10 @@ class RefIndex:
     # suffix tree + heavy paths (lazy)
 
     def _check_block(self, blk: Tuple[int, int]) -> None:
-        s, e = blk
+        try:
+            s, e = blk
+        except ValueError:
+            raise InvalidBlock(f"block {blk!r} is not a (start, end) pair") from None
         if not (1 <= s <= e <= self.r):
             raise InvalidBlock(f"block {blk} outside reference of length {self.r}")
 

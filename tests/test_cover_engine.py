@@ -73,8 +73,9 @@ class TestCompress:
     def test_block_bounds_are_validated(self):
         with pytest.raises(InvalidBlock):
             CompressedString(BANANA, [(1, 7)])
-        with pytest.raises(InvalidBlock):
-            CompressedString(BANANA, [(0, 3)])
+        for blk in [(0, 3), (1, 2, 3), (1,)]:
+            with pytest.raises(InvalidBlock):
+                CompressedString(BANANA, [blk])
 
 
 def test_buffer_inputs_give_the_same_blocks():

@@ -94,7 +94,7 @@ class TestBasics:
         forest = CoverForest(BANANA)
         h = forest.add_blocks([(1, 6), (1, 3)])
         assert_string(forest, h, b"bananaban")
-        for blk in [(0, 1), (3, 2), (1, BANANA.r + 1)]:
+        for blk in [(0, 1), (3, 2), (1, BANANA.r + 1), (1, 2, 3), (1,)]:
             with pytest.raises(InvalidBlock):
                 forest.add_blocks([(1, 3), blk])
         assert forest.handles() == [h]

@@ -88,6 +88,11 @@ class TestBasics:
         with pytest.raises(NegativeEntry):
             SumTree([3, -1])
 
+    def test_rejects_float_seed(self):
+        for make in (SumTree, PackedSums):
+            with pytest.raises(TypeError):
+                make([2.5, 1])
+
 
 class TestGrowShrink:
     def test_divide_to_unit_entries(self):
@@ -260,9 +265,11 @@ def _state(s):
     (lambda s: s.update(1, -2), NegativeEntry),
     (lambda s: s.delete(0), IndexOutOfRange),
     (lambda s: s.delete(len(s) + 1), IndexOutOfRange),
+    (lambda s: s.update(2, 1.0), TypeError),
+    (lambda s: s.insert(1, 1.0), TypeError),  # on the full tree, before any split
 ], ids=["delete-large", "insert-wide", "insert-negative", "divide-bad-split",
         "merge-last", "merge-0", "update-0", "update-past-end", "update-negative",
-        "delete-0", "delete-past-end"])
+        "delete-0", "delete-past-end", "update-float", "insert-float"])
 def test_a_rejected_op_leaves_the_structure_as_it_was(make, op, error):
     s = make()
     before = _state(s)
@@ -541,6 +548,11 @@ def test_lookup_items_reads_on_and_keeps_the_finger(cfg):
             if op is not None:
                 apply_op(t, op)
                 apply_op(oracle, op)
+        # the in-order reads leave the finger too
+        t.item(rng.randint(1, len(t)))
+        finger = t._finger
+        assert t.values() == oracle.values() and t.prefix_sums() == oracle.prefix_sums()
+        assert t._finger is finger
         for x in range(1, t.total + 1, 5):
             t.item(rng.randint(1, len(t)))  # the finger on some node
             finger = t._finger

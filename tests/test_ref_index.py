@@ -393,6 +393,11 @@ class TestSubstringConcat:
             BANANA.substring_concat((1, 2), (6, 7))
         with pytest.raises(InvalidBlock):
             BANANA.substring_concat((3, 2), (1, 1))
+        for blk in [(1, 2, 3), (1,)]:
+            with pytest.raises(InvalidBlock):
+                BANANA.substring_concat(blk, (1, 1))
+            with pytest.raises(InvalidBlock):
+                BANANA.substring_concat((1, 1), blk)
 
     def test_answer_is_sound(self):
         rng = random.Random(17)
