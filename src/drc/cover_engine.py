@@ -17,7 +17,10 @@ edits work directly on this form:
   position and put 0 or 1 new ones there.  :func:`cut` splits the block
   that holds the position into the part before it, the new character and
   the part after it; ``CompressedString._edit`` carves the block's length
-  entry to match and writes the parts;
+  entry to match and writes the parts.  Every SumTree operation after the
+  ``find`` starts from the finger, or from one step along its path when
+  it lands in the next bottom node, so an edit that fuses no nodes walks
+  the index once;
 * maximality is then restored inside the at-most-5-block window by one
   forward scan of adjacent-pair concatenation queries
   (:func:`restore_maximal`).  Both helpers, and the position and
@@ -28,7 +31,9 @@ A boundary whose concatenation is absent from R can never become present
 by merging its neighbors (merging only extends the string being sought),
 so the scan asks each window boundary once: per edit ``len(window) - 1``
 concatenation queries, at most 4, and at most 10 SumTree operations.
-Both counts are instrumented.
+Both counts are instrumented: each operation is one call of the tree's
+public methods, which a tracer wrapping them sees as one call each.
+Blocks are stored as ``(s, e)`` tuples whatever pair type they came in.
 """
 
 from __future__ import annotations
@@ -147,9 +152,7 @@ class CompressedString:
     )
 
     def __init__(self, index: RefIndex, blocks: Iterable[Block] = ()):
-        blocks = list(blocks)
-        for blk in blocks:
-            index._check_block(blk)
+        blocks = [index._check_block(blk) for blk in blocks]
         self.index = index
         self._tree = SumTree([e - s + 1 for s, e in blocks], blocks)
         self.length = sum(e - s + 1 for s, e in blocks)
@@ -168,19 +171,9 @@ class CompressedString:
     def __len__(self) -> int:
         return self.length
 
-    def _st(self, op: str, *args: int):
-        self.last_st_ops += 1
-        return getattr(self._tree, op)(*args)
-
     def _concat(self, a: Block, b: Block) -> Optional[int]:
         self.last_concat_calls += 1
         return self.index.substring_concat(a, b)
-
-    def _locate(self, i: int) -> Tuple[int, int, Block]:
-        """(block ordinal, 1-based offset inside the block, the block) for
-        S[i], from one counted ``find``."""
-        l, before, blk = self._st("find", i)
-        return l, i - before, blk
 
     # ------------------------------------------------------------------
     # reads
@@ -191,7 +184,8 @@ class CompressedString:
         self.last_concat_calls = self.last_st_ops = 0
         if not 1 <= i <= self.length:
             raise IndexOutOfRange(f"position {i} outside [1, {self.length}]")
-        before, (s, _) = self._st("lookup", i)
+        self.last_st_ops = 1
+        before, (s, _) = self._tree.lookup(i)
         return self.index.data[s + i - before - 2]
 
     def extract(self, i: int, ell: int) -> bytes:
@@ -203,7 +197,8 @@ class CompressedString:
                 f"range ({i}, len {ell}) outside string of length {self.length}")
         if ell == 0:
             return b""
-        before, items = self._st("lookup_items", i)
+        self.last_st_ops = 1
+        before, items = self._tree.lookup_items(i)
         off = i - before
         data = self.index.data
         out = []
@@ -238,10 +233,15 @@ class CompressedString:
         parts :func:`cut` returns, and re-merge around them."""
         self.last_concat_calls = self.last_st_ops = 0
         new = edit_block(self.index, self.length, i, drop, byte)
+        tree = self._tree
+        ops = 0  # SumTree operations, one per call
         if i > self.length:  # append; also the only path when S is empty
-            l, off, rest, parts = self.block_count + 1, 1, 0, [new]
+            l, off, rest, parts = len(tree) + 1, 1, 0, [new]
         else:
-            l, off, blk = self._locate(i)
+            # one find: the block's ordinal, the length before it, and the block
+            ops += 1
+            l, before, blk = tree.find(i)
+            off = i - before
             s, e = blk
             rest = e - s + 2 - off  # chars from S[i] to the block's end
             parts = cut(blk, off, drop, new)
@@ -254,14 +254,19 @@ class CompressedString:
         # then drop S[i]'s entry or add one for the new character
         m = l
         if off > 1:
-            self._st("divide", l, off - 1)
+            ops += 1
+            tree.divide(l, off - 1)
             m += 1
         if drop and rest > 1:
-            self._st("divide", m, 1)
+            ops += 1
+            tree.divide(m, 1)
         if new is None:
-            self._st("delete", m)
+            ops += 1
+            tree.delete(m)
         elif not drop:
-            self._st("insert", m, 1)
+            ops += 1
+            tree.insert(m, 1)
+        self.last_st_ops = ops
         self.length += (new is not None) - drop
         self._place(l, parts)
 
@@ -272,14 +277,16 @@ class CompressedString:
         whose length entries are already in place, and read the window
         from the block before them to the block after them in the same
         walk; then re-merge the window until every boundary is maximal."""
+        tree = self._tree
         lo = max(1, first - 1)
         # inclusive ordinal of the window's end
-        hi = min(self.block_count, first + len(parts))
-        window = self._tree.set_items(first, parts, lo, hi)
+        hi = min(len(tree), first + len(parts))
+        window = tree.set_items(first, parts, lo, hi)
 
         def merged(k: int, blk: Block) -> None:
-            self._st("merge", lo + k)
-            self._tree.set_item(lo + k, blk)
+            self.last_st_ops += 1
+            tree.merge(lo + k)
+            tree.set_item(lo + k, blk)
 
         restore_maximal(window, self._concat, merged)
 

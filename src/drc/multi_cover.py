@@ -419,9 +419,7 @@ class CoverForest:
         return self._adopt(_build(self.index.factorize(src)))
 
     def add_blocks(self, blocks: Iterable[Block]) -> int:
-        blocks = list(blocks)
-        for blk in blocks:
-            self.index._check_block(blk)
+        blocks = [self.index._check_block(blk) for blk in blocks]
         return self._adopt(_build(blocks))
 
     def handles(self) -> List[int]:

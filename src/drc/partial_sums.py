@@ -12,7 +12,9 @@ Every operation takes one of the tree's four walks:
   ``sum``, ``update``, ``divide``, ``merge``, ``insert``, ``delete`` and
   the item accessors take it.  Above the bottom node, ``update``,
   ``insert`` and ``delete`` shift one entry per level by an amount the
-  bottom node's own checks already bounded, skipping the public checks.
+  bottom node's own checks already bounded, skipping the public checks;
+  on such a level every entry heads its own run, and the shift moves
+  the anchors from the entry's on and no packed field.
 * ``_descend``, by prefix sum, keeping the path.  ``search`` sums the
   leaf counts its path passed to give the ordinal; ``find`` is a
   ``search`` that also hands back the prefix sum before the answer and
@@ -21,19 +23,25 @@ Every operation takes one of the tree's four walks:
   ``_descend``'s loop again because a path it would drop slows
   ``access``, which takes this walk every time.
 * ``_bottoms``, the bottom nodes left to right from one of them:
-  ``lookup_items``, ``items_from``, ``set_items`` and ``values``.
+  ``lookup_items``, ``items_from``, ``values``, and ``set_items`` when
+  its window spans more than one node.
 
 The tree keeps a *finger* on the bottom node its last walk reached: that
 node, the ordinal of its first leaf, and the path down to it.  A walk
 by position whose leaf lies in the finger's node starts there instead
-of at the root, so the several ops of one string edit walk the index
-about once.  ``search`` and ``find`` move the finger to the node they
-reach, and so do the walks by position (the ops, ``item``, ``set_item``,
+of at the root, and one whose leaf lies in the bottom node next to it
+on either side takes one step along the finger's path (``_step``), so
+the several ops of one string edit, whose window spans at most two
+adjacent nodes, walk the index once: the ``find`` that starts it.
+``search`` and ``find`` move the finger to the node they reach, and so
+do the walks by position (the ops, ``item``, ``set_item``,
 ``set_items``, ``items_from``) whenever they leave the finger's node;
 ``lookup``, ``lookup_items`` and ``values`` leave it where it was.
 Leaf counts change only in the node an op reached, which is the
-finger's, so its first ordinal stays right; every change of shape (a
-regroup, a merge across nodes) drops the finger.
+finger's, so its first ordinal stays right.  A split moves the finger
+to the half that holds the leaf the growth wants, down the path the
+split left; any other change of shape (a fuse or an even share, a merge
+across nodes) drops it.
 
 One rule, ``_chunk``, sizes every node: fewer than B entries stay one
 node, more become near-equal nodes of about 3B/4, each of B/2 to B - 1.
@@ -43,9 +51,10 @@ when a growth below it must grow it (a split: one ``divide`` on the
 parent's sums, as an exact split conserves the subtree total), and to a
 node left under B/2 with a neighbor (as one node, a fuse: one ``merge``;
 as two, an even share: a ``merge`` and a ``divide``).  The regrouped
-nodes are built afresh, and a merge across two bottom nodes rebuilds the
-PackedSums of the nodes it changed; a rebuild is O(B) and touches at
-most two nodes per level.
+nodes are packed afresh from slices of the old nodes' prefix sums, as the
+constructor would pack their values, and a merge across two bottom nodes
+rebuilds the PackedSums of the nodes it changed; a rebuild is O(B) and
+touches at most two nodes per level.
 
 Every node has one shape: a PackedSums and a list of kids, slot for slot.
 An internal node's kids are its child nodes; a bottom node's kids are its
@@ -74,7 +83,7 @@ from __future__ import annotations
 from itertools import accumulate, chain
 from math import ceil, log
 from operator import index
-from typing import Any, Iterable, Iterator, List, Optional, Tuple
+from typing import Any, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import (
     BadConfig,
@@ -106,8 +115,9 @@ class _Node:
         self.nleaves = len(self.kids) if self.bottom else sum(c.nleaves for c in self.kids)
 
 
-# path element: (node, 1-based child slot taken)
-_Path = List[Tuple[_Node, int]]
+# path element: (node, 1-based child slot taken); a path is a list, or the
+# finger's tuple, which is never changed
+_Path = Sequence[Tuple[_Node, int]]
 
 
 class SumTree:
@@ -196,7 +206,10 @@ class SumTree:
         """Smallest i with Y[i] >= t, from one root-to-leaf walk; the walk
         leaves Y[i - 1] and entry i's item for ``find``."""
         before, node, j, path = self._descend(t)
-        base = sum(c.nleaves for p, k in path for c in p.kids[: k - 1])
+        base = 0  # leaves left of the path, summed level by level
+        for p, k in path:
+            for c in p.kids[: k - 1]:
+                base += c.nleaves
         self._found = before, node.kids[j - 1]
         self._finger = node, base + 1, tuple(path)
         return base + j
@@ -283,11 +296,16 @@ class SumTree:
         hi = end if hi is None else hi
         if not (1 <= lo <= i and end <= hi <= n):
             raise IndexOutOfRange(f"window {lo}..{hi} does not hold items {i}..{end}")
-        out: List[Any] = []
         if hi < lo:
-            return out
+            return []
+        node, slot, path = self._locate(lo)
+        kids, first = node.kids, lo - slot + 1
+        if hi < first + len(kids):  # the window lies in this node
+            kids[i - first : end + 1 - first] = xs
+            return kids[lo - first : hi + 1 - first]
+        out: List[Any] = []
         at = lo  # ordinal of the node's entry `start`
-        for node, start in self._bottoms(lo, *self._locate(lo)):
+        for node, start in self._bottoms(lo, node, slot, list(path)):
             kids = node.kids
             stop = min(len(kids), start + hi + 1 - at)
             a, b = max(i, at), min(end, at + stop - start - 1)
@@ -302,15 +320,16 @@ class SumTree:
     def items_from(self, i: int) -> Iterator[Any]:
         """Items of entries i, i+1, ... in order; i may be len + 1.  The
         tree must not change while the walk is running."""
-        bottoms = self._bottoms(i, *self._slot(i, self._root.nleaves + 1))
+        node, slot, path = self._slot(i, self._root.nleaves + 1)
+        bottoms = self._bottoms(i, node, slot, list(path))
         return chain.from_iterable(node.kids[start:] for node, start in bottoms)
 
     def _bottoms(self, i: Optional[int], node: _Node, slot: int,
-                 path: _Path) -> Iterator[Tuple[_Node, int]]:
+                 path: List[Tuple[_Node, int]]) -> Iterator[Tuple[_Node, int]]:
         """Bottom nodes from node, which holds leaf i at slot, rightward,
         each with the 0-based item index to start from: slot - 1 in the
         first, 0 in the rest.  The finger follows the walk unless i is
-        None."""
+        None.  The walk changes path in place."""
         yield node, slot - 1
         if i is not None:
             first = i - slot + 1
@@ -364,12 +383,27 @@ class SumTree:
     def _locate(self, i: int) -> Tuple[_Node, int, _Path]:
         """Bottom node holding leaf i, its local slot, and the path down;
         i = nleaves + 1 gives the slot just past the last leaf.  From the
-        finger when leaf i is in its node; else a walk from the root,
-        which moves the finger to the node it reaches."""
+        finger when leaf i is in its node, and then the path is the
+        finger's own tuple, which a caller copies before changing it; else
+        from one step along the finger's path when leaf i is in the next
+        bottom node on either side, or a walk from the root.  Both move
+        the finger to the node they reach."""
         if self._finger is not None:
-            node, first, path = self._finger
-            if first <= i < first + len(node.kids):
-                return node, i - first + 1, list(path)
+            node, first, fpath = self._finger
+            size = len(node.kids)
+            if first <= i < first + size:
+                return node, i - first + 1, fpath
+            # a neighbor holds at most B leaves
+            right = i >= first + size
+            if (i - first - size if right else first - 1 - i) < self.cfg.B:
+                path = list(fpath)
+                nxt = self._step(path, right)
+                if nxt is None:  # past the last node: the append position
+                    return node, i - first + 1, fpath
+                first = first + size if right else first - len(nxt.kids)
+                if first <= i < first + len(nxt.kids):
+                    self._finger = nxt, first, tuple(path)
+                    return nxt, i - first + 1, path
         node, path, want = self._root, [], i
         while not node.bottom:
             k, i = self._child_for(node, i)
@@ -377,6 +411,25 @@ class SumTree:
             node = node.kids[k - 1]
         self._finger = node, want - i + 1, tuple(path)
         return node, i, path
+
+    @staticmethod
+    def _step(path: List[Tuple[_Node, int]], right: bool) -> Optional[_Node]:
+        """The bottom node next to the one path leads to, on the right or
+        the left, with path changed in place to lead to it; None, with
+        path emptied, when there is none."""
+        depth = len(path)
+        while path:
+            parent, k = path.pop()
+            if (k < len(parent.kids)) if right else k > 1:
+                k += 1 if right else -1
+                path.append((parent, k))
+                node = parent.kids[k - 1]
+                while len(path) < depth:
+                    k = 1 if right else len(node.kids)
+                    path.append((node, k))
+                    node = node.kids[k - 1]
+                return node
+        return None
 
     # ------------------------------------------------------------------
     # structural surgery
@@ -388,42 +441,69 @@ class SumTree:
 
     def _regroup(self, parent: _Node, lo: int, count: int) -> None:
         """Deal parent's 0-based children lo .. lo + count - 1 out again as
-        one node per ``_chunk`` slice, and mend the parent's sums."""
+        one node per ``_chunk`` slice, and mend the parent's sums.  Each new
+        node is packed afresh from its slice of the old nodes' prefix sums,
+        as the constructor packs its values."""
         self._finger = None
         olds = parent.kids[lo : lo + count]
-        vals = [v for c in olds for v in c.ps.values()]
-        kids = [x for c in olds for x in c.kids]
-        cuts = self._chunk(len(vals))
-        parent.kids[lo : lo + count] = [
-            _Node(PackedSums(vals[s], config=self.cfg), kids[s], olds[0].bottom) for s in cuts]
+        ys = olds[0].ps.prefix_sums()
+        kids = olds[0].kids[:]
+        for c in olds[1:]:
+            base = ys[-1] if ys else 0
+            ys += [base + y for y in c.ps.prefix_sums()]
+            kids += c.kids
+        cuts = self._chunk(len(ys))
+        news = []
+        for s in cuts:
+            base = ys[s.start - 1] if s.start else 0
+            ps = PackedSums._of_sums([y - base for y in ys[s]], self.cfg)
+            news.append(_Node(ps, kids[s], olds[0].bottom))
+        parent.kids[lo : lo + count] = news
         # a split divides the parent's entry, a fuse merges two, and an even
         # share does both; each conserves the total
         if count == 2:
             parent.ps.merge(lo + 1)
         if len(cuts) == 2:
-            parent.ps.divide(lo + 1, sum(vals[cuts[0]]))
+            parent.ps.divide(lo + 1, ys[cuts[0].stop - 1])
 
     def _descend_for_growth(self, i: int) -> Tuple[_Node, int, _Path]:
         """``_locate(i)`` in a bottom node with room for one more leaf; i
         may be nleaves + 1 (append position).  While the node it lands in
         is full, split the highest node of the run of full nodes directly
-        above it, or grow the root a level if that run reaches it, and
-        look again: a full node splits only when a growth must grow it."""
+        above it, or grow the root a level if that run reaches it: a full
+        node splits only when a growth must grow it.  The finger moves to
+        the half that holds leaf i after each split, down the path the
+        split left."""
         b = self.cfg.B
-        while True:
-            node, slot, path = self._locate(i)
-            if len(node.kids) < b:
-                return node, slot, path
+        node, slot, path = self._locate(i)
+        while len(node.kids) >= b:
+            path = list(path)
             top = len(path)
             while top and len(path[top - 1][0].kids) >= b:
                 top -= 1
-            if top:
-                parent, k = path[top - 1]
-                self._regroup(parent, k - 1, 1)
-            else:
+            if not top:
                 root = self._root
                 self._root = _Node(PackedSums([root.ps.total], config=self.cfg), [root], False)
-                self._regroup(self._root, 0, 1)
+                path.insert(0, (self._root, 1))
+                top = 1
+            parent, k = path[top - 1]
+            self._regroup(parent, k - 1, 1)
+            left, right = parent.kids[k - 1 : k + 1]
+            # the split node held the path's next node at slot j, or is the
+            # bottom node, holding leaf i at slot j
+            m = len(left.kids)
+            j = path[top][1] if top < len(path) else slot
+            if j > m:
+                half, j = right, j - m
+                path[top - 1] = (parent, k + 1)
+            else:
+                half = left
+            if top < len(path):
+                path[top] = (half, j)
+            else:
+                node, slot = half, j
+            self._finger = node, i - slot + 1, tuple(path)
+        return node, slot, path
 
     @staticmethod
     def _adjust(path: _Path, leaves: int, d: int = 0) -> None:
@@ -439,8 +519,10 @@ class SumTree:
     def _repair(self, node: _Node, path: _Path) -> None:
         """Restore minimum-degree invariants after node shrank: regroup an
         underfull node with its left neighbor, or its right one if first."""
-        while path and len(node.kids) < self._bmin:
-            parent, k = path.pop()
+        depth = len(path)
+        while depth and len(node.kids) < self._bmin:
+            depth -= 1
+            parent, k = path[depth]
             self._regroup(parent, max(k - 2, 0), 2)
             node = parent
         # only a fuse leaves a root one child, and _regroup drops the finger
@@ -532,11 +614,11 @@ class SumTree:
             raise IndexOutOfRange(f"delete index {i} outside [1, {n}]")
         node, slot, path = self._locate(i)
         ps = node.ps
-        v = ps._sum(slot) - ps._sum(slot - 1)
+        total = ps.total
         ps.delete(slot)  # validates the value's width
         del node.kids[slot - 1]
         node.nleaves -= 1
-        self._adjust(path, -1, -v)
+        self._adjust(path, -1, ps.total - total)
         self._repair(node, path)
 
     # ------------------------------------------------------------------

@@ -51,9 +51,9 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import accumulate, islice
-from operator import index, le
+from operator import index, le, sub
 
 from .errors import (
     BadConfig,
@@ -161,6 +161,11 @@ class PsConfig:
     def field_mask(self) -> int:
         return (1 << self.F) - 1
 
+    @cached_property
+    def _geometry(self) -> tuple:
+        """(F, field_mask, bias, guard, gap), computed once per config."""
+        return self.F, self.field_mask, self.bias, self.guard, self.gap
+
 
 # Sixteen 16-bit fields in a simulated 128-bit word pair: the budget check
 # holds (2 * B^2 * 2^delta = 2048 < bias = 2^14), and the wider fanout keeps
@@ -187,8 +192,7 @@ class PackedSums:
     def __init__(self, values=(), *, config: PsConfig | None = None):
         cfg = self.cfg = config if config is not None else DEFAULT_CONFIG
         # the geometry as plain ints, read on every hot path
-        self._F, self._mask, self._bias = cfg.F, cfg.field_mask, cfg.bias
-        self._guard, self._gap = cfg.guard, cfg.gap
+        self._F, self._mask, self._bias, self._guard, self._gap = cfg._geometry
         vals = list(map(index, values))
         for v in vals:
             if v < 0:
@@ -197,6 +201,17 @@ class PackedSums:
             raise StructureFull(f"{len(vals)} entries exceed capacity {cfg.B}")
         self.rebuilds = 0
         self._pack(accumulate(vals))
+
+    @classmethod
+    def _of_sums(cls, ys: list, config: PsConfig) -> "PackedSums":
+        """What the constructor makes of the differences of ys, nondecreasing
+        prefix sums from at least 0, without its checks."""
+        ps = cls.__new__(cls)
+        ps.cfg = config
+        ps._F, ps._mask, ps._bias, ps._guard, ps._gap = config._geometry
+        ps.rebuilds = 0
+        ps._pack(ys)
+        return ps
 
     # ---------------------------------------------------------------- loading
 
@@ -218,8 +233,15 @@ class PackedSums:
         self.ops_since_rebuild = 0
 
     def rebuild(self) -> None:
-        """Repack from scratch: recompute runs, anchors and offsets."""
-        self._pack(self.prefix_sums())
+        """Repack from scratch: recompute runs, anchors and offsets.  When
+        every slot heads its run and every entry after the first exceeds
+        the gap, as on an internal SumTree level, the packing already is
+        the one a repack makes, and only the count restarts."""
+        reps, gap = self._reps, self._gap
+        if len(reps) == self._n and min(map(sub, reps[1:], reps), default=gap + 1) > gap:
+            self.ops_since_rebuild = 0
+        else:
+            self._pack(self.prefix_sums())
         self.rebuilds += 1
 
     # ---------------------------------------------------------------- queries
@@ -232,7 +254,11 @@ class PackedSums:
 
     @property
     def total(self) -> int:
-        return self._sum(self._n)
+        # _sum(n), whose last slot is in the last run
+        n = self._n
+        if not n:
+            return 0
+        return self._reps[-1] + ((self._u >> (self._F * (n - 1))) & self._mask) - self._bias
 
     def sum(self, i: int) -> int:
         """Y[i] = Z[1] + ... + Z[i]."""
@@ -341,24 +367,12 @@ class PackedSums:
     def _u_field(self, p):
         return (self._u >> (self._F * p)) & self._mask
 
-    def _u_set(self, p, raw):
-        sh = self._F * p
-        self._u = (self._u & ~(self._mask << sh)) | (raw << sh)
-
     def _range_add(self, lo, hi, d):
         """Add d to the offset fields of slots lo..hi (inclusive).  The
         offset bound of PsConfig keeps every field in [bias, guard), so
         no carry or borrow crosses a field."""
         if lo <= hi:
             self._u += d * (_ones(self._F, hi - lo + 1) << (self._F * lo))
-
-    def _slot_insert(self, p, raw, head):
-        """Insert slot p: offset field raw, and a head bit iff head."""
-        sh = self._F * p
-        u, bits = self._u, self._bits
-        self._u = (u & ((1 << sh) - 1)) | (raw << sh) | ((u >> sh) << (sh + self._F))
-        self._bits = (bits & ((1 << p) - 1)) | (head << p) | ((bits >> p) << (p + 1))
-        self._n += 1
 
     def _slot_remove(self, p):
         """Drop slot p: its offset field and its head bit."""
@@ -391,43 +405,64 @@ class PackedSums:
         """update for a caller that already bounds d and keeps Z[i] + d
         nonnegative, such as a SumTree level above the entry whose own
         update, insert or delete checked d."""
-        p = i - 1
-        head = (self._bits >> p) & 1
-        # at a head the whole run moves with its anchor; elsewhere slots
-        # p.. of the run move, and the anchors after it
-        if not head:
-            self._range_add(p, self._run_end(p), d)
-        q = self._run(p) - head
-        reps = self._reps
-        reps[q:] = [x + d for x in reps[q:]]
+        p, reps = i - 1, self._reps
+        if len(reps) == self._n:
+            # every slot heads its own run, as on an internal SumTree level:
+            # the anchors from slot p's on move, and no offset does
+            for p in range(p, len(reps)):
+                reps[p] += d
+        else:
+            # at a head the whole run moves with its anchor; elsewhere slots
+            # p.. of the run move, and the anchors after it
+            head = (self._bits >> p) & 1
+            if not head:
+                self._range_add(p, self._run_end(p), d)
+            q = self._run(p) - head
+            reps[q:] = [x + d for x in reps[q:]]
         self._finish()
 
     def divide(self, i: int, t: int) -> None:
         """Split entry i of value v into consecutive entries (t, v - t),
         by the one divide rule of the module docstring."""
-        if not 1 <= i <= self._n:
-            raise IndexOutOfRange(f"divide index {i} outside [1, {self._n}]")
-        y_i = self._sum(i)
-        v = y_i - self._sum(i - 1)
+        n = self._n
+        if not 1 <= i <= n:
+            raise IndexOutOfRange(f"divide index {i} outside [1, {n}]")
+        F, mask, bias, gap = self._F, self._mask, self._bias, self._gap
+        u, bits, reps = self._u, self._bits, self._reps
+        # slot p is in run q and slot p - 1 in run q - head (_run and _sum,
+        # inline, as are _run_end, _range_add and the slot insert below)
+        p = i - 1
+        sh = F * p
+        q = (bits & ((2 << p) - 1)).bit_count()
+        head = (bits >> p) & 1
+        y_i = reps[q - 1] + ((u >> sh) & mask) - bias
+        y_before = reps[q - 1 - head] + ((u >> (sh - F)) & mask) - bias if p else 0
+        v = y_i - y_before
         if not 0 <= t <= v:
             raise BadSplit(f"split point {t} outside [0, {v}]")
-        if self._n >= self.cfg.B:
+        if n >= self.cfg.B:
             raise StructureFull(f"capacity {self.cfg.B} reached")
-        bias, gap, reps = self._bias, self._gap, self._reps
-        p = i - 1
-        q = self._run(p)
-        head = (self._bits >> p) & 1
-        y_new = y_i - v + t
-        cut_left = i == 1 or t > gap
+        y_new = y_before + index(t)  # a float t raises here, before any write
+        cut_left = not p or t > gap
         cut_mid = v - t > gap
         # a headless entry i stays in run q, or joins run q - 1 if it headed q
         a_i = y_new if cut_left else reps[q - 1 - head]
         a_next = y_i if cut_mid else a_i
-        self._range_add(p + 1, self._run_end(p), reps[q - 1] - a_next)
-        reps[q - head:q] = [y_new] * cut_left + [y_i] * cut_mid
-        self._u_set(p, y_new - a_i + bias)
-        self._bits ^= (head ^ cut_left) << p
-        self._slot_insert(p + 1, y_i - a_next + bias, cut_mid)
+        if cut_left or cut_mid or head:
+            # the rest of run q, old slots p + 1 .. e, moves onto a_next;
+            # else both entries stay in run q and no anchor or offset moves
+            later = bits >> (p + 1)
+            e = n - 1 if not later else p + (later & -later).bit_length() - 1
+            if e > p:
+                u += (reps[q - 1] - a_next) * (_ones(F, e - p) << (sh + F))
+            reps[q - head:q] = [y_new] * cut_left + [y_i] * cut_mid
+        # slot p's new field, the new slot p + 1, and the old slots above
+        hi = sh + F
+        self._u = ((u & ((1 << sh) - 1)) | ((y_new - a_i + bias) << sh)
+                   | ((y_i - a_next + bias) << hi) | ((u >> hi) << (hi + F)))
+        self._bits = ((bits & ((1 << p) - 1)) | (cut_left << p) | (cut_mid << (p + 1))
+                      | ((bits >> (p + 1)) << (p + 2)))
+        self._n = n + 1
         self._finish()
 
     def merge(self, i: int) -> None:
@@ -461,26 +496,34 @@ class PackedSums:
         d = index(d)
         if not 0 <= d < 1 << self.cfg.delta:
             raise DeltaTooLarge(f"insert value {d} outside [0, 2**{self.cfg.delta})")
-        if self._n >= self.cfg.B:
+        n = self._n
+        if n >= self.cfg.B:
             raise StructureFull(f"capacity {self.cfg.B} reached")
-        if not 1 <= i <= self._n + 1:
-            raise IndexOutOfRange(f"insert index {i} outside [1, {self._n + 1}]")
-        p, bias, reps = i - 1, self._bias, self._reps
+        if not 1 <= i <= n + 1:
+            raise IndexOutOfRange(f"insert index {i} outside [1, {n + 1}]")
+        F, bias, u, bits, reps = self._F, self._bias, self._u, self._bits, self._reps
+        p = i - 1
+        sh = F * p
         # run q holds slot p - 1, at offset off, and ends at old slot e;
-        # y is Y[i - 1]
+        # y is Y[i - 1] (_run, _u_field and _run_end, inline)
         q = off = y = 0
         e = -1
         if p:
-            q, off, e = self._run(p - 1), self._u_field(p - 1) - bias, self._run_end(p - 1)
+            q = (bits & ((1 << p) - 1)).bit_count()
+            off = ((u >> (sh - F)) & self._mask) - bias
+            later = bits >> p
+            e = n - 1 if not later else p + (later & -later).bit_length() - 2
             y = reps[q - 1] + off
-        if not p or d > self._gap:
-            self._range_add(p, e, -off)
-            self._slot_insert(p, bias, 1)
-            reps[q:] = [y + d] + [x + d for x in reps[q:]]
-        else:
-            self._range_add(p, e, d)
-            self._slot_insert(p, off + d + bias, 0)
-            reps[q:] = [x + d for x in reps[q:]]
+        head = not p or d > self._gap
+        # a new head takes slots p..e off run q's anchor onto its own; a
+        # new non-head moves them up by d
+        if e >= p:
+            u += (-off if head else d) * (_ones(F, e - p + 1) << sh)
+        raw = bias if head else off + d + bias
+        self._u = (u & ((1 << sh) - 1)) | (raw << sh) | ((u >> sh) << (sh + F))
+        self._bits = (bits & ((1 << p) - 1)) | (head << p) | ((bits >> p) << (p + 1))
+        self._n = n + 1
+        reps[q:] = [y + d] * head + [x + d for x in reps[q:]]
         self._finish()
 
     def delete(self, i: int) -> None:
@@ -489,27 +532,42 @@ class PackedSums:
         A removed non-head takes its value off the rest of its run; a
         removed head hands its run to the next slot, re-anchored at that
         slot's new prefix sum, or takes its anchor along if it ran alone."""
-        if not 1 <= i <= self._n:
-            raise IndexOutOfRange(f"delete index {i} outside [1, {self._n}]")
-        v = self._sum(i) - self._sum(i - 1)
+        n = self._n
+        if not 1 <= i <= n:
+            raise IndexOutOfRange(f"delete index {i} outside [1, {n}]")
+        F, mask, bias = self._F, self._mask, self._bias
+        u, bits, reps = self._u, self._bits, self._reps
+        # slot p is in run q, which ends at slot e (_run, _sum and
+        # _run_end, inline, as in divide)
+        p = i - 1
+        sh = F * p
+        q = (bits & ((2 << p) - 1)).bit_count()
+        head = (bits >> p) & 1
+        y_i = reps[q - 1] + ((u >> sh) & mask) - bias
+        v = y_i - (reps[q - 1 - head] + ((u >> (sh - F)) & mask) - bias if p else 0)
         if v >= 1 << self.cfg.delta:
             raise DeleteTooLarge(f"entry value {v} >= 2**{self.cfg.delta}")
-        p, reps = i - 1, self._reps
-        q, e = self._run(p), self._run_end(p)
-        if not (self._bits >> p) & 1:
-            self._range_add(p + 1, e, -v)
-            self._slot_remove(p)
+        later = bits >> (p + 1)
+        e = n - 1 if not later else p + (later & -later).bit_length() - 1
+        if not head:
+            # the rest of the run, slots p + 1 .. e, loses v
+            delta = -v
             reps[q:] = [x - v for x in reps[q:]]
         elif e > p:
             # slot p + 1, of value z, heads the run: its anchor is Y[i + 1] - v
-            z = self._u_field(p + 1) - self._bias
-            self._slot_remove(p)
-            self._bits |= 1 << p
-            self._range_add(p, e - 1, -z)
+            z = ((u >> (sh + F)) & mask) - bias
+            delta = -z
             reps[q - 1:] = [reps[q - 1] + z - v] + [x - v for x in reps[q:]]
         else:
-            self._slot_remove(p)
+            delta = 0
             reps[q - 1:] = [x - v for x in reps[q:]]
+        if e > p:
+            u += delta * (_ones(F, e - p) << (sh + F))
+        # drop slot p; a removed head hands its bit to the slot after it
+        self._u = (u & ((1 << sh) - 1)) | ((u >> (sh + F)) << sh)
+        self._bits = ((bits & ((1 << p) - 1)) | ((bits >> (p + 1)) << p)
+                      | (head and e > p) << p)
+        self._n = n - 1
         self._finish()
 
     # -------------------------------------------------------------- validation

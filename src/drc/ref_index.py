@@ -314,13 +314,16 @@ class RefIndex:
     # ------------------------------------------------------------------
     # suffix tree + heavy paths (lazy)
 
-    def _check_block(self, blk: Tuple[int, int]) -> None:
+    def _check_block(self, blk: Tuple[int, int]) -> Tuple[int, int]:
+        """The block as an (s, e) tuple, once it is checked to be one: a
+        tuple as it is, and any other pair, such as a list, copied."""
         try:
             s, e = blk
         except ValueError:
             raise InvalidBlock(f"block {blk!r} is not a (start, end) pair") from None
         if not (1 <= s <= e <= self.r):
             raise InvalidBlock(f"block {blk} outside reference of length {self.r}")
+        return blk if type(blk) is tuple else (s, e)
 
     def substring_concat(
         self, x: Tuple[int, int], y: Tuple[int, int]

@@ -99,6 +99,27 @@ class TestBasics:
                 forest.add_blocks([(1, 3), blk])
         assert forest.handles() == [h]
 
+    def test_add_blocks_stores_lists_as_tuples(self, monkeypatch):
+        # a list block never equals the tuple parts cut makes, so an insert
+        # at its start took its right neighbour into the edit window and
+        # asked one more concatenation query than a string of tuples
+        index = build_index(b"abcdefghijklmnopqrstuvwxyz")
+        forest = CoverForest(index)
+        h = forest.add_blocks([[21, 23], [1, 5], [11, 11]])
+        want = forest.add_blocks([(21, 23), (1, 5), (11, 11)])
+        assert forest.blocks(h) == forest.blocks(want)
+        assert all(type(blk) is tuple for blk in forest.blocks(h))
+        calls = []
+        real = RefIndex.substring_concat
+        monkeypatch.setattr(RefIndex, "substring_concat",
+                            lambda self, a, b: calls.append((a, b)) or real(self, a, b))
+        for g in (h, want):
+            forest.insert(g, 4, ord("z"))
+        assert calls[:2] == calls[2:] and len(calls) == 4
+        assert forest.blocks(h) == forest.blocks(want)
+        assert forest.decompress(h) == b"uvwzabcdek"
+        forest.validate()
+
     def test_add_blocks_takes_an_iterator(self):
         # both engines check and build from one pass over the blocks, so a
         # generator gives the same string as a list, and a bad block in it

@@ -442,6 +442,36 @@ def _outcome(t, kind, args):
     return list(got) if kind == "items_from" else got
 
 
+@pytest.mark.parametrize("cfg", [PsConfig(B=4), DEFAULT_CONFIG], ids=["B4", "B16"])
+def test_a_split_keeps_the_finger_on_the_growing_leaf(cfg, monkeypatch):
+    # a growth into a full node splits it and lands in one half; from a
+    # finger on that node, neither the growth nor a read of the grown
+    # entry right after it walks from the root, split or not
+    steps = collections.Counter()
+    child_for, regroup = SumTree._child_for, SumTree._regroup
+    monkeypatch.setattr(SumTree, "_child_for", staticmethod(
+        lambda node, i: steps.update(["level"]) or child_for(node, i)))
+    monkeypatch.setattr(SumTree, "_regroup",
+                        lambda self, *a: steps.update(["split"]) or regroup(self, *a))
+    rng = random.Random(cfg.B)
+    t = SumTree([5] * (cfg.B - 1), config=cfg)
+    splits = 0
+    for step in range(40 * cfg.B):
+        i = rng.randrange(1, len(t) + 2)
+        t.item(min(i, len(t)))  # the finger on the node that holds i
+        steps.clear()
+        if i > len(t) or step % 2:
+            t.insert(i, 1)
+        else:
+            t.divide(i, 0)
+        assert t.item(i) is None and steps["level"] == 0, (step, steps)
+        splits += steps["split"] > 0
+        if step % 25 == 0:
+            t.validate()
+    t.validate()
+    assert splits > 2 * cfg.B
+
+
 @pytest.mark.parametrize("cfg", [PsConfig(B=4), PsConfig(B=8), DEFAULT_CONFIG],
                          ids=lambda c: f"B{c.B}")
 def test_finger_answers_as_walks_from_the_root(cfg, monkeypatch):

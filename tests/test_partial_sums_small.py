@@ -560,6 +560,45 @@ def test_runs_derived_from_head_bits(cfg):
         assert ps.values() == oracle.values()
 
 
+@pytest.mark.parametrize("cfg", [PsConfig(B=4), DEFAULT_CONFIG], ids=["B4", "B16"])
+@pytest.mark.parametrize("shape", ["all heads", "mixed"])
+def test_shift_agrees_with_update(cfg, shape):
+    """_shift, the update a SumTree level above the bottom node takes,
+    against update and NaivePartialSums, op by op.  On "all heads" every
+    entry exceeds the gap, as on an internal level, so every run is one
+    entry and _shift takes its fast path; each shift counts toward the
+    repack as an update does, and leaves the same packing."""
+    gap, step = cfg.gap, (1 << cfg.delta) - 1
+    rng = random.Random(cfg.B + len(shape))
+    shifts = 4 * cfg.B
+    for _ in range(20):
+        n = rng.randint(1, cfg.B)
+        if shape == "all heads":
+            # far enough above the gap that no run of shifts reaches it
+            vals = [rng.randrange(gap + 1 + shifts * step, 2 * gap + 1 + shifts * step)
+                    for _ in range(n)]
+        else:
+            vals = [rng.randrange(2 * gap) if rng.random() < 0.7 else rng.randrange(4)
+                    for _ in range(n)]
+        fast, slow = PackedSums(vals, config=cfg), PackedSums(vals, config=cfg)
+        oracle = NaivePartialSums(vals, capacity=cfg.B, delta=cfg.delta)
+        for _ in range(shifts):
+            i = rng.randrange(1, n + 1)
+            d = rng.randint(-min(step, oracle.values()[i - 1]), step)
+            if shape == "all heads":
+                assert len(fast.representatives) == n
+            fast._shift(i, d)
+            slow.update(i, d)
+            oracle.update(i, d)
+            assert fast.values() == oracle.values()
+            assert (fast.representatives, fast.offsets, fast.run_flags) == (
+                slow.representatives, slow.offsets, slow.run_flags)
+            assert (fast.ops_since_rebuild, fast.rebuilds) == (
+                slow.ops_since_rebuild, slow.rebuilds)
+            fast.validate()
+        assert fast.rebuilds == shifts // cfg.B
+
+
 @pytest.mark.parametrize("cfg", [replace(DEFAULT_CONFIG, run_gap=6), DEMO_CONFIG],
                          ids=lambda c: f"B{c.B}")
 @pytest.mark.parametrize("shape", ["singletons", "one run", "mixed"])
