@@ -18,22 +18,24 @@ sparse-table range-minimum structure for constant-time LCE and a suffix
 tree of LCP intervals (Abouelhoda-Kurtz-Ohlebusch), read off the nearest
 smaller LCP values on that table and split into heavy paths.  For every
 internal node u that starts a heavy path we store the sorted ranks of
-the suffixes in u's interval advanced by depth(u); concatenation queries
-reduce to at most two descents, two LCE probes and one binary search over
-such a rank set.  A descent is a bottom-up ``locus`` walk: from the leaf
-of an occurrence up one heavy path at a time, stopping at the first path
-whose top is too shallow, so a substring that occurs once (the common
-case for long blocks) is found on its leaf's own path.  A one-byte block
-needs no walk: a 256-entry table holds the root's child for each byte.
-Nor does a query ask an LCE probe that one byte compare answers: the
-first byte of y against the byte that follows x on its heavy path, or
-the first byte of an edge that y's own byte picked.  Queries read the
-int32 arrays through memoryviews over the same buffers and return plain
-ints.  So does the one factorization kernel, the classical suffix-array
-search: it bisects the SA memoryview on slices of R's bytes, so a text
-probe meets each suffix in one C-level compare, and only inside the SA
-range whose suffix keys equal the text's own 8-byte key, which two
-bisections over the keys find.
+the suffixes in u's interval advanced by depth(u).  A concatenation query
+in which x or y occurs once in R, the common case for long blocks, needs
+no descent: two LCP reads around the block's suffix show that it is
+unique, and then R[x]·R[y] can start at one place only, which a byte
+compare and at most one LCE probe check.  Any other query reduces to at
+most two descents, two LCE probes and one binary search over a rank set.
+A descent is a bottom-up ``locus`` walk: from the leaf of an occurrence
+up one heavy path at a time, stopping at the first path whose top is too
+shallow.  A one-byte block needs no walk: a 256-entry table holds the
+root's child for each byte.  Nor does a query ask an LCE probe that one
+byte compare answers: the first byte of y against the byte that follows
+x on its heavy path, or the first byte of an edge that y's own byte
+picked.  Queries read the int32 arrays through memoryviews over the same
+buffers and return plain ints.  So does the one factorization kernel,
+the classical suffix-array search: it bisects the SA memoryview on
+slices of R's bytes, so a text probe meets each suffix in one C-level
+compare, and only inside the SA range whose suffix keys equal the text's
+own 8-byte key, which two bisections over the keys find.
 
 >>> ix = build_index(b"banana")
 >>> ix.factorize(b"bananaban")
@@ -367,6 +369,13 @@ class RefIndex:
             ra, rb = data[a + h : a + h + 1], data[b + h : b + h + 1]
             assert ra != rb or (ra == b"" and rb != b""), "LCP understated"
             assert ra < rb or ra == b"", "SA out of order"
+        # the LCP that queries read is this checked array, not a copy
+        views = [] if self._rmq is None else [self._rmq._rows[0]]
+        if self._tree is not None:
+            views.append(self._tree.lcp)
+        for view in views:
+            a = np.asarray(view)
+            assert a.shape == lcp.shape and a.ctypes.data == lcp.ctypes.data, "LCP view"
         if deep:
             tree = self._tree if self._tree is not None else self._build_tree()
             tree.validate()
@@ -389,19 +398,21 @@ class _Tree:
     ``l``/``r`` give each node's SA interval, ``depth`` its string depth.
     Path j is the heavy path ending at leaf j; a leaf top's rank set is empty.
     ``first[c]`` is the root's child whose edge starts with byte c, or -1.
+    ``lcp`` is the owner's LCP array, read through a view of its buffer.
     """
 
     __slots__ = (
         "idx", "n", "l", "r", "depth", "parent",
         "child_off", "child_ids", "child_chars",
         "top_of", "path_pos", "path_off", "path_nodes",
-        "du_off", "du_flat", "first",
+        "du_off", "du_flat", "first", "lcp",
     )
 
     def __init__(self, idx: RefIndex):
         self.idx = idx
         n = self.n = idx.r
         sa, isa, lcp, rmq = idx.suffix_array, np.asarray(idx._isa), idx._lcp, idx._rmq
+        self.lcp = lcp  # no copy: the loop at the end views its buffer
 
         # --- LCP intervals from nearest smaller values ---
         # boundary j, between SA slots j - 1 and j (lcp[0] = 0 stands for
@@ -531,9 +542,37 @@ class _Tree:
 
     def concat(self, x0: int, lx: int, y0: int, ly: int) -> Optional[int]:
         """1-based start of an occurrence of R[x0 : x0 + lx]·R[y0 : y0 + ly]
-        in R, or None; 0-based starts, both blocks nonempty and inside R."""
+        in R, or None; 0-based starts, both blocks nonempty and inside R.
+
+        A block that occurs once forces the answer, and no walk runs: its
+        suffix shares fewer than its length bytes with both neighbours in
+        SA order, two LCP reads.  R[x]·R[y] can then start only where x
+        does, or only ``lx`` bytes before y, and a byte compare and at
+        most one LCE probe decide whether it does.  "b" occurs once in
+        banana, so "b" + "an" is found at x's own start and "b" + "n" is
+        absent:
+
+        >>> tree = build_index(b"banana")._build_tree()
+        >>> tree.concat(0, 1, 1, 2), tree.concat(0, 1, 2, 1)
+        (1, None)
+
+        Otherwise the query climbs to x's locus and follows its heavy
+        path."""
         idx, n = self.idx, self.n
-        sa, data, depth = idx._sa, idx.data, self.depth
+        data, lcp, isa = idx.data, self.lcp, idx._isa
+        k = isa[x0]
+        if lcp[k] < lx and (k + 1 == n or lcp[k + 1] < lx):  # x occurs once
+            e = x0 + lx
+            if e < n and data[e] == data[y0] and (ly == 1 or idx._lce0(e, y0) >= ly):
+                return x0 + 1
+            return None
+        k = isa[y0]
+        if lcp[k] < ly and (k + 1 == n or lcp[k + 1] < ly):  # y occurs once
+            b = y0 - lx
+            if b >= 0 and data[y0 - 1] == data[x0 + lx - 1] and (lx == 1 or idx._lce0(b, x0) >= lx):
+                return b + 1
+            return None
+        sa, depth = idx._sa, self.depth
         v0 = self.first[data[x0]] if lx == 1 else self.locus(x0, lx)
         t = self.top_of[v0]
         off, nodes = self.path_off, self.path_nodes

@@ -157,6 +157,33 @@ class TestBuild:
             keys[j] ^= np.uint64(1 << bit)
         ix.validate()
 
+    def test_first_query_builds_even_when_a_block_is_unique(self):
+        # the lazy RMQ and tree are built by the first query, whichever
+        # path answers it: here the unique-block one, as "ba" occurs once
+        ix = build_index(b"banana")
+        assert ix._rmq is None and ix._tree is None
+        assert ix.substring_concat((1, 2), (5, 6)) == 1
+        assert ix._rmq is not None and ix._tree is not None
+        ix.validate(deep=True)
+
+    def test_validate_checks_the_lcp_views(self):
+        # the RMQ's first row and the tree's LCP must view the checked
+        # array itself: a copy could hold other values
+        ix = build_index(b"mississippi")
+        ix.validate()
+        ix._build_tree()
+        ix.validate()
+        tree_lcp, row0 = ix._tree.lcp, ix._rmq._rows[0]
+        ix._tree.lcp = memoryview(ix._lcp.copy())
+        with pytest.raises(AssertionError, match="LCP view"):
+            ix.validate()
+        ix._tree.lcp = tree_lcp
+        ix._rmq._rows[0] = memoryview(ix._lcp.copy())
+        with pytest.raises(AssertionError, match="LCP view"):
+            ix.validate()
+        ix._rmq._rows[0] = row0
+        ix.validate(deep=True)
+
     def test_larger_reference_sa_lcp(self):
         rng = random.Random(5)
         data = bytes(rng.randrange(256) for _ in range(10_000))
@@ -516,7 +543,9 @@ def test_concat_matches_oracle(ref, xi, xl, yi, yl):
 class TestConcatShortcuts:
     """Queries that one byte decides.  Each one's answer agrees with the
     naive scan, and its LCE probes and locus climbs are counted: a
-    shortcut that is taken asks neither."""
+    shortcut that is taken asks neither.  Both blocks occur at least
+    twice, so the heavy-path code answers, not the unique-block path;
+    only a byte found just at the end of R occurs once."""
 
     @staticmethod
     def ask(monkeypatch, ref: bytes, x, y, lce: int, locus: int):
@@ -551,33 +580,128 @@ class TestConcatShortcuts:
     def test_path_leaf_ends_r(self, monkeypatch):
         # "ab"'s heavy path ends at the suffix "ab" itself: ext == n, and
         # the branch for "x" is a leaf whose edge starts with it
-        assert self.ask(monkeypatch, b"abxab", (4, 5), (3, 3), lce=0, locus=1) == 1
+        assert self.ask(monkeypatch, b"xabxab", (5, 6), (4, 4), lce=0, locus=1) == 2
 
     def test_first_byte_mismatch_mid_edge(self, monkeypatch):
         # every "a" is followed by "b": "ac" leaves the tree inside an edge
-        assert self.ask(monkeypatch, b"abcabd", (1, 1), (3, 4), lce=0, locus=0) is None
+        assert self.ask(monkeypatch, b"abcabdcab", (1, 1), (3, 4), lce=0, locus=0) is None
 
     def test_first_byte_mismatch_at_a_node(self, monkeypatch):
         # the heavy path goes on with "c"; "d" and "da" branch off at "ab"
-        assert self.ask(monkeypatch, b"abcabd", (1, 2), (6, 6), lce=0, locus=1) == 4
-        assert self.ask(monkeypatch, b"abcabda", (1, 2), (6, 7), lce=1, locus=1) == 4
-        assert self.ask(monkeypatch, b"abcabdxdc", (1, 2), (8, 9), lce=1, locus=1) is None
+        assert self.ask(monkeypatch, b"abcabdd", (1, 2), (6, 6), lce=0, locus=1) == 4
+        assert self.ask(monkeypatch, b"abcabdada", (1, 2), (6, 7), lce=1, locus=1) == 4
+        assert self.ask(monkeypatch, b"abcabdxdcdc", (1, 2), (8, 9), lce=1, locus=1) is None
 
     def test_one_byte_y_hit(self, monkeypatch):
-        assert self.ask(monkeypatch, b"abcabd", (4, 5), (3, 3), lce=0, locus=1) == 1
+        assert self.ask(monkeypatch, b"abcabdc", (4, 5), (3, 3), lce=0, locus=1) == 1
 
     def test_one_byte_left_after_branching(self, monkeypatch):
         # "a" then "bd": one byte of y on the heavy path, one on the branch
-        assert self.ask(monkeypatch, b"abcabd", (1, 1), (5, 6), lce=1, locus=0) == 4
+        assert self.ask(monkeypatch, b"abcabdbd", (1, 1), (5, 6), lce=1, locus=0) == 4
 
     def test_one_byte_edge_then_rank_set(self, monkeypatch):
         # "a" branches to the internal node "ac", one byte below it; the
-        # rest of y is looked up in that node's rank set
-        ref = b"abxabyabzacdacecb"
+        # rest of y is looked up in that node's rank set; the tail repeats
+        # each y elsewhere
+        ref = b"abxabyabzacdacecbzcdaxcezcbz"
         assert self.ask(monkeypatch, ref, (1, 1), (11, 12), lce=0, locus=0) == 10
         assert self.ask(monkeypatch, ref, (1, 1), (14, 15), lce=0, locus=0) == 13
         assert self.ask(monkeypatch, ref, (1, 1), (16, 17), lce=0, locus=0) is None
         assert self.ask(monkeypatch, ref, (1, 1), (11, 13), lce=0, locus=1) == 10
+
+
+class TestConcatUnique:
+    """Queries in which x or y occurs once in R.  The concatenation can
+    then start at one place only, so a byte compare and at most one LCE
+    probe decide it, and no locus climb runs."""
+
+    ask = staticmethod(TestConcatShortcuts.ask)
+
+    def test_unique_x_hit(self, monkeypatch):
+        # "ba" occurs once in banana; "na" is found after it by one probe
+        assert self.ask(monkeypatch, b"banana", (1, 2), (5, 6), lce=1, locus=0) == 1
+
+    def test_unique_x_first_byte_miss(self, monkeypatch):
+        # "n" follows "ba", not "a"
+        assert self.ask(monkeypatch, b"banana", (1, 2), (2, 3), lce=0, locus=0) is None
+
+    def test_unique_x_probe_miss(self, monkeypatch):
+        # "ba" + "nab": "n" follows "ba", but "nanab" and "nab" share 2 bytes
+        assert self.ask(monkeypatch, b"bananab", (1, 2), (5, 7), lce=1, locus=0) is None
+
+    def test_unique_x_ends_r(self, monkeypatch):
+        # nothing follows "nana", so e == n
+        assert self.ask(monkeypatch, b"banana", (3, 6), (1, 1), lce=0, locus=0) is None
+
+    def test_self_adjacent_hit(self, monkeypatch):
+        # y starts where the unique x ends: the probe compares e with itself
+        assert self.ask(monkeypatch, b"banana", (1, 2), (3, 4), lce=1, locus=0) == 1
+
+    def test_one_byte_y_after_unique_x(self, monkeypatch):
+        assert self.ask(monkeypatch, b"banana", (1, 3), (2, 2), lce=0, locus=0) == 1
+        assert self.ask(monkeypatch, b"banana", (1, 3), (3, 3), lce=0, locus=0) is None
+
+    def test_unique_y_hit(self, monkeypatch):
+        # "ab" occurs twice, "cd" once: only "ab" right before "cd" can do
+        assert self.ask(monkeypatch, b"abcdab", (5, 6), (3, 4), lce=1, locus=0) == 1
+
+    def test_unique_y_miss(self, monkeypatch):
+        # the byte before "d" is "c", not the "b" that ends x
+        assert self.ask(monkeypatch, b"abcdab", (1, 2), (4, 4), lce=0, locus=0) is None
+        # the byte before "cd" matches, the probe of "xb" against "ab" fails
+        assert self.ask(monkeypatch, b"abxbcdab", (1, 2), (5, 6), lce=1, locus=0) is None
+
+    def test_unique_y_starts_r(self, monkeypatch):
+        # "z" starts R, so no room for x before it: b < 0
+        assert self.ask(monkeypatch, b"zabab", (2, 3), (1, 1), lce=0, locus=0) is None
+
+    @pytest.mark.parametrize("alphabet", ["acgt", "lexicon"])
+    def test_random_queries_agree_with_the_oracle(self, monkeypatch, alphabet):
+        rng = random.Random(28)
+        if alphabet == "acgt":
+            ref = bytes(rng.choice(b"acgt") for _ in range(2048))
+        else:
+            words = b"the of and block merge split tree leaf window probe query".split()
+            ref = b" ".join(rng.choice(words) for _ in range(400))[:2048]
+        ix, r = build_index(ref), len(ref)
+        ix._build_tree()
+        climbs = [0]
+
+        def locus(*args):
+            climbs[0] += 1
+            return real_locus(*args)
+
+        real_locus = _Tree.locus
+        monkeypatch.setattr(_Tree, "locus", locus)
+
+        def once(s, e):
+            seg = ref[s - 1 : e]
+            return ref.find(seg, ref.find(seg) + 1) < 0
+
+        queries = skipped = 0
+        for _ in range(1500):
+            lx, ly = rng.randint(1, 40), rng.randint(1, 40)
+            xs = rng.randint(1, r - lx + 1)
+            if rng.random() < 0.4 and xs + lx + ly - 1 <= r:
+                ys = xs + lx  # y follows x in R, so the pair occurs
+            else:
+                ys = rng.randint(1, r - ly + 1)
+            x, y = (xs, xs + lx - 1), (ys, ys + ly - 1)
+            climbs[0] = 0
+            got = ix.substring_concat(x, y)
+            want = naive_substring_concat(ref, x, y)
+            assert (got is None) == (want is None), (x, y)
+            if got is not None:
+                cat = ref[xs - 1 : xs + lx - 1] + ref[ys - 1 : ys + ly - 1]
+                assert ref[got - 1 : got - 1 + len(cat)] == cat, (x, y)
+                if once(*x):
+                    assert got == xs, (x, y)
+                elif once(*y):
+                    assert got == ys - lx, (x, y)
+            queries += 1
+            # a query with lx > 1 that the tree answers climbs to x's locus
+            skipped += lx > 1 and climbs[0] == 0
+        assert skipped * 3 >= queries, (skipped, queries)
 
 
 def test_concat_witnesses_are_pinned():
