@@ -17,10 +17,10 @@ edits work directly on this form:
   position and put 0 or 1 new ones there.  :func:`cut` splits the block
   that holds the position into the part before it, the new character and
   the part after it; ``CompressedString._edit`` carves the block's length
-  entry to match and writes the parts.  Every SumTree operation after the
-  ``find`` starts from the finger, or from one step along its path when
-  it lands in the next bottom node, so an edit that fuses no nodes walks
-  the index once;
+  entry to match and writes the parts with ``set_item``.  Every SumTree
+  operation and item access after the ``find`` starts from the finger,
+  or from one step along its path when it lands in the next bottom
+  node, so an edit that fuses no nodes walks the index once;
 * maximality is then restored inside the at-most-5-block window by one
   forward scan of adjacent-pair concatenation queries
   (:func:`restore_maximal`).  Both helpers, and the position and
@@ -274,14 +274,20 @@ class CompressedString:
 
     def _place(self, first: int, parts: List[Block]) -> None:
         """Write ``parts`` as the blocks at ordinals first, first + 1, ...,
-        whose length entries are already in place, and read the window
-        from the block before them to the block after them in the same
-        walk; then re-merge the window until every boundary is maximal."""
+        whose length entries are already in place, and read the block
+        before them and the block after them; then re-merge that window
+        until every boundary is maximal.  Each access starts from the
+        finger the carve left, or one step along its path."""
         tree = self._tree
+        for k, blk in enumerate(parts, first):
+            tree.set_item(k, blk)
         lo = max(1, first - 1)
-        # inclusive ordinal of the window's end
-        hi = min(len(tree), first + len(parts))
-        window = tree.set_items(first, parts, lo, hi)
+        end = first + len(parts)  # ordinal of the block after the parts
+        window = parts  # _edit's own list, which it reads no further
+        if lo < first:
+            window.insert(0, tree.item(lo))
+        if end <= len(tree):
+            window.append(tree.item(end))
 
         def merged(k: int, blk: Block) -> None:
             self.last_st_ops += 1

@@ -22,9 +22,9 @@ Every operation takes one of the tree's four walks:
 * ``lookup``, by prefix sum with no path: the read of one item.  It is
   ``_descend``'s loop again because a path it would drop slows
   ``access``, which takes this walk every time.
-* ``_bottoms``, the bottom nodes left to right from one of them:
-  ``lookup_items``, ``items_from``, ``values``, and ``set_items`` when
-  its window spans more than one node.
+* ``_bottoms``, the bottom nodes left to right from one of them, each
+  reached from the last by ``_step``: ``lookup_items``, ``items_from``
+  and ``values``.
 
 The tree keeps a *finger* on the bottom node its last walk reached: that
 node, the ordinal of its first leaf, and the path down to it.  A walk
@@ -34,14 +34,15 @@ on either side takes one step along the finger's path (``_step``), so
 the several ops of one string edit, whose window spans at most two
 adjacent nodes, walk the index once: the ``find`` that starts it.
 ``search`` and ``find`` move the finger to the node they reach, and so
-do the walks by position (the ops, ``item``, ``set_item``,
-``set_items``, ``items_from``) whenever they leave the finger's node;
-``lookup``, ``lookup_items`` and ``values`` leave it where it was.
-Leaf counts change only in the node an op reached, which is the
-finger's, so its first ordinal stays right.  A split moves the finger
-to the half that holds the leaf the growth wants, down the path the
-split left; any other change of shape (a fuse or an even share, a merge
-across nodes) drops it.
+do the walks by position (the ops, ``item``, ``set_item``) whenever they
+leave the finger's node; ``items_from`` moves it as the walk to its
+first entry does, and ``lookup``, ``lookup_items`` and ``values`` leave
+it where it was.  Leaf counts change only in the node an op reached,
+which is the finger's, so its first ordinal stays right.  A split moves
+the finger to the half that holds the leaf the growth wants, down the
+path the split left, and a merge across two bottom nodes moves it to the
+right one, which the merged entry now heads; a fuse or an even share
+drops it.
 
 One rule, ``_chunk``, sizes every node: fewer than B entries stay one
 node, more become near-equal nodes of about 3B/4, each of B/2 to B - 1.
@@ -52,18 +53,18 @@ parent's sums, as an exact split conserves the subtree total), and to a
 node left under B/2 with a neighbor (as one node, a fuse: one ``merge``;
 as two, an even share: a ``merge`` and a ``divide``).  The regrouped
 nodes are packed afresh from slices of the old nodes' prefix sums, as the
-constructor would pack their values, and a merge across two bottom nodes
-rebuilds the PackedSums of the nodes it changed; a rebuild is O(B) and
-touches at most two nodes per level.
+constructor would pack their values.  A merge across two bottom nodes
+packs both of them so too, and rebuilds the PackedSums of their
+ancestors up to where their paths meet; a rebuild is O(B) and touches at
+most two nodes per level.
 
 Every node has one shape: a PackedSums and a list of kids, slot for slot.
 An internal node's kids are its child nodes; a bottom node's kids are its
 entries' items, opaque payloads.  A regroup moves each value together
 with its kid, at every level alike.  Items are read and written by the
-uncounted accessors ``item``, ``set_item``, ``set_items`` (a run of
-consecutive entries, and the items around it, in one walk) and
-``items_from``; ``divide`` copies the item into both halves, ``merge``
-keeps the left one, ``insert`` adds None.
+uncounted accessors ``item``, ``set_item`` and ``items_from``;
+``divide`` copies the item into both halves, ``merge`` keeps the left
+one, ``insert`` adds None.
 
 >>> t = SumTree([5, 1, 4, 7] * 50)
 >>> t.sum(4), t.sum(23)
@@ -243,7 +244,7 @@ class SumTree:
         where it was.  The tree must not change while the items are read.
         """
         before, node, j, path = self._descend(t)
-        bottoms = self._bottoms(None, node, j, path)
+        bottoms = self._bottoms(node, j, path)
         return before, chain.from_iterable(b.kids[start:] for b, start in bottoms)
 
     def find(self, t: int) -> Tuple[int, int, Any]:
@@ -261,7 +262,7 @@ class SumTree:
         while not node.bottom:
             path.append((node, 1))
             node = node.kids[0]
-        return [v for b, _ in self._bottoms(None, node, 1, path) for v in b.ps.values()]
+        return [v for b, _ in self._bottoms(node, 1, path) for v in b.ps.values()]
 
     def prefix_sums(self) -> List[int]:
         return list(accumulate(self.values()))
@@ -284,68 +285,21 @@ class SumTree:
         node, slot, _ = self._slot(i, self._root.nleaves)
         node.kids[slot - 1] = x
 
-    def set_items(self, i: int, xs: List[Any], lo: Optional[int] = None,
-                  hi: Optional[int] = None) -> List[Any]:
-        """Make xs[k] the item of entry i + k for every k, and return the
-        items of entries lo..hi (lo <= i, i + len(xs) - 1 <= hi; by default
-        the entries written), all in one walk from entry lo."""
-        n, end = self._root.nleaves, i + len(xs) - 1
-        if not 1 <= i <= n + 1 - len(xs):
-            raise IndexOutOfRange(f"items {i}..{end} outside [1, {n}]")
-        lo = i if lo is None else lo
-        hi = end if hi is None else hi
-        if not (1 <= lo <= i and end <= hi <= n):
-            raise IndexOutOfRange(f"window {lo}..{hi} does not hold items {i}..{end}")
-        if hi < lo:
-            return []
-        node, slot, path = self._locate(lo)
-        kids, first = node.kids, lo - slot + 1
-        if hi < first + len(kids):  # the window lies in this node
-            kids[i - first : end + 1 - first] = xs
-            return kids[lo - first : hi + 1 - first]
-        out: List[Any] = []
-        at = lo  # ordinal of the node's entry `start`
-        for node, start in self._bottoms(lo, node, slot, list(path)):
-            kids = node.kids
-            stop = min(len(kids), start + hi + 1 - at)
-            a, b = max(i, at), min(end, at + stop - start - 1)
-            if a <= b:
-                kids[start + a - at : start + b + 1 - at] = xs[a - i : b + 1 - i]
-            out += kids[start:stop]
-            at += stop - start
-            if at > hi:
-                break
-        return out
-
     def items_from(self, i: int) -> Iterator[Any]:
         """Items of entries i, i+1, ... in order; i may be len + 1.  The
         tree must not change while the walk is running."""
         node, slot, path = self._slot(i, self._root.nleaves + 1)
-        bottoms = self._bottoms(i, node, slot, list(path))
+        bottoms = self._bottoms(node, slot, list(path))
         return chain.from_iterable(node.kids[start:] for node, start in bottoms)
 
-    def _bottoms(self, i: Optional[int], node: _Node, slot: int,
+    def _bottoms(self, node: _Node, slot: int,
                  path: List[Tuple[_Node, int]]) -> Iterator[Tuple[_Node, int]]:
-        """Bottom nodes from node, which holds leaf i at slot, rightward,
-        each with the 0-based item index to start from: slot - 1 in the
-        first, 0 in the rest.  The finger follows the walk unless i is
-        None.  The walk changes path in place."""
+        """Bottom nodes from node, which path leads to, rightward by
+        ``_step``, each with the 0-based item index to start from: slot - 1
+        in the first, 0 in the rest.  The walk changes path in place and
+        moves no finger."""
         yield node, slot - 1
-        if i is not None:
-            first = i - slot + 1
-        while path:
-            parent, k = path.pop()
-            if k == len(parent.kids):
-                continue
-            path.append((parent, k + 1))
-            if i is not None:
-                first += len(node.kids)
-            node = parent.kids[k]
-            while not node.bottom:
-                path.append((node, 1))
-                node = node.kids[0]
-            if i is not None:
-                self._finger = node, first, tuple(path)
+        while (node := self._step(path, True)) is not None:
             yield node, 0
 
     # ------------------------------------------------------------------
@@ -572,15 +526,14 @@ class SumTree:
             self._adjust(path, -1)
             self._repair(node, path)
             return
-        # Z[i] ends this bottom node; fold it into the next node's head.
+        # Z[i] ends this bottom node; fold it into the next node's head,
+        # packing both as _regroup does
         node2, _, path2 = self._locate(i + 1)
-        nv = node.ps.values()
-        v1 = nv.pop()
-        node.ps = PackedSums(nv, config=self.cfg)
-        node.nleaves = len(nv)
-        nv2 = node2.ps.values()
-        nv2[0] += v1
-        node2.ps = PackedSums(nv2, config=self.cfg)
+        ys = node.ps.prefix_sums()
+        node.ps = PackedSums._of_sums(ys[:-1], self.cfg)
+        node.nleaves = len(ys) - 1
+        v1 = ys[-1] - node.ps.total
+        node2.ps = PackedSums._of_sums([v1 + y for y in node2.ps.prefix_sums()], self.cfg)
         node2.kids[0] = node.kids.pop()
         # one leaf fewer on the shrinking side; subtree sums move by -v1 /
         # +v1 below the node where the two paths meet
@@ -590,7 +543,8 @@ class SumTree:
             if a is b:
                 break
             self._refresh(b)
-        self._finger = None
+        # leaf i now heads node2; a regroup below drops the finger again
+        self._finger = node2, i, tuple(path2)
         self._repair(node, path)
 
     def insert(self, i: int, d: int) -> None:

@@ -403,21 +403,9 @@ def test_items_follow_every_edit(monkeypatch):
             # other one ends exactly at the last entry
             k = rng.randrange(1, min(9, len(items)) + 1)
             i = len(items) - k + 1 if step % 2 else rng.randrange(1, len(items) - k + 2)
-            xs = [next(fresh) for _ in range(k)]
-            # half the writes also read a window of up to 2 more items on
-            # each side, in the same walk
-            lo = max(1, i - rng.randrange(3)) if step % 2 else i
-            hi = min(len(items), i + k - 1 + rng.randrange(3)) if step % 2 else i + k - 1
-            got = t.set_items(i, xs, lo, hi) if step % 2 else t.set_items(i, xs)
-            items[i - 1 : i - 1 + k] = xs
-            assert got == items[lo - 1 : hi]
-            for bad in (0, len(items) - k + 2):
-                with pytest.raises(IndexOutOfRange):
-                    t.set_items(bad, xs)
-            for window in ((i + 1, hi), (lo, i + k - 2), (0, hi), (lo, len(items) + 1)):
-                with pytest.raises(IndexOutOfRange):
-                    t.set_items(i, xs[::-1], *window)
-            t.set_items(len(items) + 1, [])
+            for j in range(i, i + k):
+                items[j - 1] = next(fresh)
+                t.set_item(j, items[j - 1])
         assert list(t.items_from(1)) == items
         if items:
             i = rng.randrange(1, len(items) + 1)
@@ -472,6 +460,41 @@ def test_a_split_keeps_the_finger_on_the_growing_leaf(cfg, monkeypatch):
     assert splits > 2 * cfg.B
 
 
+def test_a_cross_node_merge_keeps_the_finger(monkeypatch):
+    # merging the last entry of a bottom node into the head of the next
+    # moves the finger to that next node, which the merged entry now
+    # heads: unless the shrunk node regroups, neither the merge nor a
+    # read of the merged entry right after it walks from the root
+    steps = collections.Counter()
+    child_for, regroup = SumTree._child_for, SumTree._regroup
+    monkeypatch.setattr(SumTree, "_child_for", staticmethod(
+        lambda node, i: steps.update(["level"]) or child_for(node, i)))
+    monkeypatch.setattr(SumTree, "_regroup",
+                        lambda self, *a: steps.update(["regroup"]) or regroup(self, *a))
+    rng = random.Random(7)
+    cfg = PsConfig(B=4)
+    vals = [rng.randrange(0, 50) for _ in range(400)]
+    items = list(range(len(vals)))
+    t = SumTree(vals, items, config=cfg)
+    oracle = NaivePartialSums(vals, delta=cfg.delta)
+    kept = 0
+    while len(t) > 2 * cfg.B:
+        i = rng.randrange(1, len(t))
+        node, slot, _ = t._locate(i)  # the finger on the node that holds i
+        if slot < len(node.kids):
+            continue
+        steps.clear()
+        t.merge(i)
+        oracle.merge(i)
+        del items[i]
+        if not steps["regroup"]:
+            kept += 1
+            assert t.item(i) == items[i - 1] and steps["level"] == 0, (i, steps)
+        t.validate()
+    assert t.values() == oracle.values() and list(t.items_from(1)) == items
+    assert kept > 150, kept
+
+
 @pytest.mark.parametrize("cfg", [PsConfig(B=4), PsConfig(B=8), DEFAULT_CONFIG],
                          ids=lambda c: f"B{c.B}")
 def test_finger_answers_as_walks_from_the_root(cfg, monkeypatch):
@@ -494,7 +517,7 @@ def test_finger_answers_as_walks_from_the_root(cfg, monkeypatch):
     for step in range(3000):
         n = len(walked)
         pos = max(1, pos + rng.randrange(-1, 2)) if rng.random() < 0.9 else rng.randrange(n + 3)
-        kind = rng.choice(OP_KINDS + ("find", "item", "set_item", "items_from", "set_items"))
+        kind = rng.choice(OP_KINDS + ("find", "item", "set_item", "items_from"))
         if kind in ("search", "find"):
             near = 1 <= pos <= n and rng.random() < 0.8
             args = (walked.sum(pos) if near else rng.randrange(walked.total + 2),)
@@ -504,8 +527,6 @@ def test_finger_answers_as_walks_from_the_root(cfg, monkeypatch):
             args = (pos, rng.randrange(5 if kind == "insert" else 30))
         elif kind == "set_item":
             args = (pos, next(fresh))
-        elif kind == "set_items":
-            args = (pos, [next(fresh) for _ in range(rng.randrange(9))])
         else:
             args = (pos,)
         walked._finger = None
