@@ -10,9 +10,9 @@ edits work directly on this form:
   block holds S[i], at what offset) is one walk.  The reads take the
   read descent: ``access`` by ``lookup``, which returns the length
   before the block and the block, and ``extract`` by ``lookup_items``,
-  which returns that length and the blocks from there on.  The edits
-  take ``find``, which also returns the block's ordinal and leaves the
-  tree's finger on its node;
+  which returns that length and the blocks from there on for
+  :func:`spell` to slice.  The edits take ``find``, which also returns
+  the block's ordinal and leaves the tree's finger on its node;
 * replace, insert and delete are one edit: drop 0 or 1 characters at a
   position and put 0 or 1 new ones there.  :func:`cut` splits the block
   that holds the position into the part before it, the new character and
@@ -25,7 +25,7 @@ edits work directly on this form:
   forward scan of adjacent-pair concatenation queries
   (:func:`restore_maximal`).  Both helpers, and the position and
   character check every edit starts with (:func:`edit_block`), are
-  shared with the multi-string forest.
+  shared with the multi-string forest, as :func:`spell` is.
 
 A boundary whose concatenation is absent from R can never become present
 by merging its neighbors (merging only extends the string being sought),
@@ -45,7 +45,7 @@ from .errors import CharNotInReference, IndexOutOfRange
 from .partial_sums import SumTree
 from .ref_index import RefIndex
 
-__all__ = ["CompressedString", "compress", "cut", "edit_block", "restore_maximal"]
+__all__ = ["CompressedString", "compress", "cut", "edit_block", "restore_maximal", "spell"]
 
 Block = Tuple[int, int]  # 1-based inclusive interval of R
 
@@ -137,6 +137,24 @@ def restore_maximal(
     return win
 
 
+def spell(data: bytes, blocks: Iterable[Block], off: int, m: int) -> bytes:
+    """The m bytes of R (``data``) that ``blocks`` spell from 1-based
+    offset ``off`` in the first block on.
+
+    >>> spell(b"abcdefghij", [(2, 4), (8, 10)], 2, 4)
+    b'cdhi'
+    """
+    out = []
+    for s, e in blocks:
+        take = min(e - s + 2 - off, m)
+        out.append(data[s + off - 2 : s + off - 2 + take])
+        m -= take
+        if not m:
+            break
+        off = 1
+    return b"".join(out)
+
+
 class CompressedString:
     """One source string held as a maximal cover of reference blocks.
 
@@ -199,18 +217,7 @@ class CompressedString:
             return b""
         self.last_st_ops = 1
         before, items = self._tree.lookup_items(i)
-        off = i - before
-        data = self.index.data
-        out = []
-        need = ell
-        for s, e in items:
-            take = min(e - s + 1 - (off - 1), need)
-            out.append(data[s + off - 2 : s + off - 2 + take])
-            need -= take
-            if need == 0:
-                break
-            off = 1
-        return b"".join(out)
+        return spell(self.index.data, items, i - before, ell)
 
     # ------------------------------------------------------------------
     # edits

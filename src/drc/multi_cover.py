@@ -7,7 +7,9 @@ Internal nodes cache the character count, block count (``nleaves``) and
 height of their subtree, so block ordinals and position lookups work as if
 every block were a leaf; a lookup descends by character counts to a chunk
 and bisects the chunk's prefix sums.  Split and concatenate are tree split
-and join.
+and join.  ``_chunks`` is the one in-order walk of a string's chunks:
+``_leaves``, ``extract`` and ``validate`` take it, and ``extract`` slices
+the blocks with :func:`spell`, as ``CompressedString`` does.
 
 A point edit reads its window of blocks in the descent that locates it
 (``_edit_window``).  When what it writes back lies inside one chunk (a
@@ -69,13 +71,13 @@ from __future__ import annotations
 import math
 from array import array
 from bisect import bisect_left
-from itertools import accumulate
+from itertools import accumulate, chain
 from operator import index as as_int
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from .cover_engine import cut, edit_block, restore_maximal
+from .cover_engine import cut, edit_block, restore_maximal, spell
 from .errors import IndexOutOfRange, SameHandle, UnknownHandle
 from .ref_index import RefIndex
 
@@ -348,18 +350,30 @@ def _last(t: _Tree) -> _Tree:
     return t
 
 
-def _leaves(t: Optional[_Tree]) -> Iterator[Block]:
-    """The blocks of ``t`` in string order."""
+def _chunks(t: Optional[_Tree], j: int = 1) -> Iterator[Tuple[_Tree, int]]:
+    """The chunk of ``t`` that holds char j, with j's position in it, then
+    every later chunk, with position 1: one descent by character counts
+    that keeps the right subtrees it passes, to walk them in order."""
     if t is None:
         return
-    stack = [t]
-    while stack:
-        n = stack.pop()
-        if n.blks is not None:
-            yield from n.blks
-        else:
-            stack.append(n.right)
-            stack.append(n.left)
+    rights = []  # the right subtrees still to walk, nearest last
+    while True:
+        while t.blks is None:
+            if j <= t.left.nchars:
+                rights.append(t.right)
+                t = t.left
+            else:
+                j -= t.left.nchars
+                t = t.right
+        yield t, j
+        if not rights:
+            return
+        t, j = rights.pop(), 1
+
+
+def _leaves(t: Optional[_Tree]) -> Iterator[Block]:
+    """The blocks of ``t`` in string order."""
+    return chain.from_iterable(c.blks for c, _ in _chunks(t))
 
 
 def _build(blocks: List[Block]) -> Optional[_Tree]:
@@ -492,8 +506,9 @@ class CoverForest:
         return self.index.data[s + k - 2]
 
     def extract(self, h: int, j: int, m: int) -> bytes:
-        """S_h[j .. j+m-1]: one descent to the chunk holding j, then slices
-        of its blocks from j onward and of the chunks after it."""
+        """S_h[j .. j+m-1]: ``_chunks`` descends once to the chunk holding
+        j and walks on through the chunks after it, and :func:`spell`
+        slices their blocks from j onward."""
         j, m = as_int(j), as_int(m)
         t = self._tree(h)
         n = t.nchars if t is not None else 0
@@ -501,29 +516,11 @@ class CoverForest:
             raise IndexOutOfRange(f"range ({j}, len {m}) outside string of length {n}")
         if m == 0:
             return b""
-        rights = []  # the right subtrees still to read, nearest last
-        while t.blks is None:
-            if j <= t.left.nchars:
-                rights.append(t.right)
-                t = t.left
-            else:
-                j -= t.left.nchars
-                t = t.right
+        chunks = _chunks(t, j)
+        t, j = next(chunks)
         k, off = _seek(t, j)
-        data, out, blks = self.index.data, [], t.blks[k:]
-        while True:
-            for s, e in blks:
-                take = min(e - s + 2 - off, m)
-                out.append(data[s + off - 2 : s + off - 2 + take])
-                m -= take
-                if not m:
-                    return b"".join(out)
-                off = 1
-            t = rights.pop()
-            while t.blks is None:
-                rights.append(t.right)
-                t = t.left
-            blks = t.blks
+        blocks = chain(t.blks[k:], chain.from_iterable(c.blks for c, _ in chunks))
+        return spell(self.index.data, blocks, off, m)
 
     def replace(self, h: int, j: int, byte: int) -> None:
         self._edit(h, as_int(j), 1, as_int(byte))
@@ -635,14 +632,9 @@ class CoverForest:
         if leaf is not None:
             h, base = self._finger_handle, self._finger_base
             assert h in self._trees, f"finger on dead handle {h}"
-            t, j = self._trees[h], base + 1
-            assert t is not None and j <= t.nchars, "finger past the string's end"
-            while t.blks is None:
-                if j <= t.left.nchars:
-                    t = t.left
-                else:
-                    j -= t.left.nchars
-                    t = t.right
+            t = self._trees[h]
+            assert t is not None and base < t.nchars, "finger past the string's end"
+            t, j = next(_chunks(t, base + 1))
             i, off = _seek(t, j)
             s, e = t.blks[i]
             assert (t, base + 1 - j, off, self._finger_end, self._finger_shift) == (

@@ -295,6 +295,20 @@ class TestEdit:
         assert self.edit(ws, "A 1\nR 1 \\x-1\n") == 5
         assert "line 2" in capsys.readouterr().err
 
+    def test_unprintable_bytes_are_hex_escaped_both_ways(self, ws, capsys):
+        # a newline, a space, a backslash, NUL and DEL print as \xHH, and
+        # R and I take each of them as a \xHH token
+        src = b"ab\n \\\x00\x7fcd"
+        (ws / "ref").write_bytes(src)
+        self.compress(ws, src)
+        ops = [("R", 1, 0x00), ("I", 9, 0x0A), ("R", 8, 0x20), ("I", 1, 0x5C), ("R", 3, 0x7F)]
+        script = "A 3\nA 4\nA 5\nA 6\nA 7\nX 2 7\n" + "".join(
+            f"{verb} {i} \\x{byte:02x}\n" for verb, i, byte in ops)
+        assert self.edit(ws, script) == 0
+        assert capsys.readouterr().out.splitlines()[-6:] == [
+            "\\x0a", "\\x20", "\\x5c", "\\x00", "\\x7f", "b\\x0a\\x20\\x5c\\x00\\x7fc"]
+        assert self.decompressed(ws) == b"\\\x00\x7f\n \\\x00\x7f \nd"
+
     def test_non_ascii_script_exits_5_with_line(self, ws, capsys):
         self.compress(ws, b"banana")
         (ws / "scr").write_bytes(b"A 1\n\nR 1 \xc3\xa9\n")

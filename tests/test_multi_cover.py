@@ -981,7 +981,18 @@ def test_out_of_range_reads_ignore_the_finger():
         forest.access(h, n + 1)
     with pytest.raises(IndexOutOfRange, match=r"^position 1 outside \[1, 0\]$"):
         forest.access(empty, 1)
-    forest.validate()
+    # a range read outside the string moves nothing either
+    fields = ("_finger_handle", "_finger_leaf", "_finger_chunk", "_finger_base",
+              "_finger_end", "_finger_shift")
+    finger = [getattr(forest, f) for f in fields]
+    assert finger[1] is not None
+    blocks = {g: forest.blocks(g) for g in forest.handles()}
+    for g, j, m in ((h, 1, -1), (h, 0, 2), (h, n - 1, 3), (h, n + 2, 0), (empty, 2, 0)):
+        with pytest.raises(IndexOutOfRange, match=r"^range \("):
+            forest.extract(g, j, m)
+        assert [getattr(forest, f) for f in fields] == finger
+        assert {g: forest.blocks(g) for g in forest.handles()} == blocks
+        forest.validate()
 
 
 class CountingTrees(dict):

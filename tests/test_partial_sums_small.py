@@ -345,6 +345,8 @@ class TestErrors:
             PsConfig(run_gap=33)  # above B * 2**delta
         with pytest.raises(BadConfig):
             PsConfig(B=0)
+        with pytest.raises(BadConfig):
+            PsConfig(delta=0)
 
 
 class TestDriftAndRebuild:
