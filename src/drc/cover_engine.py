@@ -173,7 +173,7 @@ class CompressedString:
         blocks = [index._check_block(blk) for blk in blocks]
         self.index = index
         self._tree = SumTree([e - s + 1 for s, e in blocks], blocks)
-        self.length = sum(e - s + 1 for s, e in blocks)
+        self.length = self._tree.total
         self.last_concat_calls = 0
         self.last_st_ops = 0
 

@@ -53,10 +53,10 @@ parent's sums, as an exact split conserves the subtree total), and to a
 node left under B/2 with a neighbor (as one node, a fuse: one ``merge``;
 as two, an even share: a ``merge`` and a ``divide``).  The regrouped
 nodes are packed afresh from slices of the old nodes' prefix sums, as the
-constructor would pack their values.  A merge across two bottom nodes
-packs both of them so too, and rebuilds the PackedSums of their
-ancestors up to where their paths meet; a rebuild is O(B) and touches at
-most two nodes per level.
+constructor would pack their values.  Nothing else packs a node but the
+bulk build, a new root and ``PackedSums.rebuild``: a merge across two
+bottom nodes moves its value with ``_shift``, ``merge`` and ``divide``,
+one entry per level on each side up to where the two paths meet.
 
 Every node has one shape: a PackedSums and a list of kids, slot for slot.
 An internal node's kids are its child nodes; a bottom node's kids are its
@@ -109,11 +109,7 @@ class _Node:
         self.ps = ps
         self.kids = kids
         self.bottom = bottom
-        self.recount()
-
-    def recount(self) -> None:
-        """Recompute the leaf count from the kids."""
-        self.nleaves = len(self.kids) if self.bottom else sum(c.nleaves for c in self.kids)
+        self.nleaves = len(kids) if bottom else sum(c.nleaves for c in kids)
 
 
 # path element: (node, 1-based child slot taken); a path is a list, or the
@@ -388,11 +384,6 @@ class SumTree:
     # ------------------------------------------------------------------
     # structural surgery
 
-    def _refresh(self, node: _Node) -> None:
-        """Recompute an internal node's sums and leaf count from children."""
-        node.ps = PackedSums([c.ps.total for c in node.kids], config=self.cfg)
-        node.recount()
-
     def _regroup(self, parent: _Node, lo: int, count: int) -> None:
         """Deal parent's 0-based children lo .. lo + count - 1 out again as
         one node per ``_chunk`` slice, and mend the parent's sums.  Each new
@@ -514,37 +505,44 @@ class SumTree:
         self._adjust(path, 1)
 
     def merge(self, i: int) -> None:
-        """Replace Z[i], Z[i+1] by their sum, which keeps Z[i]'s item."""
+        """Replace Z[i], Z[i+1] by their sum, which keeps Z[i]'s item.  When
+        Z[i] ends its bottom node, its value moves onto the next node's
+        head with one op per level on each side; no node is packed anew."""
         n = self._root.nleaves
         if not 1 <= i < n:
             raise IndexOutOfRange(f"merge index {i} outside [1, {n - 1}]")
         node, slot, path = self._locate(i)
+        ps = node.ps
         if slot < len(node.kids):
-            node.ps.merge(slot)
+            ps.merge(slot)
             del node.kids[slot]
-            node.nleaves -= 1
-            self._adjust(path, -1)
-            self._repair(node, path)
-            return
-        # Z[i] ends this bottom node; fold it into the next node's head,
-        # packing both as _regroup does
-        node2, _, path2 = self._locate(i + 1)
-        ys = node.ps.prefix_sums()
-        node.ps = PackedSums._of_sums(ys[:-1], self.cfg)
-        node.nleaves = len(ys) - 1
-        v1 = ys[-1] - node.ps.total
-        node2.ps = PackedSums._of_sums([v1 + y for y in node2.ps.prefix_sums()], self.cfg)
-        node2.kids[0] = node.kids.pop()
-        # one leaf fewer on the shrinking side; subtree sums move by -v1 /
-        # +v1 below the node where the two paths meet
+        else:
+            # v = Z[i] folds into the slot before, which then gives it back,
+            # and joins node2's head; so does one entry per level on each
+            # side below where the paths meet.  Each _shift lands on a head
+            # (slot 1 always is), moving anchors only, or takes v off a last
+            # slot, lowering one field to a sum it held before: none needs
+            # the delta bound
+            v = ps.total - ps._sum(slot - 1)
+            ps.merge(slot - 1)
+            ps._shift(slot - 1, -v)
+            node2, _, path2 = self._locate(i + 1)
+            node2.ps._shift(1, v)
+            node2.kids[0] = node.kids.pop()
+            for (a, ka), (b, kb) in zip(reversed(path), reversed(path2)):
+                if a is b:
+                    # entries ka and ka + 1: a shift pair here could repack
+                    # between its halves, leave ka + 1 a non-head at or
+                    # under the gap and overflow its field with +v
+                    a.ps.merge(ka)
+                    a.ps.divide(ka, a.kids[ka - 1].ps.total)
+                    break
+                a.ps._shift(ka, -v)
+                b.ps._shift(kb, v)
+            # leaf i now heads node2; a regroup below drops the finger again
+            self._finger = node2, i, tuple(path2)
+        node.nleaves -= 1
         self._adjust(path, -1)
-        for (a, _), (b, _) in zip(reversed(path), reversed(path2)):
-            self._refresh(a)
-            if a is b:
-                break
-            self._refresh(b)
-        # leaf i now heads node2; a regroup below drops the finger again
-        self._finger = node2, i, tuple(path2)
         self._repair(node, path)
 
     def insert(self, i: int, d: int) -> None:

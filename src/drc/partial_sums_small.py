@@ -402,9 +402,10 @@ class PackedSums:
         self._shift(i, d)
 
     def _shift(self, i: int, d: int) -> None:
-        """update for a caller that already bounds d and keeps Z[i] + d
-        nonnegative, such as a SumTree level above the entry whose own
-        update, insert or delete checked d."""
+        """update for a caller that keeps Z[i] + d nonnegative and bounds d,
+        as a SumTree level above an entry whose own op checked d, or needs
+        no bound: at a head only anchors move, and d < 0 at the last slot
+        lowers that one field, as a SumTree merge across nodes shifts."""
         p, reps = i - 1, self._reps
         if len(reps) == self._n:
             # every slot heads its own run, as on an internal SumTree level:

@@ -299,36 +299,37 @@ ALPHABET = build_index(b"abcdefghijklmnopqrstuvwxyz")
 
 
 # blocks uvw | abcde | k | pqr; every edit but the append is in a block
-# after the first.  ops counts its locate as a search and a sum, the two
-# walks that one find replaces, so a located edit issues ops - 1
+# after the first, which one find locates.  ops counts the SumTree
+# operations the edit issues, that find included
 EDIT_SHAPES = [
-    ("replace", 4, "z", 3),  # first offset: divide(l, 1)
-    ("replace", 6, "z", 4),  # interior: divide(l, off - 1), divide(l + 1, 1)
-    ("replace", 8, "z", 3),  # last offset: divide(l, off - 1)
-    ("delete", 4, None, 4),  # divide(l, 1), delete(l)
-    ("delete", 6, None, 5),  # divide, divide, delete
-    ("delete", 8, None, 4),  # divide(l, off - 1), delete(l + 1)
-    ("insert", 4, "z", 3),  # block start: insert(l, 1)
-    ("insert", 6, "z", 4),  # divide(l, off - 1), insert(l + 1, 1)
-    ("insert", 8, "z", 4),  # before the last char: the same two
-    ("replace", 9, "z", 2),  # single-char block: nothing to carve
-    ("delete", 9, None, 3),  # single-char block: delete(l)
-    ("insert", 9, "z", 3),  # before a single-char block: insert(l, 1)
-    ("insert", 13, "z", 1),  # append: insert(n + 1, 1), no locate
-    ("insert", 4, "x", 4),  # insert(l, 1), then uvw + x merge
-    ("replace", 9, "f", 3),  # abcde + f merge
+    ("replace", 4, "z", 2),  # first offset: divide(l, 1)
+    ("replace", 6, "z", 3),  # interior: divide(l, off - 1), divide(l + 1, 1)
+    ("replace", 8, "z", 2),  # last offset: divide(l, off - 1)
+    ("delete", 4, None, 3),  # divide(l, 1), delete(l)
+    ("delete", 6, None, 4),  # divide, divide, delete
+    ("delete", 8, None, 3),  # divide(l, off - 1), delete(l + 1)
+    ("insert", 4, "z", 2),  # block start: insert(l, 1)
+    ("insert", 6, "z", 3),  # divide(l, off - 1), insert(l + 1, 1)
+    ("insert", 8, "z", 3),  # before the last char: the same two
+    ("replace", 9, "z", 1),  # single-char block: nothing to carve
+    ("delete", 9, None, 2),  # single-char block: delete(l)
+    ("insert", 9, "z", 2),  # before a single-char block: insert(l, 1)
+    ("insert", 13, "z", 1),  # append: insert(n + 1, 1), no find
+    ("insert", 4, "x", 3),  # insert(l, 1), then uvw + x merge
+    ("replace", 9, "f", 2),  # abcde + f merge
 ]
+# ids that name the edit, not the count it pins
+EDIT_SHAPE_IDS = [f"{verb}-{i}-{ch}" for verb, i, ch, _ in EDIT_SHAPES]
 
 
-@pytest.mark.parametrize("verb, i, ch, ops", EDIT_SHAPES)
+@pytest.mark.parametrize("verb, i, ch, ops", EDIT_SHAPES, ids=EDIT_SHAPE_IDS)
 def test_edit_shapes_pin_sumtree_ops(verb, i, ch, ops):
     src = b"uvwabcdekpqr"
     cs = compress(ALPHABET, src)
     assert cs.blocks() == [(21, 23), (1, 5), (11, 11), (16, 18)]
     args = (i,) if ch is None else (i, ord(ch))
     getattr(cs, verb)(*args)
-    located = i <= len(src)
-    assert cs.last_st_ops == ops - located
+    assert cs.last_st_ops == ops
     if verb == "replace":
         expected = src[: i - 1] + ch.encode() + src[i:]
     elif verb == "insert":
@@ -359,7 +360,7 @@ def entering_sumtree_calls(monkeypatch) -> list:
     return calls
 
 
-@pytest.mark.parametrize("verb, i, ch, ops", EDIT_SHAPES)
+@pytest.mark.parametrize("verb, i, ch, ops", EDIT_SHAPES, ids=EDIT_SHAPE_IDS)
 def test_every_counted_op_is_one_traced_call(monkeypatch, verb, i, ch, ops):
     # the bench reads SumTree operations per edit from the spans of its
     # tracer and checks them against last_st_ops: an op taken on a path
@@ -368,7 +369,7 @@ def test_every_counted_op_is_one_traced_call(monkeypatch, verb, i, ch, ops):
     cs = compress(ALPHABET, b"uvwabcdekpqr")
     calls = entering_sumtree_calls(monkeypatch)
     getattr(cs, verb)(*((i,) if ch is None else (i, ord(ch))))
-    assert calls[0] == cs.last_st_ops == ops - (i <= 12)
+    assert calls[0] == cs.last_st_ops == ops
 
 
 def test_traced_calls_match_the_counter_on_random_edits(monkeypatch):
@@ -435,10 +436,10 @@ def test_op_stream_ends_with_pinned_blocks(cfg):
 
 def test_located_edit_walks_the_index_at_most_once(monkeypatch):
     # 2^16 blocks abc | xyz | abc | ...: no two adjacent ones concatenate
-    # in R.  After its find, an edit that regroups no node and makes no
-    # cross-node merge (_refresh) reaches every other entry it touches
-    # from the finger, or one step along its path when the entry lies in
-    # the next bottom node on either side: no walk from the root.  Reads
+    # in R.  After its find, an edit that regroups no node, a cross-node
+    # merge included, reaches every other entry it touches from the
+    # finger, or one step along its path when the entry lies in the next
+    # bottom node on either side: no walk from the root.  Reads
     # between the edits take the read descent, which walks no leaf counts
     # and leaves the finger where it was, and so does a range read walking
     # on from it.
@@ -448,13 +449,11 @@ def test_located_edit_walks_the_index_at_most_once(monkeypatch):
     while not node.bottom:
         levels, node = levels + 1, node.kids[0]
     steps = collections.Counter()
-    child_for, regroup, refresh = SumTree._child_for, SumTree._regroup, SumTree._refresh
+    child_for, regroup = SumTree._child_for, SumTree._regroup
     monkeypatch.setattr(SumTree, "_child_for", staticmethod(
         lambda node, i: steps.update(["level"]) or child_for(node, i)))
     monkeypatch.setattr(SumTree, "_regroup",
                         lambda self, *a: steps.update(["shape"]) or regroup(self, *a))
-    monkeypatch.setattr(SumTree, "_refresh",
-                        lambda self, *a: steps.update(["shape"]) or refresh(self, *a))
     rng = random.Random(16)
     walks = collections.Counter()
     for _ in range(2000):

@@ -495,6 +495,65 @@ def test_a_cross_node_merge_keeps_the_finger(monkeypatch):
     assert kept > 150, kept
 
 
+@pytest.mark.parametrize("cfg", [
+    PsConfig(B=4), PsConfig(B=8), DEFAULT_CONFIG,
+    replace(DEFAULT_CONFIG, run_gap=4), replace(DEFAULT_CONFIG, run_gap=0),
+], ids=["B4", "B8", "B16", "B16-gap4", "B16-gap0"])
+def test_cross_node_merges_agree_with_the_oracle(cfg, monkeypatch):
+    # values of 0-3 among powers of two up to 2^30, so that internal
+    # entries fall both at or under the run gap and far past the field
+    # bias; a merge across two bottom nodes moves such a value through
+    # PackedSums' own ops, and packs no node unless it regroups one
+    packs = collections.Counter()
+    init, of_sums, regroup = PackedSums.__init__, PackedSums._of_sums, SumTree._regroup
+    monkeypatch.setattr(PackedSums, "__init__",
+                        lambda self, *a, **k: packs.update(["pack"]) or init(self, *a, **k))
+    monkeypatch.setattr(PackedSums, "_of_sums", staticmethod(
+        lambda *a: packs.update(["pack"]) or of_sums(*a)))
+    monkeypatch.setattr(SumTree, "_regroup",
+                        lambda self, *a: packs.update(["regroup"]) or regroup(self, *a))
+    rng = random.Random(cfg.B + cfg.gap)
+
+    def value():
+        return rng.randrange(4) if rng.random() < 0.6 else 1 << rng.randrange(31)
+
+    vals = [value() for _ in range(160)]
+    t = SumTree(vals, config=cfg)
+    oracle = NaivePartialSums(vals, delta=cfg.delta)
+    kept = 0
+    for _ in range(800):
+        i, r = rng.randrange(1, len(t) + 1), rng.random()
+        if r < 0.45:
+            node, slot, _ = t._locate(i)
+            i += len(node.kids) - slot  # the last entry of its bottom node
+            if i >= len(t):
+                continue
+            packs.clear()
+            t.merge(i)
+            oracle.merge(i)
+            t.validate()
+            assert t.values() == oracle.values()
+            if not packs["regroup"]:
+                kept += 1
+                assert not packs["pack"], packs
+        elif r < 0.7:
+            z = oracle.values()[i - 1]
+            cut = rng.choice((0, z, rng.randint(0, z)))
+            t.divide(i, cut)
+            oracle.divide(i, cut)
+        elif r < 0.85 or oracle.values()[i - 1] >= 1 << cfg.delta:
+            d = rng.randrange(4)
+            t.insert(i, d)
+            oracle.insert(i, d)
+        else:
+            t.delete(i)
+            oracle.delete(i)
+    assert t.values() == oracle.values() and t.total == oracle.total
+    for y in {1, t.total // 3, t.total} - {0}:
+        assert t.search(y) == oracle.search(y)
+    assert kept > 150, kept
+
+
 @pytest.mark.parametrize("cfg", [PsConfig(B=4), PsConfig(B=8), DEFAULT_CONFIG],
                          ids=lambda c: f"B{c.B}")
 def test_finger_answers_as_walks_from_the_root(cfg, monkeypatch):
