@@ -506,8 +506,8 @@ class SumTree:
 
     def merge(self, i: int) -> None:
         """Replace Z[i], Z[i+1] by their sum, which keeps Z[i]'s item.  When
-        Z[i] ends its bottom node, its value moves onto the next node's
-        head with one op per level on each side; no node is packed anew."""
+        Z[i] ends its bottom node, one op per level on each side moves it
+        onto the next node's head, and no node gets a new PackedSums."""
         n = self._root.nleaves
         if not 1 <= i < n:
             raise IndexOutOfRange(f"merge index {i} outside [1, {n - 1}]")
