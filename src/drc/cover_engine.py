@@ -158,6 +158,10 @@ def spell(data: bytes, blocks: Iterable[Block], off: int, m: int) -> bytes:
 class CompressedString:
     """One source string held as a maximal cover of reference blocks.
 
+    The blocks given must already be a maximal cover, as :func:`compress`
+    makes: edits keep a cover maximal, they do not make it so, and
+    ``check`` does not test it.
+
     ``last_concat_calls`` and ``last_st_ops`` expose how many reference
     concatenation queries and SumTree operations the most recent public
     operation issued.  Locating a position is one read descent or ``find``,

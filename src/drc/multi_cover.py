@@ -433,6 +433,9 @@ class CoverForest:
         return self._adopt(_build(self.index.factorize(src)))
 
     def add_blocks(self, blocks: Iterable[Block]) -> int:
+        """Add a string given as its blocks, which must already be a
+        maximal cover, as ``add`` makes: edits keep a cover maximal, they
+        do not make it so, and ``validate`` does not test it."""
         blocks = [self.index._check_block(blk) for blk in blocks]
         return self._adopt(_build(blocks))
 
@@ -479,10 +482,7 @@ class CoverForest:
         t = self._finger_leaf
         k = j - self._finger_chunk
         if self._finger_handle != h or t is None or not 0 < k <= t.nchars:
-            try:
-                t = self._trees[h]
-            except KeyError:
-                raise UnknownHandle(f"no string with handle {h}") from None
+            t = self._tree(h)
             n = t.nchars if t is not None else 0
             if not 1 <= j <= n:
                 raise IndexOutOfRange(f"position {j} outside [1, {n}]")
@@ -663,27 +663,8 @@ class CoverForest:
         return t.height, t.nchars, t.nleaves, kl + kr
 
 
-# contract-name wrappers
-
-def mc_access(forest: CoverForest, h: int, j: int) -> int:
-    return forest.access(h, j)
-
-
-def mc_replace(forest: CoverForest, h: int, j: int, byte: int) -> None:
-    forest.replace(h, j, byte)
-
-
-def mc_insert(forest: CoverForest, h: int, j: int, byte: int) -> None:
-    forest.insert(h, j, byte)
-
-
-def mc_delete(forest: CoverForest, h: int, j: int) -> None:
-    forest.delete(h, j)
-
-
-def mc_concat(forest: CoverForest, h_a: int, h_b: int) -> int:
-    return forest.concat(h_a, h_b)
-
-
-def mc_split(forest: CoverForest, h: int, j: int) -> Tuple[int, int]:
-    return forest.split(h, j)
+# the contract names are the methods themselves: mc_access(forest, h, j)
+# is forest.access(h, j)
+mc_access, mc_replace, mc_insert, mc_delete, mc_concat, mc_split = (
+    CoverForest.access, CoverForest.replace, CoverForest.insert,
+    CoverForest.delete, CoverForest.concat, CoverForest.split)

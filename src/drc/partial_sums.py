@@ -88,6 +88,7 @@ from typing import Any, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import (
     BadConfig,
+    BadSplit,
     DeltaTooLarge,
     IndexOutOfRange,
     NegativeEntry,
@@ -498,7 +499,15 @@ class SumTree:
         n = self._root.nleaves
         if not 1 <= i <= n:
             raise IndexOutOfRange(f"divide index {i} outside [1, {n}]")
-        node, slot, path = self._descend_for_growth(i)
+        node, slot, path = self._locate(i)
+        if len(node.kids) >= self.cfg.B:
+            # a full node splits: check the split point first, as
+            # PackedSums.divide does, so that a rejected divide changes nothing
+            v = node.ps._sum(slot) - node.ps._sum(slot - 1)
+            if not 0 <= t <= v:
+                raise BadSplit(f"split point {t} outside [0, {v}]")
+            index(t)  # a float t raises here
+            node, slot, path = self._descend_for_growth(i)
         node.ps.divide(slot, t)  # validates the split point
         node.kids.insert(slot, node.kids[slot - 1])
         node.nleaves += 1

@@ -24,6 +24,8 @@ them.
 >>> ps.update(1, 1)
 >>> ps.prefix_sums()
 [6, 7, 11, 18]
+>>> ps
+PackedSums([6, 1, 4, 7])
 
 ``divide`` follows one rule.  The new entry i heads a run iff i = 1 or
 its value exceeds the run gap, and the new entry i+1 iff its own value
@@ -441,9 +443,9 @@ class PackedSums:
         v = y_i - y_before
         if not 0 <= t <= v:
             raise BadSplit(f"split point {t} outside [0, {v}]")
+        y_new = y_before + index(t)  # a float t raises here, before any write
         if n >= self.cfg.B:
             raise StructureFull(f"capacity {self.cfg.B} reached")
-        y_new = y_before + index(t)  # a float t raises here, before any write
         cut_left = not p or t > gap
         cut_mid = v - t > gap
         # a headless entry i stays in run q, or joins run q - 1 if it headed q

@@ -381,9 +381,8 @@ class RefIndex:
             tree.validate()
 
 
-def build_index(data: bytes) -> RefIndex:
-    """Index a reference string for the query operations above."""
-    return RefIndex(data)
+# index a reference string for the query operations above
+build_index = RefIndex
 
 
 # ----------------------------------------------------------------------

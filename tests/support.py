@@ -1,7 +1,14 @@
-"""Shared fixtures: a fully worked 19-entry packing, op resolvers."""
+"""Shared fixtures: a fully worked 19-entry packing, op resolvers, and a
+counter of the B-tree's walks."""
 
 from __future__ import annotations
 
+import collections
+
+import pytest
+
+from drc.errors import DrcError
+from drc.partial_sums import SumTree
 from drc.partial_sums_small import PsConfig
 
 # A hand-checked 19-entry sequence with run threshold 4, small enough to
@@ -79,6 +86,47 @@ def resolve_op(kind, a, b, values, *, capacity=None, delta=2):
     raise ValueError(kind)
 
 
+def resolve_bad_op(kind, a, b, values, *, delta=2):
+    """Map raw integers (a, b) onto arguments for kind of which exactly
+    one integer is out of range or over delta, given the current entry
+    values; None when the kind has no such argument right now."""
+    n = len(values)
+    far = a % 3 + 1  # how far outside the range
+    low, c = b % 2, b // 2
+    if kind in ("sum", "search", "merge") or c % 2 or not n and kind != "insert":
+        # a position (a target, for search) below or past its range
+        last = {"search": sum(values), "merge": n - 1, "insert": n + 1}.get(kind, n)
+        at = 1 - far if low else last + far
+        return (kind, at) if kind in ("sum", "search", "merge", "delete") else (kind, at, 0)
+    wide = (1 << delta) + far - 1
+    if kind == "update":
+        # over delta either way, or to below zero
+        i = a % n + 1
+        return ("update", i, -values[i - 1] - far if c % 3 == 2 else (-1) ** low * wide)
+    if kind == "divide":
+        i = a % n + 1
+        return ("divide", i, -far if low else values[i - 1] + far)
+    if kind == "insert":
+        return ("insert", a % (n + 1) + 1, -far if low else wide)
+    if kind == "delete":
+        large = [i for i, v in enumerate(values, 1) if v >= 1 << delta]
+        return ("delete", large[a % len(large)]) if large else None
+    raise ValueError(kind)
+
+
+def assert_rejected_alike(target, oracle, op):
+    """op raises the same DrcError type from target as from the oracle
+    and changes neither."""
+    before = oracle.values()
+    raised = []
+    for s in (target, oracle):
+        with pytest.raises(DrcError) as exc:
+            apply_op(s, op)
+        raised.append(exc.type)
+    assert raised[0] is raised[1], (op, raised)
+    assert target.values() == oracle.values() == before, op
+
+
 def apply_op(target, op):
     """Run one resolved op; returns the query answer or None."""
     kind = op[0]
@@ -88,3 +136,16 @@ def apply_op(target, op):
         return target.search(op[1])
     getattr(target, kind)(*op[1:])
     return None
+
+
+def count_walks(monkeypatch):
+    """A Counter that, while the test runs, counts each child step of a
+    SumTree walk from the root (``_child_for``) under "level" and each node
+    regroup (``_regroup``) under "shape"."""
+    steps = collections.Counter()
+    child_for, regroup = SumTree._child_for, SumTree._regroup
+    monkeypatch.setattr(SumTree, "_child_for", staticmethod(
+        lambda node, i: steps.update(["level"]) or child_for(node, i)))
+    monkeypatch.setattr(SumTree, "_regroup",
+                        lambda self, *a: steps.update(["shape"]) or regroup(self, *a))
+    return steps

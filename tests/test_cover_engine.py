@@ -23,6 +23,8 @@ from drc.partial_sums import SumTree
 from drc.partial_sums_small import DEFAULT_CONFIG, PsConfig
 from drc.ref_index import RefIndex, build_index
 
+from support import count_walks
+
 BANANA = build_index(b"banana")
 
 CONCAT_BUDGET = 4  # len(window) - 1 for a window of at most 5 blocks
@@ -436,10 +438,11 @@ def test_op_stream_ends_with_pinned_blocks(cfg):
 
 def test_located_edit_walks_the_index_at_most_once(monkeypatch):
     # 2^16 blocks abc | xyz | abc | ...: no two adjacent ones concatenate
-    # in R.  After its find, an edit that regroups no node, a cross-node
-    # merge included, reaches every other entry it touches from the
-    # finger, or one step along its path when the entry lies in the next
-    # bottom node on either side: no walk from the root.  Reads
+    # in R.  After its find, an edit that regroups no node reaches every
+    # other entry it touches from the finger, or one step along its path
+    # when the entry lies in the next bottom node on either side: no walk
+    # from the root.  (Node boundaries here all fall between xyz and abc,
+    # so no merge crosses one; the next test makes those.)  Reads
     # between the edits take the read descent, which walks no leaf counts
     # and leaves the finger where it was, and so does a range read walking
     # on from it.
@@ -448,12 +451,7 @@ def test_located_edit_walks_the_index_at_most_once(monkeypatch):
     node = cs._tree._root
     while not node.bottom:
         levels, node = levels + 1, node.kids[0]
-    steps = collections.Counter()
-    child_for, regroup = SumTree._child_for, SumTree._regroup
-    monkeypatch.setattr(SumTree, "_child_for", staticmethod(
-        lambda node, i: steps.update(["level"]) or child_for(node, i)))
-    monkeypatch.setattr(SumTree, "_regroup",
-                        lambda self, *a: steps.update(["shape"]) or regroup(self, *a))
+    steps = count_walks(monkeypatch)
     rng = random.Random(16)
     walks = collections.Counter()
     for _ in range(2000):
@@ -474,6 +472,61 @@ def test_located_edit_walks_the_index_at_most_once(monkeypatch):
         if not steps["shape"]:
             walks[steps["level"] / levels] += 1
     assert set(walks) == {0} and walks[0] > 1900, walks
+    cs.check()
+
+
+def _bottom_node(tree, i):
+    """(bottom node holding leaf i, leaves before it, chars before it),
+    found by a walk of the test's own, which count_walks does not count."""
+    node, leaves, chars = tree._root, 0, 0
+    while not node.bottom:
+        for k, kid in enumerate(node.kids, 1):
+            if i <= leaves + kid.nleaves:
+                break
+            leaves += kid.nleaves
+        chars += node.ps._sum(k - 1)
+        node = kid
+    return node, leaves, chars
+
+
+def test_a_cross_node_merge_walks_the_index_at_most_once(monkeypatch):
+    # a period of five blocks, which no bulk-built node size (12 or 13)
+    # divides, ends some bottom nodes with an abc; a d put at the next
+    # node's first character, by an insert or a replace, merges into that
+    # abc across the two nodes.  Unless a node regroups, such an edit
+    # walks no leaf counts from the root.
+    period = [(1, 3), (24, 26), (13, 15), (7, 9), (19, 21)]
+    cs = CompressedString(ALPHABET, period * 13000)
+    mirror = bytearray(b"abcxyzmnoghistu" * 13000)
+    tree = cs._tree
+    steps = count_walks(monkeypatch)
+    merge = SumTree.merge
+
+    def counting_merge(self, i):
+        node, leaves, _ = _bottom_node(self, i)
+        steps["cross"] += i == leaves + len(node.kids)
+        merge(self, i)
+
+    monkeypatch.setattr(SumTree, "merge", counting_merge)
+    rng = random.Random(32)
+    crossed = collections.Counter()  # by leaf-count steps of the edit
+    for _ in range(4000):
+        node, leaves, chars = _bottom_node(tree, rng.randrange(1, len(tree) - 20))
+        if node.kids[-1] != (1, 3):
+            continue
+        p = chars + node.ps.total + 1  # the next node's first character
+        verb = rng.choice(("insert", "replace"))
+        steps.clear()
+        getattr(cs, verb)(p, ord("d"))
+        if verb == "insert":
+            mirror.insert(p - 1, ord("d"))
+        else:
+            mirror[p - 1] = ord("d")
+        assert_budgets(cs)
+        if steps["cross"] and not steps["shape"]:
+            crossed[steps["level"]] += 1
+    assert set(crossed) == {0} and crossed[0] > 400, crossed
+    assert cs.extract(1, len(cs)) == mirror
     cs.check()
 
 

@@ -73,6 +73,15 @@ def assert_string(forest: CoverForest, h: int, expected: bytes) -> None:
     forest.validate()
 
 
+def test_the_contract_names_are_the_methods():
+    # mc_access(forest, h, j) is the call forest.access(h, j) itself, and
+    # build_index(data) is RefIndex(data)
+    for name, fn in [("access", mc_access), ("replace", mc_replace), ("insert", mc_insert),
+                     ("delete", mc_delete), ("concat", mc_concat), ("split", mc_split)]:
+        assert fn is getattr(CoverForest, name), name
+    assert build_index is RefIndex
+
+
 class TestBasics:
     def test_add_and_decompress(self):
         forest, h = make(b"bananaban")

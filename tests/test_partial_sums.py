@@ -23,7 +23,16 @@ from drc.oracles import NaivePartialSums
 from drc.partial_sums import SumTree
 from drc.partial_sums_small import DEFAULT_CONFIG, PackedSums, PsConfig
 
-from support import DEMO_Z, MUTATOR_KINDS, OP_KINDS, apply_op, resolve_op
+from support import (
+    DEMO_Z,
+    MUTATOR_KINDS,
+    OP_KINDS,
+    apply_op,
+    assert_rejected_alike,
+    count_walks,
+    resolve_bad_op,
+    resolve_op,
+)
 
 
 def _nodes(t):
@@ -267,19 +276,16 @@ def _state(s):
     (lambda s: s.delete(len(s) + 1), IndexOutOfRange),
     (lambda s: s.update(2, 1.0), TypeError),
     (lambda s: s.insert(1, 1.0), TypeError),  # on the full tree, before any split
+    (lambda s: s.divide(len(s), 0.5), TypeError),  # likewise
 ], ids=["delete-large", "insert-wide", "insert-negative", "divide-bad-split",
         "merge-last", "merge-0", "update-0", "update-past-end", "update-negative",
-        "delete-0", "delete-past-end", "update-float", "insert-float"])
+        "delete-0", "delete-past-end", "update-float", "insert-float", "divide-float"])
 def test_a_rejected_op_leaves_the_structure_as_it_was(make, op, error):
     s = make()
     before = _state(s)
     with pytest.raises(error):
         op(s)
-    after = _state(s)
-    if isinstance(s, SumTree) and error is BadSplit:
-        # the full bottom node may split before the split point is checked
-        before, after = before[:2], after[:2]
-    assert after == before
+    assert _state(s) == before
     s.validate()
 
 
@@ -300,12 +306,20 @@ def test_a_rejected_insert_changes_nothing():
 
 
 def random_soak(seed, n_ops, seed_len, config=None):
-    rng = random.Random(seed)
+    # each step also tries one op with an argument out of range or over
+    # delta, drawn from a stream of its own, which both must reject alike
+    rng, bad_rng = random.Random(seed), random.Random(f"bad {seed}")
     cfg = config or PsConfig()
     seed_vals = [rng.randrange(0, 50) for _ in range(seed_len)]
     t = SumTree(seed_vals, config=cfg)
     oracle = NaivePartialSums(seed_vals, delta=cfg.delta)
     for step in range(n_ops):
+        bad = resolve_bad_op(
+            bad_rng.choice(OP_KINDS), bad_rng.randrange(1 << 30), bad_rng.randrange(1 << 30),
+            oracle.values(), delta=cfg.delta,
+        )
+        if bad is not None:
+            assert_rejected_alike(t, oracle, bad)
         op = resolve_op(
             rng.choice(OP_KINDS), rng.randrange(1 << 30), rng.randrange(1 << 30),
             oracle.values(), delta=cfg.delta,
@@ -435,12 +449,7 @@ def test_a_split_keeps_the_finger_on_the_growing_leaf(cfg, monkeypatch):
     # a growth into a full node splits it and lands in one half; from a
     # finger on that node, neither the growth nor a read of the grown
     # entry right after it walks from the root, split or not
-    steps = collections.Counter()
-    child_for, regroup = SumTree._child_for, SumTree._regroup
-    monkeypatch.setattr(SumTree, "_child_for", staticmethod(
-        lambda node, i: steps.update(["level"]) or child_for(node, i)))
-    monkeypatch.setattr(SumTree, "_regroup",
-                        lambda self, *a: steps.update(["split"]) or regroup(self, *a))
+    steps = count_walks(monkeypatch)
     rng = random.Random(cfg.B)
     t = SumTree([5] * (cfg.B - 1), config=cfg)
     splits = 0
@@ -453,7 +462,7 @@ def test_a_split_keeps_the_finger_on_the_growing_leaf(cfg, monkeypatch):
         else:
             t.divide(i, 0)
         assert t.item(i) is None and steps["level"] == 0, (step, steps)
-        splits += steps["split"] > 0
+        splits += steps["shape"] > 0
         if step % 25 == 0:
             t.validate()
     t.validate()
@@ -465,12 +474,7 @@ def test_a_cross_node_merge_keeps_the_finger(monkeypatch):
     # moves the finger to that next node, which the merged entry now
     # heads: unless the shrunk node regroups, neither the merge nor a
     # read of the merged entry right after it walks from the root
-    steps = collections.Counter()
-    child_for, regroup = SumTree._child_for, SumTree._regroup
-    monkeypatch.setattr(SumTree, "_child_for", staticmethod(
-        lambda node, i: steps.update(["level"]) or child_for(node, i)))
-    monkeypatch.setattr(SumTree, "_regroup",
-                        lambda self, *a: steps.update(["regroup"]) or regroup(self, *a))
+    steps = count_walks(monkeypatch)
     rng = random.Random(7)
     cfg = PsConfig(B=4)
     vals = [rng.randrange(0, 50) for _ in range(400)]
@@ -487,7 +491,7 @@ def test_a_cross_node_merge_keeps_the_finger(monkeypatch):
         t.merge(i)
         oracle.merge(i)
         del items[i]
-        if not steps["regroup"]:
+        if not steps["shape"]:
             kept += 1
             assert t.item(i) == items[i - 1] and steps["level"] == 0, (i, steps)
         t.validate()

@@ -30,6 +30,8 @@ from support import (
     MUTATOR_KINDS,
     OP_KINDS,
     apply_op,
+    assert_rejected_alike,
+    resolve_bad_op,
     resolve_op,
 )
 
@@ -540,8 +542,10 @@ CONFIGS = [
 @pytest.mark.parametrize("cfg", CONFIGS + [TestOffsetBound.CFG])
 def test_runs_derived_from_head_bits(cfg):
     """A slot's run is a popcount and a run's head a select over the head
-    bits; both must match the flags after every op of a random storm."""
-    rng = random.Random(cfg.B * 100 + cfg.F)
+    bits; both must match the flags after every op of a random storm.  Each
+    step also tries one op with an argument out of range or over delta,
+    from a stream of its own, which both must reject alike."""
+    rng, bad_rng = random.Random(cfg.B * 100 + cfg.F), random.Random(f"bad {cfg}")
     ps = oracle = None
     for step in range(3000):
         if step % 60 == 0:
@@ -550,6 +554,10 @@ def test_runs_derived_from_head_bits(cfg):
                     for _ in range(rng.randrange(cfg.B + 1))]
             ps = PackedSums(vals, config=cfg)
             oracle = NaivePartialSums(vals, capacity=cfg.B, delta=cfg.delta)
+        bad = resolve_bad_op(bad_rng.choice(OP_KINDS), bad_rng.randrange(1 << 30),
+                             bad_rng.randrange(1 << 30), oracle.values(), delta=cfg.delta)
+        if bad is not None:
+            assert_rejected_alike(ps, oracle, bad)
         op = resolve_op(rng.choice(OP_KINDS), rng.randrange(1 << 30),
                         rng.randrange(1 << 30), oracle.values(),
                         capacity=cfg.B, delta=cfg.delta)

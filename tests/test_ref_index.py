@@ -1,5 +1,6 @@
 """Tests for the static reference index."""
 
+import collections
 import hashlib
 import random
 import time
@@ -655,30 +656,41 @@ class TestConcatUnique:
         # "z" starts R, so no room for x before it: b < 0
         assert self.ask(monkeypatch, b"zabab", (2, 3), (1, 1), lce=0, locus=0) is None
 
-    @pytest.mark.parametrize("alphabet", ["acgt", "lexicon"])
+    @pytest.mark.parametrize("alphabet", ["acgt", "lexicon", "repetitive"])
     def test_random_queries_agree_with_the_oracle(self, monkeypatch, alphabet):
+        # every query takes at most two descents and two LCE probes; on the
+        # repetitive reference few blocks occur once, so most queries with
+        # lx > 1 climb to x's locus, and on the others a third skip it
         rng = random.Random(28)
         if alphabet == "acgt":
             ref = bytes(rng.choice(b"acgt") for _ in range(2048))
-        else:
+        elif alphabet == "lexicon":
             words = b"the of and block merge split tree leaf window probe query".split()
             ref = b" ".join(rng.choice(words) for _ in range(400))[:2048]
+        else:
+            # ten copies of one 200-byte base, each with 1% substitutions
+            base = bytes(rng.choice(b"acgt") for _ in range(200))
+            ref = bytes(rng.choice(b"acgt".replace(bytes([c]), b""))
+                        if rng.random() < 0.01 else c
+                        for _ in range(10) for c in base)
         ix, r = build_index(ref), len(ref)
         ix._build_tree()
-        climbs = [0]
+        calls = collections.Counter()
 
-        def locus(*args):
-            climbs[0] += 1
-            return real_locus(*args)
+        def counted(key, real):
+            def call(*args):
+                calls[key] += 1
+                return real(*args)
+            return call
 
-        real_locus = _Tree.locus
-        monkeypatch.setattr(_Tree, "locus", locus)
+        monkeypatch.setattr(RefIndex, "_lce0", counted("lce", RefIndex._lce0))
+        monkeypatch.setattr(_Tree, "locus", counted("locus", _Tree.locus))
 
         def once(s, e):
             seg = ref[s - 1 : e]
             return ref.find(seg, ref.find(seg) + 1) < 0
 
-        queries = skipped = 0
+        queries = skipped = climbed = 0
         for _ in range(1500):
             lx, ly = rng.randint(1, 40), rng.randint(1, 40)
             xs = rng.randint(1, r - lx + 1)
@@ -687,8 +699,9 @@ class TestConcatUnique:
             else:
                 ys = rng.randint(1, r - ly + 1)
             x, y = (xs, xs + lx - 1), (ys, ys + ly - 1)
-            climbs[0] = 0
+            calls.clear()
             got = ix.substring_concat(x, y)
+            assert calls["lce"] <= 2 and calls["locus"] <= 2, (x, y, calls)
             want = naive_substring_concat(ref, x, y)
             assert (got is None) == (want is None), (x, y)
             if got is not None:
@@ -700,8 +713,12 @@ class TestConcatUnique:
                     assert got == ys - lx, (x, y)
             queries += 1
             # a query with lx > 1 that the tree answers climbs to x's locus
-            skipped += lx > 1 and climbs[0] == 0
-        assert skipped * 3 >= queries, (skipped, queries)
+            skipped += lx > 1 and calls["locus"] == 0
+            climbed += lx > 1 and calls["locus"] > 0
+        if alphabet == "repetitive":
+            assert climbed > skipped, (climbed, skipped)
+        else:
+            assert skipped * 3 >= queries, (skipped, queries)
 
 
 def test_concat_witnesses_are_pinned():
