@@ -16,7 +16,8 @@ with non-printable bytes escaped the same way.
 
 Exit codes: 0 ok, 1 I/O error, 2 source byte missing from the reference,
 3 reference checksum mismatch, 4 malformed or invalid cover file,
-5 script parse error, 6 script op failure, 7 empty reference file.
+5 script parse error, 6 script op failure, 7 empty reference file,
+8 usage error (argparse's usage line and message go to stderr).
 """
 
 from __future__ import annotations
@@ -328,7 +329,14 @@ _EXIT_CODES = (
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    args = _build_parser().parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse prints a usage error and exits 2, which here means a
+        # missing source byte; --help exits 0
+        if exc.code == 2:
+            return 8
+        raise
     try:
         return args.func(args)
     except (OSError, DrcError) as exc:

@@ -8,8 +8,10 @@ height of their subtree, so block ordinals and position lookups work as if
 every block were a leaf; a lookup descends by character counts to a chunk
 and bisects the chunk's prefix sums.  Split and concatenate are tree split
 and join.  ``_chunks`` is the one in-order walk of a string's chunks:
-``_leaves``, ``extract`` and ``validate`` take it, and ``extract`` slices
-the blocks with :func:`spell`, as ``CompressedString`` does.
+``_leaves``, ``extract``, ``split`` and ``validate`` take it, and
+``extract`` slices the blocks with :func:`spell`, as ``CompressedString``
+does.  Blocks are read by character position or at a string's ends
+(``_first``, ``_last``); block ordinals only address writes (``_splice``).
 
 A point edit reads its window of blocks in the descent that locates it
 (``_edit_window``).  When what it writes back lies inside one chunk (a
@@ -33,7 +35,8 @@ Joins and cuts expose fresh block adjacencies, so every operation re-checks
 the affected boundary pairs against the reference index and merges while a
 pair's concatenation still occurs in R.  A boundary already known absent
 from R stays absent when its blocks grow, so the re-check never cascades
-past the touched window.
+past the touched window.  ``split`` and ``concat`` read the pairs beside a
+cut or seam at the ends of the strings there and hand them to ``_remerge``.
 
 Strings are addressed by opaque integer handles; split and concatenate
 consume their inputs and hand out fresh handles.  Empty strings are legal
@@ -260,25 +263,6 @@ def _concat(a: Optional[_Tree], b: Optional[_Tree],
     return _join(a, b, top)
 
 
-def _window(t: _Tree, lo: int, hi: int) -> List[Block]:
-    """Blocks [lo, hi] (1-based) of ``t``, in one descent that visits only
-    the subtrees holding them; ``hi`` past a subtree's end means up to its
-    end."""
-    out, todo = [], [(t, lo, hi)]
-    while todo:
-        n, lo, hi = todo.pop()
-        while n.blks is None:
-            k = n.left.nleaves
-            if lo > k:
-                n, lo, hi = n.right, lo - k, hi - k
-                continue
-            if hi > k:  # the right child's share waits for the left's
-                todo.append((n.right, 1, hi - k))
-            n = n.left
-        out += n.blks[lo - 1 : hi]
-    return out
-
-
 def _edit_window(t: _Tree, j: int, drop: int, new: Optional[Block]
                  ) -> Tuple[int, int, List[Block], List[_Tree], _Tree, int]:
     """Blocks [lo, hi] (1-based) that an edit at position j of ``t``
@@ -459,13 +443,13 @@ class CoverForest:
 
     # ------------------------------------------------------------------
 
-    def _remerge(self, t: _Tree, lo: int, hi: int) -> Optional[_Tree]:
-        """Read blocks [lo, hi] (1-based ordinals) of ``t``, re-merge their
-        boundaries, and splice the result back in place of the window if a
-        pair merged; returns the root."""
-        win = _window(t, lo, hi)
+    def _remerge(self, t: _Tree, lo: int, win: List[Block]) -> Optional[_Tree]:
+        """Re-merge the boundaries of ``win``, a fresh list of the blocks of
+        ``t`` from ordinal lo (1-based) on, and splice the result back in
+        place of the window if a pair merged; returns the root."""
+        n = len(win)
         restore_maximal(win, self.index.substring_concat)
-        return _splice(t, lo, hi, win) if len(win) <= hi - lo else t
+        return _splice(t, lo, lo + n - 1, win) if len(win) < n else t
 
     def access(self, h: int, j: int) -> int:
         """S_h[j] as an int byte.  The read finger holds a handle and a
@@ -581,9 +565,10 @@ class CoverForest:
         if ta is None or tb is None:
             return self._adopt(ta if tb is None else tb)
         # only the seam pair can merge: its neighbors were maximal and
-        # their strings only grow
-        na = ta.nleaves
-        return self._adopt(self._remerge(_concat(ta, tb), na, na + 1))
+        # their strings only grow.  It is read before the join, which may
+        # rewrite an edge chunk and ta's counts
+        na, seam = ta.nleaves, [_last(ta).blks[-1], _first(tb).blks[0]]
+        return self._adopt(self._remerge(_concat(ta, tb), na, seam))
 
     def split(self, h: int, j: int) -> Tuple[int, int]:
         """Cut S_h into S[1..j-1] and S[j..]; the input is consumed."""
@@ -596,11 +581,21 @@ class CoverForest:
         del self._trees[h]
         left, right = _split_chars(t, j - 1)
         # a cut shortens the blocks on both sides of it, so each may now
-        # merge with its neighbor
+        # merge with its neighbor: the last two blocks of left and the first
+        # two of right, from the edge chunk, or, when it holds one block,
+        # from the next chunk in too
         if left is not None and left.nleaves > 1:
-            left = self._remerge(left, left.nleaves - 1, left.nleaves)
+            c = _last(left)
+            win = c.blks[-2:]
+            if len(win) == 1:
+                win.insert(0, next(_chunks(left, left.nchars - c.nchars))[0].blks[-1])
+            left = self._remerge(left, left.nleaves - 1, win)
         if right.nleaves > 1:
-            right = self._remerge(right, 1, 2)
+            c = _first(right)
+            win = c.blks[:2]
+            if len(win) == 1:
+                win.append(next(_chunks(right, c.nchars + 1))[0].blks[0])
+            right = self._remerge(right, 1, win)
         return self._adopt(left), self._adopt(right)
 
     # ------------------------------------------------------------------

@@ -194,10 +194,7 @@ class SumTree:
 
     def sum(self, i: int) -> int:
         """Y[i] = Z[1] + ... + Z[i]."""
-        n = self._root.nleaves
-        if not 1 <= i <= n:
-            raise IndexOutOfRange(f"sum index {i} outside [1, {n}]")
-        node, slot, path = self._locate(i)
+        node, slot, path = self._locate(self._position(i, self._root.nleaves, "sum"))
         return node.ps.sum(slot) + sum(p.ps.sum(k - 1) for p, k in path if k > 1)
 
     def search(self, t: int) -> int:
@@ -268,9 +265,7 @@ class SumTree:
     # items (uncounted: they navigate by leaf counts and touch no sums)
 
     def _slot(self, i: int, last: int) -> Tuple[_Node, int, _Path]:
-        if not 1 <= i <= last:
-            raise IndexOutOfRange(f"item index {i} outside [1, {last}]")
-        return self._locate(i)
+        return self._locate(self._position(i, last, "item"))
 
     def item(self, i: int) -> Any:
         """The item of entry i."""
@@ -301,6 +296,16 @@ class SumTree:
 
     # ------------------------------------------------------------------
     # descent helpers
+
+    @staticmethod
+    def _position(i: int, last: int, op: str) -> int:
+        """i as an int in [1, last], or op's rejection: every op checks its
+        position here before it walks, as a walk to a float i would leave
+        it in the finger, and a growth walk would split a node first."""
+        i = index(i)
+        if not 1 <= i <= last:
+            raise IndexOutOfRange(f"{op} index {i} outside [1, {last}]")
+        return i
 
     def _descend(self, t: int) -> Tuple[int, _Node, int, _Path]:
         """(Y[i - 1], bottom node holding entry i, its slot, the path down)
@@ -483,9 +488,7 @@ class SumTree:
     def update(self, i: int, d: int) -> None:
         """Z[i] += d."""
         d = index(d)
-        n = self._root.nleaves
-        if not 1 <= i <= n:
-            raise IndexOutOfRange(f"update index {i} outside [1, {n}]")
+        i = self._position(i, self._root.nleaves, "update")
         node, slot, path = self._locate(i)
         try:
             node.ps.update(slot, d)  # validates delta width and sign
@@ -496,9 +499,7 @@ class SumTree:
     def divide(self, i: int, t: int) -> None:
         """Split Z[i] = v into consecutive entries t, v - t; both keep
         Z[i]'s item."""
-        n = self._root.nleaves
-        if not 1 <= i <= n:
-            raise IndexOutOfRange(f"divide index {i} outside [1, {n}]")
+        i = self._position(i, self._root.nleaves, "divide")
         node, slot, path = self._locate(i)
         if len(node.kids) >= self.cfg.B:
             # a full node splits: check the split point first, as
@@ -517,9 +518,7 @@ class SumTree:
         """Replace Z[i], Z[i+1] by their sum, which keeps Z[i]'s item.  When
         Z[i] ends its bottom node, one op per level on each side moves it
         onto the next node's head, and no node gets a new PackedSums."""
-        n = self._root.nleaves
-        if not 1 <= i < n:
-            raise IndexOutOfRange(f"merge index {i} outside [1, {n - 1}]")
+        i = self._position(i, self._root.nleaves - 1, "merge")
         node, slot, path = self._locate(i)
         ps = node.ps
         if slot < len(node.kids):
@@ -559,9 +558,7 @@ class SumTree:
         d = index(d)  # before _descend_for_growth, which may split a node
         if not 0 <= d < 1 << self.cfg.delta:
             raise DeltaTooLarge(f"insert value {d} outside [0, 2**{self.cfg.delta})")
-        n = self._root.nleaves
-        if not 1 <= i <= n + 1:
-            raise IndexOutOfRange(f"insert index {i} outside [1, {n + 1}]")
+        i = self._position(i, self._root.nleaves + 1, "insert")
         node, slot, path = self._descend_for_growth(i)
         node.ps.insert(slot, d)
         node.kids.insert(slot - 1, None)
@@ -570,10 +567,7 @@ class SumTree:
 
     def delete(self, i: int) -> None:
         """Remove entry i; its value must fit in delta bits."""
-        n = self._root.nleaves
-        if not 1 <= i <= n:
-            raise IndexOutOfRange(f"delete index {i} outside [1, {n}]")
-        node, slot, path = self._locate(i)
+        node, slot, path = self._locate(self._position(i, self._root.nleaves, "delete"))
         ps = node.ps
         total = ps.total
         ps.delete(slot)  # validates the value's width

@@ -574,8 +574,7 @@ class _Tree:
         sa, depth = idx._sa, self.depth
         v0 = self.first[data[x0]] if lx == 1 else self.locus(x0, lx)
         t = self.top_of[v0]
-        off, nodes = self.path_off, self.path_nodes
-        sb = sa[nodes[off[t + 1] - 1]]  # the leaf that ends v0's path
+        sb = sa[t]  # path t ends at leaf t
 
         # y diverges from the heavy path at string depth D = lx + f, at
         # node q; one byte tells f = 0, and then q is v0
@@ -586,6 +585,7 @@ class _Tree:
             f = min(idx._lce0(ext, y0), ly) if ly > 1 else 1
             if f == ly:
                 return sb + 1
+            off, nodes = self.path_off, self.path_nodes
             lo = off[t] + self.path_pos[v0]
             q = nodes[bisect_left(nodes, lx + f, lo, off[t + 1], key=depth.__getitem__)]
         big_d = lx + f
@@ -645,6 +645,8 @@ class _Tree:
                 assert self.depth[p] < du or (u < n and self.depth[p] == du)
             t = int(self.top_of[u])
             assert nodes[int(off[t]) + int(self.path_pos[u])] == u
+        # path t ends at leaf t: concat reads that leaf as sa[t]
+        assert all(nodes[int(off[t + 1]) - 1] == t for t in range(n)), "path end"
         # children partition the parent interval left to right, in char
         # order, and the heavy child (next on the path) is the first largest
         for u in range(n, total):

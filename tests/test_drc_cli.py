@@ -149,6 +149,20 @@ def run(ws, *argv) -> int:
     return main([str(a) for a in argv])
 
 
+@pytest.mark.parametrize("argv", [["compress", "--ref", "x"], []],
+                         ids=["missing-arguments", "no-command"])
+def test_usage_error_exits_8(argv, capsys):
+    assert main(argv) == 8
+    assert "usage:" in capsys.readouterr().err
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert "usage:" in capsys.readouterr().out
+
+
 class TestCompress:
     def test_reports_block_count_and_length(self, ws, capsys):
         (ws / "src").write_bytes(b"bananaban")

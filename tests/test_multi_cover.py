@@ -33,7 +33,6 @@ from drc.multi_cover import (
     _join,
     _leaves,
     _splice,
-    _window,
     mc_access,
     mc_concat,
     mc_delete,
@@ -52,10 +51,10 @@ BANANA = build_index(b"banana")
 CHUNK_BOUNDS = (multi_cover._CHUNK, 2, 3, 8)
 
 
-def chunk_bounds(monkeypatch):
-    """Each bound of CHUNK_BOUNDS, with the module's bound set to it while
+def chunk_bounds(monkeypatch, bounds=CHUNK_BOUNDS):
+    """Each bound of ``bounds``, with the module's bound set to it while
     the caller's loop body runs."""
-    for c in CHUNK_BOUNDS:
+    for c in bounds:
         monkeypatch.setattr(multi_cover, "_CHUNK", c)
         yield c
     monkeypatch.setattr(multi_cover, "_CHUNK", CHUNK_BOUNDS[0])
@@ -547,7 +546,6 @@ def test_window_and_splice_match_list_model(monkeypatch):
                     for k in range(6):
                         new = [rand_block() for _ in range(k)]
                         t = uneven_tree(rng, blocks)
-                        assert _window(t, lo, hi) == blocks[lo - 1 : hi]
                         # chunks are rewritten in place, unless the input holds
                         # a chunk under the floor that the splice absorbs
                         floor = t.blks is not None or all(
@@ -769,10 +767,67 @@ def test_remerge_without_a_merge_keeps_the_tree(monkeypatch):
     before = node_fields(t)
     made = count_new_nodes(monkeypatch)
     for lo in range(1, len(blocks)):
-        assert forest._remerge(t, lo, lo + 1) is t
+        assert forest._remerge(t, lo, blocks[lo - 1 : lo + 1]) is t
     monkeypatch.undo()
     assert made == []
     assert node_fields(t) == before
+
+
+# single letters that occur once, with no two adjacent, pad the strings
+# below; "ab"."c" and "b"."cd" occur in R, "ab"."cz" and "ab"."cd" do not
+SEAMS = build_index(b"abcQbcd.cz.K.L.M.N.O.")
+
+
+def seam_block(piece: bytes):
+    s = SEAMS.data.index(piece) + 1
+    return s, s + len(piece) - 1
+
+
+def chunked(forest: CoverForest, chunks) -> int:
+    """A new handle whose tree holds exactly these chunks: lists of blocks,
+    each given by its bytes, at their first occurrence in SEAMS."""
+    h = forest.add_blocks([])
+    for chunk in chunks:
+        forest._trees[h] = _join(forest._trees[h], _Tree([seam_block(p) for p in chunk]))
+    forest.validate()
+    return h
+
+
+@pytest.mark.parametrize("chunks, j, left, right", [
+    # the cut leaves "c" alone in left's last chunk; it joins "ab", the
+    # last block of the chunk before
+    ([[b"K", b"L"], [b"M", b"ab"], [b"cz", b"N"], [b"O"]], 7,
+     [b"K", b"L", b"M", b"abc"], [b"z", b"N", b"O"]),
+    # the cut leaves "b" alone in right's first chunk; "cd", the first
+    # block of the chunk after, joins it
+    ([[b"K"], [b"L", b"ab"], [b"cd", b"M"], [b"N"]], 4,
+     [b"K", b"L", b"a"], [b"bcd", b"M", b"N"]),
+], ids=["left-edge", "right-edge"])
+def test_split_remerges_across_a_one_block_edge_chunk(monkeypatch, chunks, j, left, right):
+    for chunk in chunk_bounds(monkeypatch, (2, 3)):
+        forest = CoverForest(SEAMS)
+        h = chunked(forest, chunks)
+        assert naive_maximality_check(SEAMS.data, forest.blocks(h))
+        hl, hr = forest.split(h, j)
+        for h, want in ((hl, left), (hr, right)):
+            assert forest.blocks(h) == [seam_block(p) for p in want], (chunk, want)
+            assert_string(forest, h, b"".join(want))
+
+
+@pytest.mark.parametrize("chunk, b, rest", [
+    (2, [[b"c", b"N"], [b"O", b"d"]], [b"N", b"O", b"d"]),
+    (3, [[b"c", b"N"], [b"O", b"d"]], [b"N", b"O", b"d"]),
+    # b's only chunk is under 8 // 4 blocks and goes into a's last chunk,
+    # which changes a's block count before the seam is re-merged
+    (8, [[b"c"]], []),
+], ids=["2", "3", "8-absorbed"])
+def test_concat_remerges_the_seam(monkeypatch, chunk, b, rest):
+    for _ in chunk_bounds(monkeypatch, (chunk,)):
+        forest = CoverForest(SEAMS)
+        h = forest.concat(chunked(forest, [[b"K", b"L"], [b"M", b"ab"]]), chunked(forest, b))
+        want = [b"K", b"L", b"M", b"abc"] + rest
+        assert forest.blocks(h) == [seam_block(p) for p in want]
+        assert_string(forest, h, b"".join(want))
 
 
 def test_validate_rejects_a_node_shared_by_two_handles():

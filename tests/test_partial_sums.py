@@ -305,6 +305,30 @@ def test_a_rejected_insert_changes_nothing():
         s.validate()
 
 
+@pytest.mark.parametrize("make", [
+    _full_tree, lambda: SumTree([1, 2, 3, 5] * 30, config=PsConfig(B=4))], ids=["full", "120"])
+@pytest.mark.parametrize("at", [lambda n: 2.5, lambda n: n - 0.5], ids=["2.5", "len-0.5"])
+@pytest.mark.parametrize("op", [
+    lambda s, i: s.sum(i), lambda s, i: s.update(i, 1), lambda s, i: s.divide(i, 1),
+    lambda s, i: s.merge(i), lambda s, i: s.insert(i, 1), lambda s, i: s.delete(i),
+    lambda s, i: s.item(i), lambda s, i: s.set_item(i, "z"), lambda s, i: s.items_from(i),
+], ids=["sum", "update", "divide", "merge", "insert", "delete", "item", "set_item",
+        "items_from"])
+def test_a_float_position_is_refused_before_any_walk(make, at, op):
+    # a walk to a float position would leave it as the finger's first
+    # ordinal, where the next valid op trips on it, and insert's growth
+    # walk on the full tree would split the full node first
+    before, s = _state(make()), make()  # _state moves the finger
+    finger = s._finger
+    with pytest.raises(TypeError):
+        op(s, at(len(s)))
+    assert s._finger is finger
+    assert _state(s) == before
+    s.update(3, 1)
+    assert s.values()[2] == before[0][2] + 1
+    s.validate()
+
+
 def random_soak(seed, n_ops, seed_len, config=None):
     # each step also tries one op with an argument out of range or over
     # delta, drawn from a stream of its own, which both must reject alike
