@@ -25,6 +25,7 @@ from __future__ import annotations
 import argparse
 import string
 import sys
+from functools import lru_cache
 from typing import List, Optional, Tuple
 
 from .cover_engine import CompressedString, compress
@@ -282,6 +283,9 @@ def _cmd_edit(args: argparse.Namespace) -> int:
     return 0
 
 
+# built once: argparse's objects refer to one another, so each parser built
+# would be garbage only the cyclic collector frees
+@lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="drc",

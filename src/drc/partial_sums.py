@@ -10,11 +10,12 @@ Every operation takes one of the tree's four walks:
 
 * ``_locate``, by ordinal: leaf counts pick the child at each level.
   ``sum``, ``update``, ``divide``, ``merge``, ``insert``, ``delete`` and
-  the item accessors take it.  Above the bottom node, ``update``,
-  ``insert`` and ``delete`` shift one entry per level by an amount the
-  bottom node's own checks already bounded, skipping the public checks;
-  on such a level every entry heads its own run, and the shift moves
-  the anchors from the entry's on and no packed field.
+  the item accessors take it, each with one call that checks the
+  position first and reaches the bottom node.  Above the bottom node,
+  ``update``, ``insert`` and ``delete`` shift one entry per level by an
+  amount the bottom node's own checks already bounded, skipping the
+  public checks; on such a level every entry heads its own run, and the
+  shift moves the anchors from the entry's on and no packed field.
 * ``_descend``, by prefix sum, keeping the path.  ``search`` sums the
   leaf counts its path passed to give the ordinal; ``find`` is a
   ``search`` that also hands back the prefix sum before the answer and
@@ -194,7 +195,7 @@ class SumTree:
 
     def sum(self, i: int) -> int:
         """Y[i] = Z[1] + ... + Z[i]."""
-        node, slot, path = self._locate(self._position(i, self._root.nleaves, "sum"))
+        node, slot, path = self._locate(i, self._root.nleaves, "sum")
         return node.ps.sum(slot) + sum(p.ps.sum(k - 1) for p, k in path if k > 1)
 
     def search(self, t: int) -> int:
@@ -264,23 +265,20 @@ class SumTree:
     # ------------------------------------------------------------------
     # items (uncounted: they navigate by leaf counts and touch no sums)
 
-    def _slot(self, i: int, last: int) -> Tuple[_Node, int, _Path]:
-        return self._locate(self._position(i, last, "item"))
-
     def item(self, i: int) -> Any:
         """The item of entry i."""
-        node, slot, _ = self._slot(i, self._root.nleaves)
+        node, slot, _ = self._locate(i, self._root.nleaves, "item")
         return node.kids[slot - 1]
 
     def set_item(self, i: int, x: Any) -> None:
         """Make x the item of entry i."""
-        node, slot, _ = self._slot(i, self._root.nleaves)
+        node, slot, _ = self._locate(i, self._root.nleaves, "item")
         node.kids[slot - 1] = x
 
     def items_from(self, i: int) -> Iterator[Any]:
         """Items of entries i, i+1, ... in order; i may be len + 1.  The
         tree must not change while the walk is running."""
-        node, slot, path = self._slot(i, self._root.nleaves + 1)
+        node, slot, path = self._locate(i, self._root.nleaves + 1, "item")
         bottoms = self._bottoms(node, slot, list(path))
         return chain.from_iterable(node.kids[start:] for node, start in bottoms)
 
@@ -296,16 +294,6 @@ class SumTree:
 
     # ------------------------------------------------------------------
     # descent helpers
-
-    @staticmethod
-    def _position(i: int, last: int, op: str) -> int:
-        """i as an int in [1, last], or op's rejection: every op checks its
-        position here before it walks, as a walk to a float i would leave
-        it in the finger, and a growth walk would split a node first."""
-        i = index(i)
-        if not 1 <= i <= last:
-            raise IndexOutOfRange(f"{op} index {i} outside [1, {last}]")
-        return i
 
     def _descend(self, t: int) -> Tuple[int, _Node, int, _Path]:
         """(Y[i - 1], bottom node holding entry i, its slot, the path down)
@@ -336,14 +324,22 @@ class SumTree:
             i -= c
         return len(kids), kids[-1].nleaves + i
 
-    def _locate(self, i: int) -> Tuple[_Node, int, _Path]:
+    def _locate(self, i: int, last: int, op: str) -> Tuple[_Node, int, _Path]:
         """Bottom node holding leaf i, its local slot, and the path down;
-        i = nleaves + 1 gives the slot just past the last leaf.  From the
-        finger when leaf i is in its node, and then the path is the
-        finger's own tuple, which a caller copies before changing it; else
-        from one step along the finger's path when leaf i is in the next
-        bottom node on either side, or a walk from the root.  Both move
-        the finger to the node they reach."""
+        i = nleaves + 1 gives the slot just past the last leaf.
+
+        First i must be an int in [1, last], or op's rejection: every op
+        checks its position here before it walks, as a walk to a float i
+        would leave it in the finger, and a growth would split a node
+        first.  Then from the finger when leaf i is in its node, and the
+        path is the finger's own tuple, which a caller copies before
+        changing it; else from one step along the finger's path when leaf
+        i is in the next bottom node on either side, or a walk from the
+        root.  Both move the finger to the node they reach, so the finger
+        is on the returned node whichever way it was found."""
+        i = index(i)
+        if not 1 <= i <= last:
+            raise IndexOutOfRange(f"{op} index {i} outside [1, {last}]")
         if self._finger is not None:
             node, first, fpath = self._finger
             size = len(node.kids)
@@ -417,16 +413,16 @@ class SumTree:
         if len(cuts) == 2:
             parent.ps.divide(lo + 1, ys[cuts[0].stop - 1])
 
-    def _descend_for_growth(self, i: int) -> Tuple[_Node, int, _Path]:
-        """``_locate(i)`` in a bottom node with room for one more leaf; i
-        may be nleaves + 1 (append position).  While the node it lands in
-        is full, split the highest node of the run of full nodes directly
-        above it, or grow the root a level if that run reaches it: a full
-        node splits only when a growth must grow it.  The finger moves to
-        the half that holds leaf i after each split, down the path the
-        split left."""
+    def _make_room(self, node: _Node, slot: int, path: _Path) -> Tuple[_Node, int, _Path]:
+        """Where ``_locate`` put leaf i (node, slot and path, the finger on
+        node), made a bottom node with room for one more leaf; i may be
+        nleaves + 1 (append position).  While the node is full, split the
+        highest node of the run of full nodes directly above it, or grow
+        the root a level if that run reaches it: a full node splits only
+        when a growth must grow it.  The finger moves to the half that
+        holds leaf i after each split, down the path the split left."""
         b = self.cfg.B
-        node, slot, path = self._locate(i)
+        i = self._finger[1] + slot - 1
         while len(node.kids) >= b:
             path = list(path)
             top = len(path)
@@ -488,8 +484,7 @@ class SumTree:
     def update(self, i: int, d: int) -> None:
         """Z[i] += d."""
         d = index(d)
-        i = self._position(i, self._root.nleaves, "update")
-        node, slot, path = self._locate(i)
+        node, slot, path = self._locate(i, self._root.nleaves, "update")
         try:
             node.ps.update(slot, d)  # validates delta width and sign
         except NegativeEntry:
@@ -499,8 +494,7 @@ class SumTree:
     def divide(self, i: int, t: int) -> None:
         """Split Z[i] = v into consecutive entries t, v - t; both keep
         Z[i]'s item."""
-        i = self._position(i, self._root.nleaves, "divide")
-        node, slot, path = self._locate(i)
+        node, slot, path = self._locate(i, self._root.nleaves, "divide")
         if len(node.kids) >= self.cfg.B:
             # a full node splits: check the split point first, as
             # PackedSums.divide does, so that a rejected divide changes nothing
@@ -508,7 +502,7 @@ class SumTree:
             if not 0 <= t <= v:
                 raise BadSplit(f"split point {t} outside [0, {v}]")
             index(t)  # a float t raises here
-            node, slot, path = self._descend_for_growth(i)
+            node, slot, path = self._make_room(node, slot, path)
         node.ps.divide(slot, t)  # validates the split point
         node.kids.insert(slot, node.kids[slot - 1])
         node.nleaves += 1
@@ -518,8 +512,7 @@ class SumTree:
         """Replace Z[i], Z[i+1] by their sum, which keeps Z[i]'s item.  When
         Z[i] ends its bottom node, one op per level on each side moves it
         onto the next node's head, and no node gets a new PackedSums."""
-        i = self._position(i, self._root.nleaves - 1, "merge")
-        node, slot, path = self._locate(i)
+        node, slot, path = self._locate(i, self._root.nleaves - 1, "merge")
         ps = node.ps
         if slot < len(node.kids):
             ps.merge(slot)
@@ -534,7 +527,7 @@ class SumTree:
             v = ps.total - ps._sum(slot - 1)
             ps.merge(slot - 1)
             ps._shift(slot - 1, -v)
-            node2, _, path2 = self._locate(i + 1)
+            node2, _, path2 = self._locate(i + 1, self._root.nleaves, "merge")
             node2.ps._shift(1, v)
             node2.kids[0] = node.kids.pop()
             for (a, ka), (b, kb) in zip(reversed(path), reversed(path2)):
@@ -555,11 +548,12 @@ class SumTree:
 
     def insert(self, i: int, d: int) -> None:
         """Insert a new entry of value d, item None, before position i."""
-        d = index(d)  # before _descend_for_growth, which may split a node
+        d = index(d)  # before _make_room, which may split a node
         if not 0 <= d < 1 << self.cfg.delta:
             raise DeltaTooLarge(f"insert value {d} outside [0, 2**{self.cfg.delta})")
-        i = self._position(i, self._root.nleaves + 1, "insert")
-        node, slot, path = self._descend_for_growth(i)
+        node, slot, path = self._locate(i, self._root.nleaves + 1, "insert")
+        if len(node.kids) >= self.cfg.B:
+            node, slot, path = self._make_room(node, slot, path)
         node.ps.insert(slot, d)
         node.kids.insert(slot - 1, None)
         node.nleaves += 1
@@ -567,7 +561,7 @@ class SumTree:
 
     def delete(self, i: int) -> None:
         """Remove entry i; its value must fit in delta bits."""
-        node, slot, path = self._locate(self._position(i, self._root.nleaves, "delete"))
+        node, slot, path = self._locate(i, self._root.nleaves, "delete")
         ps = node.ps
         total = ps.total
         ps.delete(slot)  # validates the value's width
@@ -608,7 +602,8 @@ class SumTree:
         if self._finger is not None:
             node, first, path = self._finger
             self._finger = None
-            assert self._locate(first) == (node, 1, list(path)), "stale finger"
+            got = self._locate(first, first, "validate")
+            assert got == (node, 1, list(path)), "stale finger"
         assert len(depths) == 1, "leaves at unequal depths"
         s = root.nleaves
         if s >= 2:

@@ -107,6 +107,23 @@ class PsConfig:
 
     The field defaults (w=64, B=8) describe one 64-bit word pair; the
     package default is :data:`DEFAULT_CONFIG`.
+
+    The paper sizes a node by the word: B entries of F bits fill a pair
+    of w-bit words, and a SumTree over s entries is about log s / log B
+    levels deep, so each op costs O(log s / log(w/delta)).  Only the
+    budget below limits w here, as the arithmetic runs on Python ints of
+    any size; the default takes the narrowest word past which a wider
+    node stopped paying.  Each SumTree level an op walks costs a fixed
+    amount of interpreter work, and a PackedSums op on a 1152-bit int
+    costs about what one on a 256-bit int costs, so fewer, wider levels
+    are faster: at B=64 the 47,427-entry edit-dna tree is 3 levels deep,
+    at B=16 it is 5, and its edit and read medians fell 8-13% in process.
+    At B=128 (w=1280, F=20) neither median fell below B=64's.  With
+    delta=2 and B=64 the budget is 2*B^2*2^delta = 32,768, so the bias
+    2^(F-2) must exceed it: F=17 gives exactly 2^15 and fails, F=18
+    (bias 2^16) is the narrowest field, and B*F = 1152 = 2w for w=576.
+    The bound's form, O(log s / log(w/delta)), is unchanged: w/delta
+    grows by a constant factor.
     """
 
     w: int = 64
@@ -169,10 +186,11 @@ class PsConfig:
         return self.F, self.field_mask, self.bias, self.guard, self.gap
 
 
-# Sixteen 16-bit fields in a simulated 128-bit word pair: the budget check
-# holds (2 * B^2 * 2^delta = 2048 < bias = 2^14), and the wider fanout keeps
-# a SumTree over ~50k entries four levels deep instead of six.
-DEFAULT_CONFIG = PsConfig(w=128, B=16)
+# Sixty-four 18-bit fields in a simulated 576-bit word pair: the budget
+# check holds (2 * B^2 * 2^delta = 32,768 < bias = 2^16), and the fanout
+# keeps a SumTree over 2^17 entries three levels deep (five at B=16) and
+# one over 2^20 four (six at B=16); the PsConfig docstring argues the word
+DEFAULT_CONFIG = PsConfig(w=576, B=64, F=18)
 
 
 class PackedSums:
@@ -583,11 +601,17 @@ class PackedSums:
         assert len(reps) == self._bits.bit_count(), "anchor/head mismatch"
         if n:
             assert self._bits & 1, "first entry must head a run"
+        # one pass over the fields: Y[p + 1] is the anchor of slot p's run
+        # (the heads at or below p) plus p's offset, as _sum reads it
+        F, mask, bias, bits, u = self._F, self._mask, self._bias, self._bits, self._u
+        ys, r = [0], 0
         for p in range(n):
-            assert 0 < self._u_field(p) < cfg.guard, f"offset field {p} out of range"
-            assert not (self._bits >> p) & 1 or self._u_field(p) == cfg.bias, \
-                f"head {p} is not at its anchor"
+            f = (u >> (F * p)) & mask
+            assert 0 < f < self._guard, f"offset field {p} out of range"
+            if (bits >> p) & 1:
+                assert f == bias, f"head {p} is not at its anchor"
+                r += 1
+            ys.append(reps[r - 1] + f - bias)
         assert all(map(le, reps, islice(reps, 1, None))), "anchors decrease"
-        ys = [self._sum(i) for i in range(n + 1)]
         assert all(map(le, ys, islice(ys, 1, None))), "prefix sums must be nondecreasing"
         assert self.ops_since_rebuild < cfg.B, "rebuild counter overdue"

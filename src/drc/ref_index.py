@@ -340,7 +340,7 @@ class RefIndex:
             self._check_block(x)
             self._check_block(y)
         tree = self._tree if self._tree is not None else self._build_tree()
-        return tree.concat(xs - 1, xe - xs + 1, ys - 1, ye - ys + 1)
+        return tree.concat(self, xs - 1, xe - xs + 1, ys - 1, ye - ys + 1)
 
     def _build_tree(self) -> "_Tree":
         self._ensure_lce()
@@ -378,7 +378,7 @@ class RefIndex:
             assert a.shape == lcp.shape and a.ctypes.data == lcp.ctypes.data, "LCP view"
         if deep:
             tree = self._tree if self._tree is not None else self._build_tree()
-            tree.validate()
+            tree.validate(self)
 
 
 # index a reference string for the query operations above
@@ -398,17 +398,20 @@ class _Tree:
     Path j is the heavy path ending at leaf j; a leaf top's rank set is empty.
     ``first[c]`` is the root's child whose edge starts with byte c, or -1.
     ``lcp`` is the owner's LCP array, read through a view of its buffer.
+
+    The tree holds no reference to its owner, which holds the tree: the
+    owner is handed to each query instead, so that an index is freed as
+    soon as it is dropped, without waiting for the cyclic collector.
     """
 
     __slots__ = (
-        "idx", "n", "l", "r", "depth", "parent",
+        "n", "l", "r", "depth", "parent",
         "child_off", "child_ids", "child_chars",
         "top_of", "path_pos", "path_off", "path_nodes",
         "du_off", "du_flat", "first", "lcp",
     )
 
     def __init__(self, idx: RefIndex):
-        self.idx = idx
         n = self.n = idx.r
         sa, isa, lcp, rmq = idx.suffix_array, np.asarray(idx._isa), idx._lcp, idx._rmq
         self.lcp = lcp  # no copy: the loop at the end views its buffer
@@ -504,14 +507,15 @@ class _Tree:
         adv += np.repeat(d, sizes)
         self.du_flat = isa[adv]
         del adv
-        for name in self.__slots__[2:]:  # plain-int reads, as for R's SA
+        for name in self.__slots__[1:]:  # plain-int reads, as for R's SA
             setattr(self, name, memoryview(getattr(self, name)))
 
     # ------------------------------------------------------------------
 
-    def locus(self, pos: int, length: int) -> int:
+    def locus(self, idx: RefIndex, pos: int, length: int) -> int:
         """Highest node whose string depth reaches ``length`` on the path
-        to leaf ISA[pos]; 0-based pos, 1 <= length <= n - pos.
+        to leaf ISA[pos], ISA that of idx, the owner; 0-based pos,
+        1 <= length <= n - pos.
 
         Walks up from the leaf one heavy path at a time: the first path
         whose top is shallower than ``length`` holds the answer between its
@@ -519,7 +523,7 @@ class _Tree:
         is the answer when its parent is not.  The root, of depth 0, tops
         its own path, so the walk stops there at the latest."""
         depth, parent, off, nodes = self.depth, self.parent, self.path_off, self.path_nodes
-        u = self.idx._isa[pos]
+        u = idx._isa[pos]
         while True:
             o = off[self.top_of[u]]
             top = nodes[o]
@@ -539,9 +543,10 @@ class _Tree:
             return self.child_ids[lo]
         return -1
 
-    def concat(self, x0: int, lx: int, y0: int, ly: int) -> Optional[int]:
+    def concat(self, idx: RefIndex, x0: int, lx: int, y0: int, ly: int) -> Optional[int]:
         """1-based start of an occurrence of R[x0 : x0 + lx]·R[y0 : y0 + ly]
-        in R, or None; 0-based starts, both blocks nonempty and inside R.
+        in R, or None; idx is the owner, 0-based starts, both blocks
+        nonempty and inside R.
 
         A block that occurs once forces the answer, and no walk runs: its
         suffix shares fewer than its length bytes with both neighbours in
@@ -551,13 +556,14 @@ class _Tree:
         banana, so "b" + "an" is found at x's own start and "b" + "n" is
         absent:
 
-        >>> tree = build_index(b"banana")._build_tree()
-        >>> tree.concat(0, 1, 1, 2), tree.concat(0, 1, 2, 1)
+        >>> ix = build_index(b"banana")
+        >>> tree = ix._build_tree()
+        >>> tree.concat(ix, 0, 1, 1, 2), tree.concat(ix, 0, 1, 2, 1)
         (1, None)
 
         Otherwise the query climbs to x's locus and follows its heavy
         path."""
-        idx, n = self.idx, self.n
+        n = self.n
         data, lcp, isa = idx.data, self.lcp, idx._isa
         k = isa[x0]
         if lcp[k] < lx and (k + 1 == n or lcp[k + 1] < lx):  # x occurs once
@@ -572,7 +578,7 @@ class _Tree:
                 return b + 1
             return None
         sa, depth = idx._sa, self.depth
-        v0 = self.first[data[x0]] if lx == 1 else self.locus(x0, lx)
+        v0 = self.first[data[x0]] if lx == 1 else self.locus(idx, x0, lx)
         t = self.top_of[v0]
         sb = sa[t]  # path t ends at leaf t
 
@@ -609,7 +615,7 @@ class _Tree:
         # whole edge matched; intersect u's advanced ranks with the SA
         # interval of the still-unmatched tail of y
         yt, lt = y0 + f + e, rem - e
-        tail = self.first[data[yt]] if lt == 1 else self.locus(yt, lt)
+        tail = self.first[data[yt]] if lt == 1 else self.locus(idx, yt, lt)
         a, b = self.l[tail], self.r[tail]
         ut = self.top_of[u]
         du, hi = self.du_flat, self.du_off[ut + 1]
@@ -620,13 +626,14 @@ class _Tree:
 
     # ------------------------------------------------------------------
 
-    def validate(self) -> None:
-        """Brute-force structural checks; test-size references only.  The
-        LCP array is trusted: ``RefIndex.validate`` checks it first."""
-        idx, n = self.idx, self.n
+    def validate(self, idx: RefIndex) -> None:
+        """Brute-force structural checks against idx, the owner; test-size
+        references only.  The LCP array is trusted: ``RefIndex.validate``
+        checks it first."""
+        n = self.n
         sa = idx._sa
         total = len(self.depth)
-        for name in self.__slots__[2:]:
+        for name in self.__slots__[1:]:
             # an int32 view of the ndarray it was made from, not a copy
             mv = getattr(self, name)
             assert isinstance(mv, memoryview) and mv.format == "i", name
@@ -672,7 +679,7 @@ class _Tree:
             want[c] = u
         assert list(self.first) == want, "byte table"
         assert all((want[c] < 0) == (idx.occurrence(c) is None) for c in range(256))
-        assert all(self.first[idx.data[p]] == self.locus(p, 1) for p in range(n))
+        assert all(self.first[idx.data[p]] == self.locus(idx, p, 1) for p in range(n))
         # rank sets match their definition
         isa = idx._isa
         for t in range(len(off) - 1):

@@ -17,6 +17,11 @@ from drc.partial_sums_small import PsConfig
 # width a free parameter.
 DEMO_CONFIG = PsConfig(w=256, delta=2, B=24, F=16, run_gap=4)
 
+# Sixteen 16-bit fields in a 128-bit word pair: a tree five levels deep at
+# ~50k entries.  The cases labelled B16 run on it, and those labelled B64
+# on DEFAULT_CONFIG, the package's 64-entry nodes.
+B16_CONFIG = PsConfig(w=128, B=16)
+
 DEMO_Z = [5, 1, 4, 7, 1, 1, 6, 5, 1, 1, 2, 2, 1, 3, 5, 10, 5, 10, 2]
 
 DEMO_START = dict(

@@ -23,7 +23,7 @@ from drc.partial_sums import SumTree
 from drc.partial_sums_small import DEFAULT_CONFIG, PsConfig
 from drc.ref_index import RefIndex, build_index
 
-from support import count_walks
+from support import B16_CONFIG, count_walks
 
 BANANA = build_index(b"banana")
 
@@ -397,7 +397,8 @@ def test_traced_calls_match_the_counter_on_random_edits(monkeypatch):
     assert_coherent(cs, bytes(mirror))
 
 
-@pytest.mark.parametrize("cfg", [DEFAULT_CONFIG, PsConfig(B=4)], ids=["B16", "B4"])
+@pytest.mark.parametrize("cfg", [B16_CONFIG, PsConfig(B=4), DEFAULT_CONFIG],
+                         ids=["B16", "B4", "B64"])
 def test_op_stream_ends_with_pinned_blocks(cfg):
     # 4000 point edits of a 16 KiB string stitched from 4-40-byte pieces
     # of a 3000-byte ACGT reference, as edit-dna makes its string.  The
@@ -490,15 +491,15 @@ def _bottom_node(tree, i):
 
 
 def test_a_cross_node_merge_walks_the_index_at_most_once(monkeypatch):
-    # a period of five blocks, which no bulk-built node size (12 or 13)
-    # divides, ends some bottom nodes with an abc; a d put at the next
-    # node's first character, by an insert or a replace, merges into that
-    # abc across the two nodes.  Unless a node regroups, such an edit
-    # walks no leaf counts from the root.
+    # a period of five blocks, which no node size of a 16-entry bulk
+    # build (12 or 13) divides, ends some bottom nodes with an abc; a d put
+    # at the next node's first character, by an insert or a replace,
+    # merges into that abc across the two nodes.  Unless a node regroups,
+    # such an edit walks no leaf counts from the root.
     period = [(1, 3), (24, 26), (13, 15), (7, 9), (19, 21)]
     cs = CompressedString(ALPHABET, period * 13000)
+    tree = cs._tree = SumTree(cs._tree.values(), cs.blocks(), config=B16_CONFIG)
     mirror = bytearray(b"abcxyzmnoghistu" * 13000)
-    tree = cs._tree
     steps = count_walks(monkeypatch)
     merge = SumTree.merge
 

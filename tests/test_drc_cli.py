@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import random
 
 import pytest
@@ -19,6 +20,7 @@ from drc.drc_cli import (
 )
 from drc.errors import MalformedCoverFile
 from drc.oracles import naive_edit_replay
+from drc.ref_index import build_index
 
 
 class TestFnv:
@@ -392,3 +394,28 @@ class TestEdit:
                     for b in out)
             for out in outputs
         ]
+
+
+@pytest.mark.parametrize("case", ["queried index", "edit run"])
+def test_a_dropped_index_leaves_no_cyclic_garbage(ws, case):
+    # the concatenation tree holds no reference to its index, and the CLI
+    # builds its parser once, so what a query or a `drc edit` run drops is
+    # freed at once: with the collector off, it finds nothing afterwards
+    (ws / "src").write_bytes(b"bananaban")
+    (ws / "scr").write_text("R 2 n\nI 4 b\nD 1\nA 2\nX 1 3\n")
+    assert run(ws, "compress", "--ref", ws / "ref", "--src", ws / "src",
+               "--out", ws / "cov") == 0
+    gc.collect()
+    gc.disable()
+    try:
+        if case == "queried index":
+            ix = build_index(b"banana" * 50)
+            assert ix.substring_concat((1, 2), (3, 4)) is not None  # climbs the tree
+            assert ix._tree is not None
+            del ix
+        else:
+            assert run(ws, "edit", "--ref", ws / "ref", "--in", ws / "cov",
+                       "--script", ws / "scr", "--out", ws / "cov2") == 0
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -24,6 +24,7 @@ from drc.partial_sums import SumTree
 from drc.partial_sums_small import DEFAULT_CONFIG, PackedSums, PsConfig
 
 from support import (
+    B16_CONFIG,
     DEMO_Z,
     MUTATOR_KINDS,
     OP_KINDS,
@@ -73,11 +74,18 @@ class TestBasics:
         t.validate()
         assert t.values() == list(range(9))
 
-    @pytest.mark.parametrize("cfg", [PsConfig(B=4), PsConfig(B=8), DEFAULT_CONFIG],
+    @pytest.mark.parametrize("cfg", [PsConfig(B=4), PsConfig(B=8), B16_CONFIG, DEFAULT_CONFIG],
                              ids=lambda c: f"B{c.B}")
     def test_bulk_build_leaves_room_in_every_node(self, cfg):
         b = cfg.B
-        for n in list(range(4 * b * b + 1)) + [10**4]:
+        if b <= 16:
+            ns = range(4 * b * b + 1)
+        else:
+            # every n up to 4B^2 would take minutes: every n <= 2B, and the
+            # n next to each multiple of B up to 4B^2
+            ns = sorted({*range(2 * b + 1),
+                         *(k * b + d for k in range(1, 4 * b + 1) for d in (-1, 1))})
+        for n in [*ns, 10**4]:
             t = SumTree(range(n), config=cfg)
             t.validate()
             assert t.values() == list(range(n))
@@ -88,6 +96,15 @@ class TestBasics:
             # so the first divide anywhere splits nothing
             t.divide(n // 2 + 1, 0)
             assert len(list(_nodes(t))) == len(sizes)
+
+    def test_default_fanout_keeps_the_tree_shallow(self):
+        # nodes of 64 entries: three levels over 2^17 entries and four over
+        # 2^20, where nodes of 16 take five and six
+        for e, levels in ((17, 3), (20, 4)):
+            node, depth = SumTree([1] * 2**e)._root, 1
+            while not node.bottom:
+                node, depth = node.kids[0], depth + 1
+            assert depth == levels, (e, depth)
 
     def test_rejects_narrow_fanout(self):
         with pytest.raises(BadConfig):
@@ -246,7 +263,7 @@ def _full_tree():
     # four bottom nodes of three under a root of two; the append fills the last
     t = SumTree([1, 2, 3, 5] * 3, "abcdefghijkl", config=PsConfig(B=4))
     t.insert(13, 1)
-    assert len(t._locate(13)[0].kids) == 4
+    assert len(t._locate(13, len(t), "item")[0].kids) == 4
     return t
 
 
@@ -401,7 +418,7 @@ def test_items_follow_every_edit(monkeypatch):
 
     def counting_merge(self, i):
         if 1 <= i < len(self):
-            node, slot, _ = self._locate(i)
+            node, slot, _ = self._locate(i, len(self), "merge")
             seen["cross-node merge"] += slot == len(node.kids)
         merge(self, i)
 
@@ -468,7 +485,7 @@ def _outcome(t, kind, args):
     return list(got) if kind == "items_from" else got
 
 
-@pytest.mark.parametrize("cfg", [PsConfig(B=4), DEFAULT_CONFIG], ids=["B4", "B16"])
+@pytest.mark.parametrize("cfg", [PsConfig(B=4), B16_CONFIG], ids=["B4", "B16"])
 def test_a_split_keeps_the_finger_on_the_growing_leaf(cfg, monkeypatch):
     # a growth into a full node splits it and lands in one half; from a
     # finger on that node, neither the growth nor a read of the grown
@@ -508,7 +525,7 @@ def test_a_cross_node_merge_keeps_the_finger(monkeypatch):
     kept = 0
     while len(t) > 2 * cfg.B:
         i = rng.randrange(1, len(t))
-        node, slot, _ = t._locate(i)  # the finger on the node that holds i
+        node, slot, _ = t._locate(i, len(t), "item")  # the finger on the node that holds i
         if slot < len(node.kids):
             continue
         steps.clear()
@@ -524,9 +541,10 @@ def test_a_cross_node_merge_keeps_the_finger(monkeypatch):
 
 
 @pytest.mark.parametrize("cfg", [
-    PsConfig(B=4), PsConfig(B=8), DEFAULT_CONFIG,
-    replace(DEFAULT_CONFIG, run_gap=4), replace(DEFAULT_CONFIG, run_gap=0),
-], ids=["B4", "B8", "B16", "B16-gap4", "B16-gap0"])
+    PsConfig(B=4), PsConfig(B=8), B16_CONFIG,
+    replace(B16_CONFIG, run_gap=4), replace(B16_CONFIG, run_gap=0),
+    DEFAULT_CONFIG, replace(DEFAULT_CONFIG, run_gap=4), replace(DEFAULT_CONFIG, run_gap=0),
+], ids=["B4", "B8", "B16", "B16-gap4", "B16-gap0", "B64", "B64-gap4", "B64-gap0"])
 def test_cross_node_merges_agree_with_the_oracle(cfg, monkeypatch):
     # values of 0-3 among powers of two up to 2^30, so that internal
     # entries fall both at or under the run gap and far past the field
@@ -552,7 +570,7 @@ def test_cross_node_merges_agree_with_the_oracle(cfg, monkeypatch):
     for _ in range(800):
         i, r = rng.randrange(1, len(t) + 1), rng.random()
         if r < 0.45:
-            node, slot, _ = t._locate(i)
+            node, slot, _ = t._locate(i, len(t), "item")
             i += len(node.kids) - slot  # the last entry of its bottom node
             if i >= len(t):
                 continue
@@ -582,7 +600,7 @@ def test_cross_node_merges_agree_with_the_oracle(cfg, monkeypatch):
     assert kept > 150, kept
 
 
-@pytest.mark.parametrize("cfg", [PsConfig(B=4), PsConfig(B=8), DEFAULT_CONFIG],
+@pytest.mark.parametrize("cfg", [PsConfig(B=4), PsConfig(B=8), B16_CONFIG, DEFAULT_CONFIG],
                          ids=lambda c: f"B{c.B}")
 def test_finger_answers_as_walks_from_the_root(cfg, monkeypatch):
     # most ops land near the previous one, so the finger of `fingered`
@@ -634,8 +652,9 @@ def test_finger_answers_as_walks_from_the_root(cfg, monkeypatch):
     assert walks[True] < 3 * walks[False] / 4, walks
 
 
-@pytest.mark.parametrize("cfg", [PsConfig(B=4), DEFAULT_CONFIG, replace(DEFAULT_CONFIG, run_gap=0)],
-                         ids=["B4", "B16", "B16-gap0"])
+@pytest.mark.parametrize("cfg", [PsConfig(B=4), B16_CONFIG, replace(B16_CONFIG, run_gap=0),
+                                 DEFAULT_CONFIG, replace(DEFAULT_CONFIG, run_gap=0)],
+                         ids=["B4", "B16", "B16-gap0", "B64", "B64-gap0"])
 def test_lookup_answers_as_find_and_keeps_the_finger(cfg):
     # zero-valued entries among small and large ones, so that targets
     # skip over zeros and runs of every shape occur on every level
@@ -671,7 +690,8 @@ def test_lookup_answers_as_find_and_keeps_the_finger(cfg):
         SumTree().lookup(1)
 
 
-@pytest.mark.parametrize("cfg", [PsConfig(B=4), DEFAULT_CONFIG], ids=["B4", "B16"])
+@pytest.mark.parametrize("cfg", [PsConfig(B=4), B16_CONFIG, DEFAULT_CONFIG],
+                         ids=["B4", "B16", "B64"])
 def test_lookup_items_reads_on_and_keeps_the_finger(cfg):
     # the read descent that walks on: the items from the answer's on,
     # across every bottom node after it, as find and items_from give them

@@ -22,6 +22,7 @@ from drc.oracles import NaivePartialSums
 from drc.partial_sums_small import DEFAULT_CONFIG, PackedSums, PsConfig, _first_ge, _ones
 
 from support import (
+    B16_CONFIG,
     DEMO_AFTER_DIVIDE,
     DEMO_AFTER_MERGE,
     DEMO_CONFIG,
@@ -448,7 +449,7 @@ class TestOffsetBound:
         for cfg in CONFIGS + [self.CFG, DEMO_CONFIG, replace(self.CFG, run_gap=0)]:
             assert 0 <= offset_bound(cfg) < 2 * cfg.B * cfg.B << cfg.delta < cfg.bias
 
-    @pytest.mark.parametrize("cfg", [CFG, DEFAULT_CONFIG], ids=["B5", "B16"])
+    @pytest.mark.parametrize("cfg", [CFG, B16_CONFIG, DEFAULT_CONFIG], ids=["B5", "B16", "B64"])
     def test_folded_heads_push_past_a_fresh_packing(self, cfg):
         # run 1 is a zero head and `a` entries of one gap, followed by `b`
         # heads of two gaps.  Dividing the next head into two gaps adds
@@ -472,7 +473,7 @@ class TestOffsetBound:
         assert peak == (a + 2 * b) * gap + (1 << cfg.delta) - 1
         assert (cfg.B - 1) * gap < peak <= offset_bound(cfg)
 
-    @pytest.mark.parametrize("cfg", [CFG, DEFAULT_CONFIG], ids=["B5", "B16"])
+    @pytest.mark.parametrize("cfg", [CFG, B16_CONFIG, DEFAULT_CONFIG], ids=["B5", "B16", "B64"])
     def test_inserts_and_deletes_between_packings_stay_inside_the_bound(self, cfg):
         # one run: a zero head, `a` entries of one gap and `b` zeros fill
         # all B slots.  Of the two primitives only an insert grows the run,
@@ -502,8 +503,8 @@ class TestOffsetBound:
         assert ps.rebuilds == 1 and len(ps.representatives) == 1
         assert peak == a * cfg.gap + (cfg.B // 2) * top <= offset_bound(cfg)
 
-    @pytest.mark.parametrize("cfg", [CFG, replace(CFG, run_gap=0), DEFAULT_CONFIG],
-                             ids=["B5", "B5-gap0", "B16"])
+    @pytest.mark.parametrize("cfg", [CFG, replace(CFG, run_gap=0), B16_CONFIG, DEFAULT_CONFIG],
+                             ids=["B5", "B5-gap0", "B16", "B64"])
     def test_adversary_stays_inside_the_bound(self, cfg):
         # each step applies, of a few random valid ops, the one that leaves
         # the largest offset
@@ -570,7 +571,8 @@ def test_runs_derived_from_head_bits(cfg):
         assert ps.values() == oracle.values()
 
 
-@pytest.mark.parametrize("cfg", [PsConfig(B=4), DEFAULT_CONFIG], ids=["B4", "B16"])
+@pytest.mark.parametrize("cfg", [PsConfig(B=4), B16_CONFIG, DEFAULT_CONFIG],
+                         ids=["B4", "B16", "B64"])
 @pytest.mark.parametrize("shape", ["all heads", "mixed"])
 def test_shift_agrees_with_update(cfg, shape):
     """_shift, the update a SumTree level above the bottom node takes,
@@ -609,7 +611,8 @@ def test_shift_agrees_with_update(cfg, shape):
         assert fast.rebuilds == shifts // cfg.B
 
 
-@pytest.mark.parametrize("cfg", [replace(DEFAULT_CONFIG, run_gap=6), DEMO_CONFIG],
+@pytest.mark.parametrize("cfg", [replace(B16_CONFIG, run_gap=6),
+                                 replace(DEFAULT_CONFIG, run_gap=6), DEMO_CONFIG],
                          ids=lambda c: f"B{c.B}")
 @pytest.mark.parametrize("shape", ["singletons", "one run", "mixed"])
 def test_find_storm_answers_every_target(cfg, shape):
@@ -630,7 +633,8 @@ def test_find_storm_answers_every_target(cfg, shape):
     ps = PackedSums(vals, config=cfg)
     oracle = NaivePartialSums(vals, capacity=cfg.B, delta=cfg.delta)
     done = 0
-    while done < 400:
+    # at least 400 ops, and more than 10 repacks: one every B ops
+    while done < max(400, 12 * cfg.B):
         # half the ops are updates, which move the anchors
         kind = rng.choice(MUTATOR_KINDS + ("update",) * 4)
         op = resolve_op(kind, rng.randrange(1 << 30),

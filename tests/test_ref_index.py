@@ -89,8 +89,8 @@ class TestBuild:
         ix = build_index(bytes(rng.choice(b"acgt") for _ in range(r)))
         ix.substring_concat((1, 1), (1, 1))
         kept = [getattr(ix._tree, name) for name in _Tree.__slots__]
-        arrays = [a for a in kept if not isinstance(a, (RefIndex, int))]
-        assert len(arrays) == len(kept) - 2  # everything but idx and n
+        arrays = [a for a in kept if not isinstance(a, int)]
+        assert len(arrays) == len(kept) - 1  # everything but n
         owners = {}
         for a in arrays:
             # a memoryview or an ndarray view counts its whole buffer, once
@@ -497,7 +497,7 @@ def test_locus_is_highest_ancestor_deep_enough(ref):
             up.append(tree.parent[up[-1]])
         for length in range(1, tree.depth[up[0]] + 1):
             want = max(k for k, u in enumerate(up) if tree.depth[u] >= length)
-            assert tree.locus(pos, length) == up[want], (pos, length)
+            assert tree.locus(ix, pos, length) == up[want], (pos, length)
 
 
 def test_queries_return_plain_ints():
@@ -570,7 +570,7 @@ class TestConcatShortcuts:
             cat = ref[x[0] - 1 : x[1]] + ref[y[0] - 1 : y[1]]
             assert ref[got - 1 : got - 1 + len(cat)] == cat
         assert calls == {"lce": lce, "locus": locus}, calls
-        tree.validate()
+        tree.validate(ix)
         return got
 
     def test_one_byte_x_only_at_the_end(self, monkeypatch):
