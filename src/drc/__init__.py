@@ -20,6 +20,7 @@ from .errors import (
     EmptyReference,
     IndexOutOfRange,
     InvalidBlock,
+    ItemCountMismatch,
     MalformedCoverFile,
     NegativeEntry,
     SameHandle,
@@ -53,6 +54,7 @@ __all__ = [
     "EmptyReference",
     "IndexOutOfRange",
     "InvalidBlock",
+    "ItemCountMismatch",
     "MalformedCoverFile",
     "NegativeEntry",
     "SameHandle",

@@ -239,7 +239,7 @@ def _cmd_decompress(args: argparse.Namespace) -> int:
 
 
 def _check_maximal(blocks: List[Tuple[int, int]], concat) -> None:
-    """``concat(x, y)``: a 1-based start of R[x]·R[y] in R, falsy if none."""
+    """``concat(x, y)``: truthy when R[x]·R[y] occurs in R."""
     for x, y in zip(blocks, blocks[1:]):
         if concat(x, y):
             raise MalformedCoverFile(
@@ -250,8 +250,14 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     ref = _read(args.ref)
     r, checksum, blocks = decode_cover(_read(args.infile))
     _check_reference(ref, r, checksum)
-    # a plain scan, so verify builds no index
-    _check_maximal(blocks, lambda x, y: ref.find(ref[x[0] - 1 : x[1]] + ref[y[0] - 1 : y[1]]) + 1)
+    if len(blocks) > 1:  # fewer blocks need no index, and R may be empty
+        idx = build_index(ref)
+
+        def concat(x, y):  # R[x]·R[y] occurs when its longest match is all of it
+            cat = ref[x[0] - 1 : x[1]] + ref[y[0] - 1 : y[1]]
+            return idx.longest_match(cat, 1)[0] == len(cat)
+
+        _check_maximal(blocks, concat)
     print(f"ok n={len(blocks)} N={sum(e - s + 1 for s, e in blocks)}")
     return 0
 

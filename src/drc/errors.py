@@ -41,6 +41,10 @@ class DeleteTooLarge(DrcError, ValueError):
     """delete() on an entry too large to zero out in one delta-bounded update."""
 
 
+class ItemCountMismatch(DrcError, ValueError):
+    """A partial-sums tree is given more or fewer items than values."""
+
+
 class BadConfig(DrcError, ValueError):
     """Packing geometry violates a field or word budget."""
 

@@ -92,6 +92,7 @@ from .errors import (
     BadSplit,
     DeltaTooLarge,
     IndexOutOfRange,
+    ItemCountMismatch,
     NegativeEntry,
     SearchOutOfRange,
 )
@@ -142,7 +143,7 @@ class SumTree:
         vals = list(values)  # each bottom PackedSums rejects a negative entry
         its = [None] * len(vals) if items is None else list(items)
         if len(its) != len(vals):
-            raise ValueError(f"{len(its)} items for {len(vals)} values")
+            raise ItemCountMismatch(f"{len(its)} items for {len(vals)} values")
         self._root = self._bulk_build(vals, its)
         self._finger = None
 

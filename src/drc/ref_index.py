@@ -16,7 +16,9 @@ suffix in SA order as a zero-padded big-endian uint64, 20 bytes per
 reference byte in all.  Then, built lazily since only edits need them, a
 sparse-table range-minimum structure for constant-time LCE and a suffix
 tree of LCP intervals (Abouelhoda-Kurtz-Ohlebusch), read off the nearest
-smaller LCP values on that table and split into heavy paths.  For every
+smaller LCP values on that table and split into heavy paths.  The index
+holds the tree's arrays itself, so one object answers every query and a
+dropped index is freed at once, without the cyclic collector.  For every
 internal node u that starts a heavy path we store the sorted ranks of
 the suffixes in u's interval advanced by depth(u).  A concatenation query
 in which x or y occurs once in R, the common case for long blocks, needs
@@ -24,7 +26,7 @@ no descent: two LCP reads around the block's suffix show that it is
 unique, and then R[x]·R[y] can start at one place only, which a byte
 compare and at most one LCE probe check.  Any other query reduces to at
 most two descents, two LCE probes and one binary search over a rank set.
-A descent is a bottom-up ``locus`` walk: from the leaf of an occurrence
+A descent is a bottom-up ``_locus`` walk: from the leaf of an occurrence
 up one heavy path at a time, stopping at the first path whose top is too
 shallow.  A one-byte block needs no walk: a 256-entry table holds the
 root's child for each byte.  Nor does a query ask an LCE probe that one
@@ -231,13 +233,17 @@ def _factorize(data, sa, keys, text, pos, limit):
 
 # ----------------------------------------------------------------------
 
+# the concatenation tree's arrays (see ``_build_tree``); the LCP view,
+# published last, marks the tree built
+_TREE = ("_left", "_right", "_depth", "_parent", "_child_off", "_child_ids", "_child_chars",
+         "_top_of", "_path_pos", "_path_off", "_path_nodes", "_du_off", "_du_flat", "_first",
+         "_lcp_view")
+
+
 class RefIndex:
     """Immutable query index over a reference byte string."""
 
-    __slots__ = (
-        "data", "r", "_sa", "_isa", "_lcp", "_keys", "_rmq", "_occ",
-        "_np_data", "_tree",
-    )
+    __slots__ = ("data", "r", "_sa", "_isa", "_lcp", "_keys", "_rmq", "_occ", "_np_data") + _TREE
 
     def __init__(self, data: bytes):
         if len(data) == 0:
@@ -258,7 +264,7 @@ class RefIndex:
         # the RMQ and the concatenation tree are only needed for edits;
         # plain compression must not pay for them
         self._rmq = None
-        self._tree = None
+        self._lcp_view = None
 
     # ------------------------------------------------------------------
     # plain queries
@@ -339,13 +345,233 @@ class RefIndex:
         if not ok:  # raise what checking each block in turn raises
             self._check_block(x)
             self._check_block(y)
-        tree = self._tree if self._tree is not None else self._build_tree()
-        return tree.concat(self, xs - 1, xe - xs + 1, ys - 1, ye - ys + 1)
+        if self._lcp_view is None:
+            self._build_tree()
+        return self._concat(xs - 1, xe - xs + 1, ys - 1, ye - ys + 1)
 
-    def _build_tree(self) -> "_Tree":
+    def _build_tree(self) -> None:
+        """Build the RMQ if need be, then the suffix tree over SA/LCP with
+        its heavy paths and per-path-top advanced-rank sets, by array ops,
+        each an int32 memoryview over its ndarray.
+
+        Leaf j (the j-th SA slot) is node j; internal nodes are numbered
+        from r (the root) in (SA interval start, depth) order.  ``_left``
+        and ``_right`` give each node's SA interval, ``_depth`` its string
+        depth.  Path j is the heavy path ending at leaf j; a leaf top's rank
+        set is empty.  ``_first[c]`` is the root's child whose edge starts
+        with byte c, or -1.  The arrays are published together at the end,
+        ``_lcp_view`` (of the LCP's own buffer) last, so a build that raises
+        leaves the tree unbuilt."""
         self._ensure_lce()
-        self._tree = _Tree(self)
-        return self._tree
+        n = self.r
+        sa, isa, lcp, rmq = self.suffix_array, np.asarray(self._isa), self._lcp, self._rmq
+
+        # --- LCP intervals from nearest smaller values ---
+        # boundary j, between SA slots j - 1 and j (lcp[0] = 0 stands for
+        # the root's), lies in the interval of depth lcp[j] bounded by its
+        # nearest smaller LCPs; a node is a distinct (left end, depth)
+        left = np.maximum(rmq.nearest_smaller(left=True), 0)
+        key = left.astype(np.int64) * n + lcp
+        order = np.argsort(key)
+        first = np.diff(key[order], prepend=-1) != 0
+        del key
+        node_of = np.empty(n, dtype=np.int32)  # the root, key 0, is node n
+        node_of[order] = np.cumsum(first, dtype=np.int32) + np.int32(n - 1)
+        rep = order[first]  # one boundary of each node
+        del order, first
+        total = n + len(rep)
+        leaves = np.arange(n, dtype=np.int32)
+        depth = np.concatenate((n - sa, lcp[rep]))
+        l = np.concatenate((leaves, left[rep]))
+        r = np.concatenate((leaves, rmq.nearest_smaller(left=False)[rep] - 1))
+        del left, rep
+        # a node or leaf [i, k] hangs off the deeper of boundaries i and
+        # k + 1 (if k + 1 < n); equally deep, both lie in that one node
+        side = np.minimum(r + 1, n - 1)
+        np.copyto(side, l, where=(r == n - 1) | (lcp[side] <= lcp[l]))
+        parent = node_of[side]
+        parent[n] = -1
+        del side, node_of
+
+        # --- children in CSR form; SA interval order == edge-char order ---
+        ids = np.lexsort((l, parent))[1:].astype(np.int32)  # the root sorts first
+        par = parent[ids]
+        child_off = np.zeros(total + 1, dtype=np.int32)
+        np.cumsum(np.bincount(par, minlength=total), out=child_off[1:])
+        # first edge char: R[SA[l[u]] + depth(parent)], -1 when the suffix
+        # is exhausted exactly at the parent (shortest-in-interval leaf);
+        # no suffix is shorter than its node, so the sum stays within n
+        cpos = sa[l[ids]] + depth[par]
+        edge = self._np_data[np.minimum(cpos, n - 1)].astype(np.int32)
+        child_chars = np.where(cpos < n, edge, np.int32(-1))
+        del cpos, edge
+        # the root's child for each byte, -1 for a byte absent from R: the
+        # locus of every one-byte block
+        by_byte = np.full(256, -1, dtype=np.int32)
+        kids = slice(child_off[n], child_off[n + 1])
+        by_byte[child_chars[kids]] = ids[kids]
+
+        # --- heavy paths ---
+        # heavy child: the largest, ties to the first in edge-char order
+        # (lexsort is stable); path tops are the nodes no parent picks
+        heavy = ids[np.lexsort((l[ids] - r[ids], par))[child_off[n:total]]]
+        del par
+        # pointer jumping: up[u] is the node pos[u] steps up u's path
+        up = np.arange(total, dtype=np.int32)
+        up[heavy] = parent[heavy]
+        pos = np.zeros(total, dtype=np.int32)
+        pos[heavy] = 1
+        del heavy
+        while not np.array_equal(nxt := up[up], up):  # until up[u] is u's top
+            pos += pos[up]
+            up = nxt
+        del nxt
+        # a path ends at its one leaf: path j is leaf j's
+        top_of = np.empty(total, dtype=np.int32)
+        top_of[up[:n]] = leaves
+        top_of = top_of[up]
+        paths = np.flatnonzero(up[:n] >= n).astype(np.int32)  # with internal tops
+        inner = up[paths]
+        del up
+        off = np.zeros(n + 1, dtype=np.int32)
+        np.cumsum(pos[:n] + 1, out=off[1:])
+        path_nodes = np.empty(total, dtype=np.int32)
+        path_nodes[off[top_of] + pos] = np.arange(total, dtype=np.int32)
+
+        # --- advanced rank sets of the internal tops; the suffixes of u
+        # share their first depth(u) chars, so advancing them keeps their
+        # SA order; one exactly depth(u) long runs off R and sorts first ---
+        lo, d = l[inner], depth[inner]
+        lo += sa[lo] + d == n
+        sizes = r[inner] - lo + 1
+        if sizes.sum(dtype=np.int64) >= 2 ** 31:
+            raise OverflowError("rank sets exceed int32 offsets")
+        du_off = np.zeros(n + 1, dtype=np.int32)
+        du_off[paths + 1] = sizes
+        np.cumsum(du_off, out=du_off)
+        slot = np.repeat(lo - du_off[paths], sizes)
+        slot += np.arange(len(slot), dtype=np.int32)
+        adv = sa[slot]
+        del slot
+        adv += np.repeat(d, sizes)
+        du_flat = isa[adv]
+        del adv
+        built = (l, r, depth, parent, child_off, ids, child_chars, top_of, pos, off,
+                 path_nodes, du_off, du_flat, by_byte, lcp)  # no copy of the LCP
+        for name, arr in zip(_TREE, built):  # plain-int reads, as for R's SA
+            setattr(self, name, memoryview(arr))
+
+    def _locus(self, pos: int, length: int) -> int:
+        """Highest node whose string depth reaches ``length`` on the path
+        to leaf ISA[pos]; 0-based pos, 1 <= length <= r - pos.
+
+        Walks up from the leaf one heavy path at a time: the first path
+        whose top is shallower than ``length`` holds the answer between its
+        top and the node the walk entered it by; a top that is deep enough
+        is the answer when its parent is not.  The root, of depth 0, tops
+        its own path, so the walk stops there at the latest."""
+        depth, parent, off, nodes = self._depth, self._parent, self._path_off, self._path_nodes
+        u = self._isa[pos]
+        while True:
+            o = off[self._top_of[u]]
+            top = nodes[o]
+            if depth[top] < length:
+                # depths grow down a path
+                hi = o + self._path_pos[u] + 1
+                return nodes[bisect_left(nodes, length, o, hi, key=depth.__getitem__)]
+            u = parent[top]
+            if depth[u] < length:
+                return top
+
+    def _child_by_char(self, q: int, c: int) -> int:
+        a, b = self._child_off[q], self._child_off[q + 1]
+        chars = self._child_chars
+        lo = bisect_left(chars, c, a, b)
+        if lo < b and chars[lo] == c:
+            return self._child_ids[lo]
+        return -1
+
+    def _concat(self, x0: int, lx: int, y0: int, ly: int) -> Optional[int]:
+        """1-based start of an occurrence of R[x0 : x0 + lx]·R[y0 : y0 + ly]
+        in R, or None; 0-based starts, both blocks nonempty and inside R,
+        the tree built.
+
+        A block that occurs once forces the answer, and no walk runs: its
+        suffix shares fewer than its length bytes with both neighbours in
+        SA order, two LCP reads.  R[x]·R[y] can then start only where x
+        does, or only ``lx`` bytes before y, and a byte compare and at
+        most one LCE probe decide whether it does.  "b" occurs once in
+        banana, so "b" + "an" is found at x's own start and "b" + "n" is
+        absent:
+
+        >>> ix = build_index(b"banana")
+        >>> ix._build_tree()
+        >>> ix._concat(0, 1, 1, 2), ix._concat(0, 1, 2, 1)
+        (1, None)
+
+        Otherwise the query climbs to x's locus and follows its heavy
+        path."""
+        n = self.r
+        data, lcp, isa = self.data, self._lcp_view, self._isa
+        k = isa[x0]
+        if lcp[k] < lx and (k + 1 == n or lcp[k + 1] < lx):  # x occurs once
+            e = x0 + lx
+            if e < n and data[e] == data[y0] and (ly == 1 or self._lce0(e, y0) >= ly):
+                return x0 + 1
+            return None
+        k = isa[y0]
+        if lcp[k] < ly and (k + 1 == n or lcp[k + 1] < ly):  # y occurs once
+            b = y0 - lx
+            if b >= 0 and data[y0 - 1] == data[x0 + lx - 1] and (
+                    lx == 1 or self._lce0(b, x0) >= lx):
+                return b + 1
+            return None
+        sa, depth = self._sa, self._depth
+        v0 = self._first[data[x0]] if lx == 1 else self._locus(x0, lx)
+        t = self._top_of[v0]
+        sb = sa[t]  # path t ends at leaf t
+
+        # y diverges from the heavy path at string depth D = lx + f, at
+        # node q; one byte tells f = 0, and then q is v0
+        ext = sb + lx
+        if ext == n or data[ext] != data[y0]:
+            f, q = 0, v0
+        else:
+            f = min(self._lce0(ext, y0), ly) if ly > 1 else 1
+            if f == ly:
+                return sb + 1
+            off, nodes = self._path_off, self._path_nodes
+            lo = off[t] + self._path_pos[v0]
+            q = nodes[bisect_left(nodes, lx + f, lo, off[t + 1], key=depth.__getitem__)]
+        big_d = lx + f
+        if depth[q] > big_d or q < n:
+            # mid-edge mismatch, or the path ran out at a leaf
+            return None
+        u = self._child_by_char(q, data[y0 + f])
+        if u < 0:
+            return None
+        # u's edge starts with y's next byte, so a probe is needed only
+        # when more than that one byte is at stake
+        e = depth[u] - big_d
+        rem = ly - f
+        su = sa[self._left[u]]
+        if rem <= e:
+            if rem == 1 or self._lce0(su + big_d, y0 + f) >= rem:
+                return su + 1
+            return None
+        if e > 1 and self._lce0(su + big_d, y0 + f) < e:
+            return None
+        # whole edge matched; intersect u's advanced ranks with the SA
+        # interval of the still-unmatched tail of y
+        yt, lt = y0 + f + e, rem - e
+        tail = self._first[data[yt]] if lt == 1 else self._locus(yt, lt)
+        a, b = self._left[tail], self._right[tail]
+        ut = self._top_of[u]
+        du, hi = self._du_flat, self._du_off[ut + 1]
+        k = bisect_left(du, a, self._du_off[ut], hi)
+        if k < hi and du[k] <= b:
+            return sa[du[k]] - depth[u] + 1
+        return None
 
     # ------------------------------------------------------------------
 
@@ -371,326 +597,83 @@ class RefIndex:
             assert ra < rb or ra == b"", "SA out of order"
         # the LCP that queries read is this checked array, not a copy
         views = [] if self._rmq is None else [self._rmq._rows[0]]
-        if self._tree is not None:
-            views.append(self._tree.lcp)
+        if self._lcp_view is not None:
+            views.append(self._lcp_view)
         for view in views:
             a = np.asarray(view)
             assert a.shape == lcp.shape and a.ctypes.data == lcp.ctypes.data, "LCP view"
         if deep:
-            tree = self._tree if self._tree is not None else self._build_tree()
-            tree.validate(self)
+            if self._lcp_view is None:
+                self._build_tree()
+            self._validate_tree()
 
-
-# index a reference string for the query operations above
-build_index = RefIndex
-
-
-# ----------------------------------------------------------------------
-
-class _Tree:
-    """Suffix tree topology over the owner's SA/LCP, heavy-path arrays,
-    and per-path-top advanced-rank sets, all from array ops; each array
-    is int32 and kept as a memoryview over its ndarray.
-
-    Node ids: leaf j (the j-th SA slot) is node j; internal nodes are
-    numbered from n (the root) in (SA interval start, depth) order.
-    ``l``/``r`` give each node's SA interval, ``depth`` its string depth.
-    Path j is the heavy path ending at leaf j; a leaf top's rank set is empty.
-    ``first[c]`` is the root's child whose edge starts with byte c, or -1.
-    ``lcp`` is the owner's LCP array, read through a view of its buffer.
-
-    The tree holds no reference to its owner, which holds the tree: the
-    owner is handed to each query instead, so that an index is freed as
-    soon as it is dropped, without waiting for the cyclic collector.
-    """
-
-    __slots__ = (
-        "n", "l", "r", "depth", "parent",
-        "child_off", "child_ids", "child_chars",
-        "top_of", "path_pos", "path_off", "path_nodes",
-        "du_off", "du_flat", "first", "lcp",
-    )
-
-    def __init__(self, idx: RefIndex):
-        n = self.n = idx.r
-        sa, isa, lcp, rmq = idx.suffix_array, np.asarray(idx._isa), idx._lcp, idx._rmq
-        self.lcp = lcp  # no copy: the loop at the end views its buffer
-
-        # --- LCP intervals from nearest smaller values ---
-        # boundary j, between SA slots j - 1 and j (lcp[0] = 0 stands for
-        # the root's), lies in the interval of depth lcp[j] bounded by its
-        # nearest smaller LCPs; a node is a distinct (left end, depth)
-        left = np.maximum(rmq.nearest_smaller(left=True), 0)
-        key = left.astype(np.int64) * n + lcp
-        order = np.argsort(key)
-        first = np.diff(key[order], prepend=-1) != 0
-        del key
-        node_of = np.empty(n, dtype=np.int32)  # the root, key 0, is node n
-        node_of[order] = np.cumsum(first, dtype=np.int32) + np.int32(n - 1)
-        rep = order[first]  # one boundary of each node
-        del order, first
-        total = n + len(rep)
-        leaves = np.arange(n, dtype=np.int32)
-        self.depth = depth = np.concatenate((n - sa, lcp[rep]))
-        self.l = l = np.concatenate((leaves, left[rep]))
-        self.r = r = np.concatenate((leaves, rmq.nearest_smaller(left=False)[rep] - 1))
-        del left, rep
-        # a node or leaf [i, k] hangs off the deeper of boundaries i and
-        # k + 1 (if k + 1 < n); equally deep, both lie in that one node
-        side = np.minimum(r + 1, n - 1)
-        np.copyto(side, l, where=(r == n - 1) | (lcp[side] <= lcp[l]))
-        self.parent = parent = node_of[side]
-        parent[n] = -1
-        del side, node_of
-
-        # --- children in CSR form; SA interval order == edge-char order ---
-        ids = np.lexsort((l, parent))[1:].astype(np.int32)  # the root sorts first
-        par = parent[ids]
-        self.child_off = child_off = np.zeros(total + 1, dtype=np.int32)
-        np.cumsum(np.bincount(par, minlength=total), out=child_off[1:])
-        self.child_ids = ids
-        # first edge char: R[SA[l[u]] + depth(parent)], -1 when the suffix
-        # is exhausted exactly at the parent (shortest-in-interval leaf);
-        # no suffix is shorter than its node, so the sum stays within n
-        cpos = sa[l[ids]] + depth[par]
-        edge = idx._np_data[np.minimum(cpos, n - 1)].astype(np.int32)
-        self.child_chars = np.where(cpos < n, edge, np.int32(-1))
-        del cpos, edge
-        # the root's child for each byte, -1 for a byte absent from R: the
-        # locus of every one-byte block
-        self.first = np.full(256, -1, dtype=np.int32)
-        kids = slice(child_off[n], child_off[n + 1])
-        self.first[self.child_chars[kids]] = ids[kids]
-
-        # --- heavy paths ---
-        # heavy child: the largest, ties to the first in edge-char order
-        # (lexsort is stable); path tops are the nodes no parent picks
-        heavy = ids[np.lexsort((l[ids] - r[ids], par))[child_off[n:total]]]
-        del par
-        # pointer jumping: up[u] is the node pos[u] steps up u's path
-        up = np.arange(total, dtype=np.int32)
-        up[heavy] = parent[heavy]
-        self.path_pos = pos = np.zeros(total, dtype=np.int32)
-        pos[heavy] = 1
-        del heavy
-        while not np.array_equal(nxt := up[up], up):  # until up[u] is u's top
-            pos += pos[up]
-            up = nxt
-        del nxt
-        # a path ends at its one leaf: path j is leaf j's
-        top_of = np.empty(total, dtype=np.int32)
-        top_of[up[:n]] = leaves
-        self.top_of = top_of = top_of[up]
-        paths = np.flatnonzero(up[:n] >= n).astype(np.int32)  # with internal tops
-        inner = up[paths]
-        del up
-        self.path_off = off = np.zeros(n + 1, dtype=np.int32)
-        np.cumsum(pos[:n] + 1, out=off[1:])
-        self.path_nodes = np.empty(total, dtype=np.int32)
-        self.path_nodes[off[top_of] + pos] = np.arange(total, dtype=np.int32)
-
-        # --- advanced rank sets of the internal tops; the suffixes of u
-        # share their first depth(u) chars, so advancing them keeps their
-        # SA order; one exactly depth(u) long runs off R and sorts first ---
-        lo, d = l[inner], depth[inner]
-        lo += sa[lo] + d == n
-        sizes = r[inner] - lo + 1
-        if sizes.sum(dtype=np.int64) >= 2 ** 31:
-            raise OverflowError("rank sets exceed int32 offsets")
-        self.du_off = du_off = np.zeros(n + 1, dtype=np.int32)
-        du_off[paths + 1] = sizes
-        np.cumsum(du_off, out=du_off)
-        slot = np.repeat(lo - du_off[paths], sizes)
-        slot += np.arange(len(slot), dtype=np.int32)
-        adv = sa[slot]
-        del slot
-        adv += np.repeat(d, sizes)
-        self.du_flat = isa[adv]
-        del adv
-        for name in self.__slots__[1:]:  # plain-int reads, as for R's SA
-            setattr(self, name, memoryview(getattr(self, name)))
-
-    # ------------------------------------------------------------------
-
-    def locus(self, idx: RefIndex, pos: int, length: int) -> int:
-        """Highest node whose string depth reaches ``length`` on the path
-        to leaf ISA[pos], ISA that of idx, the owner; 0-based pos,
-        1 <= length <= n - pos.
-
-        Walks up from the leaf one heavy path at a time: the first path
-        whose top is shallower than ``length`` holds the answer between its
-        top and the node the walk entered it by; a top that is deep enough
-        is the answer when its parent is not.  The root, of depth 0, tops
-        its own path, so the walk stops there at the latest."""
-        depth, parent, off, nodes = self.depth, self.parent, self.path_off, self.path_nodes
-        u = idx._isa[pos]
-        while True:
-            o = off[self.top_of[u]]
-            top = nodes[o]
-            if depth[top] < length:
-                # depths grow down a path
-                hi = o + self.path_pos[u] + 1
-                return nodes[bisect_left(nodes, length, o, hi, key=depth.__getitem__)]
-            u = parent[top]
-            if depth[u] < length:
-                return top
-
-    def _child_by_char(self, q: int, c: int) -> int:
-        a, b = self.child_off[q], self.child_off[q + 1]
-        chars = self.child_chars
-        lo = bisect_left(chars, c, a, b)
-        if lo < b and chars[lo] == c:
-            return self.child_ids[lo]
-        return -1
-
-    def concat(self, idx: RefIndex, x0: int, lx: int, y0: int, ly: int) -> Optional[int]:
-        """1-based start of an occurrence of R[x0 : x0 + lx]·R[y0 : y0 + ly]
-        in R, or None; idx is the owner, 0-based starts, both blocks
-        nonempty and inside R.
-
-        A block that occurs once forces the answer, and no walk runs: its
-        suffix shares fewer than its length bytes with both neighbours in
-        SA order, two LCP reads.  R[x]·R[y] can then start only where x
-        does, or only ``lx`` bytes before y, and a byte compare and at
-        most one LCE probe decide whether it does.  "b" occurs once in
-        banana, so "b" + "an" is found at x's own start and "b" + "n" is
-        absent:
-
-        >>> ix = build_index(b"banana")
-        >>> tree = ix._build_tree()
-        >>> tree.concat(ix, 0, 1, 1, 2), tree.concat(ix, 0, 1, 2, 1)
-        (1, None)
-
-        Otherwise the query climbs to x's locus and follows its heavy
-        path."""
-        n = self.n
-        data, lcp, isa = idx.data, self.lcp, idx._isa
-        k = isa[x0]
-        if lcp[k] < lx and (k + 1 == n or lcp[k + 1] < lx):  # x occurs once
-            e = x0 + lx
-            if e < n and data[e] == data[y0] and (ly == 1 or idx._lce0(e, y0) >= ly):
-                return x0 + 1
-            return None
-        k = isa[y0]
-        if lcp[k] < ly and (k + 1 == n or lcp[k + 1] < ly):  # y occurs once
-            b = y0 - lx
-            if b >= 0 and data[y0 - 1] == data[x0 + lx - 1] and (lx == 1 or idx._lce0(b, x0) >= lx):
-                return b + 1
-            return None
-        sa, depth = idx._sa, self.depth
-        v0 = self.first[data[x0]] if lx == 1 else self.locus(idx, x0, lx)
-        t = self.top_of[v0]
-        sb = sa[t]  # path t ends at leaf t
-
-        # y diverges from the heavy path at string depth D = lx + f, at
-        # node q; one byte tells f = 0, and then q is v0
-        ext = sb + lx
-        if ext == n or data[ext] != data[y0]:
-            f, q = 0, v0
-        else:
-            f = min(idx._lce0(ext, y0), ly) if ly > 1 else 1
-            if f == ly:
-                return sb + 1
-            off, nodes = self.path_off, self.path_nodes
-            lo = off[t] + self.path_pos[v0]
-            q = nodes[bisect_left(nodes, lx + f, lo, off[t + 1], key=depth.__getitem__)]
-        big_d = lx + f
-        if depth[q] > big_d or q < n:
-            # mid-edge mismatch, or the path ran out at a leaf
-            return None
-        u = self._child_by_char(q, data[y0 + f])
-        if u < 0:
-            return None
-        # u's edge starts with y's next byte, so a probe is needed only
-        # when more than that one byte is at stake
-        e = depth[u] - big_d
-        rem = ly - f
-        su = sa[self.l[u]]
-        if rem <= e:
-            if rem == 1 or idx._lce0(su + big_d, y0 + f) >= rem:
-                return su + 1
-            return None
-        if e > 1 and idx._lce0(su + big_d, y0 + f) < e:
-            return None
-        # whole edge matched; intersect u's advanced ranks with the SA
-        # interval of the still-unmatched tail of y
-        yt, lt = y0 + f + e, rem - e
-        tail = self.first[data[yt]] if lt == 1 else self.locus(idx, yt, lt)
-        a, b = self.l[tail], self.r[tail]
-        ut = self.top_of[u]
-        du, hi = self.du_flat, self.du_off[ut + 1]
-        k = bisect_left(du, a, self.du_off[ut], hi)
-        if k < hi and du[k] <= b:
-            return sa[du[k]] - depth[u] + 1
-        return None
-
-    # ------------------------------------------------------------------
-
-    def validate(self, idx: RefIndex) -> None:
-        """Brute-force structural checks against idx, the owner; test-size
-        references only.  The LCP array is trusted: ``RefIndex.validate``
-        checks it first."""
-        n = self.n
-        sa = idx._sa
-        total = len(self.depth)
-        for name in self.__slots__[1:]:
+    def _validate_tree(self) -> None:
+        """Brute-force structural checks of the tree; test-size references
+        only.  The LCP array is trusted: ``validate`` checks it first."""
+        n, sa = self.r, self._sa
+        left, right, depth, parent = self._left, self._right, self._depth, self._parent
+        total = len(depth)
+        for name in _TREE:
             # an int32 view of the ndarray it was made from, not a copy
             mv = getattr(self, name)
             assert isinstance(mv, memoryview) and mv.format == "i", name
             assert isinstance(mv.obj, np.ndarray), name
             assert np.shares_memory(mv.obj, np.asarray(mv)), name
-        off, nodes = self.path_off, self.path_nodes
-        lcp = idx._lcp.tolist()
+        off, nodes, top_of = self._path_off, self._path_nodes, self._top_of
+        lcp = self._lcp.tolist()
         for u in range(total):
-            lu, ru, du = int(self.l[u]), int(self.r[u]), int(self.depth[u])
+            lu, ru, du = int(left[u]), int(right[u]), int(depth[u])
             # the interval's first suffix spells the node's path string; the
             # children loop below shows that the rest share it
             assert int(sa[lu]) + du <= n
-            p = int(self.parent[u])
+            p = int(parent[u])
             if p >= 0:
-                assert self.l[p] <= lu and ru <= self.r[p]
-                assert self.depth[p] < du or (u < n and self.depth[p] == du)
-            t = int(self.top_of[u])
-            assert nodes[int(off[t]) + int(self.path_pos[u])] == u
-        # path t ends at leaf t: concat reads that leaf as sa[t]
+                assert left[p] <= lu and ru <= right[p]
+                assert depth[p] < du or (u < n and depth[p] == du)
+            t = int(top_of[u])
+            assert nodes[int(off[t]) + int(self._path_pos[u])] == u
+        # path t ends at leaf t: _concat reads that leaf as sa[t]
         assert all(nodes[int(off[t + 1]) - 1] == t for t in range(n)), "path end"
         # children partition the parent interval left to right, in char
         # order, and the heavy child (next on the path) is the first largest
         for u in range(n, total):
-            a, b = int(self.child_off[u]), int(self.child_off[u + 1])
-            kids = [int(c) for c in self.child_ids[a:b]]
+            a, b = int(self._child_off[u]), int(self._child_off[u + 1])
+            kids = [int(c) for c in self._child_ids[a:b]]
             assert kids, "childless internal node"
-            assert all(self.parent[c] == u for c in kids)
-            ls, rs = [int(self.l[c]) for c in kids], [int(self.r[c]) for c in kids]
-            assert ls == [int(self.l[u])] + [e + 1 for e in rs[:-1]] and rs[-1] == self.r[u]
-            chars = list(self.child_chars[a:b])
+            assert all(parent[c] == u for c in kids)
+            ls, rs = [int(left[c]) for c in kids], [int(right[c]) for c in kids]
+            assert ls == [int(left[u])] + [e + 1 for e in rs[:-1]] and rs[-1] == right[u]
+            chars = list(self._child_chars[a:b])
             assert chars == sorted(chars)
             # children share their own, no shorter, path strings; the LCP
             # where two meet is u's depth exactly: an LCP interval's value
-            assert all(lcp[s] == self.depth[u] for s in ls[1:]), "suffixes leave the path"
+            assert all(lcp[s] == depth[u] for s in ls[1:]), "suffixes leave the path"
             sizes = [e - s for s, e in zip(ls, rs)]
-            heavy = nodes[int(off[self.top_of[u]]) + int(self.path_pos[u]) + 1]
+            heavy = nodes[int(off[top_of[u]]) + int(self._path_pos[u]) + 1]
             assert heavy == kids[sizes.index(max(sizes))], "heavy child"
         # the byte table holds each root child under its edge char, -1 for
         # a byte absent from R, and so the locus of every one-byte block
-        a, b = int(self.child_off[n]), int(self.child_off[n + 1])
+        a, b = int(self._child_off[n]), int(self._child_off[n + 1])
         want = [-1] * 256
-        for c, u in zip(self.child_chars[a:b], self.child_ids[a:b]):
+        for c, u in zip(self._child_chars[a:b], self._child_ids[a:b]):
             want[c] = u
-        assert list(self.first) == want, "byte table"
-        assert all((want[c] < 0) == (idx.occurrence(c) is None) for c in range(256))
-        assert all(self.first[idx.data[p]] == self.locus(idx, p, 1) for p in range(n))
+        assert list(self._first) == want, "byte table"
+        assert all((want[c] < 0) == (self.occurrence(c) is None) for c in range(256))
+        assert all(self._first[self.data[p]] == self._locus(p, 1) for p in range(n))
         # rank sets match their definition
-        isa = idx._isa
+        isa = self._isa
         for t in range(len(off) - 1):
             u = nodes[off[t]]
-            d = self.depth[u]
-            want = sorted(isa[sa[k] + d] for k in range(self.l[u], self.r[u] + 1) if sa[k] + d < n)
-            assert list(self.du_flat[self.du_off[t] : self.du_off[t + 1]]) == want
+            d = depth[u]
+            want = sorted(isa[sa[k] + d] for k in range(left[u], right[u] + 1) if sa[k] + d < n)
+            assert list(self._du_flat[self._du_off[t] : self._du_off[t + 1]]) == want
         # each root-to-leaf walk crosses at most log2(n) + 1 path tops
         limit = math.log2(n) + 1 if n > 1 else 1
         for leaf in range(n):
             hops, u = 1, leaf
-            while (p := self.parent[nodes[off[self.top_of[u]]]]) >= 0:
+            while (p := parent[nodes[off[top_of[u]]]]) >= 0:
                 hops, u = hops + 1, p
             assert hops <= limit + 1e-9
+
+# index a reference string for the query operations above
+build_index = RefIndex

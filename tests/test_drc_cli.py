@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import gc
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from drc import drc_cli
 from drc.drc_cli import (
     MAGIC,
     VERSION,
@@ -19,7 +21,7 @@ from drc.drc_cli import (
     parse_script,
 )
 from drc.errors import MalformedCoverFile
-from drc.oracles import naive_edit_replay
+from drc.oracles import naive_edit_replay, naive_maximality_check
 from drc.ref_index import build_index
 
 
@@ -267,6 +269,53 @@ class TestDecompressAndVerify:
         (ws / "cov").write_bytes(bad)
         assert run(ws, "verify", "--ref", ws / "ref", "--in", ws / "cov") == 4
 
+    def test_verify_builds_no_index_for_fewer_than_two_blocks(self, ws, monkeypatch):
+        # no pair to check: an empty cover of an empty reference passes, as
+        # does one block, and neither builds an index
+        monkeypatch.setattr(drc_cli, "build_index", None)
+        (ws / "empty").write_bytes(b"")
+        (ws / "cov").write_bytes(encode_cover(0, fnv1a64(b""), []))
+        assert run(ws, "verify", "--ref", ws / "empty", "--in", ws / "cov") == 0
+        (ws / "cov").write_bytes(encode_cover(6, fnv1a64(b"banana"), [(2, 5)]))
+        assert run(ws, "verify", "--ref", ws / "ref", "--in", ws / "cov") == 0
+
+    def test_verify_agrees_with_the_maximality_oracle(self, ws):
+        # random covers, maximal or not: exit 4 exactly when the oracle
+        # finds a pair of blocks that concatenates in R
+        rng = random.Random(35)
+        seen = set()
+        for _ in range(300):
+            ref = bytes(rng.choice(b"ab") for _ in range(rng.randint(1, 30)))
+            blocks = []
+            for _ in range(rng.randint(2, 6)):
+                s = rng.randint(1, len(ref))
+                blocks.append((s, rng.randint(s, min(len(ref), s + 3))))
+            (ws / "r").write_bytes(ref)
+            (ws / "cov").write_bytes(encode_cover(len(ref), fnv1a64(ref), blocks))
+            code = run(ws, "verify", "--ref", ws / "r", "--in", ws / "cov")
+            assert code == (0 if naive_maximality_check(ref, blocks) else 4), (ref, blocks)
+            seen.add(code)
+        assert seen == {0, 4}
+
+    def test_verify_of_a_mebibyte_reference_keeps_its_budget(self, ws):
+        # each pair is one longest-match query on an index built once, not
+        # a scan of R: about 1 s for 11k blocks over 1 MiB of ACGT, where
+        # a scan per pair takes over 20 s
+        rng = random.Random(35)
+        ref = rng.randbytes(2**20).translate(bytes(b"acgt"[b & 3] for b in range(256)))
+        src = bytearray()
+        while len(src) < 2**18:
+            a = rng.randrange(len(ref) - 40)
+            src += ref[a : a + rng.randint(8, 40)]
+        (ws / "big").write_bytes(ref)
+        (ws / "src").write_bytes(src)
+        t0 = time.perf_counter()
+        assert run(ws, "compress", "--ref", ws / "big", "--src", ws / "src",
+                   "--out", ws / "cov") == 0
+        assert run(ws, "verify", "--ref", ws / "big", "--in", ws / "cov") == 0
+        assert time.perf_counter() - t0 < 8.0
+        assert len(decode_cover((ws / "cov").read_bytes())[2]) > 10_000
+
 
 class TestEdit:
     def compress(self, ws, src: bytes) -> None:
@@ -398,7 +447,7 @@ class TestEdit:
 
 @pytest.mark.parametrize("case", ["queried index", "edit run"])
 def test_a_dropped_index_leaves_no_cyclic_garbage(ws, case):
-    # the concatenation tree holds no reference to its index, and the CLI
+    # the index holds its concatenation tree itself, and the CLI
     # builds its parser once, so what a query or a `drc edit` run drops is
     # freed at once: with the collector off, it finds nothing afterwards
     (ws / "src").write_bytes(b"bananaban")
@@ -411,7 +460,7 @@ def test_a_dropped_index_leaves_no_cyclic_garbage(ws, case):
         if case == "queried index":
             ix = build_index(b"banana" * 50)
             assert ix.substring_concat((1, 2), (3, 4)) is not None  # climbs the tree
-            assert ix._tree is not None
+            assert ix._lcp_view is not None
             del ix
         else:
             assert run(ws, "edit", "--ref", ws / "ref", "--in", ws / "cov",

@@ -15,6 +15,7 @@ from drc.errors import (
     DeltaTooLarge,
     DrcError,
     IndexOutOfRange,
+    ItemCountMismatch,
     NegativeEntry,
     SearchOutOfRange,
     StructureFull,
@@ -113,6 +114,13 @@ class TestBasics:
     def test_rejects_negative_seed(self):
         with pytest.raises(NegativeEntry):
             SumTree([3, -1])
+
+    def test_rejects_unequal_items(self):
+        # a package error that is also the builtin a caller may catch
+        for items in (["a"], ["a", "b", "c"]):
+            with pytest.raises(ItemCountMismatch) as err:
+                SumTree([5, 1], items)
+            assert isinstance(err.value, DrcError) and isinstance(err.value, ValueError)
 
     def test_rejects_float_seed(self):
         for make in (SumTree, PackedSums):

@@ -20,7 +20,7 @@ from drc.oracles import (
     naive_longest_match,
     naive_substring_concat,
 )
-from drc.ref_index import RefIndex, _factorize, _Tree, build_index
+from drc.ref_index import _TREE, RefIndex, _factorize, _Rmq, build_index
 
 
 BANANA = build_index(b"banana")
@@ -88,11 +88,8 @@ class TestBuild:
         r = 20_000
         ix = build_index(bytes(rng.choice(b"acgt") for _ in range(r)))
         ix.substring_concat((1, 1), (1, 1))
-        kept = [getattr(ix._tree, name) for name in _Tree.__slots__]
-        arrays = [a for a in kept if not isinstance(a, int)]
-        assert len(arrays) == len(kept) - 1  # everything but n
         owners = {}
-        for a in arrays:
+        for a in (getattr(ix, name) for name in _TREE):
             # a memoryview or an ndarray view counts its whole buffer, once
             assert isinstance(a, (np.ndarray, memoryview)), type(a)
             a = a.obj if isinstance(a, memoryview) else a
@@ -162,9 +159,39 @@ class TestBuild:
         # the lazy RMQ and tree are built by the first query, whichever
         # path answers it: here the unique-block one, as "ba" occurs once
         ix = build_index(b"banana")
-        assert ix._rmq is None and ix._tree is None
+        assert ix._rmq is None and ix._lcp_view is None
         assert ix.substring_concat((1, 2), (5, 6)) == 1
-        assert ix._rmq is not None and ix._tree is not None
+        assert ix._rmq is not None and ix._lcp_view is not None
+        ix.validate(deep=True)
+
+    def test_a_failed_tree_build_leaves_the_index_unbuilt(self, monkeypatch):
+        # the build publishes its arrays only at its end: one that raises
+        # partway sets none of them, and the next query builds the tree
+        # afresh and answers as the oracle does
+        rng = random.Random(29)
+        ref = bytes(rng.choice(b"ab") for _ in range(300))
+        ix = build_index(ref)
+        real = _Rmq.nearest_smaller
+
+        def right_side_fails(rmq, left):
+            if not left:
+                raise MemoryError("no room for the right-hand nearest smaller values")
+            return real(rmq, left)
+
+        monkeypatch.setattr(_Rmq, "nearest_smaller", right_side_fails)
+        with pytest.raises(MemoryError):
+            ix.substring_concat((1, 2), (3, 4))
+        monkeypatch.undo()
+        assert ix._rmq is not None and ix._lcp_view is None
+        assert [name for name in _TREE if hasattr(ix, name)] == ["_lcp_view"]
+        for _ in range(500):
+            xs, ys = rng.randint(1, 290), rng.randint(1, 290)
+            x, y = (xs, xs + rng.randint(0, 9)), (ys, ys + rng.randint(0, 9))
+            got, want = ix.substring_concat(x, y), naive_substring_concat(ref, x, y)
+            assert (got is None) == (want is None), (x, y)
+            if got is not None:
+                cat = ref[x[0] - 1 : x[1]] + ref[y[0] - 1 : y[1]]
+                assert ref[got - 1 : got - 1 + len(cat)] == cat, (x, y)
         ix.validate(deep=True)
 
     def test_validate_checks_the_lcp_views(self):
@@ -174,11 +201,11 @@ class TestBuild:
         ix.validate()
         ix._build_tree()
         ix.validate()
-        tree_lcp, row0 = ix._tree.lcp, ix._rmq._rows[0]
-        ix._tree.lcp = memoryview(ix._lcp.copy())
+        tree_lcp, row0 = ix._lcp_view, ix._rmq._rows[0]
+        ix._lcp_view = memoryview(ix._lcp.copy())
         with pytest.raises(AssertionError, match="LCP view"):
             ix.validate()
-        ix._tree.lcp = tree_lcp
+        ix._lcp_view = tree_lcp
         ix._rmq._rows[0] = memoryview(ix._lcp.copy())
         with pytest.raises(AssertionError, match="LCP view"):
             ix.validate()
@@ -490,14 +517,14 @@ def test_locus_is_highest_ancestor_deep_enough(ref):
     # every leaf and every length up to its depth, against a plain walk
     # up the parent pointers
     ix = build_index(ref)
-    tree = ix._build_tree()
+    ix._build_tree()
     for pos in range(len(ref)):
         up = [ix._isa[pos]]
-        while tree.parent[up[-1]] >= 0:
-            up.append(tree.parent[up[-1]])
-        for length in range(1, tree.depth[up[0]] + 1):
-            want = max(k for k, u in enumerate(up) if tree.depth[u] >= length)
-            assert tree.locus(ix, pos, length) == up[want], (pos, length)
+        while ix._parent[up[-1]] >= 0:
+            up.append(ix._parent[up[-1]])
+        for length in range(1, ix._depth[up[0]] + 1):
+            want = max(k for k, u in enumerate(up) if ix._depth[u] >= length)
+            assert ix._locus(pos, length) == up[want], (pos, length)
 
 
 def test_queries_return_plain_ints():
@@ -551,7 +578,7 @@ class TestConcatShortcuts:
     @staticmethod
     def ask(monkeypatch, ref: bytes, x, y, lce: int, locus: int):
         ix = build_index(ref)
-        tree = ix._build_tree()
+        ix._build_tree()
         calls = {"lce": 0, "locus": 0}
 
         def counted(key, real):
@@ -561,7 +588,7 @@ class TestConcatShortcuts:
             return call
 
         monkeypatch.setattr(RefIndex, "_lce0", counted("lce", RefIndex._lce0))
-        monkeypatch.setattr(_Tree, "locus", counted("locus", _Tree.locus))
+        monkeypatch.setattr(RefIndex, "_locus", counted("locus", RefIndex._locus))
         got = ix.substring_concat(x, y)
         monkeypatch.undo()
         want = naive_substring_concat(ref, x, y)
@@ -570,7 +597,7 @@ class TestConcatShortcuts:
             cat = ref[x[0] - 1 : x[1]] + ref[y[0] - 1 : y[1]]
             assert ref[got - 1 : got - 1 + len(cat)] == cat
         assert calls == {"lce": lce, "locus": locus}, calls
-        tree.validate(ix)
+        ix._validate_tree()
         return got
 
     def test_one_byte_x_only_at_the_end(self, monkeypatch):
@@ -658,7 +685,8 @@ class TestConcatUnique:
 
     @pytest.mark.parametrize("alphabet", ["acgt", "lexicon", "repetitive"])
     def test_random_queries_agree_with_the_oracle(self, monkeypatch, alphabet):
-        # every query takes at most two descents and two LCE probes; on the
+        # every query takes at most two descents and two LCE probes, and
+        # each descent climbs at most floor(log2 r) + 1 heavy paths; on the
         # repetitive reference few blocks occur once, so most queries with
         # lx > 1 climb to x's locus, and on the others a third skip it
         rng = random.Random(28)
@@ -683,8 +711,29 @@ class TestConcatUnique:
                 return real(*args)
             return call
 
+        class CountedReads:
+            # _locus reads the top of each heavy path it climbs once
+            def __init__(self, view):
+                self.view, self.reads = view, 0
+
+            def __getitem__(self, i):
+                self.reads += 1
+                return self.view[i]
+
+        top_of, paths = CountedReads(ix._top_of), []
+
+        def climbing(real):
+            def call(*args):
+                calls["locus"] += 1
+                before = top_of.reads
+                got = real(*args)
+                paths.append(top_of.reads - before)
+                return got
+            return call
+
         monkeypatch.setattr(RefIndex, "_lce0", counted("lce", RefIndex._lce0))
-        monkeypatch.setattr(_Tree, "locus", counted("locus", _Tree.locus))
+        monkeypatch.setattr(RefIndex, "_locus", climbing(RefIndex._locus))
+        monkeypatch.setattr(ix, "_top_of", top_of)
 
         def once(s, e):
             seg = ref[s - 1 : e]
@@ -715,6 +764,7 @@ class TestConcatUnique:
             # a query with lx > 1 that the tree answers climbs to x's locus
             skipped += lx > 1 and calls["locus"] == 0
             climbed += lx > 1 and calls["locus"] > 0
+        assert paths and max(paths) <= r.bit_length(), collections.Counter(paths)
         if alphabet == "repetitive":
             assert climbed > skipped, (climbed, skipped)
         else:
