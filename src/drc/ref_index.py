@@ -10,12 +10,14 @@ Answers four kinds of queries for the compression layers above:
 * ``occurrence(byte)``: some position of a single byte.
 
 The index is a suffix array with inverse and LCP arrays, all three from
-one numpy prefix-doubling pass (Manber-Myers) whose kept ranks give the
-LCP by binary lifting, and the suffix keys: the first 8 bytes of each
-suffix in SA order as a zero-padded big-endian uint64, 20 bytes per
-reference byte in all.  Then, built lazily since only edits need them, a
-sparse-table range-minimum structure for constant-time LCE and a suffix
-tree of LCP intervals (Abouelhoda-Kurtz-Ohlebusch), read off the nearest
+one numpy sort of the suffixes on packed keys of their first few byte
+codes and refinement rounds over the groups still tied
+(Larsson-Sadakane), whose kept ranks give the LCP by binary lifting,
+and the suffix keys: the first 8 bytes of each suffix in SA order as a
+zero-padded big-endian uint64, 20 bytes per reference byte in all.
+Then, built lazily since only edits need them, a sparse-table
+range-minimum structure for constant-time LCE and a suffix tree of LCP
+intervals (Abouelhoda-Kurtz-Ohlebusch), read off the nearest
 smaller LCP values on that table and split into heavy paths.  The index
 holds the tree's arrays itself, so one object answers every query and a
 dropped index is freed at once, without the cyclic collector.  For every
@@ -65,43 +67,186 @@ __all__ = ["RefIndex", "build_index"]
 
 
 # ----------------------------------------------------------------------
-# suffix, inverse suffix and LCP arrays (prefix doubling on one numpy key)
+# suffix, inverse suffix and LCP arrays (one sort on packed keys, then
+# refinement of the groups still tied: Larsson-Sadakane)
+
+# pairs of suffixes whose LCP one pass finishes at a time
+_SLICE = 1 << 14
+
+
+def _packed_keys(codes: np.ndarray, bits: int, k0: int) -> np.ndarray:
+    """``keys[i]``: the k0 dense codes from position i on as one int64,
+    first code highest, each stored as code + 1 in ``bits`` bits and 0 past
+    the end of the string, plus a last, all-zero key for the end itself.
+    Equal keys of two suffixes mean both hold k0 codes and agree on them.
+    Horner over the bits of k0: each step doubles the codes a key holds,
+    and a set bit appends one more.
+
+    >>> keys = _packed_keys(np.array([1, 0, 2, 0, 2, 0]), 2, 3)  # banana: a, b, n = 0, 1, 2
+    >>> [f"{v:06b}" for v in keys.tolist()]  # ban, ana, nan, ana, na, a, and the end
+    ['100111', '011101', '110111', '011101', '110100', '010000', '000000']
+    """
+    plus1 = np.zeros(len(codes) + 1, dtype=np.uint16)  # code + 1 overflows a uint8
+    plus1[:-1] = codes
+    plus1[:-1] += 1
+    keys, w = plus1.astype(np.int64), 1
+    for bit in bin(k0)[3:]:
+        wide = keys << bits * w
+        wide[:-w] |= keys[w:]
+        keys, w = wide, 2 * w
+        if bit == "1":
+            keys <<= bits
+            keys[:-w] |= plus1[w:]
+            w += 1
+    return keys
+
+
+def _shared_codes(x: np.ndarray, bits: int, k0: int) -> np.ndarray:
+    """How many leading codes two packed keys share, given their XOR x > 0,
+    as int32: k0 - 1 less the code that holds x's highest bit.  That bit
+    comes from the exponent of x as a float, less one where rounding to
+    53 bits carried x up to the next power of two."""
+    f = x.astype(np.float64)
+    top = np.empty(len(x), dtype=np.int32)
+    np.frexp(f, out=(f, top))
+    del f
+    top -= (x >> (top - 1)) == 0
+    top -= 1
+    top //= np.int32(bits)
+    return np.int32(k0 - 1) - top
+
 
 def _sa_isa_lcp(codes: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """SA, ISA and LCP (int32, 0-based) of a string given as the dense
     ranks of its bytes.  A shorter suffix sorts before any longer suffix
     it prefixes, i.e. the usual sentinel order without a sentinel.
 
-    Each round sorts the suffixes by twice as many leading bytes on the
-    one key ``rank * (n + 1) + next_rank + 1`` (0 past the end) and keeps
-    the ranks; the last round's are all distinct, so they are the ISA.
+    One sort orders the suffixes by their first k0 codes, on the
+    ``_packed_keys``: a code + 1 is at most σ, the number of distinct
+    bytes, so k0 = 62 // bits(σ) fit in 62 bits, 20 for ACGT, 12 for
+    lexicon text and 6 for all 256 bytes.  The suffixes with equal keys
+    form a group, and a suffix's rank is the SA index where its group
+    starts.  Each round then sorts only the members
+    of groups of two or more, on (rank, rank h codes on), with h = k0,
+    2·k0, 4·k0 ...; a suffix left alone in its group is in its final place
+    and its rank is final, so after the last round the ranks are the ISA.
+    The order within a group carries no meaning, so no sort needs to be
+    stable; the rounds' sort is stable because it is fastest on the
+    ordered runs of a periodic string.
+
     ``lcp[j]``, the common prefix of suffixes SA[j-1] and SA[j], comes
-    from the kept ranks, top level first: add 2^k where the next 2^k bytes
-    of both suffixes agree.  Equal ranks at two positions mean both hold
-    2^k real bytes, so a rank of -1 one past the end bounds the lifting."""
+    from the XOR of their packed keys where the first sort parted them,
+    as its order holds those keys next to each other.  A pair parted in
+    round r shares k0·2^(r-1) codes and fewer than twice as many.  The
+    rank snapshots kept per round lift it over the depths below that, top
+    first: add h = k0·2^i where the ranks at depth h, h codes on, agree.
+    Equal ranks at two positions mean both hold h real codes and agree on
+    them, since a rank frozen alone in its group is unique, so the rank of
+    -1 one past the end bounds the lifting.  The packed keys, rebuilt,
+    finish it below k0."""
     n = len(codes)
+    bits = (int(codes.max()) + 1).bit_length()
+    k0 = 62 // bits
+    keys = _packed_keys(codes, bits, k0)
+    order = np.argsort(keys[:-1])
+    x = np.take(keys, order)
+    del keys  # rebuilt at the end if a pair shares k0 codes
+    sa = order.astype(np.int32)
+    del order
+    x = x[1:] ^ x[:-1]
+    new = np.ones(n + 1, dtype=bool)  # SA index j starts a group; so does n
+    np.not_equal(x, 0, out=new[1:n])
+    np.maximum(x, 1, out=x)
+    short = np.zeros(n, dtype=np.uint8)  # the LCP of the pairs parted here
+    short[1:] = _shared_codes(x, bits, k0)
+    del x
+    short[~new[:n]] = 0
+    start = np.where(new[:n], np.arange(n, dtype=np.int32), 0)
+    np.maximum.accumulate(start, out=start)
     rank = np.empty(n + 1, dtype=np.int32)
-    rank[:n], rank[n] = codes, -1
-    ranks, top, k = [rank], int(rank.max()), 1
-    order = np.argsort(codes) if top == n - 1 else None  # only when n <= 256
-    while top < n - 1:
-        key = rank[:n].astype(np.int64) * (n + 1)
-        key[: n - k] += rank[k:n] + 1
+    rank[sa], rank[n] = start, -1
+    # the SA indices still in groups of two or more, with their suffixes
+    # and group starts.  A suffix left alone stays on these lists until an
+    # eighth of them is, as a group of one that each round leaves alone
+    live = np.flatnonzero(~(new[:-1] & new[1:])).astype(np.int32)
+    suf, start = np.take(sa, live).astype(np.intp), np.take(start, live)
+    del new
+    # parted[j]: the round that parted suffixes SA[j-1] and SA[j], which
+    # share at least k0·2^(round-1) codes then and fewer than k0·2^round;
+    # 0 where the first sort parted them
+    parted = np.zeros(n, dtype=np.uint8)
+    ranks, h = [], k0
+    while len(live):
+        after = np.take(rank, suf + h, mode="clip")  # rank[n] = -1 past the end
+        key = np.multiply(start, n + 1, dtype=np.int64)
+        key += after
         order = np.argsort(key, kind="stable")
-        key = key[order]
-        bump = np.zeros(n, dtype=np.int32)
-        np.cumsum(key[1:] != key[:-1], out=bump[1:])
         del key
-        rank = np.empty(n + 1, dtype=np.int32)
-        rank[order], rank[n] = bump, -1
-        ranks.append(rank)
-        top, k = int(bump[-1]), 2 * k
-    sa, lcp = order.astype(np.int32), np.zeros(n, dtype=np.int32)
-    a, b, h = sa[:-1], sa[1:], lcp[1:]
-    del ranks[-1]  # distinct: no two suffixes agree on that many bytes
-    while ranks:
-        rk = ranks.pop()  # freed once used
-        h += (rk[a + h] == rk[b + h]) * np.int32(1 << len(ranks))
+        suf = np.take(suf, order)
+        after = np.take(after, order)
+        del order
+        tied = start[1:] == start[:-1]
+        split = after[1:] != after[:-1]
+        del after
+        split &= tied
+        parted[live[1:][split]] = len(ranks) + 1
+        new = np.ones(len(live) + 1, dtype=bool)
+        np.equal(split, tied, out=new[1:-1])  # split or not tied: split implies tied
+        del tied, split
+        start = np.where(new[:-1], live, 0)
+        np.maximum.accumulate(start, out=start)
+        ranks.append(rank.copy())  # the ranks at depth h
+        rank[suf] = start
+        alone = new[:-1] & new[1:]
+        h *= 2
+        done = np.count_nonzero(alone)
+        if done == len(live):
+            sa[live] = suf
+            break
+        if done * 8 > len(live):
+            sa[live[alone]] = suf[alone]
+            keep = np.flatnonzero(~alone)
+            live, suf, start = np.take(live, keep), np.take(suf, keep), np.take(start, keep)
+    lcp = np.zeros(n, dtype=np.int32)
+    a, b, lift = sa[:-1], sa[1:], lcp[1:]
+    if ranks:
+        # a pair parted in round r starts at k0·2^(r-1) and is lifted at the
+        # depths below that only, so the pairs lifted at one depth are a
+        # prefix of all pairs ordered by round, last first, and none is
+        # lifted at the deepest depth
+        del ranks[-1]
+        pair_round = parted[1:]
+        lift[:] = np.take(np.array([0] + [k0 << i for i in range(len(ranks) + 1)],
+                                   dtype=np.int32), pair_round)
+        # at_least[r]: the pairs parted in round r or later
+        at_least = np.cumsum(np.bincount(pair_round, minlength=len(ranks) + 3)[::-1])[::-1]
+        pairs = np.argsort(pair_round, kind="stable")[::-1][: at_least[2]].astype(np.int32)
+        del parted, pair_round
+        pa, pb, pl = np.take(a, pairs), np.take(b, pairs), np.take(lift, pairs)
+        while ranks:
+            rk, depth = ranks.pop(), len(ranks)  # freed once used
+            c = at_least[depth + 2]
+            at = np.add(pa[:c], pl[:c], dtype=np.intp)
+            ra = np.take(rk, at)
+            np.add(pb[:c], pl[:c], out=at)
+            np.add(pl[:c], k0 << depth, out=pl[:c], where=np.take(rk, at) == ra)
+            del rk, ra, at
+        lift[pairs] = pl
+        del pairs, pa, pb, pl
+    # the packed keys, rebuilt, finish the pairs the first sort left in one
+    # group, a slice of pairs at a time to bound the scratch space
+    keys = None
+    for lo in range(0, n - 1, _SLICE):
+        part = lift[lo : lo + _SLICE]
+        deep = np.flatnonzero(part)
+        if len(deep):
+            if keys is None:
+                keys = _packed_keys(codes, bits, k0)
+            d = part[deep]
+            x = np.take(keys, a[lo:][deep] + d)
+            x ^= np.take(keys, b[lo:][deep] + d)
+            part[deep] = d + _shared_codes(x, bits, k0)
+    lcp += short
     return sa, rank[:n], lcp
 
 
@@ -251,12 +396,15 @@ class RefIndex:
         self.data = bytes(data)
         self.r = len(data)
         self._np_data = np.frombuffer(self.data, dtype=np.uint8)
-        bytes_seen, first_at, codes = np.unique(
-            self._np_data, return_index=True, return_inverse=True)
-        occ = np.zeros(256, dtype=np.int64)
-        occ[bytes_seen] = first_at + 1
-        self._occ = occ.tolist()
-        sa, isa, self._lcp = _sa_isa_lcp(codes)
+        # dense codes: each byte's rank among the bytes present, by a count
+        # and a 256-entry table, not a sort
+        present = np.flatnonzero(np.bincount(self._np_data, minlength=256))
+        table = np.zeros(256, dtype=np.uint8)
+        table[present] = np.arange(len(present))
+        self._occ = [0] * 256
+        for c in present.tolist():
+            self._occ[c] = self.data.find(bytes((c,))) + 1
+        sa, isa, self._lcp = _sa_isa_lcp(np.take(table, self._np_data))
         # queries read single entries: through a memoryview over the same
         # buffer each read is a plain int, about 5x cheaper than numpy's
         self._sa, self._isa = memoryview(sa), memoryview(isa)

@@ -20,7 +20,7 @@ from drc.oracles import (
     naive_longest_match,
     naive_substring_concat,
 )
-from drc.ref_index import _TREE, RefIndex, _factorize, _Rmq, build_index
+from drc.ref_index import _TREE, RefIndex, _factorize, _Rmq, _shared_codes, build_index
 
 
 BANANA = build_index(b"banana")
@@ -31,6 +31,29 @@ def first_in_sa_order(ref: bytes, seg: bytes) -> int:
     sorts first, i.e. the one of smallest ISA: the witness rule."""
     return min((p for p in range(len(ref)) if ref.startswith(seg, p)),
                key=lambda p: ref[p:]) + 1
+
+
+def common_prefix(x: bytes, y: bytes) -> int:
+    """Length of the longest common prefix of two byte strings, by
+    bisection on prefix equality."""
+    lo, hi = 0, min(len(x), len(y))
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if x[:mid] == y[:mid]:
+            lo = mid
+        else:
+            hi = mid - 1
+    return lo
+
+
+def direct_suffix_arrays(data: bytes):
+    """SA, ISA and LCP of ``data`` from a sort of the suffixes themselves."""
+    sa = sorted(range(len(data)), key=lambda i: data[i:])
+    isa = [0] * len(data)
+    for j, i in enumerate(sa):
+        isa[i] = j
+    lcp = [0] + [common_prefix(data[a:], data[b:]) for a, b in zip(sa, sa[1:])]
+    return sa, isa, lcp
 
 
 def assert_greedy(ref: bytes, text: bytes, blocks) -> None:
@@ -72,14 +95,23 @@ class TestBuild:
         for sigma, r in [(2, 40), (3, 101), (4, 257), (26, 64), (256, 200)]:
             self.check(bytes(rng.randrange(sigma) for _ in range(r)))
         # tiny references with high byte values, and every byte once,
-        # which needs no doubling round
+        # which the first sort places alone
         for data in [b"ab", b"\xff\x00\xff", bytes(range(255, -1, -1))]:
             self.check(data)
 
     def test_periodic_references_validate(self):
-        # a run of one byte takes the most doubling rounds
+        # a run of one byte takes the most refinement rounds
         for data in [b"a" * 50, b"ab" * 30, b"abc" * 17 + b"ab", b"a" * 4096]:
             self.check(data)
+
+    def test_occurrence_is_the_first_position(self):
+        # cover_engine picks a one-byte block by ``occurrence``, so the
+        # pinned block digests rest on it naming each byte's first position
+        rng = random.Random(27)
+        data = bytes(rng.randrange(256) for _ in range(2000))
+        ix = build_index(data)
+        for c in range(256):
+            assert ix.occurrence(c) == (data.index(c) + 1 if c in data else None)
 
     def test_tree_bytes_per_reference_byte(self):
         # memory contract of the lazy concatenation tree: int32 arrays,
@@ -99,8 +131,8 @@ class TestBuild:
         assert sum(owners.values()) <= 120 * r
 
     def test_build_bytes_per_reference_byte(self):
-        # the build keeps one int32 rank array per doubling round until the
-        # LCP is read off them; a run of one byte takes the most rounds
+        # the build keeps one int32 rank snapshot per refinement round until
+        # the LCP is read off them; a run of one byte takes the most rounds
         r = 2**16
         tracemalloc.start()
         try:
@@ -125,10 +157,30 @@ class TestBuild:
             tracemalloc.stop()
         assert peak <= 200 * r
 
+    @pytest.mark.parametrize("kind", ["acgt", "lexicon"])
+    def test_build_peak_bytes_per_reference_byte(self, kind):
+        # the eager build's traced peak on references that the first sort
+        # and one or two refinement rounds order: about 32 bytes per
+        # reference byte on ACGT and 45 on this lexicon text
+        rng = random.Random(26)
+        r = 2**16
+        if kind == "acgt":
+            ref = bytes(rng.choice(b"acgt") for _ in range(r))
+        else:
+            words = b"the of and block merge split tree leaf window probe query".split()
+            ref = b" ".join(rng.choice(words) for _ in range(r // 4))[:r]
+        tracemalloc.start()
+        try:
+            build_index(ref)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 52 * r
+
     def test_eager_index_bytes_per_reference_byte(self):
         # what a build keeps before any edit: int32 SA, ISA and LCP, 4
         # bytes each per reference byte, and the uint64 suffix keys, 8; the
-        # ISA keeps the end slot of the doubling's last rank array
+        # ISA keeps the end slot of the refinement's rank array
         rng = random.Random(24)
         r = 20_000
         ix = build_index(bytes(rng.choice(b"acgt") for _ in range(r)))
@@ -566,6 +618,59 @@ def test_concat_matches_oracle(ref, xi, xl, yi, yl):
         assert ref.find(cat) == -1
     else:
         assert ref[got - 1 : got - 1 + len(cat)] == cat
+
+
+def sorting_inputs() -> dict:
+    """References of a few KiB with one, four and 256 distinct bytes, and
+    the smallest and no-round cases, by name."""
+    rng = random.Random(32)
+    words = b"the of and block merge split tree leaf window probe query".split()
+    base = bytes(rng.choice(b"acgt") for _ in range(500))
+    return {
+        "random bytes": bytes(rng.randrange(256) for _ in range(3000)),
+        "random ACGT": bytes(rng.choice(b"acgt") for _ in range(4000)),
+        "lexicon": b" ".join(rng.choice(words) for _ in range(800))[:4000],
+        "periodic": (b"abcab" * 800)[:4000],
+        "one-byte run": b"a" * 4096,
+        # eight copies of one ACGT base, each with 1% substitutions
+        "repetitive": bytes(rng.choice(b"acgt") if rng.random() < 0.01 else c
+                            for _ in range(8) for c in base),
+        "all bytes, periodic": bytes(range(256)) * 12,
+        "one byte": b"\xff",
+        "two bytes": b"ba",
+        "two equal bytes": b"\xff\xff",
+        "every byte once": bytes(rng.sample(range(256), 256)),
+        "0x00 and 0xff": bytes(rng.choice(b"\x00\xff") for _ in range(2000)),
+    }
+
+
+SORTING_INPUTS = sorting_inputs()
+
+
+class TestSuffixSorting:
+    """SA, ISA and LCP against a direct sort of the suffixes."""
+
+    @pytest.mark.parametrize("name", list(SORTING_INPUTS))
+    def test_arrays_match_a_direct_sort(self, name):
+        data = SORTING_INPUTS[name]
+        ix = build_index(data)
+        sa, isa, lcp = direct_suffix_arrays(data)
+        for got, want in ((ix.suffix_array, sa), (ix._isa, isa), (ix._lcp, lcp)):
+            got = np.asarray(got)
+            assert got.dtype == np.int32
+            assert got.tolist() == want
+
+    def test_shared_codes_survive_float_rounding(self):
+        # the highest set bit of an XOR comes from its float exponent, and
+        # 2^k - 1 rounds up to 2^k above 53 bits; the count must not move
+        rng = random.Random(33)
+        for bits, k0 in ((1, 62), (2, 31), (3, 20), (5, 12), (9, 6)):
+            width = bits * k0
+            xs = [2**k - 1 for k in range(1, width + 1)] + [2**k for k in range(width)]
+            xs += [rng.randrange(1, 2**width) for _ in range(200)]
+            got = _shared_codes(np.array(xs, dtype=np.int64), bits, k0)
+            assert got.dtype == np.int32
+            assert got.tolist() == [k0 - 1 - (x.bit_length() - 1) // bits for x in xs]
 
 
 class TestConcatShortcuts:
