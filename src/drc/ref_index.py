@@ -12,34 +12,35 @@ Answers four kinds of queries for the compression layers above:
 The index is a suffix array with inverse and LCP arrays, all three from
 one numpy sort of the suffixes on packed keys of their first few byte
 codes and refinement rounds over the groups still tied
-(Larsson-Sadakane), whose kept ranks give the LCP by binary lifting,
-and the suffix keys: the first 8 bytes of each suffix in SA order as a
-zero-padded big-endian uint64, 20 bytes per reference byte in all.
-Then, built lazily since only edits need them, a sparse-table
-range-minimum structure for constant-time LCE and a suffix tree of LCP
-intervals (Abouelhoda-Kurtz-Ohlebusch), read off the nearest
-smaller LCP values on that table and split into heavy paths.  The index
-holds the tree's arrays itself, so one object answers every query and a
-dropped index is freed at once, without the cyclic collector.  For every
-internal node u that starts a heavy path we store the sorted ranks of
-the suffixes in u's interval advanced by depth(u).  A concatenation query
-in which x or y occurs once in R, the common case for long blocks, needs
-no descent: two LCP reads around the block's suffix show that it is
-unique, and then R[x]·R[y] can start at one place only, which a byte
-compare and at most one LCE probe check.  Any other query reduces to at
-most two descents, two LCE probes and one binary search over a rank set.
-A descent is a bottom-up ``_locus`` walk: from the leaf of an occurrence
-up one heavy path at a time, stopping at the first path whose top is too
-shallow.  A one-byte block needs no walk: a 256-entry table holds the
-root's child for each byte.  Nor does a query ask an LCE probe that one
-byte compare answers: the first byte of y against the byte that follows
-x on its heavy path, or the first byte of an edge that y's own byte
-picked.  Queries read the int32 arrays through memoryviews over the same
-buffers and return plain ints.  So does the one factorization kernel,
-the classical suffix-array search: it bisects the SA memoryview on
-slices of R's bytes, so a text probe meets each suffix in one C-level
-compare, and only inside the SA range whose suffix keys equal the text's
-own 8-byte key, which two bisections over the keys find.
+(Larsson-Sadakane), whose kept ranks give the LCP by binary lifting, and
+the suffix keys: the first 8 bytes of each suffix in SA order as a
+zero-padded big-endian uint64, 20 bytes per reference byte in all.  Then,
+built lazily since only edits need them, the rows of a sparse table over
+the LCP for constant-time LCE, row 0 the LCP itself, and a suffix tree
+of LCP intervals (Abouelhoda-Kurtz-Ohlebusch), read off the nearest
+smaller LCP values on those rows and split into heavy paths.  The index
+holds each array once, in a slot of its own, so one object answers every
+query and a dropped index is freed at once, without the cyclic
+collector.  For every internal node u that starts a heavy path we store
+the sorted ranks of the suffixes in u's interval advanced by depth(u).  A
+concatenation query in which x or y occurs once in R, the common case
+for long blocks, needs no descent: two LCP reads around the block's
+suffix show that it is unique, and then R[x]·R[y] can start at one place
+only, which a byte compare and at most one LCE probe check.  Any other
+query reduces to at most two descents, two LCE probes and one binary
+search over a rank set.  A descent is a bottom-up ``_locus`` walk: from
+the leaf of an occurrence up one heavy path at a time, stopping at the
+first path whose top is too shallow.  A one-byte block needs no walk: a
+256-entry table holds the root's child for each byte.  Nor does a query
+ask an LCE probe that one byte compare answers: the first byte of y
+against the byte that follows x on its heavy path, or the first byte of
+an edge that y's own byte picked.  Queries read the int32 arrays through
+memoryviews over the same buffers and return plain ints.  So does the one
+factorization kernel, the classical suffix-array search: it bisects the
+SA memoryview on slices of R's bytes, so a text probe meets each suffix
+in one C-level compare, and only inside the SA range whose suffix keys
+equal the text's own 8-byte key, which two bisections over the keys
+find.
 
 >>> ix = build_index(b"banana")
 >>> ix.factorize(b"bananaban")
@@ -250,47 +251,40 @@ def _sa_isa_lcp(codes: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     return sa, rank[:n], lcp
 
 
-class _Rmq:
-    """Sparse-table range minimum over an int array; query on [lo, hi].
-    Rows are read through memoryviews, so ``min`` returns a plain int."""
+def _sparse_table(lcp: memoryview) -> List[memoryview]:
+    """Sparse-table range-minimum rows over the LCP: row k holds the
+    minimum of the 2^k entries from each index on, as an int32 memoryview,
+    and row 0 is ``lcp`` itself."""
+    rows, prev, span = [lcp], np.asarray(lcp), 1
+    while span * 2 <= len(lcp):
+        prev = np.minimum(prev[:-span], prev[span:])
+        rows.append(memoryview(prev))
+        span *= 2
+    return rows
 
-    __slots__ = ("_rows",)
 
-    def __init__(self, arr: np.ndarray):
-        rows = [arr]
-        length, span = len(arr), 1
-        while span * 2 <= length:
-            prev = rows[-1]
-            rows.append(np.minimum(prev[: len(prev) - span], prev[span:]))
-            span *= 2
-        self._rows = [memoryview(row) for row in rows]
+def _nearest_smaller(rows: List[memoryview], left: bool) -> np.ndarray:
+    """For each entry of row 0, the index of the nearest strictly smaller
+    entry to its left (-1 if none) or right (the length if none), as int32.
+    A cursor per entry skips the next 2^k entries, top row first, when
+    their minimum is no smaller: one gather per row.
 
-    def min(self, lo: int, hi: int) -> int:
-        k = (hi - lo + 1).bit_length() - 1
-        row = self._rows[k]
-        return min(row[lo], row[hi - (1 << k) + 1])
-
-    def nearest_smaller(self, left: bool) -> np.ndarray:
-        """For each entry, the index of the nearest strictly smaller entry
-        to its left (-1 if none) or right (the length if none), as int32.
-        A cursor per entry skips the next 2^k entries, top level first,
-        when their minimum is no smaller: one gather per level.
-
-        >>> rmq = _Rmq(np.array([0, 1, 3, 0, 0, 2], dtype=np.int32))  # banana's LCP
-        >>> rmq.nearest_smaller(left=True).tolist(), rmq.nearest_smaller(left=False).tolist()
-        ([-1, 0, 1, -1, -1, 4], [6, 3, 3, 6, 6, 6])
-        """
-        arr = np.asarray(self._rows[0])
-        # entry j's skipped run: [cur, j) going left, [j + 1, cur) going
-        # right.  Entries cut off by an end of the array are read as the
-        # whole block at that end, which holds them: skipping it takes the
-        # cursor past the end, where no smaller entry is left
-        cur = np.arange(len(arr), dtype=np.int32) + np.int32(not left)
-        for k in reversed(range(len(self._rows))):
-            row, w = np.asarray(self._rows[k]), 1 << k
-            at = np.maximum(cur - w, 0) if left else np.minimum(cur, len(row) - 1)
-            cur += (np.take(row, at) >= arr) * np.int32(-w if left else w)
-        return np.maximum(cur, 0) - 1 if left else np.minimum(cur, len(arr))
+    >>> lcp = np.array([0, 1, 3, 0, 0, 2], dtype=np.int32)  # banana's
+    >>> rows = _sparse_table(memoryview(lcp))
+    >>> _nearest_smaller(rows, left=True).tolist(), _nearest_smaller(rows, left=False).tolist()
+    ([-1, 0, 1, -1, -1, 4], [6, 3, 3, 6, 6, 6])
+    """
+    arr = np.asarray(rows[0])
+    # entry j's skipped run: [cur, j) going left, [j + 1, cur) going
+    # right.  Entries cut off by an end of the array are read as the
+    # whole block at that end, which holds them: skipping it takes the
+    # cursor past the end, where no smaller entry is left
+    cur = np.arange(len(arr), dtype=np.int32) + np.int32(not left)
+    for k in reversed(range(len(rows))):
+        row, w = np.asarray(rows[k]), 1 << k
+        at = np.maximum(cur - w, 0) if left else np.minimum(cur, len(row) - 1)
+        cur += (np.take(row, at) >= arr) * np.int32(-w if left else w)
+    return np.maximum(cur, 0) - 1 if left else np.minimum(cur, len(arr))
 
 
 # ----------------------------------------------------------------------
@@ -378,41 +372,40 @@ def _factorize(data, sa, keys, text, pos, limit):
 
 # ----------------------------------------------------------------------
 
-# the concatenation tree's arrays (see ``_build_tree``); the LCP view,
+# the concatenation tree's arrays (see ``_build_tree``); ``_first``,
 # published last, marks the tree built
 _TREE = ("_left", "_right", "_depth", "_parent", "_child_off", "_child_ids", "_child_chars",
-         "_top_of", "_path_pos", "_path_off", "_path_nodes", "_du_off", "_du_flat", "_first",
-         "_lcp_view")
+         "_top_of", "_path_pos", "_path_off", "_path_nodes", "_du_off", "_du_flat", "_first")
 
 
 class RefIndex:
     """Immutable query index over a reference byte string."""
 
-    __slots__ = ("data", "r", "_sa", "_isa", "_lcp", "_keys", "_rmq", "_occ", "_np_data") + _TREE
+    __slots__ = ("data", "r", "_sa", "_isa", "_lcp", "_keys", "_rmq", "_occ") + _TREE
 
     def __init__(self, data: bytes):
         if len(data) == 0:
             raise EmptyReference("reference must contain at least one byte")
         self.data = bytes(data)
         self.r = len(data)
-        self._np_data = np.frombuffer(self.data, dtype=np.uint8)
+        data = np.frombuffer(self.data, dtype=np.uint8)
         # dense codes: each byte's rank among the bytes present, by a count
         # and a 256-entry table, not a sort
-        present = np.flatnonzero(np.bincount(self._np_data, minlength=256))
+        present = np.flatnonzero(np.bincount(data, minlength=256))
         table = np.zeros(256, dtype=np.uint8)
         table[present] = np.arange(len(present))
         self._occ = [0] * 256
         for c in present.tolist():
             self._occ[c] = self.data.find(bytes((c,))) + 1
-        sa, isa, self._lcp = _sa_isa_lcp(np.take(table, self._np_data))
+        sa, isa, lcp = _sa_isa_lcp(np.take(table, data))
         # queries read single entries: through a memoryview over the same
         # buffer each read is a plain int, about 5x cheaper than numpy's
-        self._sa, self._isa = memoryview(sa), memoryview(isa)
-        self._keys = memoryview(_suffix_keys(self._np_data, sa))
-        # the RMQ and the concatenation tree are only needed for edits;
-        # plain compression must not pay for them
+        self._sa, self._isa, self._lcp = memoryview(sa), memoryview(isa), memoryview(lcp)
+        self._keys = memoryview(_suffix_keys(data, sa))
+        # the RMQ rows and the concatenation tree are only needed for
+        # edits; plain compression must not pay for them
         self._rmq = None
-        self._lcp_view = None
+        self._first = None
 
     # ------------------------------------------------------------------
     # plain queries
@@ -436,16 +429,19 @@ class RefIndex:
 
     def _ensure_lce(self) -> None:
         if self._rmq is None:
-            self._rmq = _Rmq(self._lcp)
+            self._rmq = _sparse_table(self._lcp)
 
     def _lce0(self, a: int, b: int) -> int:
-        """lce of 0-based positions, the RMQ built."""
+        """lce of 0-based positions, the RMQ built: the least LCP in SA
+        slots (ra, rb], the lesser of two overlapping entries of one row."""
         if a == b:
             return self.r - a
         ra, rb = self._isa[a], self._isa[b]
         if ra > rb:
             ra, rb = rb, ra
-        return self._rmq.min(ra + 1, rb)
+        k = (rb - ra).bit_length() - 1
+        row = self._rmq[k]
+        return min(row[ra + 1], row[rb - (1 << k) + 1])
 
     def longest_match(self, text: bytes, start: int) -> Tuple[int, Optional[int]]:
         """Longest prefix of text[start..] occurring in R, with 1-based
@@ -493,7 +489,7 @@ class RefIndex:
         if not ok:  # raise what checking each block in turn raises
             self._check_block(x)
             self._check_block(y)
-        if self._lcp_view is None:
+        if self._first is None:
             self._build_tree()
         return self._concat(xs - 1, xe - xs + 1, ys - 1, ye - ys + 1)
 
@@ -508,17 +504,16 @@ class RefIndex:
         depth.  Path j is the heavy path ending at leaf j; a leaf top's rank
         set is empty.  ``_first[c]`` is the root's child whose edge starts
         with byte c, or -1.  The arrays are published together at the end,
-        ``_lcp_view`` (of the LCP's own buffer) last, so a build that raises
-        leaves the tree unbuilt."""
+        ``_first`` last, so a build that raises leaves the tree unbuilt."""
         self._ensure_lce()
         n = self.r
-        sa, isa, lcp, rmq = self.suffix_array, np.asarray(self._isa), self._lcp, self._rmq
+        sa, isa, lcp = self.suffix_array, np.asarray(self._isa), np.asarray(self._lcp)
 
         # --- LCP intervals from nearest smaller values ---
         # boundary j, between SA slots j - 1 and j (lcp[0] = 0 stands for
         # the root's), lies in the interval of depth lcp[j] bounded by its
         # nearest smaller LCPs; a node is a distinct (left end, depth)
-        left = np.maximum(rmq.nearest_smaller(left=True), 0)
+        left = np.maximum(_nearest_smaller(self._rmq, left=True), 0)
         key = left.astype(np.int64) * n + lcp
         order = np.argsort(key)
         first = np.diff(key[order], prepend=-1) != 0
@@ -531,7 +526,7 @@ class RefIndex:
         leaves = np.arange(n, dtype=np.int32)
         depth = np.concatenate((n - sa, lcp[rep]))
         l = np.concatenate((leaves, left[rep]))
-        r = np.concatenate((leaves, rmq.nearest_smaller(left=False)[rep] - 1))
+        r = np.concatenate((leaves, _nearest_smaller(self._rmq, left=False)[rep] - 1))
         del left, rep
         # a node or leaf [i, k] hangs off the deeper of boundaries i and
         # k + 1 (if k + 1 < n); equally deep, both lie in that one node
@@ -550,7 +545,7 @@ class RefIndex:
         # is exhausted exactly at the parent (shortest-in-interval leaf);
         # no suffix is shorter than its node, so the sum stays within n
         cpos = sa[l[ids]] + depth[par]
-        edge = self._np_data[np.minimum(cpos, n - 1)].astype(np.int32)
+        edge = np.frombuffer(self.data, np.uint8)[np.minimum(cpos, n - 1)].astype(np.int32)
         child_chars = np.where(cpos < n, edge, np.int32(-1))
         del cpos, edge
         # the root's child for each byte, -1 for a byte absent from R: the
@@ -605,7 +600,7 @@ class RefIndex:
         du_flat = isa[adv]
         del adv
         built = (l, r, depth, parent, child_off, ids, child_chars, top_of, pos, off,
-                 path_nodes, du_off, du_flat, by_byte, lcp)  # no copy of the LCP
+                 path_nodes, du_off, du_flat, by_byte)
         for name, arr in zip(_TREE, built):  # plain-int reads, as for R's SA
             setattr(self, name, memoryview(arr))
 
@@ -660,7 +655,7 @@ class RefIndex:
         Otherwise the query climbs to x's locus and follows its heavy
         path."""
         n = self.r
-        data, lcp, isa = self.data, self._lcp_view, self._isa
+        data, lcp, isa = self.data, self._lcp, self._isa
         k = isa[x0]
         if lcp[k] < lx and (k + 1 == n or lcp[k + 1] < lx):  # x occurs once
             e = x0 + lx
@@ -743,15 +738,17 @@ class RefIndex:
             ra, rb = data[a + h : a + h + 1], data[b + h : b + h + 1]
             assert ra != rb or (ra == b"" and rb != b""), "LCP understated"
             assert ra < rb or ra == b"", "SA out of order"
-        # the LCP that queries read is this checked array, not a copy
-        views = [] if self._rmq is None else [self._rmq._rows[0]]
-        if self._lcp_view is not None:
-            views.append(self._lcp_view)
-        for view in views:
-            a = np.asarray(view)
-            assert a.shape == lcp.shape and a.ctypes.data == lcp.ctypes.data, "LCP view"
+        rows = self._rmq
+        if rows is not None:
+            # row 0 is the checked LCP itself, not a copy, and each row
+            # above is the least of two entries of the row below
+            assert rows[0] is lcp, "LCP view"
+            assert len(rows) == n.bit_length(), "RMQ rows"
+            for k in range(1, len(rows)):
+                below, w = np.asarray(rows[k - 1]), 1 << (k - 1)
+                assert np.array_equal(rows[k], np.minimum(below[:-w], below[w:])), f"RMQ row {k}"
         if deep:
-            if self._lcp_view is None:
+            if self._first is None:
                 self._build_tree()
             self._validate_tree()
 

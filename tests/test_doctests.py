@@ -1,6 +1,6 @@
 """The docstring examples of the partial-sums, index, cover and forest modules,
-and the README's library examples, run as tests; the code names in those
-docstrings and in the README must exist."""
+and the README's library examples, run as tests; the code names in the
+docstrings of every drc module and in the README must exist."""
 
 import doctest
 import importlib
@@ -24,6 +24,10 @@ MODULES = pytest.mark.parametrize(
     "module",
     [drc.partial_sums_small, drc.partial_sums, drc.ref_index, drc.cover_engine, drc.multi_cover],
     ids=lambda m: m.__name__)
+
+# drc itself and every module in it
+PACKAGE = [drc] + [importlib.import_module(f"drc.{info.name}")
+                   for info in pkgutil.iter_modules(drc.__path__)]
 
 # a ``name`` or a :func:`name` in a docstring; a dotted name is checked by
 # its last part
@@ -52,7 +56,7 @@ def test_docstring_examples(module):
     assert result.failed == 0
 
 
-@MODULES
+@pytest.mark.parametrize("module", PACKAGE, ids=lambda m: m.__name__)
 def test_docstrings_name_only_what_exists(module):
     # a code name with an underscore, the kind a rename or a removal
     # leaves stale, must be an attribute of the module or of a class in it
@@ -69,9 +73,7 @@ def test_readme_names_only_what_exists():
     # a README code name with an underscore and a letter must be an
     # attribute of drc, of a drc module or of a class in one, or a metric
     # of BENCHMARK.json or its last dotted part
-    modules = [importlib.import_module(f"drc.{info.name}")
-               for info in pkgutil.iter_modules(drc.__path__)]
-    known = set().union(*map(attributes, [drc, *modules]))
+    known = set().union(*map(attributes, PACKAGE))
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     for metric in chain(bench["end_to_end"], bench["per_layer"]):
         known.update({metric["name"], metric["name"].rsplit(".", 1)[-1]})

@@ -460,7 +460,7 @@ def test_a_dropped_index_leaves_no_cyclic_garbage(ws, case):
         if case == "queried index":
             ix = build_index(b"banana" * 50)
             assert ix.substring_concat((1, 2), (3, 4)) is not None  # climbs the tree
-            assert ix._lcp_view is not None
+            assert ix._first is not None
             del ix
         else:
             assert run(ws, "edit", "--ref", ws / "ref", "--in", ws / "cov",

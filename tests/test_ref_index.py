@@ -20,7 +20,14 @@ from drc.oracles import (
     naive_longest_match,
     naive_substring_concat,
 )
-from drc.ref_index import _TREE, RefIndex, _factorize, _Rmq, _shared_codes, build_index
+from drc.ref_index import (
+    _TREE,
+    RefIndex,
+    _factorize,
+    _nearest_smaller,
+    _shared_codes,
+    build_index,
+)
 
 
 BANANA = build_index(b"banana")
@@ -54,6 +61,28 @@ def direct_suffix_arrays(data: bytes):
         isa[i] = j
     lcp = [0] + [common_prefix(data[a:], data[b:]) for a, b in zip(sa, sa[1:])]
     return sa, isa, lcp
+
+
+def sample_reference(kind: str, r: int) -> bytes:
+    """``r`` bytes of seeded random ACGT, or of an 11-word lexicon text."""
+    rng = random.Random(26)
+    if kind == "acgt":
+        return bytes(rng.choice(b"acgt") for _ in range(r))
+    words = b"the of and block merge split tree leaf window probe query".split()
+    return b" ".join(rng.choice(words) for _ in range(r // 4))[:r]
+
+
+def buffer_bytes(views) -> int:
+    """Bytes of the distinct buffers behind ``views``: a memoryview or an
+    ndarray view counts its whole buffer, once."""
+    owners = {}
+    for a in views:
+        assert isinstance(a, (np.ndarray, memoryview)), type(a)
+        a = a.obj if isinstance(a, memoryview) else a
+        while a.base is not None:
+            a = a.base
+        owners[id(a)] = a.nbytes
+    return sum(owners.values())
 
 
 def assert_greedy(ref: bytes, text: bytes, blocks) -> None:
@@ -162,13 +191,8 @@ class TestBuild:
         # the eager build's traced peak on references that the first sort
         # and one or two refinement rounds order: about 32 bytes per
         # reference byte on ACGT and 45 on this lexicon text
-        rng = random.Random(26)
         r = 2**16
-        if kind == "acgt":
-            ref = bytes(rng.choice(b"acgt") for _ in range(r))
-        else:
-            words = b"the of and block merge split tree leaf window probe query".split()
-            ref = b" ".join(rng.choice(words) for _ in range(r // 4))[:r]
+        ref = sample_reference(kind, r)
         tracemalloc.start()
         try:
             build_index(ref)
@@ -176,6 +200,20 @@ class TestBuild:
         finally:
             tracemalloc.stop()
         assert peak <= 52 * r
+
+    @pytest.mark.parametrize("kind", ["acgt", "lexicon"])
+    def test_whole_index_bytes_per_reference_byte(self, kind):
+        # everything a queried index keeps: SA, ISA, LCP and suffix keys,
+        # the RMQ rows above the LCP, at most 4 bytes each per reference
+        # byte, and the tree; about 174 bytes per reference byte on ACGT
+        # and 160 on lexicon text, the rows 56 of them
+        r = 2**16
+        ix = build_index(sample_reference(kind, r))
+        ix.substring_concat((1, 1), (1, 1))
+        assert ix._rmq[0] is ix._lcp
+        assert buffer_bytes(ix._rmq[1:]) <= 4 * (r.bit_length() - 1) * r
+        arrays = [ix._sa, ix._isa, ix._lcp, ix._keys, *ix._rmq]
+        assert buffer_bytes(arrays + [getattr(ix, name) for name in _TREE]) <= 192 * r
 
     def test_eager_index_bytes_per_reference_byte(self):
         # what a build keeps before any edit: int32 SA, ISA and LCP, 4
@@ -211,9 +249,9 @@ class TestBuild:
         # the lazy RMQ and tree are built by the first query, whichever
         # path answers it: here the unique-block one, as "ba" occurs once
         ix = build_index(b"banana")
-        assert ix._rmq is None and ix._lcp_view is None
+        assert ix._rmq is None and ix._first is None
         assert ix.substring_concat((1, 2), (5, 6)) == 1
-        assert ix._rmq is not None and ix._lcp_view is not None
+        assert ix._rmq is not None and ix._first is not None
         ix.validate(deep=True)
 
     def test_a_failed_tree_build_leaves_the_index_unbuilt(self, monkeypatch):
@@ -223,19 +261,18 @@ class TestBuild:
         rng = random.Random(29)
         ref = bytes(rng.choice(b"ab") for _ in range(300))
         ix = build_index(ref)
-        real = _Rmq.nearest_smaller
 
-        def right_side_fails(rmq, left):
+        def right_side_fails(rows, left):
             if not left:
                 raise MemoryError("no room for the right-hand nearest smaller values")
-            return real(rmq, left)
+            return _nearest_smaller(rows, left)
 
-        monkeypatch.setattr(_Rmq, "nearest_smaller", right_side_fails)
+        monkeypatch.setattr("drc.ref_index._nearest_smaller", right_side_fails)
         with pytest.raises(MemoryError):
             ix.substring_concat((1, 2), (3, 4))
         monkeypatch.undo()
-        assert ix._rmq is not None and ix._lcp_view is None
-        assert [name for name in _TREE if hasattr(ix, name)] == ["_lcp_view"]
+        assert ix._rmq is not None and ix._first is None
+        assert [name for name in _TREE if hasattr(ix, name)] == ["_first"]
         for _ in range(500):
             xs, ys = rng.randint(1, 290), rng.randint(1, 290)
             x, y = (xs, xs + rng.randint(0, 9)), (ys, ys + rng.randint(0, 9))
@@ -247,21 +284,34 @@ class TestBuild:
         ix.validate(deep=True)
 
     def test_validate_checks_the_lcp_views(self):
-        # the RMQ's first row and the tree's LCP must view the checked
-        # array itself: a copy could hold other values
+        # the RMQ's first row must be the checked LCP itself: a copy could
+        # hold other values
         ix = build_index(b"mississippi")
         ix.validate()
         ix._build_tree()
         ix.validate()
-        tree_lcp, row0 = ix._lcp_view, ix._rmq._rows[0]
-        ix._lcp_view = memoryview(ix._lcp.copy())
+        row0 = ix._rmq[0]
+        ix._rmq[0] = memoryview(np.asarray(ix._lcp).copy())
         with pytest.raises(AssertionError, match="LCP view"):
             ix.validate()
-        ix._lcp_view = tree_lcp
-        ix._rmq._rows[0] = memoryview(ix._lcp.copy())
-        with pytest.raises(AssertionError, match="LCP view"):
+        ix._rmq[0] = row0
+        ix.validate(deep=True)
+
+    @pytest.mark.parametrize("k", [1, 2, 7])
+    def test_validate_checks_every_rmq_row(self, k):
+        # one entry of a row above row 0 raised: lce would answer wrongly
+        # from it, and validate must say so, deep or not
+        ix = build_index(b"mississippi" * 20)
+        ix.lce(1, 2)
+        ix.validate()
+        row = np.asarray(ix._rmq[k])
+        j = len(row) // 2
+        row[j] += 1
+        with pytest.raises(AssertionError, match=f"RMQ row {k}"):
             ix.validate()
-        ix._rmq._rows[0] = row0
+        with pytest.raises(AssertionError, match=f"RMQ row {k}"):
+            ix.validate(deep=True)
+        row[j] -= 1
         ix.validate(deep=True)
 
     def test_larger_reference_sa_lcp(self):
