@@ -1,7 +1,7 @@
 """Command-line front end: compress, decompress, edit, verify.
 
 A compressed file ("cover file") stores the block list of one source
-string relative to an out-of-band reference file:
+string relative to an out-of-band reference file (header: ``_HEADER``):
 
     magic "DRC1" | version `0x01` | r as u64 LE | FNV-1a 64 of R, LE |
     block count as u64 LE | per block: start-1 then length, LEB128
@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import string
+import struct
 import sys
 from functools import lru_cache
 from typing import List, Optional, Tuple
@@ -43,6 +44,7 @@ __all__ = ["main", "fnv1a64", "encode_cover", "decode_cover", "parse_script"]
 
 MAGIC = b"DRC1"
 VERSION = 1
+_HEADER = struct.Struct("<4sBQQQ")  # magic, version, r, checksum, block count
 
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
@@ -85,12 +87,7 @@ def _read_varint(buf: bytes, pos: int) -> Tuple[int, int]:
 
 
 def encode_cover(r: int, checksum: int, blocks: List[Tuple[int, int]]) -> bytes:
-    out = bytearray()
-    out += MAGIC
-    out.append(VERSION)
-    out += r.to_bytes(8, "little")
-    out += checksum.to_bytes(8, "little")
-    out += len(blocks).to_bytes(8, "little")
+    out = bytearray(_HEADER.pack(MAGIC, VERSION, r, checksum, len(blocks)))
     for s, e in blocks:
         out += _varint(s - 1)
         out += _varint(e - s + 1)
@@ -99,14 +96,12 @@ def encode_cover(r: int, checksum: int, blocks: List[Tuple[int, int]]) -> bytes:
 
 def decode_cover(buf: bytes) -> Tuple[int, int, List[Tuple[int, int]]]:
     """(r, checksum, blocks); every structural defect is MalformedCoverFile."""
-    if len(buf) < 29 or buf[:4] != MAGIC:
+    if len(buf) < _HEADER.size or buf[:4] != MAGIC:
         raise MalformedCoverFile("bad magic or short header")
-    if buf[4] != VERSION:
-        raise MalformedCoverFile(f"unsupported version {buf[4]}")
-    r = int.from_bytes(buf[5:13], "little")
-    checksum = int.from_bytes(buf[13:21], "little")
-    count = int.from_bytes(buf[21:29], "little")
-    pos = 29
+    _, version, r, checksum, count = _HEADER.unpack_from(buf)
+    if version != VERSION:
+        raise MalformedCoverFile(f"unsupported version {version}")
+    pos = _HEADER.size
     blocks: List[Tuple[int, int]] = []
     for _ in range(count):
         start0, pos = _read_varint(buf, pos)
@@ -225,7 +220,7 @@ def _cmd_compress(args: argparse.Namespace) -> int:
     payload = encode_cover(len(ref), fnv1a64(ref), blocks)
     _write(args.out, payload)
     n, total = len(blocks), len(src)
-    ratio = (len(payload) - 29) / total if total else 0.0
+    ratio = (len(payload) - _HEADER.size) / total if total else 0.0
     print(f"n={n} N={total} ratio={ratio:.4f}")
     return 0
 

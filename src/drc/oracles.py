@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_left
+from operator import index
 
 from .errors import (
     BadSplit,
@@ -62,6 +63,7 @@ class NaivePartialSums:
         return self._cumsum()[i - 1]
 
     def search(self, t):
+        t = index(t)
         if not self.z or not 1 <= t <= self.total:
             raise SearchOutOfRange(f"search target {t} outside [1, total]")
         return bisect_left(self._cumsum(), t) + 1

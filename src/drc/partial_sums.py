@@ -52,12 +52,14 @@ after it split nothing.  ``_regroup`` applies it to a full node only
 when a growth below it must grow it (a split: one ``divide`` on the
 parent's sums, as an exact split conserves the subtree total), and to a
 node left under B/2 with a neighbor (as one node, a fuse: one ``merge``;
-as two, an even share: a ``merge`` and a ``divide``).  The regrouped
-nodes are packed afresh from slices of the old nodes' prefix sums, as the
-constructor would pack their values.  Nothing else packs a node but the
-bulk build, a new root and ``PackedSums.rebuild``: a merge across two
-bottom nodes moves its value with ``_shift``, ``merge`` and ``divide``,
-one entry per level on each side up to where the two paths meet.
+as two, an even share: a ``merge`` and a ``divide``).  A growth learns
+that its node is full from the node's own op, by a StructureFull raised
+after the op's argument checks.  The regrouped nodes are packed afresh
+from slices of the old nodes' prefix sums, as the constructor would pack
+their values.  Nothing else packs a node but the bulk build, a new root
+and ``PackedSums.rebuild``: a merge across two bottom nodes moves its
+value with ``_shift``, ``merge`` and ``divide``, one entry per level on
+each side up to where the two paths meet.
 
 Every node has one shape: a PackedSums and a list of kids, slot for slot.
 An internal node's kids are its child nodes; a bottom node's kids are its
@@ -89,12 +91,11 @@ from typing import Any, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import (
     BadConfig,
-    BadSplit,
-    DeltaTooLarge,
     IndexOutOfRange,
     ItemCountMismatch,
     NegativeEntry,
     SearchOutOfRange,
+    StructureFull,
 )
 from .partial_sums_small import DEFAULT_CONFIG, PackedSums, PsConfig
 
@@ -220,6 +221,7 @@ class SumTree:
         """
         # _descend's loop without the path: folded into _descend, ``access``
         # on edit-dna seed 1 went 7.3 -> 8.0 us (2-core x86-64 VM, in process)
+        t = index(t)
         if not 1 <= t <= self._root.ps.total:
             raise SearchOutOfRange(f"target {t} outside [1, {self._root.ps.total}]")
         node, before = self._root, 0
@@ -300,6 +302,7 @@ class SumTree:
         """(Y[i - 1], bottom node holding entry i, its slot, the path down)
         for the smallest i with Y[i] >= t: the walk by prefix sum, which
         moves no finger."""
+        t = index(t)
         if not 1 <= t <= self._root.ps.total:
             raise SearchOutOfRange(f"target {t} outside [1, {self._root.ps.total}]")
         node, before, path = self._root, 0, []
@@ -417,11 +420,11 @@ class SumTree:
     def _make_room(self, node: _Node, slot: int, path: _Path) -> Tuple[_Node, int, _Path]:
         """Where ``_locate`` put leaf i (node, slot and path, the finger on
         node), made a bottom node with room for one more leaf; i may be
-        nleaves + 1 (append position).  While the node is full, split the
-        highest node of the run of full nodes directly above it, or grow
-        the root a level if that run reaches it: a full node splits only
-        when a growth must grow it.  The finger moves to the half that
-        holds leaf i after each split, down the path the split left."""
+        nleaves + 1 (append position).  Its one trigger: that node's own
+        ``divide`` or ``insert`` raised StructureFull.  While it is full,
+        split the highest node of the run of full nodes directly above it,
+        or grow the root a level if that run reaches it, and move the
+        finger to the half holding leaf i, down the path the split left."""
         b = self.cfg.B
         i = self._finger[1] + slot - 1
         while len(node.kids) >= b:
@@ -496,15 +499,11 @@ class SumTree:
         """Split Z[i] = v into consecutive entries t, v - t; both keep
         Z[i]'s item."""
         node, slot, path = self._locate(i, self._root.nleaves, "divide")
-        if len(node.kids) >= self.cfg.B:
-            # a full node splits: check the split point first, as
-            # PackedSums.divide does, so that a rejected divide changes nothing
-            v = node.ps._sum(slot) - node.ps._sum(slot - 1)
-            if not 0 <= t <= v:
-                raise BadSplit(f"split point {t} outside [0, {v}]")
-            index(t)  # a float t raises here
+        try:
+            node.ps.divide(slot, t)  # validates the split point, then room
+        except StructureFull:
             node, slot, path = self._make_room(node, slot, path)
-        node.ps.divide(slot, t)  # validates the split point
+            node.ps.divide(slot, t)
         node.kids.insert(slot, node.kids[slot - 1])
         node.nleaves += 1
         self._adjust(path, 1)
@@ -549,13 +548,13 @@ class SumTree:
 
     def insert(self, i: int, d: int) -> None:
         """Insert a new entry of value d, item None, before position i."""
-        d = index(d)  # before _make_room, which may split a node
-        if not 0 <= d < 1 << self.cfg.delta:
-            raise DeltaTooLarge(f"insert value {d} outside [0, 2**{self.cfg.delta})")
+        d = index(d)
         node, slot, path = self._locate(i, self._root.nleaves + 1, "insert")
-        if len(node.kids) >= self.cfg.B:
+        try:
+            node.ps.insert(slot, d)  # validates the value's width, then room
+        except StructureFull:
             node, slot, path = self._make_room(node, slot, path)
-        node.ps.insert(slot, d)
+            node.ps.insert(slot, d)
         node.kids.insert(slot - 1, None)
         node.nleaves += 1
         self._adjust(path, 1, d)

@@ -34,9 +34,11 @@ run that entry i headed is dropped, and the rest of the old run shifts
 onto the anchor of i+1's run.  ``insert`` applies the same rule to its
 one new entry and leaves every other head bit as it was; ``delete``
 hands a removed head's run to the slot after it.  Each edit is one
-primitive: one set of checks, one count toward the repack.  Every edit
-keeps each head's offset at exactly 0, so the anchors are the heads'
-prefix sums, ordered by construction.
+primitive: one set of checks, one count toward the repack.  The checks
+go arguments, then room, then writes (``insert`` checks its position
+after room), so a SumTree splits a node on StructureFull alone.  Every
+edit keeps each head's offset at exactly 0, so the anchors are the
+heads' prefix sums, ordered by construction.
 
 A search for t is one ``bisect`` over the anchors: run r, the last
 whose anchor is below t, holds the answer after its head, or else the
@@ -300,6 +302,7 @@ class PackedSums:
     def find(self, t: int) -> tuple[int, int]:
         """(i, sum(i - 1)) for the smallest i with sum(i) >= t, for
         1 <= t <= total: the answer and the prefix sum before it."""
+        t = index(t)
         if self._n == 0 or not 1 <= t <= self._sum(self._n):
             raise SearchOutOfRange(f"search target {t} outside [1, total]")
         return self._find(t)

@@ -46,6 +46,15 @@ class TestCodec:
         assert decode_cover(buf) == (10, 42, [])
         assert len(buf) == 29  # header only
 
+    def test_header_extremes_round_trip(self):
+        # every u64 header field at its largest, and a block whose start
+        # takes exactly the 10 varint bytes the decoder accepts
+        top = 2**64 - 1
+        for blocks, size in (([], 29), ([(top, top)], 29 + 10 + 1)):
+            buf = encode_cover(top, top, blocks)
+            assert len(buf) == size
+            assert decode_cover(buf) == (top, top, blocks)
+
     def test_multibyte_varints(self):
         blocks = [(10**6, 10**6 + 12345)]
         buf = encode_cover(2 * 10**6, 7, blocks)

@@ -275,6 +275,16 @@ def _full_tree():
     return t
 
 
+def _full_last_node(cfg):
+    # four bottom nodes of 3B/4, then appends until the last one is full
+    def make():
+        t = SumTree([1, 2, 3, 5] * (3 * cfg.B // 4), config=cfg)
+        while len(t._locate(len(t), len(t), "item")[0].kids) < cfg.B:
+            t.insert(len(t) + 1, 1)
+        return t
+    return make
+
+
 def _full_packed():
     return PackedSums([1, 2, 3, 5], config=PsConfig(B=4))
 
@@ -286,7 +296,9 @@ def _state(s):
             s.rebuilds)
 
 
-@pytest.mark.parametrize("make", [_full_tree, _full_packed], ids=["SumTree", "PackedSums"])
+@pytest.mark.parametrize("make", [
+    _full_tree, _full_packed, _full_last_node(B16_CONFIG), _full_last_node(DEFAULT_CONFIG),
+], ids=["SumTree", "PackedSums", "SumTree-B16", "SumTree-B64"])
 @pytest.mark.parametrize("op, error", [
     (lambda s: s.delete(4), DeleteTooLarge),  # Z[4] = 5 >= 2**2
     (lambda s: s.insert(1, 4), DeltaTooLarge),
@@ -332,17 +344,22 @@ def test_a_rejected_insert_changes_nothing():
 
 @pytest.mark.parametrize("make", [
     _full_tree, lambda: SumTree([1, 2, 3, 5] * 30, config=PsConfig(B=4))], ids=["full", "120"])
-@pytest.mark.parametrize("at", [lambda n: 2.5, lambda n: n - 0.5], ids=["2.5", "len-0.5"])
+@pytest.mark.parametrize("at", [lambda n: 2.5, lambda n: n - 0.5, lambda n: 1.0],
+                         ids=["2.5", "len-0.5", "1.0"])
 @pytest.mark.parametrize("op", [
     lambda s, i: s.sum(i), lambda s, i: s.update(i, 1), lambda s, i: s.divide(i, 1),
     lambda s, i: s.merge(i), lambda s, i: s.insert(i, 1), lambda s, i: s.delete(i),
     lambda s, i: s.item(i), lambda s, i: s.set_item(i, "z"), lambda s, i: s.items_from(i),
+    lambda s, t: s.search(t), lambda s, t: s.find(t), lambda s, t: s.lookup(t),
+    lambda s, t: s.lookup_items(t),
 ], ids=["sum", "update", "divide", "merge", "insert", "delete", "item", "set_item",
-        "items_from"])
+        "items_from", "search", "find", "lookup", "lookup_items"])
 def test_a_float_position_is_refused_before_any_walk(make, at, op):
     # a walk to a float position would leave it as the finger's first
     # ordinal, where the next valid op trips on it, and insert's growth
-    # walk on the full tree would split the full node first
+    # walk on the full tree would split the full node first; a walk to a
+    # float target would answer or fail by the run shape of the nodes it
+    # passes (at 1.0 every node's first anchor answers it)
     before, s = _state(make()), make()  # _state moves the finger
     finger = s._finger
     with pytest.raises(TypeError):

@@ -133,6 +133,9 @@ class TestQueries:
             ps.search(7)
         with pytest.raises(SearchOutOfRange):
             PackedSums([]).search(1)
+        for t in (2.5, 5.5):  # below the first anchor, and inside its run
+            with pytest.raises(TypeError):
+                ps.search(t)
 
     def test_sum_rejects_bad_index(self):
         ps = PackedSums([5, 1])
