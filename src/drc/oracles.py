@@ -98,10 +98,10 @@ class NaivePartialSums:
     def insert(self, i, d):
         if not 0 <= d < 1 << self.delta:
             raise DeltaTooLarge(f"insert value {d} outside [0, 2**{self.delta})")
-        if self.capacity is not None and len(self.z) >= self.capacity:
-            raise StructureFull(f"capacity {self.capacity} reached")
         if not 1 <= i <= len(self.z) + 1:
             raise IndexOutOfRange(f"insert index {i} outside [1, {len(self.z) + 1}]")
+        if self.capacity is not None and len(self.z) >= self.capacity:
+            raise StructureFull(f"capacity {self.capacity} reached")
         self.z.insert(i - 1, d)
         self._cs = None
 

@@ -35,10 +35,9 @@ onto the anchor of i+1's run.  ``insert`` applies the same rule to its
 one new entry and leaves every other head bit as it was; ``delete``
 hands a removed head's run to the slot after it.  Each edit is one
 primitive: one set of checks, one count toward the repack.  The checks
-go arguments, then room, then writes (``insert`` checks its position
-after room), so a SumTree splits a node on StructureFull alone.  Every
-edit keeps each head's offset at exactly 0, so the anchors are the
-heads' prefix sums, ordered by construction.
+go arguments, then room, then writes, so a SumTree splits a node on
+StructureFull alone.  Every edit keeps each head's offset at exactly 0,
+so the anchors are the heads' prefix sums, ordered by construction.
 
 A search for t is one ``bisect`` over the anchors: run r, the last
 whose anchor is below t, holds the answer after its head, or else the
@@ -521,10 +520,10 @@ class PackedSums:
         if not 0 <= d < 1 << self.cfg.delta:
             raise DeltaTooLarge(f"insert value {d} outside [0, 2**{self.cfg.delta})")
         n = self._n
-        if n >= self.cfg.B:
-            raise StructureFull(f"capacity {self.cfg.B} reached")
         if not 1 <= i <= n + 1:
             raise IndexOutOfRange(f"insert index {i} outside [1, {n + 1}]")
+        if n >= self.cfg.B:
+            raise StructureFull(f"capacity {self.cfg.B} reached")
         F, bias, u, bits, reps = self._F, self._bias, self._u, self._bits, self._reps
         p = i - 1
         sh = F * p

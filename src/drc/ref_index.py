@@ -18,29 +18,29 @@ zero-padded big-endian uint64, 20 bytes per reference byte in all.  Then,
 built lazily since only edits need them, the rows of a sparse table over
 the LCP for constant-time LCE, row 0 the LCP itself, and a suffix tree
 of LCP intervals (Abouelhoda-Kurtz-Ohlebusch), read off the nearest
-smaller LCP values on those rows and split into heavy paths.  The index
-holds each array once, in a slot of its own, so one object answers every
-query and a dropped index is freed at once, without the cyclic
-collector.  For every internal node u that starts a heavy path we store
-the sorted ranks of the suffixes in u's interval advanced by depth(u).  A
-concatenation query in which x or y occurs once in R, the common case
-for long blocks, needs no descent: two LCP reads around the block's
-suffix show that it is unique, and then R[x]·R[y] can start at one place
-only, which a byte compare and at most one LCE probe check.  Any other
-query reduces to at most two descents, two LCE probes and one binary
-search over a rank set.  A descent is a bottom-up ``_locus`` walk: from
-the leaf of an occurrence up one heavy path at a time, stopping at the
-first path whose top is too shallow.  A one-byte block needs no walk: a
-256-entry table holds the root's child for each byte.  Nor does a query
-ask an LCE probe that one byte compare answers: the first byte of y
-against the byte that follows x on its heavy path, or the first byte of
-an edge that y's own byte picked.  Queries read the int32 arrays through
-memoryviews over the same buffers and return plain ints.  So does the one
-factorization kernel, the classical suffix-array search: it bisects the
-SA memoryview on slices of R's bytes, so a text probe meets each suffix
-in one C-level compare, and only inside the SA range whose suffix keys
-equal the text's own 8-byte key, which two bisections over the keys
-find.
+smaller LCP values on those rows and split into heavy paths, each one
+range of node ids, top first.  The index holds each array once, in a
+slot of its own, so one object answers every query and a dropped index
+is freed at once, without the cyclic collector.  For each path whose top
+u is internal we store the sorted ranks of the suffixes in u's interval
+advanced by depth(u).  A concatenation query in which x or y occurs once
+in R, the common case for long blocks, needs no descent: two LCP reads
+around the block's suffix show that it is unique, and then R[x]·R[y] can
+start at one place only, which a byte compare and at most one LCE probe
+check.  Any other query reduces to at most two descents, two LCE probes
+and one binary search over a rank set.  A descent is a bottom-up
+``_locus`` walk: from the leaf of an occurrence up one heavy path at a
+time, to the first path whose top is too shallow, then a bisection of
+its depths.  A one-byte block needs no walk: a 256-entry table holds the
+root's child for each byte.  Nor does a query ask an LCE probe that one
+byte compare answers: the first byte of y against the byte that follows
+x on its heavy path, or the first byte of an edge that y's own byte
+picked.  Queries read the int32 arrays through memoryviews over the same
+buffers and return plain ints.  So does the one factorization kernel,
+the classical suffix-array search: it bisects the SA memoryview on
+slices of R's bytes, so a text probe meets each suffix in one C-level
+compare, and only inside the SA range whose suffix keys equal the text's
+own 8-byte key, which two bisections over the keys find.
 
 >>> ix = build_index(b"banana")
 >>> ix.factorize(b"bananaban")
@@ -372,10 +372,10 @@ def _factorize(data, sa, keys, text, pos, limit):
 
 # ----------------------------------------------------------------------
 
-# the concatenation tree's arrays (see ``_build_tree``); ``_first``,
-# published last, marks the tree built
+# the concatenation tree's arrays, its nodes numbered path by path (see
+# ``_build_tree``); ``_first``, published last, marks the tree built
 _TREE = ("_left", "_right", "_depth", "_parent", "_child_off", "_child_ids", "_child_chars",
-         "_top_of", "_path_pos", "_path_off", "_path_nodes", "_du_off", "_du_flat", "_first")
+         "_top_of", "_path_off", "_du_off", "_du_flat", "_first")
 
 
 class RefIndex:
@@ -498,13 +498,20 @@ class RefIndex:
         its heavy paths and per-path-top advanced-rank sets, by array ops,
         each an int32 memoryview over its ndarray.
 
-        Leaf j (the j-th SA slot) is node j; internal nodes are numbered
-        from r (the root) in (SA interval start, depth) order.  ``_left``
-        and ``_right`` give each node's SA interval, ``_depth`` its string
-        depth.  Path j is the heavy path ending at leaf j; a leaf top's rank
+        Nodes are numbered path by path: path t, the heavy path ending at
+        the leaf of SA slot t, takes the ids ``_path_off[t]`` ..
+        ``_path_off[t + 1] - 1``, top first, so depths grow along it, and
+        ``_top_of[u]`` is u's path.  ``_left`` and ``_right`` give each
+        node's SA interval, ``_depth`` its string depth; a leaf top's rank
         set is empty.  ``_first[c]`` is the root's child whose edge starts
         with byte c, or -1.  The arrays are published together at the end,
-        ``_first`` last, so a build that raises leaves the tree unbuilt."""
+        ``_first`` last, so a build that raises leaves the tree unbuilt.
+
+        >>> ix = build_index(b"banana")
+        >>> ix._build_tree()
+        >>> ids = range(ix._path_off[1], ix._path_off[2])  # path 1 ends at "ana"'s leaf
+        >>> list(ids), [ix._depth[u] for u in ids]  # the root, "a", "ana" and that leaf
+        ([1, 2, 3, 4], [0, 1, 3, 3])"""
         self._ensure_lce()
         n = self.r
         sa, isa, lcp = self.suffix_array, np.asarray(self._isa), np.asarray(self._lcp)
@@ -536,6 +543,40 @@ class RefIndex:
         parent[n] = -1
         del side, node_of
 
+        # --- heavy paths ---
+        # each node's children by size, the heavy child first: the largest,
+        # ties to the first in SA interval (= edge-char) order, as the sort
+        # is stable and equal sizes are all leaves or all internal nodes,
+        # each kind numbered in that order here
+        kids = np.lexsort((l - r, parent))[1:]  # the root sorts first
+        heavy = kids[np.diff(parent[kids], prepend=-1) != 0]
+        del kids
+        # pointer jumping: up[u] is the node pos[u] steps up u's path
+        up = np.arange(total, dtype=np.int32)
+        up[heavy] = parent[heavy]
+        pos = np.zeros(total, dtype=np.int32)
+        pos[heavy] = 1
+        del heavy
+        while not np.array_equal(nxt := up[up], up):  # until up[u] is u's top
+            pos += pos[up]
+            up = nxt
+        # a path ends at its one leaf: path t is leaf t's, and its nodes
+        # take the ids off[t] .. off[t + 1] - 1, top first
+        off = np.zeros(n + 1, dtype=np.int32)
+        np.cumsum(pos[:n] + 1, out=off[1:])
+        path = np.empty(total, dtype=np.int32)
+        path[up[:n]] = leaves
+        new = off[path[up]] + pos
+        del up, nxt, pos, path
+        old = np.empty(total, dtype=np.int32)
+        old[new] = np.arange(total, dtype=np.int32)
+        l, r, depth = l[old], r[old], depth[old]
+        parent = new[parent[old]]
+        root = int(new[n])
+        parent[root] = -1
+        del new, old
+        top_of = np.repeat(leaves, np.diff(off))
+
         # --- children in CSR form; SA interval order == edge-char order ---
         ids = np.lexsort((l, parent))[1:].astype(np.int32)  # the root sorts first
         par = parent[ids]
@@ -547,39 +588,14 @@ class RefIndex:
         cpos = sa[l[ids]] + depth[par]
         edge = np.frombuffer(self.data, np.uint8)[np.minimum(cpos, n - 1)].astype(np.int32)
         child_chars = np.where(cpos < n, edge, np.int32(-1))
-        del cpos, edge
+        del par, cpos, edge
         # the root's child for each byte, -1 for a byte absent from R: the
         # locus of every one-byte block
         by_byte = np.full(256, -1, dtype=np.int32)
-        kids = slice(child_off[n], child_off[n + 1])
+        kids = slice(child_off[root], child_off[root + 1])
         by_byte[child_chars[kids]] = ids[kids]
-
-        # --- heavy paths ---
-        # heavy child: the largest, ties to the first in edge-char order
-        # (lexsort is stable); path tops are the nodes no parent picks
-        heavy = ids[np.lexsort((l[ids] - r[ids], par))[child_off[n:total]]]
-        del par
-        # pointer jumping: up[u] is the node pos[u] steps up u's path
-        up = np.arange(total, dtype=np.int32)
-        up[heavy] = parent[heavy]
-        pos = np.zeros(total, dtype=np.int32)
-        pos[heavy] = 1
-        del heavy
-        while not np.array_equal(nxt := up[up], up):  # until up[u] is u's top
-            pos += pos[up]
-            up = nxt
-        del nxt
-        # a path ends at its one leaf: path j is leaf j's
-        top_of = np.empty(total, dtype=np.int32)
-        top_of[up[:n]] = leaves
-        top_of = top_of[up]
-        paths = np.flatnonzero(up[:n] >= n).astype(np.int32)  # with internal tops
-        inner = up[paths]
-        del up
-        off = np.zeros(n + 1, dtype=np.int32)
-        np.cumsum(pos[:n] + 1, out=off[1:])
-        path_nodes = np.empty(total, dtype=np.int32)
-        path_nodes[off[top_of] + pos] = np.arange(total, dtype=np.int32)
+        paths = np.flatnonzero(np.diff(off) > 1).astype(np.int32)  # with internal tops
+        inner = off[paths]
 
         # --- advanced rank sets of the internal tops; the suffixes of u
         # share their first depth(u) chars, so advancing them keeps their
@@ -599,40 +615,29 @@ class RefIndex:
         adv += np.repeat(d, sizes)
         du_flat = isa[adv]
         del adv
-        built = (l, r, depth, parent, child_off, ids, child_chars, top_of, pos, off,
-                 path_nodes, du_off, du_flat, by_byte)
+        built = (l, r, depth, parent, child_off, ids, child_chars, top_of, off,
+                 du_off, du_flat, by_byte)
         for name, arr in zip(_TREE, built):  # plain-int reads, as for R's SA
             setattr(self, name, memoryview(arr))
 
     def _locus(self, pos: int, length: int) -> int:
         """Highest node whose string depth reaches ``length`` on the path
-        to leaf ISA[pos]; 0-based pos, 1 <= length <= r - pos.
+        to the leaf of SA slot ISA[pos]; 0-based pos, 1 <= length <= r - pos.
 
         Walks up from the leaf one heavy path at a time: the first path
         whose top is shallower than ``length`` holds the answer between its
         top and the node the walk entered it by; a top that is deep enough
         is the answer when its parent is not.  The root, of depth 0, tops
         its own path, so the walk stops there at the latest."""
-        depth, parent, off, nodes = self._depth, self._parent, self._path_off, self._path_nodes
-        u = self._isa[pos]
+        depth, parent, off = self._depth, self._parent, self._path_off
+        u = off[self._isa[pos] + 1] - 1
         while True:
-            o = off[self._top_of[u]]
-            top = nodes[o]
-            if depth[top] < length:
-                # depths grow down a path
-                hi = o + self._path_pos[u] + 1
-                return nodes[bisect_left(nodes, length, o, hi, key=depth.__getitem__)]
+            top = off[self._top_of[u]]
+            if depth[top] < length:  # depths grow along a path's ids
+                return bisect_left(depth, length, top, u + 1)
             u = parent[top]
             if depth[u] < length:
                 return top
-
-    def _child_by_char(self, q: int, c: int) -> int:
-        a, b = self._child_off[q], self._child_off[q + 1]
-        chars = self._child_chars
-        lo = bisect_left(chars, c, a, b)
-        if lo < b and chars[lo] == c:
-            return self._child_ids[lo]
-        return -1
 
     def _concat(self, x0: int, lx: int, y0: int, ly: int) -> Optional[int]:
         """1-based start of an occurrence of R[x0 : x0 + lx]·R[y0 : y0 + ly]
@@ -654,8 +659,7 @@ class RefIndex:
 
         Otherwise the query climbs to x's locus and follows its heavy
         path."""
-        n = self.r
-        data, lcp, isa = self.data, self._lcp, self._isa
+        n, data, lcp, isa = self.r, self.data, self._lcp, self._isa
         k = isa[x0]
         if lcp[k] < lx and (k + 1 == n or lcp[k + 1] < lx):  # x occurs once
             e = x0 + lx
@@ -683,18 +687,18 @@ class RefIndex:
             f = min(self._lce0(ext, y0), ly) if ly > 1 else 1
             if f == ly:
                 return sb + 1
-            off, nodes = self._path_off, self._path_nodes
-            lo = off[t] + self._path_pos[v0]
-            q = nodes[bisect_left(nodes, lx + f, lo, off[t + 1], key=depth.__getitem__)]
+            q = bisect_left(depth, lx + f, v0, self._path_off[t + 1])
         big_d = lx + f
-        if depth[q] > big_d or q < n:
-            # mid-edge mismatch, or the path ran out at a leaf
+        if depth[q] > big_d or q == self._path_off[t + 1] - 1:
+            # mid-edge mismatch, or the path ran out at its leaf
             return None
-        u = self._child_by_char(q, data[y0 + f])
-        if u < 0:
+        # u, q's child by y's next byte: its edge starts with that byte, so
+        # a probe is needed only when more than that one byte is at stake
+        chars, c, hi = self._child_chars, data[y0 + f], self._child_off[q + 1]
+        k = bisect_left(chars, c, self._child_off[q], hi)
+        if k == hi or chars[k] != c:
             return None
-        # u's edge starts with y's next byte, so a probe is needed only
-        # when more than that one byte is at stake
+        u = self._child_ids[k]
         e = depth[u] - big_d
         rem = ly - f
         su = sa[self._left[u]]
@@ -755,69 +759,65 @@ class RefIndex:
     def _validate_tree(self) -> None:
         """Brute-force structural checks of the tree; test-size references
         only.  The LCP array is trusted: ``validate`` checks it first."""
-        n, sa = self.r, self._sa
+        n, sa, isa, lcp = self.r, self._sa, self._isa, self._lcp.tolist()
         left, right, depth, parent = self._left, self._right, self._depth, self._parent
-        total = len(depth)
         for name in _TREE:
             # an int32 view of the ndarray it was made from, not a copy
             mv = getattr(self, name)
             assert isinstance(mv, memoryview) and mv.format == "i", name
-            assert isinstance(mv.obj, np.ndarray), name
-            assert np.shares_memory(mv.obj, np.asarray(mv)), name
-        off, nodes, top_of = self._path_off, self._path_nodes, self._top_of
-        lcp = self._lcp.tolist()
-        for u in range(total):
-            lu, ru, du = int(left[u]), int(right[u]), int(depth[u])
-            # the interval's first suffix spells the node's path string; the
-            # children loop below shows that the rest share it
-            assert int(sa[lu]) + du <= n
-            p = int(parent[u])
-            if p >= 0:
-                assert left[p] <= lu and ru <= right[p]
-                assert depth[p] < du or (u < n and depth[p] == du)
-            t = int(top_of[u])
-            assert nodes[int(off[t]) + int(self._path_pos[u])] == u
-        # path t ends at leaf t: _concat reads that leaf as sa[t]
-        assert all(nodes[int(off[t + 1]) - 1] == t for t in range(n)), "path end"
+            assert isinstance(mv.obj, np.ndarray) and np.shares_memory(mv.obj, np.asarray(mv)), name
+        off, top_of, total = self._path_off, self._top_of, len(depth)
+        assert off[0] == 0 and off[n] == total, "path offsets"
+        leaf = {int(off[t + 1]) - 1 for t in range(n)}
+        root = parent.tolist().index(-1)  # a second one fails the children check
         # children partition the parent interval left to right, in char
-        # order, and the heavy child (next on the path) is the first largest
-        for u in range(n, total):
+        # order, and the heavy child, the first largest, is the next id
+        for u in range(total):
+            lu, ru, du, p = int(left[u]), int(right[u]), int(depth[u]), int(parent[u])
+            # the interval's first suffix spells the node's path string; the
+            # children below show that the rest share it
+            assert int(sa[lu]) + du <= n
+            assert p < 0 or left[p] <= lu and ru <= right[p]
+            assert p < 0 or depth[p] < du or (u in leaf and depth[p] == du)
             a, b = int(self._child_off[u]), int(self._child_off[u + 1])
+            assert (a == b) == (u in leaf), "leaf"
+            if u in leaf:
+                continue
             kids = [int(c) for c in self._child_ids[a:b]]
-            assert kids, "childless internal node"
             assert all(parent[c] == u for c in kids)
             ls, rs = [int(left[c]) for c in kids], [int(right[c]) for c in kids]
-            assert ls == [int(left[u])] + [e + 1 for e in rs[:-1]] and rs[-1] == right[u]
-            chars = list(self._child_chars[a:b])
-            assert chars == sorted(chars)
+            assert ls == [lu] + [e + 1 for e in rs[:-1]] and rs[-1] == ru
+            assert list(self._child_chars[a:b]) == sorted(self._child_chars[a:b])
             # children share their own, no shorter, path strings; the LCP
             # where two meet is u's depth exactly: an LCP interval's value
-            assert all(lcp[s] == depth[u] for s in ls[1:]), "suffixes leave the path"
+            assert all(lcp[s] == du for s in ls[1:]), "suffixes leave the path"
             sizes = [e - s for s, e in zip(ls, rs)]
-            heavy = nodes[int(off[top_of[u]]) + int(self._path_pos[u]) + 1]
-            assert heavy == kids[sizes.index(max(sizes))], "heavy child"
+            assert u + 1 == kids[sizes.index(max(sizes))], "heavy child"
         # the byte table holds each root child under its edge char, -1 for
         # a byte absent from R, and so the locus of every one-byte block
-        a, b = int(self._child_off[n]), int(self._child_off[n + 1])
+        a, b = int(self._child_off[root]), int(self._child_off[root + 1])
         want = [-1] * 256
         for c, u in zip(self._child_chars[a:b], self._child_ids[a:b]):
             want[c] = u
         assert list(self._first) == want, "byte table"
         assert all((want[c] < 0) == (self.occurrence(c) is None) for c in range(256))
         assert all(self._first[self.data[p]] == self._locus(p, 1) for p in range(n))
-        # rank sets match their definition
-        isa = self._isa
-        for t in range(len(off) - 1):
-            u = nodes[off[t]]
-            d = depth[u]
+        # path t is the id range off[t] .. off[t + 1] - 1, top first: each
+        # node below its top hangs off the id before it, and its last id is
+        # the leaf [t, t], which _concat reads as sa[t].  Its top's rank set
+        # matches its definition, and the walk up from its leaf crosses at
+        # most log2(n) + 1 path tops
+        limit = math.log2(n) + 1 if n > 1 else 1
+        for t in range(n):
+            a, b = off[t], off[t + 1]
+            assert a < b and all(top_of[u] == t for u in range(a, b)), "path range"
+            assert all(parent[u] == u - 1 for u in range(a + 1, b)), "path order"
+            assert left[b - 1] == right[b - 1] == t, "path end"
+            hops, u, d = 1, a, depth[a]
             want = sorted(isa[sa[k] + d] for k in range(left[u], right[u] + 1) if sa[k] + d < n)
             assert list(self._du_flat[self._du_off[t] : self._du_off[t + 1]]) == want
-        # each root-to-leaf walk crosses at most log2(n) + 1 path tops
-        limit = math.log2(n) + 1 if n > 1 else 1
-        for leaf in range(n):
-            hops, u = 1, leaf
-            while (p := parent[nodes[off[top_of[u]]]]) >= 0:
-                hops, u = hops + 1, p
+            while (p := parent[u]) >= 0:
+                hops, u = hops + 1, off[top_of[p]]
             assert hops <= limit + 1e-9
 
 # index a reference string for the query operations above

@@ -63,6 +63,10 @@ REJECTIONS = {
     "divide at capacity": (lambda: NaivePartialSums([1, 2, 3, 4], capacity=4).divide(2, 1),
                            lambda: PackedSums([1, 2, 3, 4], config=FOUR).divide(2, 1),
                            StructureFull),
+    # the position is an argument, checked before room, as divide's is
+    "insert past the end at capacity": (
+        lambda: NaivePartialSums([1, 2, 3, 5], capacity=4).insert(9, 1),
+        lambda: PackedSums([1, 2, 3, 5], config=FOUR).insert(9, 1), IndexOutOfRange),
     "concat block past the end": (lambda: naive_substring_concat(b"banana", (5, 7), (1, 1)),
                                   lambda: BANANA.substring_concat((5, 7), (1, 1)),
                                   InvalidBlock),

@@ -144,7 +144,7 @@ class TestBuild:
 
     def test_tree_bytes_per_reference_byte(self):
         # memory contract of the lazy concatenation tree: int32 arrays,
-        # about 100 bytes per reference byte on random DNA
+        # about 82 bytes per reference byte on random DNA
         rng = random.Random(20)
         r = 20_000
         ix = build_index(bytes(rng.choice(b"acgt") for _ in range(r)))
@@ -157,7 +157,7 @@ class TestBuild:
             while isinstance(a, np.ndarray) and a.base is not None:
                 a = a.base
             owners[id(a)] = memoryview(a).nbytes
-        assert sum(owners.values()) <= 120 * r
+        assert sum(owners.values()) <= 100 * r
 
     def test_build_bytes_per_reference_byte(self):
         # the build keeps one int32 rank snapshot per refinement round until
@@ -205,15 +205,15 @@ class TestBuild:
     def test_whole_index_bytes_per_reference_byte(self, kind):
         # everything a queried index keeps: SA, ISA, LCP and suffix keys,
         # the RMQ rows above the LCP, at most 4 bytes each per reference
-        # byte, and the tree; about 174 bytes per reference byte on ACGT
-        # and 160 on lexicon text, the rows 56 of them
+        # byte, and the tree; about 161 bytes per reference byte on ACGT
+        # and 148 on lexicon text, the rows 56 of them
         r = 2**16
         ix = build_index(sample_reference(kind, r))
         ix.substring_concat((1, 1), (1, 1))
         assert ix._rmq[0] is ix._lcp
         assert buffer_bytes(ix._rmq[1:]) <= 4 * (r.bit_length() - 1) * r
         arrays = [ix._sa, ix._isa, ix._lcp, ix._keys, *ix._rmq]
-        assert buffer_bytes(arrays + [getattr(ix, name) for name in _TREE]) <= 192 * r
+        assert buffer_bytes(arrays + [getattr(ix, name) for name in _TREE]) <= 176 * r
 
     def test_eager_index_bytes_per_reference_byte(self):
         # what a build keeps before any edit: int32 SA, ISA and LCP, 4
@@ -295,6 +295,25 @@ class TestBuild:
         with pytest.raises(AssertionError, match="LCP view"):
             ix.validate()
         ix._rmq[0] = row0
+        ix.validate(deep=True)
+
+    @pytest.mark.parametrize("name", ["_parent", "_path_off"])
+    def test_validate_checks_the_path_layout(self, name):
+        # each heavy path is one id range, top first, and ends at its leaf:
+        # hang the leaf of the longest path off the root instead of the id
+        # before it, or move that path's first id by one
+        ix = build_index(b"mississippi" * 3)
+        ix.validate(deep=True)
+        off = ix._path_off
+        t = max(range(ix.r), key=lambda t: off[t + 1] - off[t])
+        assert off[t + 1] - off[t] >= 3
+        arr = np.asarray(getattr(ix, name))
+        at = off[t + 1] - 1 if name == "_parent" else t
+        was = int(arr[at])
+        arr[at] = ix._parent.tolist().index(-1) if name == "_parent" else was + 1
+        with pytest.raises(AssertionError):
+            ix.validate(deep=True)
+        arr[at] = was
         ix.validate(deep=True)
 
     @pytest.mark.parametrize("k", [1, 2, 7])
@@ -621,7 +640,7 @@ def test_locus_is_highest_ancestor_deep_enough(ref):
     ix = build_index(ref)
     ix._build_tree()
     for pos in range(len(ref)):
-        up = [ix._isa[pos]]
+        up = [ix._path_off[ix._isa[pos] + 1] - 1]  # the leaf ends its path
         while ix._parent[up[-1]] >= 0:
             up.append(ix._parent[up[-1]])
         for length in range(1, ix._depth[up[0]] + 1):
