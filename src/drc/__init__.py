@@ -23,6 +23,7 @@ from .errors import (
     ItemCountMismatch,
     MalformedCoverFile,
     NegativeEntry,
+    ReferenceTooLarge,
     SameHandle,
     SearchOutOfRange,
     StructureFull,
@@ -57,6 +58,7 @@ __all__ = [
     "ItemCountMismatch",
     "MalformedCoverFile",
     "NegativeEntry",
+    "ReferenceTooLarge",
     "SameHandle",
     "SearchOutOfRange",
     "StructureFull",

@@ -17,7 +17,8 @@ with non-printable bytes escaped the same way.
 Exit codes: 0 ok, 1 I/O error, 2 source byte missing from the reference,
 3 reference checksum mismatch, 4 malformed or invalid cover file,
 5 script parse error, 6 script op failure, 7 empty reference file,
-8 usage error (argparse's usage line and message go to stderr).
+8 usage error (argparse's usage line and message go to stderr),
+9 reference too large for the index, or out of memory.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from .errors import (
     EmptyReference,
     InvalidBlock,
     MalformedCoverFile,
+    ReferenceTooLarge,
 )
 from .ref_index import build_index
 
@@ -278,6 +280,8 @@ def _cmd_edit(args: argparse.Namespace) -> int:
                 cs.insert(i, op[2])
             else:
                 cs.delete(i)
+        except ReferenceTooLarge:
+            raise  # the first edit built the index's tree: no op is at fault
         except DrcError as exc:
             raise OpError(lineno, exc) from exc
     _write(args.out, encode_cover(len(ref), checksum, cs.blocks()))
@@ -330,6 +334,7 @@ _EXIT_CODES = (
     (ScriptError, 5),
     (OpError, 6),
     (EmptyReference, 7),
+    ((ReferenceTooLarge, MemoryError), 9),
 )
 
 
@@ -344,10 +349,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         raise
     try:
         return args.func(args)
-    except (OSError, DrcError) as exc:
+    except (OSError, DrcError, MemoryError) as exc:
         for types, code in _EXIT_CODES:
             if isinstance(exc, types):
-                print(f"drc: {exc}", file=sys.stderr)
+                # a MemoryError raised by Python itself carries no message
+                print(f"drc: {str(exc) or type(exc).__name__}", file=sys.stderr)
                 return code
         raise
 

@@ -53,6 +53,11 @@ class EmptyReference(DrcError, ValueError):
     """The reference string must contain at least one byte."""
 
 
+class ReferenceTooLarge(DrcError, OverflowError):
+    """The reference, its suffix tree or the tree's rank sets would
+    overflow the index's int32 arrays."""
+
+
 class InvalidBlock(DrcError, ValueError):
     """Block endpoints do not denote a substring of the reference."""
 

@@ -62,7 +62,8 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .errors import CharNotInReference, EmptyReference, IndexOutOfRange, InvalidBlock
+from .errors import (CharNotInReference, EmptyReference, IndexOutOfRange, InvalidBlock,
+                     ReferenceTooLarge)
 
 __all__ = ["RefIndex", "build_index"]
 
@@ -73,6 +74,11 @@ __all__ = ["RefIndex", "build_index"]
 
 # pairs of suffixes whose LCP one pass finishes at a time
 _SLICE = 1 << 14
+
+# the index's int32 arrays hold positions, node ids and offsets, each
+# below this bound, so that one past any of them fits as well: a larger
+# reference, tree or rank-set total is refused, never wrapped
+_INT32_LIMIT = 2**31 - 1
 
 
 def _packed_keys(codes: np.ndarray, bits: int, k0: int) -> np.ndarray:
@@ -386,6 +392,8 @@ class RefIndex:
     def __init__(self, data: bytes):
         if len(data) == 0:
             raise EmptyReference("reference must contain at least one byte")
+        if len(data) >= _INT32_LIMIT:
+            raise ReferenceTooLarge(f"reference of {len(data)} bytes exceeds int32 positions")
         self.data = bytes(data)
         self.r = len(data)
         data = np.frombuffer(self.data, dtype=np.uint8)
@@ -501,10 +509,14 @@ class RefIndex:
         Nodes are numbered path by path: path t, the heavy path ending at
         the leaf of SA slot t, takes the ids ``_path_off[t]`` ..
         ``_path_off[t + 1] - 1``, top first, so depths grow along it, and
-        ``_top_of[u]`` is u's path.  ``_left`` and ``_right`` give each
-        node's SA interval, ``_depth`` its string depth; a leaf top's rank
-        set is empty.  ``_first[c]`` is the root's child whose edge starts
-        with byte c, or -1.  The arrays are published together at the end,
+        ``_top_of[u]`` is u's path.  A node's heavy child is its largest,
+        ties to the smallest SA slot, and its children in id order are in
+        edge-char order: the light ones are path tops, whose ids grow with
+        their SA intervals, and the heavy one, u + 1, is on u's path,
+        between them.  ``_left`` and ``_right`` give each node's SA
+        interval, ``_depth`` its string depth; a leaf top's rank set is
+        empty.  ``_first[c]`` is the root's child whose edge starts with
+        byte c, or -1.  The arrays are published together at the end,
         ``_first`` last, so a build that raises leaves the tree unbuilt.
 
         >>> ix = build_index(b"banana")
@@ -530,6 +542,8 @@ class RefIndex:
         rep = order[first]  # one boundary of each node
         del order, first
         total = n + len(rep)
+        if total >= _INT32_LIMIT:
+            raise ReferenceTooLarge(f"{total} tree nodes exceed int32 ids")
         leaves = np.arange(n, dtype=np.int32)
         depth = np.concatenate((n - sa, lcp[rep]))
         l = np.concatenate((leaves, left[rep]))
@@ -540,45 +554,37 @@ class RefIndex:
         side = np.minimum(r + 1, n - 1)
         np.copyto(side, l, where=(r == n - 1) | (lcp[side] <= lcp[l]))
         parent = node_of[side]
-        parent[n] = -1
         del side, node_of
 
-        # --- heavy paths ---
-        # each node's children by size, the heavy child first: the largest,
-        # ties to the first in SA interval (= edge-char) order, as the sort
-        # is stable and equal sizes are all leaves or all internal nodes,
-        # each kind numbered in that order here
-        kids = np.lexsort((l - r, parent))[1:]  # the root sorts first
-        heavy = kids[np.diff(parent[kids], prepend=-1) != 0]
-        del kids
-        # pointer jumping: up[u] is the node pos[u] steps up u's path
-        up = np.arange(total, dtype=np.int32)
-        up[heavy] = parent[heavy]
-        pos = np.zeros(total, dtype=np.int32)
-        pos[heavy] = 1
-        del heavy
-        while not np.array_equal(nxt := up[up], up):  # until up[u] is u's top
+        # --- heavy paths: up[u] is the node pos[u] steps up u's path ---
+        key = np.subtract(r, l, dtype=np.int64) * n + (n - 1 - l)  # size, then first slot
+        key[n], best = -1, np.full(total, -1, dtype=np.int64)  # the root, its own parent here
+        np.maximum.at(best, parent, key)  # each node's heavy child has the greatest key
+        pos = (key == best[parent]).astype(np.int32)  # one step up for a heavy child
+        del key, best
+        up = np.where(pos, parent, np.arange(total, dtype=np.int32))
+        while not np.array_equal(nxt := up[up], up):  # pointer jumping, until up[u] is u's top
             pos += pos[up]
             up = nxt
-        # a path ends at its one leaf: path t is leaf t's, and its nodes
-        # take the ids off[t] .. off[t + 1] - 1, top first
+        # path t ends at leaf t and takes the ids off[t] .. off[t + 1] - 1
         off = np.zeros(n + 1, dtype=np.int32)
         np.cumsum(pos[:n] + 1, out=off[1:])
         path = np.empty(total, dtype=np.int32)
         path[up[:n]] = leaves
         new = off[path[up]] + pos
         del up, nxt, pos, path
-        old = np.empty(total, dtype=np.int32)
-        old[new] = np.arange(total, dtype=np.int32)
-        l, r, depth = l[old], r[old], depth[old]
-        parent = new[parent[old]]
-        root = int(new[n])
+        # each array scattered into its new ids, the one it replaces the next one's buffer
+        root, parent = int(new[n]), new[parent]
+        spare = np.empty(total, dtype=np.int32)
+        spare[new], l, spare = l, spare, l
+        spare[new], r, spare = r, spare, r
+        spare[new], depth, spare = depth, spare, depth
+        spare[new], parent = parent, spare
         parent[root] = -1
-        del new, old
-        top_of = np.repeat(leaves, np.diff(off))
+        del new, spare
 
-        # --- children in CSR form; SA interval order == edge-char order ---
-        ids = np.lexsort((l, parent))[1:].astype(np.int32)  # the root sorts first
+        # --- children in CSR form, in id order, which is edge-char order ---
+        ids = np.argsort(parent, kind="stable")[1:].astype(np.int32)  # the root sorts first
         par = parent[ids]
         child_off = np.zeros(total + 1, dtype=np.int32)
         np.cumsum(np.bincount(par, minlength=total), out=child_off[1:])
@@ -603,8 +609,8 @@ class RefIndex:
         lo, d = l[inner], depth[inner]
         lo += sa[lo] + d == n
         sizes = r[inner] - lo + 1
-        if sizes.sum(dtype=np.int64) >= 2 ** 31:
-            raise OverflowError("rank sets exceed int32 offsets")
+        if (entries := int(sizes.sum(dtype=np.int64))) >= _INT32_LIMIT:
+            raise ReferenceTooLarge(f"{entries} rank-set entries exceed int32 offsets")
         du_off = np.zeros(n + 1, dtype=np.int32)
         du_off[paths + 1] = sizes
         np.cumsum(du_off, out=du_off)
@@ -615,6 +621,7 @@ class RefIndex:
         adv += np.repeat(d, sizes)
         du_flat = isa[adv]
         del adv
+        top_of = np.repeat(leaves, np.diff(off))  # made last: not held at the rank sets' peak
         built = (l, r, depth, parent, child_off, ids, child_chars, top_of, off,
                  du_off, du_flat, by_byte)
         for name, arr in zip(_TREE, built):  # plain-int reads, as for R's SA
@@ -784,6 +791,8 @@ class RefIndex:
             if u in leaf:
                 continue
             kids = [int(c) for c in self._child_ids[a:b]]
+            # ids ascend in edge-char order: _build_tree's CSR relies on it
+            assert kids == sorted(kids), "children out of id order"
             assert all(parent[c] == u for c in kids)
             ls, rs = [int(left[c]) for c in kids], [int(right[c]) for c in kids]
             assert ls == [lu] + [e + 1 for e in rs[:-1]] and rs[-1] == ru

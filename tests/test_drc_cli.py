@@ -454,6 +454,60 @@ class TestEdit:
         ]
 
 
+class TestIndexTooLargeOrOutOfMemory:
+    """Exit 9 with one line on stderr, whichever stage of the index build
+    fails: the suffix sort, the tree build for the maximality check or
+    inside the first script edit, or a guard of the int32 arrays."""
+
+    REF = b"mississippi"
+    # two blocks, so verify and edit check a pair; or one, so only an edit
+    # asks the tree
+    COVERS = {"two blocks": [(1, 11), (1, 4)], "one block": [(1, 11)]}
+
+    def run_9(self, ws, capsys, command: str, cover: str = "two blocks") -> str:
+        (ws / "ref").write_bytes(self.REF)
+        (ws / "src").write_bytes(self.REF)
+        (ws / "cov").write_bytes(encode_cover(len(self.REF), fnv1a64(self.REF), self.COVERS[cover]))
+        (ws / "scr").write_text("R 1 s\n")
+        files = {"compress": ["--src", ws / "src", "--out", ws / "out"],
+                 "verify": ["--in", ws / "cov"],
+                 "edit": ["--in", ws / "cov", "--script", ws / "scr", "--out", ws / "out"]}
+        assert run(ws, command, "--ref", ws / "ref", *files[command]) == 9
+        err = capsys.readouterr().err
+        assert err.startswith("drc: ") and err.count("\n") == 1, err
+        assert "Traceback" not in err and not (ws / "out").exists()
+        return err
+
+    @pytest.mark.parametrize("command", ["compress", "verify", "edit"])
+    def test_a_suffix_sort_out_of_memory(self, ws, capsys, monkeypatch, command):
+        def sort(codes):
+            raise MemoryError  # as Python raises it: no message
+        monkeypatch.setattr("drc.ref_index._sa_isa_lcp", sort)
+        assert self.run_9(ws, capsys, command) == "drc: MemoryError\n"
+
+    @pytest.mark.parametrize("cover", ["two blocks", "one block"])
+    def test_a_tree_build_out_of_memory(self, ws, capsys, monkeypatch, cover):
+        def nearest_smaller(rows, left):
+            raise MemoryError("Unable to allocate 8.00 GiB for an array")
+        monkeypatch.setattr("drc.ref_index._nearest_smaller", nearest_smaller)
+        assert "Unable to allocate" in self.run_9(ws, capsys, "edit", cover)
+
+    @pytest.mark.parametrize("command", ["compress", "verify", "edit"])
+    def test_a_reference_at_the_int32_limit(self, ws, capsys, monkeypatch, command):
+        monkeypatch.setattr("drc.ref_index._INT32_LIMIT", 11)
+        assert "reference of 11 bytes" in self.run_9(ws, capsys, command)
+
+    @pytest.mark.parametrize("cover", ["two blocks", "one block"])
+    @pytest.mark.parametrize("guard", ["tree nodes", "rank-set entries"])
+    def test_a_tree_over_the_int32_limit(self, ws, capsys, monkeypatch, guard, cover):
+        # not wrapped as a failed op (exit 6) when the first edit builds it
+        ix = build_index(self.REF)
+        ix._build_tree()
+        limit = len(ix._depth) if guard == "tree nodes" else ix._du_off[ix.r]
+        monkeypatch.setattr("drc.ref_index._INT32_LIMIT", limit)
+        assert guard in self.run_9(ws, capsys, "edit", cover)
+
+
 @pytest.mark.parametrize("case", ["queried index", "edit run"])
 def test_a_dropped_index_leaves_no_cyclic_garbage(ws, case):
     # the index holds its concatenation tree itself, and the CLI

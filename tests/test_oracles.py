@@ -63,6 +63,9 @@ REJECTIONS = {
     "divide at capacity": (lambda: NaivePartialSums([1, 2, 3, 4], capacity=4).divide(2, 1),
                            lambda: PackedSums([1, 2, 3, 4], config=FOUR).divide(2, 1),
                            StructureFull),
+    "insert at a valid slot at capacity": (
+        lambda: NaivePartialSums([1, 2, 3, 5], capacity=4).insert(2, 1),
+        lambda: PackedSums([1, 2, 3, 5], config=FOUR).insert(2, 1), StructureFull),
     # the position is an argument, checked before room, as divide's is
     "insert past the end at capacity": (
         lambda: NaivePartialSums([1, 2, 3, 5], capacity=4).insert(9, 1),

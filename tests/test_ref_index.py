@@ -15,6 +15,7 @@ from drc.errors import (
     EmptyReference,
     IndexOutOfRange,
     InvalidBlock,
+    ReferenceTooLarge,
 )
 from drc.oracles import (
     naive_longest_match,
@@ -316,6 +317,19 @@ class TestBuild:
         arr[at] = was
         ix.validate(deep=True)
 
+    def test_validate_checks_that_children_ascend_by_id(self):
+        # the build lists each node's children by id and relies on that
+        # being edge-char order: two swapped children must be caught
+        ix = build_index(b"mississippi" * 3)
+        ix.validate(deep=True)
+        root = ix._parent.tolist().index(-1)
+        ids, a = np.asarray(ix._child_ids), ix._child_off[root]
+        ids[a], ids[a + 1] = ids[a + 1], ids[a]
+        with pytest.raises(AssertionError, match="children out of id order"):
+            ix.validate(deep=True)
+        ids[a], ids[a + 1] = ids[a + 1], ids[a]
+        ix.validate(deep=True)
+
     @pytest.mark.parametrize("k", [1, 2, 7])
     def test_validate_checks_every_rmq_row(self, k):
         # one entry of a row above row 0 raised: lce would answer wrongly
@@ -331,6 +345,34 @@ class TestBuild:
         with pytest.raises(AssertionError, match=f"RMQ row {k}"):
             ix.validate(deep=True)
         row[j] -= 1
+        ix.validate(deep=True)
+
+    def test_a_reference_at_the_int32_limit_is_refused(self, monkeypatch):
+        # the limit, lowered to 11, refuses an 11-byte reference before any
+        # array is made, and takes one byte less (its tree's 17 nodes would
+        # still be refused)
+        monkeypatch.setattr("drc.ref_index._INT32_LIMIT", 11)
+        with pytest.raises(ReferenceTooLarge, match="11 bytes"):
+            build_index(b"mississippi")
+        build_index(b"mississipp").validate()
+
+    @pytest.mark.parametrize("guard", ["tree nodes", "rank-set entries"])
+    def test_a_tree_over_the_int32_limit_is_refused(self, monkeypatch, guard):
+        # mississippi's 18 nodes and 19 rank-set entries each reach a limit
+        # lowered to their count; the build then leaves the tree unbuilt,
+        # and builds it once the limit is above both
+        ix = build_index(b"mississippi")
+        ix._build_tree()
+        nodes, entries = len(ix._depth), ix._du_off[ix.r]
+        assert ix.r < nodes < entries
+        ix = build_index(b"mississippi")
+        monkeypatch.setattr("drc.ref_index._INT32_LIMIT",
+                            nodes if guard == "tree nodes" else entries)
+        with pytest.raises(ReferenceTooLarge, match=guard):
+            ix.substring_concat((1, 2), (3, 4))
+        assert ix._first is None
+        monkeypatch.setattr("drc.ref_index._INT32_LIMIT", entries + 1)
+        assert ix.substring_concat((1, 2), (3, 4)) == 1
         ix.validate(deep=True)
 
     def test_larger_reference_sa_lcp(self):
@@ -967,6 +1009,19 @@ def test_concat_witnesses_are_pinned():
     assert sum(a is not None for a in answers) > 1000
     digest = hashlib.sha256(repr(answers).encode()).hexdigest()[:16]
     assert digest == "4c2b506a4792ce55"
+
+
+def test_tree_arrays_are_pinned():
+    # every tree array, byte for byte, over the sorting inputs: a change to
+    # how _build_tree picks heavy children, numbers the nodes or orders
+    # their children changes the digest
+    h = hashlib.sha256()
+    for data in SORTING_INPUTS.values():
+        ix = build_index(data)
+        ix._build_tree()
+        for name in _TREE:
+            h.update(getattr(ix, name).tobytes())
+    assert h.hexdigest()[:16] == "339c8339c0b9c303"
 
 
 def test_occurrence_map():
